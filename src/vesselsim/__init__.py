@@ -44,6 +44,7 @@ from .locality import (
     classify_correlations,
     contextual_table,
     contextuality_witness,
+    scan_columns,
     scan_hidden_variables,
     search_factorization,
 )

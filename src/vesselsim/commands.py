@@ -24,7 +24,7 @@ from .bell import (
     estimate_expectation,
 )
 from .errors import ConfigError
-from .locality import CorrelationKind, scan_hidden_variables
+from .locality import CorrelationKind, scan_columns
 from .quantum import (
     born_samples,
     is_entangled,
@@ -145,12 +145,15 @@ def vessel_chsh(
 
 def locality_check(scenario: Scenario, collect_runs: bool = False) -> tuple[dict, RunDump]:
     """Factorization search and context witnesses over sampled hidden variables."""
-    samples = scenario.sampler.draw(scenario.runs_per_pair, key=(LOCALITY_STREAM, 0))
-    scan = scan_hidden_variables(
-        samples, scenario.system, scenario.tie_policy, tie_seed=scenario.seed
+    lambda_a, lambda_b = scenario.sampler.draw_arrays(
+        scenario.runs_per_pair, key=(LOCALITY_STREAM, 0)
     )
-    unsatisfiable = sum(1 for entry in scan if not entry.factorization.satisfiable)
-    witnesses = sum(1 for entry in scan if entry.witness.differs)
+    columns = scan_columns(
+        lambda_a, lambda_b, scenario.system, scenario.tie_policy, tie_seed=scenario.seed
+    )
+    sample_count = len(lambda_a)
+    unsatisfiable = sample_count - int(np.count_nonzero(columns["satisfiable"]))
+    witnesses = int(np.count_nonzero(columns["witness_differs"]))
     kind = (
         CorrelationKind.SECOND_KIND if unsatisfiable else CorrelationKind.FIRST_KIND
     )
@@ -160,7 +163,7 @@ def locality_check(scenario: Scenario, collect_runs: bool = False) -> tuple[dict
         # True only if every sampled hidden variable admits an assignment.
         "satisfiable": unsatisfiable == 0,
         "witness_count": witnesses,
-        "sample_count": len(scan),
+        "sample_count": sample_count,
         "unsatisfiable_count": unsatisfiable,
     }
     report["correlation_kind"] = kind.value
@@ -181,22 +184,15 @@ def locality_check(scenario: Scenario, collect_runs: bool = False) -> tuple[dict
         ]
     )
     if collect_runs:
-        for index, entry in enumerate(scan):
-            dump.rows.append(
-                {
-                    "sample_index": index,
-                    "lambda_a": entry.lam.lambda_a,
-                    "lambda_b": entry.lam.lambda_b,
-                    "product_ab": entry.table.product_ab,
-                    "product_aprime_b": entry.table.product_aprime_b,
-                    "product_ab_prime": entry.table.product_ab_prime,
-                    "product_aprime_bprime": entry.table.product_aprime_bprime,
-                    "satisfiable": entry.factorization.satisfiable,
-                    "witness_with_b": entry.witness.outcome_with_b,
-                    "witness_with_bprime": entry.witness.outcome_with_bprime,
-                    "witness_differs": entry.witness.differs,
-                }
-            )
+        # .tolist() hands csv Python floats, ints and bools, which it writes
+        # as repr, str and True/False.
+        values = [
+            range(sample_count),
+            lambda_a.tolist(),
+            lambda_b.tolist(),
+            *(columns[name].tolist() for name in dump.fieldnames[3:]),
+        ]
+        dump.rows = [dict(zip(dump.fieldnames, row)) for row in zip(*values)]
     return report, dump
 
 

@@ -16,8 +16,12 @@ import itertools
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from .bell import pair_products
 from .errors import EmptySampleSetError
 from .vessels import (
+    ALL_PAIRS,
     PAIR_AB,
     PAIR_AB_PRIME,
     PAIR_APRIME_B,
@@ -31,6 +35,10 @@ from .vessels import (
 )
 
 _SIGNS = (1, -1)
+
+# Column names of the four joint products, in ALL_PAIRS order (which is also
+# the field order of ContextualOutcomeTable).
+PRODUCT_COLUMNS = ("product_ab", "product_aprime_b", "product_ab_prime", "product_aprime_bprime")
 
 
 @dataclass(frozen=True)
@@ -150,14 +158,19 @@ def search_factorization(table: ContextualOutcomeTable) -> FactorizationReport:
     return FactorizationReport(satisfiable=False, search_exhausted=True)
 
 
-def contextuality_witness(lam: SiphonDiameters) -> Witness:
+def contextuality_witness(
+    lam: SiphonDiameters,
+    tie_policy: TiePolicy = TiePolicy.ERROR,
+    tie_seed: int = 0,
+) -> Witness:
     """Outcome of the left siphon experiment in its two partner contexts.
 
-    Against the other siphon the winner rule applies; against a spoon test
-    the siphon runs alone and always scores +1.  The two disagree exactly
-    when the left diameter is the smaller one.
+    Against the other siphon the winner rule applies (an exact tie resolved
+    by ``tie_policy``, as in the contextual table); against a spoon test the
+    siphon runs alone and always scores +1.  The two disagree exactly when
+    the left side loses the joint run.
     """
-    outcome_with_b, _ = joint_outcome_ab(lam)
+    outcome_with_b, _ = joint_outcome_ab(lam, tie_policy, tie_seed)
     outcome_with_bprime = outcome_solo_siphon()
     return Witness(
         lam=lam,
@@ -196,22 +209,89 @@ class SampleAnalysis:
     witness: Witness
 
 
+def _table_of_code(code: int) -> ContextualOutcomeTable:
+    """The table whose entry for ``ALL_PAIRS[bit]`` is -1 where bit ``bit`` of ``code`` is set."""
+    return ContextualOutcomeTable(*(-1 if code >> bit & 1 else 1 for bit in range(4)))
+
+
+def _factorizations(codes: np.ndarray) -> dict[int, FactorizationReport]:
+    """The exhaustive search's report for each table code present, one search per code."""
+    present = np.flatnonzero(np.bincount(codes, minlength=16))
+    return {code: search_factorization(_table_of_code(code)) for code in present.tolist()}
+
+
+def scan_columns(
+    lambda_a: np.ndarray,
+    lambda_b: np.ndarray,
+    system: VesselSystem,
+    tie_policy: TiePolicy = TiePolicy.ERROR,
+    tie_seed: int = 0,
+) -> dict[str, np.ndarray]:
+    """The locality scan over a batch of draws, one numpy column per field.
+
+    Row ``i`` describes the hidden variable ``(lambda_a[i], lambda_b[i])``
+    exactly as ``contextual_table``, ``search_factorization`` and
+    ``contextuality_witness`` would: the four joint products (columns
+    ``PRODUCT_COLUMNS``), ``satisfiable``, and ``witness_with_b``,
+    ``witness_with_bprime`` and ``witness_differs``.  ``table_code`` packs
+    the table's signs into 4 bits (bit ``k`` set when pair ``ALL_PAIRS[k]``
+    multiplies to -1).
+
+    The products come from the vectorized outcome rule ``pair_products``.
+    The exhaustive search stays the authority on factorizability, but runs
+    once per distinct table code (at most 16 times), not once per row.
+    """
+    outcomes = {
+        pair: pair_products(pair, lambda_a, lambda_b, system, tie_policy, tie_seed)
+        for pair in ALL_PAIRS
+    }
+    columns: dict[str, np.ndarray] = {}
+    codes = np.zeros(len(lambda_a), dtype=np.intp)
+    for bit, (name, pair) in enumerate(zip(PRODUCT_COLUMNS, ALL_PAIRS)):
+        outcome_left, outcome_right = outcomes[pair]
+        columns[name] = outcome_left * outcome_right
+        codes |= (columns[name] < 0).astype(np.intp) << bit
+
+    verdicts = np.zeros(16, dtype=bool)
+    for code, report in _factorizations(codes).items():
+        verdicts[code] = report.satisfiable
+    witness_with_b = outcomes[PAIR_AB][0]
+    witness_with_bprime = np.full(len(lambda_a), outcome_solo_siphon(system), dtype=np.int64)
+    columns["satisfiable"] = verdicts[codes]
+    columns["witness_with_b"] = witness_with_b
+    columns["witness_with_bprime"] = witness_with_bprime
+    columns["witness_differs"] = witness_with_b != witness_with_bprime
+    columns["table_code"] = codes
+    return columns
+
+
 def scan_hidden_variables(
     samples: Sequence[SiphonDiameters],
     system: VesselSystem,
     tie_policy: TiePolicy = TiePolicy.ERROR,
     tie_seed: int = 0,
 ) -> list[SampleAnalysis]:
-    """Per-sample tables, factorization verdicts, and context witnesses."""
-    results = []
-    for lam in samples:
-        table = contextual_table(lam, system, tie_policy, tie_seed)
-        results.append(
-            SampleAnalysis(
-                lam=lam,
-                table=table,
-                factorization=search_factorization(table),
-                witness=contextuality_witness(lam),
-            )
+    """Per-sample tables, factorization verdicts, and context witnesses.
+
+    The row-object view of ``scan_columns`` over the same diameters.
+    """
+    lambda_a = np.array([lam.lambda_a for lam in samples], dtype=np.float64)
+    lambda_b = np.array([lam.lambda_b for lam in samples], dtype=np.float64)
+    columns = scan_columns(lambda_a, lambda_b, system, tie_policy, tie_seed)
+    reports = _factorizations(columns["table_code"])
+    rows = zip(
+        samples,
+        columns["table_code"].tolist(),
+        columns["witness_with_b"].tolist(),
+        columns["witness_with_bprime"].tolist(),
+        columns["witness_differs"].tolist(),
+    )
+    return [
+        SampleAnalysis(
+            lam=lam,
+            table=_table_of_code(code),
+            factorization=reports[code],
+            witness=Witness(lam, with_b, with_bprime, differs),
         )
-    return results
+        for lam, code, with_b, with_bprime, differs in rows
+    ]

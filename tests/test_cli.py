@@ -4,9 +4,10 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
-from vesselsim import TSIRELSON_BOUND
+from vesselsim import TSIRELSON_BOUND, HiddenVariableSampler
 from vesselsim.cli import main
 
 UNIFORM_AMPLITUDES = [[1.0 / math.sqrt(11), 0.0]] * 11
@@ -74,6 +75,51 @@ class TestExitCodes:
         run_cli(["vessel-chsh", "--scenario", str(path), "--out", str(out)])
         assert not out.exists()
         capsys.readouterr()
+
+
+def tied_draws(monkeypatch):
+    """Make every sampler draw hold an exact tie at row 1."""
+    original = HiddenVariableSampler.draw_arrays
+
+    def draw_arrays(self, n, key=()):
+        lambda_a, lambda_b = original(self, n, key)
+        lambda_b[1] = lambda_a[1]
+        return lambda_a, lambda_b
+
+    monkeypatch.setattr(HiddenVariableSampler, "draw_arrays", draw_arrays)
+
+
+class TestLocalityTies:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_tie_under_error_policy_is_three(self, tmp_path, capsys, monkeypatch, fmt):
+        tied_draws(monkeypatch)
+        scenario = write_scenario(tmp_path, runs_per_pair=5)
+        out = tmp_path / "report"
+        code = run_cli(
+            ["locality-check", "--scenario", scenario, "--format", fmt, "--out", str(out)]
+        )
+        assert code == 3
+        assert not out.exists()
+        assert "equal siphon diameters" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "policy, expected", [("favor_left", 1), ("favor_right", -1), ("split_coin", None)]
+    )
+    def test_tie_witness_follows_policy(self, tmp_path, monkeypatch, policy, expected):
+        tied_draws(monkeypatch)
+        scenario = write_scenario(tmp_path, runs_per_pair=5, tie_policy=policy)
+        report = run_json(tmp_path, "locality-check", scenario)
+        rows = run_csv(tmp_path, "locality-check", scenario)
+        tie = rows[1]
+        assert tie["lambda_a"] == tie["lambda_b"]
+        assert tie["product_ab"] == "-1"
+        assert tie["witness_with_b"] in ("1", "-1")
+        if expected is not None:
+            assert int(tie["witness_with_b"]) == expected
+        assert (tie["witness_differs"] == "True") == (tie["witness_with_b"] == "-1")
+        witness_count = sum(row["witness_differs"] == "True" for row in rows)
+        assert witness_count == report["factorization"]["witness_count"]
+        assert report["factorization"]["unsatisfiable_count"] == 5
 
 
 class TestReportSchema:

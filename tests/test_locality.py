@@ -4,22 +4,30 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vesselsim import (
+    PAIR_AB,
     ContextualOutcomeTable,
     CorrelationKind,
     DegenerateTieError,
     EmptySampleSetError,
     SiphonDiameters,
+    TiePolicy,
     VesselSystem,
     classify_correlations,
     contextual_table,
     contextuality_witness,
+    run_coincidence,
+    scan_columns,
     scan_hidden_variables,
     search_factorization,
 )
+from vesselsim.locality import PRODUCT_COLUMNS
 
 VESSEL_TABLE = ContextualOutcomeTable(-1, 1, 1, 1)
+RESOLVING_POLICIES = [policy for policy in TiePolicy if policy is not TiePolicy.ERROR]
 
 
 def brute_force_satisfiable(table):
@@ -88,11 +96,12 @@ class TestSearchFactorization:
             assert search_factorization(table).satisfiable == brute_force_satisfiable(table)
 
     def test_parity_obstruction(self):
-        # a factorizable table multiplies out to a perfect square, hence +1
+        # Parity lemma: a table factorizes exactly when its four entries
+        # multiply to +1 (a factorized table multiplies out to a perfect
+        # square, and every +1 table has an assignment).
         for entries in itertools.product((1, -1), repeat=4):
             table = ContextualOutcomeTable(*entries)
-            if search_factorization(table).satisfiable:
-                assert table.entry_product() == 1
+            assert search_factorization(table).satisfiable == (table.entry_product() == 1)
         assert VESSEL_TABLE.entry_product() == -1
 
     def test_found_assignment_always_reproduces_table(self):
@@ -122,6 +131,14 @@ class TestContextualityWitness:
     def test_tie_raises(self):
         with pytest.raises(DegenerateTieError):
             contextuality_witness(SiphonDiameters(1.0, 1.0))
+
+    @pytest.mark.parametrize("policy", RESOLVING_POLICIES)
+    def test_tie_follows_policy_like_the_table(self, policy):
+        for lam in (SiphonDiameters(1.0, 1.0), SiphonDiameters(2.5, 2.5)):
+            witness = contextuality_witness(lam, policy, tie_seed=99)
+            resolved = run_coincidence(PAIR_AB, lam, VesselSystem(), policy, tie_seed=99)
+            assert witness.outcome_with_b == resolved.outcome_left
+            assert witness.differs == (resolved.outcome_left != 1)
 
     def test_differs_exactly_when_left_is_narrower(self):
         rng = np.random.default_rng(21)
@@ -172,3 +189,80 @@ class TestScan:
             # can cover both partner contexts
             if entry.witness.differs:
                 assert not search_factorization(entry.table).satisfiable
+
+    @pytest.mark.parametrize("policy", RESOLVING_POLICIES)
+    def test_scan_resolves_ties_by_policy(self, policy):
+        lam = SiphonDiameters(1.0, 1.0)
+        (entry,) = scan_hidden_variables([lam], VesselSystem(), policy, tie_seed=5)
+        assert entry.table == contextual_table(lam, VesselSystem(), policy, tie_seed=5)
+        assert entry.witness == contextuality_witness(lam, policy, tie_seed=5)
+        assert not entry.factorization.satisfiable
+
+    def test_empty_scan(self):
+        assert scan_hidden_variables([], VesselSystem()) == []
+
+
+# Draws with exact ties injected: a flagged row copies its left diameter.
+draws = st.lists(
+    st.tuples(
+        st.floats(min_value=1e-3, max_value=1e3),
+        st.floats(min_value=1e-3, max_value=1e3),
+        st.booleans(),
+    ),
+    max_size=40,
+)
+
+
+def as_columns(rows):
+    lambda_a = np.array([a for a, _, _ in rows], dtype=np.float64)
+    lambda_b = np.array([a if tie else b for a, b, tie in rows], dtype=np.float64)
+    return lambda_a, lambda_b
+
+
+class TestScanColumns:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=draws,
+        transparent=st.booleans(),
+        policy=st.sampled_from(RESOLVING_POLICIES),
+        tie_seed=st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    def test_rows_match_per_sample_functions(self, rows, transparent, policy, tie_seed):
+        system = VesselSystem(transparent=transparent)
+        lambda_a, lambda_b = as_columns(rows)
+        columns = scan_columns(lambda_a, lambda_b, system, policy, tie_seed)
+        scan = scan_hidden_variables(
+            [SiphonDiameters(a, b) for a, b in zip(lambda_a.tolist(), lambda_b.tolist())],
+            system,
+            policy,
+            tie_seed,
+        )
+        assert len(scan) == len(rows)
+        for index, entry in enumerate(scan):
+            lam = entry.lam
+            table = contextual_table(lam, system, policy, tie_seed)
+            witness = contextuality_witness(lam, policy, tie_seed)
+            row = {name: column[index].item() for name, column in columns.items()}
+            assert tuple(row[name] for name in PRODUCT_COLUMNS) == tuple(
+                table.as_dict().values()
+            )
+            assert row["satisfiable"] is search_factorization(table).satisfiable
+            assert (row["witness_with_b"], row["witness_with_bprime"], row["witness_differs"]) == (
+                witness.outcome_with_b,
+                witness.outcome_with_bprime,
+                witness.differs,
+            )
+            assert entry.table == table
+            assert entry.factorization == search_factorization(table)
+            assert entry.witness == witness
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=draws)
+    def test_error_policy_raises_on_any_tie(self, rows):
+        lambda_a, lambda_b = as_columns(rows)
+        if np.any(lambda_a == lambda_b):
+            with pytest.raises(DegenerateTieError):
+                scan_columns(lambda_a, lambda_b, VesselSystem(), TiePolicy.ERROR)
+        else:
+            columns = scan_columns(lambda_a, lambda_b, VesselSystem(), TiePolicy.ERROR)
+            assert not columns["satisfiable"].any()
