@@ -14,23 +14,16 @@ therefore lands exactly on the algebraic ceiling of 4, above both the
 context-free bound 2 and the quantum bound 2*sqrt(2).
 """
 
-from vesselsim import (
-    ALL_PAIRS,
-    HiddenVariableSampler,
-    VesselSystem,
-    estimate_expectation,
-    run_full_experiment,
-)
+from vesselsim import HiddenVariableSampler, VesselSystem, run_full_experiment
 
 system = VesselSystem()
 sampler = HiddenVariableSampler(seed=42)
+statistic = run_full_experiment(sampler, system, n_per_pair=10_000)
 
 print("Per-pair Monte Carlo estimates over 10000 hidden-variable draws:")
-for pair in ALL_PAIRS:
-    estimate = estimate_expectation(pair, sampler, system, n=10_000)
-    print(f"  E({pair.label:4s}) = {estimate.mean:+.3f}   (stderr {estimate.stderr:.1e})")
+for estimate in statistic.components:
+    print(f"  E({estimate.pair.label:4s}) = {estimate.mean:+.3f}   (stderr {estimate.stderr:.1e})")
 
-statistic = run_full_experiment(sampler, system, n_per_pair=10_000)
 print(f"\nBell statistic: {statistic.value}")
 print(f"Classification: {statistic.classification.value}")
 

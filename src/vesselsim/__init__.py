@@ -22,6 +22,7 @@ from .bell import (
     estimate_expectation,
     pair_products,
     run_full_experiment,
+    vessel_model,
 )
 from .errors import (
     ConfigError,
@@ -53,10 +54,8 @@ from .quantum import (
     NORM_TOL,
     TOTAL_LITERS,
     UNIT_TOL,
-    FinalProductState,
     MeasurementDirection,
     VesselSuperpositionState,
-    born_sample,
     born_samples,
     coefficient_matrix,
     is_entangled,
@@ -66,10 +65,9 @@ from .quantum import (
     schmidt_rank,
     singlet_analytic_estimates,
     singlet_bell_value,
-    singlet_estimate,
     singlet_expectation,
     singlet_experiment,
-    singlet_sample,
+    singlet_model,
     singlet_samples,
 )
 from .scenario import Scenario, parse_scenario, scenario_from_dict

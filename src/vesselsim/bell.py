@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,9 +26,6 @@ from .streams import run_chunks, substream
 from .vessels import (
     ALL_PAIRS,
     PAIR_AB,
-    PAIR_AB_PRIME,
-    PAIR_APRIME_B,
-    PAIR_APRIME_BPRIME,
     CoincidencePair,
     ExperimentKind,
     SiphonDiameters,
@@ -46,6 +44,10 @@ ALGEBRAIC_BOUND = 4.0
 BOUND_TOL = 1e-12
 
 PAIR_STREAM = {pair: index for index, pair in enumerate(ALL_PAIRS)}
+
+# A model maps (pair, substream key, size) to per-run columns, at least
+# ``outcome_left`` and ``outcome_right``.
+Model = Callable[[CoincidencePair, tuple[int, int], int], dict[str, np.ndarray]]
 
 
 class BellClassification(enum.Enum):
@@ -178,51 +180,60 @@ def mean_and_stderr(product_sum: int, n: int) -> tuple[float, float]:
     return mean, math.sqrt(variance / n)
 
 
-def estimate_expectation(
-    pair: CoincidencePair,
+def vessel_model(
     sampler: HiddenVariableSampler,
     system: VesselSystem,
-    n: int,
     tie_policy: TiePolicy = TiePolicy.ERROR,
+) -> Model:
+    """The vessel experiment as a model: diameters drawn on the key's
+    substream, then the outcome rule; the draws are columns too."""
+
+    def model(pair, key, size):
+        lambda_a, lambda_b = sampler.draw_arrays(size, key)
+        outcome_left, outcome_right = pair_products(
+            pair, lambda_a, lambda_b, system, tie_policy, tie_seed=sampler.seed
+        )
+        return {
+            "lambda_a": lambda_a,
+            "lambda_b": lambda_b,
+            "outcome_left": outcome_left,
+            "outcome_right": outcome_right,
+        }
+
+    return model
+
+
+def estimate_expectation(
+    model: Model,
+    pair: CoincidencePair,
+    n: int,
     workers: int = 1,
     collect: bool = False,
 ) -> ExpectationEstimate | tuple[ExpectationEstimate, dict[str, np.ndarray]]:
-    """Estimate one pair's expectation from ``n`` seeded hidden-variable draws.
+    """Estimate one pair's expectation from ``n`` runs of ``model``.
 
-    Each fixed-size chunk draws from its own (pair, chunk) substream and the
-    partial sums merge in chunk order, so the estimate depends only on
-    (sampler, n, system), never on the worker count.  With ``collect=True``
-    the per-run draws and outcomes come back too (for per-run dumps).
+    Each fixed-size chunk uses its own ``(PAIR_STREAM[pair], chunk)`` key and
+    the partial sums merge in chunk order, so the estimate depends only on
+    (model, pair, n), never on the worker count.  With ``collect=True`` every
+    column of every run comes back too (for per-run dumps).
     """
     if n < 1:
         raise EmptySampleSetError(f"estimation needs n >= 1, got {n}")
     stream_index = PAIR_STREAM[pair]
 
     def one_chunk(chunk_index: int, size: int):
-        lambda_a, lambda_b = sampler.draw_arrays(size, key=(stream_index, chunk_index))
-        outcome_left, outcome_right = pair_products(
-            pair, lambda_a, lambda_b, system, tie_policy, tie_seed=sampler.seed
-        )
-        products = outcome_left * outcome_right
-        payload = None
-        if collect:
-            payload = {
-                "lambda_a": lambda_a,
-                "lambda_b": lambda_b,
-                "outcome_left": outcome_left,
-                "outcome_right": outcome_right,
-            }
-        return int(products.sum()), payload
+        columns = model(pair, (stream_index, chunk_index), size)
+        products = columns["outcome_left"] * columns["outcome_right"]
+        return int(products.sum()), columns if collect else None
 
     results = run_chunks(one_chunk, n, workers=workers)
-    product_sum = sum(total for total, _ in results)
-    mean, stderr = mean_and_stderr(product_sum, n)
+    mean, stderr = mean_and_stderr(sum(total for total, _ in results), n)
     estimate = ExpectationEstimate(pair=pair, mean=mean, stderr=stderr, n=n)
     if not collect:
         return estimate
     columns = {
         name: np.concatenate([payload[name] for _, payload in results])
-        for name in ("lambda_a", "lambda_b", "outcome_left", "outcome_right")
+        for name in results[0][1]
     }
     return estimate, columns
 
@@ -236,33 +247,22 @@ def classify_value(value: float) -> BellClassification:
     return BellClassification.SUPER_QUANTUM
 
 
-def bell_statistic(
-    e_aprime_bprime: ExpectationEstimate,
-    e_aprime_b: ExpectationEstimate,
-    e_ab_prime: ExpectationEstimate,
-    e_ab: ExpectationEstimate,
-) -> BellStatistic:
+def bell_statistic(estimates: Iterable[ExpectationEstimate]) -> BellStatistic:
     """Combine the four estimates into the Bell statistic.
 
-    The estimates are matched to their terms by their pair field; they must
-    cover all four coincidence pairs.
+    ``estimates`` must hold each coincidence pair exactly once, in any
+    order; each estimate is matched to its term by its pair field.
     """
-    by_pair = {
-        estimate.pair: estimate
-        for estimate in (e_aprime_bprime, e_aprime_b, e_ab_prime, e_ab)
-    }
-    if set(by_pair) != set(ALL_PAIRS):
-        got = sorted(pair.label for pair in by_pair)
+    estimates = list(estimates)
+    by_pair = {estimate.pair: estimate for estimate in estimates}
+    if len(estimates) != len(ALL_PAIRS) or set(by_pair) != set(ALL_PAIRS):
+        got = sorted(estimate.pair.label for estimate in estimates)
         raise MismatchedPairsError(
-            f"estimates must cover the four coincidence pairs, got {got}"
+            f"estimates must cover the four coincidence pairs once each, got {got}"
         )
-    value = (
-        by_pair[PAIR_APRIME_BPRIME].mean
-        + by_pair[PAIR_APRIME_B].mean
-        + by_pair[PAIR_AB_PRIME].mean
-        - by_pair[PAIR_AB].mean
-    )
     components = tuple(by_pair[pair] for pair in ALL_PAIRS)
+    ab, aprime_b, ab_prime, aprime_bprime = (estimate.mean for estimate in components)
+    value = aprime_bprime + aprime_b + ab_prime - ab
     return BellStatistic(
         value=value, components=components, classification=classify_value(value)
     )
@@ -276,15 +276,7 @@ def run_full_experiment(
     workers: int = 1,
 ) -> BellStatistic:
     """Estimate all four pairs on independent substreams and combine them."""
-    estimates = {
-        pair: estimate_expectation(
-            pair, sampler, system, n_per_pair, tie_policy, workers=workers
-        )
-        for pair in ALL_PAIRS
-    }
+    model = vessel_model(sampler, system, tie_policy)
     return bell_statistic(
-        estimates[PAIR_APRIME_BPRIME],
-        estimates[PAIR_APRIME_B],
-        estimates[PAIR_AB_PRIME],
-        estimates[PAIR_AB],
+        estimate_expectation(model, pair, n_per_pair, workers) for pair in ALL_PAIRS
     )

@@ -29,10 +29,21 @@ def render_json(report: dict) -> str:
 
 def render_csv(dump: commands.RunDump) -> str:
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=dump.fieldnames, lineterminator="\n")
-    writer.writeheader()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(dump.fieldnames)
     writer.writerows(dump.rows)
     return buffer.getvalue()
+
+
+def _worker_count(text: str) -> int:
+    """The ``--workers`` value: an integer of at least 1."""
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return workers
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,7 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
         "vessel-chsh", help="estimate the four coincidence pairs and the Bell statistic"
     )
     add_common(sub)
-    sub.add_argument("--workers", type=int, default=1, help="chunk workers (result-neutral)")
+    sub.add_argument(
+        "--workers", type=_worker_count, default=1, help="chunk workers (result-neutral)"
+    )
 
     sub = subparsers.add_parser(
         "locality-check",
@@ -78,7 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
         "quantum-chsh", help="singlet statistic at the scenario's analyzer angles"
     )
     add_common(sub)
-    sub.add_argument("--workers", type=int, default=1, help="chunk workers (result-neutral)")
+    sub.add_argument(
+        "--workers", type=_worker_count, default=1, help="chunk workers (result-neutral)"
+    )
     sub.add_argument(
         "--analytic",
         action="store_true",

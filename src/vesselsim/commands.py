@@ -10,6 +10,7 @@ seed-derived values, so identical scenarios yield byte-identical output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -20,38 +21,32 @@ from .bell import (
     TSIRELSON_BOUND,
     BellStatistic,
     ExpectationEstimate,
+    Model,
     bell_statistic,
     estimate_expectation,
+    vessel_model,
 )
 from .errors import ConfigError
 from .locality import CorrelationKind, scan_columns
 from .quantum import (
+    TOTAL_LITERS,
     born_samples,
     is_entangled,
     schmidt_rank,
     singlet_analytic_estimates,
-    singlet_estimate,
+    singlet_model,
 )
 from .scenario import Scenario
 from .streams import BORN_STREAM, LOCALITY_STREAM, substream
-from .vessels import (
-    ALL_PAIRS,
-    PAIR_AB,
-    PAIR_AB_PRIME,
-    PAIR_APRIME_B,
-    PAIR_APRIME_BPRIME,
-    SiphonDiameters,
-    joint_outcome_ab,
-    simulate_flow,
-)
+from .vessels import ALL_PAIRS, SiphonDiameters, joint_outcome_ab, simulate_flow
 
 
 @dataclass
 class RunDump:
-    """Per-run rows for CSV output, with a fixed column order."""
+    """Per-run rows for CSV output, each a tuple in ``fieldnames`` order."""
 
     fieldnames: list[str]
-    rows: list[dict] = field(default_factory=list)
+    rows: list[tuple] = field(default_factory=list)
 
 
 def _base_report(scenario: Scenario) -> dict:
@@ -87,60 +82,51 @@ def _bell_record(statistic: BellStatistic) -> dict:
     }
 
 
+def _chsh_report(scenario: Scenario, estimates: list[ExpectationEstimate]) -> dict:
+    statistic = bell_statistic(estimates)
+    report = _base_report(scenario)
+    report["estimates"] = [_estimate_record(estimate) for estimate in statistic.components]
+    report["bell"] = _bell_record(statistic)
+    return report
+
+
+def _chsh(
+    scenario: Scenario,
+    model: Model,
+    run_columns: list[str],
+    workers: int,
+    collect_runs: bool,
+) -> tuple[dict, RunDump]:
+    """Estimate the four pairs with ``model`` and report the statistic; the
+    dump holds every run's ``run_columns`` and outcome product."""
+    n = scenario.runs_per_pair
+    dump = RunDump(["pair", "run_index", *run_columns, "product"])
+    estimates = []
+    for pair in ALL_PAIRS:
+        if not collect_runs:
+            estimates.append(estimate_expectation(model, pair, n, workers))
+            continue
+        estimate, columns = estimate_expectation(model, pair, n, workers, collect=True)
+        estimates.append(estimate)
+        products = columns["outcome_left"] * columns["outcome_right"]
+        dump.rows.extend(
+            zip(
+                repeat(pair.label),
+                range(n),
+                *(columns[name].tolist() for name in run_columns),
+                products.tolist(),
+            )
+        )
+    return _chsh_report(scenario, estimates), dump
+
+
 def vessel_chsh(
     scenario: Scenario, workers: int = 1, collect_runs: bool = False
 ) -> tuple[dict, RunDump]:
     """Estimate all four coincidence pairs and combine them."""
-    estimates: dict = {}
-    dump = RunDump(
-        [
-            "pair",
-            "run_index",
-            "lambda_a",
-            "lambda_b",
-            "outcome_left",
-            "outcome_right",
-            "product",
-        ]
-    )
-    for pair in ALL_PAIRS:
-        result = estimate_expectation(
-            pair,
-            scenario.sampler,
-            scenario.system,
-            scenario.runs_per_pair,
-            scenario.tie_policy,
-            workers=workers,
-            collect=collect_runs,
-        )
-        if collect_runs:
-            estimates[pair], columns = result
-            for index in range(scenario.runs_per_pair):
-                left = int(columns["outcome_left"][index])
-                right = int(columns["outcome_right"][index])
-                dump.rows.append(
-                    {
-                        "pair": pair.label,
-                        "run_index": index,
-                        "lambda_a": float(columns["lambda_a"][index]),
-                        "lambda_b": float(columns["lambda_b"][index]),
-                        "outcome_left": left,
-                        "outcome_right": right,
-                        "product": left * right,
-                    }
-                )
-        else:
-            estimates[pair] = result
-    statistic = bell_statistic(
-        estimates[PAIR_APRIME_BPRIME],
-        estimates[PAIR_APRIME_B],
-        estimates[PAIR_AB_PRIME],
-        estimates[PAIR_AB],
-    )
-    report = _base_report(scenario)
-    report["estimates"] = [_estimate_record(estimates[pair]) for pair in ALL_PAIRS]
-    report["bell"] = _bell_record(statistic)
-    return report, dump
+    model = vessel_model(scenario.sampler, scenario.system, scenario.tie_policy)
+    run_columns = ["lambda_a", "lambda_b", "outcome_left", "outcome_right"]
+    return _chsh(scenario, model, run_columns, workers, collect_runs)
 
 
 def locality_check(scenario: Scenario, collect_runs: bool = False) -> tuple[dict, RunDump]:
@@ -192,7 +178,7 @@ def locality_check(scenario: Scenario, collect_runs: bool = False) -> tuple[dict
             lambda_b.tolist(),
             *(columns[name].tolist() for name in dump.fieldnames[3:]),
         ]
-        dump.rows = [dict(zip(dump.fieldnames, row)) for row in zip(*values)]
+        dump.rows = list(zip(*values))
     return report, dump
 
 
@@ -214,15 +200,8 @@ def sample_state(scenario: Scenario, collect_runs: bool = False) -> tuple[dict, 
 
     dump = RunDump(["sample_index", "x", "left_liters", "right_liters"])
     if collect_runs:
-        for index, x in enumerate(draws.tolist()):
-            dump.rows.append(
-                {
-                    "sample_index": index,
-                    "x": x,
-                    "left_liters": x,
-                    "right_liters": 10 - x,
-                }
-            )
+        left = draws.tolist()
+        dump.rows = list(zip(range(n), left, left, (TOTAL_LITERS - draws).tolist()))
     return report, dump
 
 
@@ -238,51 +217,15 @@ def quantum_chsh(
     angles = scenario.singlet_angles
 
     if analytic:
-        estimates = {est.pair: est for est in singlet_analytic_estimates(angles)}
+        estimates = singlet_analytic_estimates(angles)
+        report = _chsh_report(scenario, estimates)
         dump = RunDump(["pair", "expectation"])
         if collect_runs:
-            dump.rows = [
-                {"pair": pair.label, "expectation": estimates[pair].mean}
-                for pair in ALL_PAIRS
-            ]
+            dump.rows = [(estimate.pair.label, estimate.mean) for estimate in estimates]
     else:
-        estimates = {}
-        dump = RunDump(["pair", "run_index", "outcome_left", "outcome_right", "product"])
-        for pair in ALL_PAIRS:
-            result = singlet_estimate(
-                pair,
-                angles,
-                scenario.seed,
-                scenario.runs_per_pair,
-                workers=workers,
-                collect=collect_runs,
-            )
-            if collect_runs:
-                estimates[pair], columns = result
-                for index in range(scenario.runs_per_pair):
-                    left = int(columns["outcome_left"][index])
-                    right = int(columns["outcome_right"][index])
-                    dump.rows.append(
-                        {
-                            "pair": pair.label,
-                            "run_index": index,
-                            "outcome_left": left,
-                            "outcome_right": right,
-                            "product": left * right,
-                        }
-                    )
-            else:
-                estimates[pair] = result
-
-    statistic = bell_statistic(
-        estimates[PAIR_APRIME_BPRIME],
-        estimates[PAIR_APRIME_B],
-        estimates[PAIR_AB_PRIME],
-        estimates[PAIR_AB],
-    )
-    report = _base_report(scenario)
-    report["estimates"] = [_estimate_record(estimates[pair]) for pair in ALL_PAIRS]
-    report["bell"] = _bell_record(statistic)
+        model = singlet_model(angles, scenario.seed)
+        run_columns = ["outcome_left", "outcome_right"]
+        report, dump = _chsh(scenario, model, run_columns, workers, collect_runs)
     report["mode"] = "analytic" if analytic else "monte_carlo"
     report["angles"] = list(angles)
     return report, dump
@@ -320,5 +263,5 @@ def flow(
         ["lambda_a", "lambda_b", "dt", "x_left", "x_right", "outcome_left", "outcome_right"]
     )
     if collect_runs:
-        dump.rows.append(dict(report["flow"]))
+        dump.rows.append(tuple(report["flow"][name] for name in dump.fieldnames))
     return report, dump

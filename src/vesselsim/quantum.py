@@ -27,19 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import (
-    ExpectationEstimate,
-    PAIR_STREAM,
     BellStatistic,
+    ExpectationEstimate,
+    Model,
     bell_statistic,
-    mean_and_stderr,
+    estimate_expectation,
 )
-from .errors import (
-    EmptySampleSetError,
-    NotNormalizedError,
-    NotUnitError,
-    WrongArityError,
-)
-from .streams import run_chunks, substream
+from .errors import NotNormalizedError, NotUnitError, WrongArityError
+from .streams import substream
 from .vessels import ALL_PAIRS, PAIR_AB, PAIR_AB_PRIME, PAIR_APRIME_B, PAIR_APRIME_BPRIME
 
 N_AMPLITUDES = 11
@@ -62,25 +57,6 @@ class VesselSuperpositionState:
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
-
-
-@dataclass(frozen=True)
-class FinalProductState:
-    """One collapsed division: x liters left, the complement right."""
-
-    x: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.x <= TOTAL_LITERS:
-            raise ValueError(f"left liters must lie in 0..{TOTAL_LITERS}, got {self.x}")
-
-    @property
-    def left_liters(self) -> int:
-        return self.x
-
-    @property
-    def right_liters(self) -> int:
-        return TOTAL_LITERS - self.x
 
 
 def make_state(amplitudes, normalize: bool = False) -> VesselSuperpositionState:
@@ -107,13 +83,6 @@ def make_state(amplitudes, normalize: bool = False) -> VesselSuperpositionState:
     array = array.copy()
     array.setflags(write=False)
     return VesselSuperpositionState(amplitudes=array)
-
-
-def born_sample(
-    state: VesselSuperpositionState, seed_or_rng: int | np.random.Generator
-) -> FinalProductState:
-    """Collapse the state once: draw x with probability |amplitude(x)|^2."""
-    return FinalProductState(int(born_samples(state, 1, seed_or_rng)[0]))
 
 
 def born_samples(
@@ -187,18 +156,13 @@ def right_analyzer_direction(angle_deg: float) -> MeasurementDirection:
 
 
 def singlet_expectation(a: MeasurementDirection, b: MeasurementDirection) -> float:
-    """Expected outcome product for the singlet: -(a . b)."""
-    return -a.dot(b)
+    """Expected outcome product for the singlet: -(a . b).
 
-
-def singlet_sample(
-    a: MeasurementDirection,
-    b: MeasurementDirection,
-    seed_or_rng: int | np.random.Generator,
-) -> tuple[int, int]:
-    """One joint outcome pair with P(+,+) = P(-,-) = (1 - a.b)/4."""
-    left, right = singlet_samples(a, b, 1, seed_or_rng)
-    return int(left[0]), int(right[0])
+    Rounding can carry the dot product of two unit vectors one ulp past
+    +-1; its magnitude is capped at 1 so the result is always a valid mean.
+    """
+    dot = a.dot(b)
+    return -math.copysign(min(abs(dot), 1.0), dot)
 
 
 def singlet_samples(
@@ -240,17 +204,7 @@ def _pair_directions(
 
 def singlet_bell_value(angles_deg: tuple[float, float, float, float]) -> float:
     """Analytic Bell statistic of the singlet at four planar analyzer angles."""
-    directions = _pair_directions(angles_deg)
-    expectation = {
-        pair: singlet_expectation(left, right)
-        for pair, (left, right) in directions.items()
-    }
-    return (
-        expectation[PAIR_APRIME_BPRIME]
-        + expectation[PAIR_APRIME_B]
-        + expectation[PAIR_AB_PRIME]
-        - expectation[PAIR_AB]
-    )
+    return bell_statistic(singlet_analytic_estimates(angles_deg)).value
 
 
 def singlet_analytic_estimates(
@@ -269,40 +223,16 @@ def singlet_analytic_estimates(
     ]
 
 
-def singlet_estimate(
-    pair,
-    angles_deg: tuple[float, float, float, float],
-    seed: int,
-    n: int,
-    workers: int = 1,
-    collect: bool = False,
-):
-    """Monte Carlo estimate of one pair's singlet expectation.
+def singlet_model(angles_deg: tuple[float, float, float, float], seed: int) -> Model:
+    """The singlet as a model: joint spin outcomes at the pair's analyzer
+    directions, drawn on the key's substream under ``seed``."""
+    directions = _pair_directions(angles_deg)
 
-    Chunked on (pair, chunk) substreams exactly like the vessel estimator,
-    so results are reproducible and worker-count independent.
-    """
-    if n < 1:
-        raise EmptySampleSetError(f"estimation needs n >= 1, got {n}")
-    left_direction, right_direction = _pair_directions(angles_deg)[pair]
-    stream_index = PAIR_STREAM[pair]
+    def model(pair, key, size):
+        left, right = singlet_samples(*directions[pair], size, substream(seed, *key))
+        return {"outcome_left": left, "outcome_right": right}
 
-    def one_chunk(chunk_index: int, size: int):
-        rng = substream(seed, stream_index, chunk_index)
-        left, right = singlet_samples(left_direction, right_direction, size, rng)
-        payload = {"outcome_left": left, "outcome_right": right} if collect else None
-        return int((left * right).sum()), payload
-
-    results = run_chunks(one_chunk, n, workers=workers)
-    mean, stderr = mean_and_stderr(sum(total for total, _ in results), n)
-    estimate = ExpectationEstimate(pair=pair, mean=mean, stderr=stderr, n=n)
-    if not collect:
-        return estimate
-    columns = {
-        name: np.concatenate([payload[name] for _, payload in results])
-        for name in ("outcome_left", "outcome_right")
-    }
-    return estimate, columns
+    return model
 
 
 def singlet_experiment(
@@ -312,13 +242,7 @@ def singlet_experiment(
     workers: int = 1,
 ) -> BellStatistic:
     """Monte Carlo singlet statistic at the given analyzer angles."""
-    estimates = {
-        pair: singlet_estimate(pair, angles_deg, seed, n_per_pair, workers=workers)
-        for pair in ALL_PAIRS
-    }
+    model = singlet_model(angles_deg, seed)
     return bell_statistic(
-        estimates[PAIR_APRIME_BPRIME],
-        estimates[PAIR_APRIME_B],
-        estimates[PAIR_AB_PRIME],
-        estimates[PAIR_AB],
+        estimate_expectation(model, pair, n_per_pair, workers) for pair in ALL_PAIRS
     )

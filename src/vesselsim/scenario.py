@@ -9,6 +9,7 @@ cannot silently fall back to a default.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -92,9 +93,17 @@ def _reject_unknown(data: dict, allowed: set[str], where: str) -> None:
 
 
 def _as_number(value, where: str) -> float:
+    # json.loads accepts NaN and Infinity tokens, and integers too large for
+    # a float; none of them is a usable parameter.
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    return number
 
 
 def _as_int(value, where: str) -> int:

@@ -27,8 +27,19 @@ from vesselsim import (
     run_coincidence,
     run_full_experiment,
     singlet_analytic_estimates,
+    singlet_model,
+    vessel_model,
 )
 from vesselsim.bell import PAIR_STREAM, mean_and_stderr
+
+# The shared estimator must treat every model alike; tests loop over these.
+MODELS = {
+    "vessel": vessel_model(HiddenVariableSampler(seed=17), VesselSystem()),
+    "vessel-opaque": vessel_model(
+        HiddenVariableSampler(seed=8), VesselSystem(transparent=False)
+    ),
+    "singlet": singlet_model((0.0, 90.0, 45.0, 135.0), seed=17),
+}
 
 
 def make_estimates(means):
@@ -63,23 +74,22 @@ class TestSampler:
 
 class TestEstimateExpectation:
     def test_joint_siphon_expectation_is_exactly_minus_one(self):
-        estimate = estimate_expectation(
-            PAIR_AB, HiddenVariableSampler(seed=4), VesselSystem(), 1000
-        )
+        model = vessel_model(HiddenVariableSampler(seed=4), VesselSystem())
+        estimate = estimate_expectation(model, PAIR_AB, 1000)
         assert estimate.mean == -1.0
         assert estimate.stderr == 0.0
         assert estimate.n == 1000
 
     def test_single_run_two_spoons(self):
-        estimate = estimate_expectation(
-            PAIR_APRIME_BPRIME, HiddenVariableSampler(seed=4), VesselSystem(), 1
-        )
+        model = vessel_model(HiddenVariableSampler(seed=4), VesselSystem())
+        estimate = estimate_expectation(model, PAIR_APRIME_BPRIME, 1)
         assert estimate.mean == 1.0
         assert estimate.stderr == 0.0
 
     def test_empty_sample_rejected(self):
-        with pytest.raises(EmptySampleSetError):
-            estimate_expectation(PAIR_AB, HiddenVariableSampler(seed=4), VesselSystem(), 0)
+        for model in MODELS.values():
+            with pytest.raises(EmptySampleSetError):
+                estimate_expectation(model, PAIR_AB, 0)
 
     def test_vectorized_products_match_per_run_dispatch(self):
         sampler = HiddenVariableSampler(seed=123)
@@ -94,18 +104,31 @@ class TestEstimateExpectation:
                 assert (left[i], right[i]) == (run.outcome_left, run.outcome_right)
 
     def test_collect_returns_the_runs_behind_the_estimate(self):
-        estimate, columns = estimate_expectation(
-            PAIR_AB, HiddenVariableSampler(seed=8), VesselSystem(), 300, collect=True
+        # 40k runs span two chunks, so the columns are concatenated in order.
+        for model in MODELS.values():
+            for pair in ALL_PAIRS:
+                estimate, columns = estimate_expectation(model, pair, 40_000, collect=True)
+                products = columns["outcome_left"] * columns["outcome_right"]
+                assert len(products) == 40_000
+                assert products.mean() == estimate.mean
+                assert estimate == estimate_expectation(model, pair, 40_000)
+                assert all(len(column) == 40_000 for column in columns.values())
+
+    def test_vessel_columns_are_the_keyed_draws(self):
+        sampler = HiddenVariableSampler(seed=8)
+        _, columns = estimate_expectation(
+            vessel_model(sampler, VesselSystem()), PAIR_AB, 300, collect=True
         )
-        products = columns["outcome_left"] * columns["outcome_right"]
-        assert len(products) == 300
-        assert products.mean() == estimate.mean
+        lambda_a, lambda_b = sampler.draw_arrays(300, key=(PAIR_STREAM[PAIR_AB], 0))
+        assert np.array_equal(columns["lambda_a"], lambda_a)
+        assert np.array_equal(columns["lambda_b"], lambda_b)
 
     def test_worker_count_does_not_change_the_estimate(self):
-        sampler = HiddenVariableSampler(seed=17)
-        serial = estimate_expectation(PAIR_AB, sampler, VesselSystem(), 100_000, workers=1)
-        threaded = estimate_expectation(PAIR_AB, sampler, VesselSystem(), 100_000, workers=4)
-        assert serial == threaded
+        for model in MODELS.values():
+            for pair in ALL_PAIRS:
+                serial = estimate_expectation(model, pair, 100_000, workers=1)
+                threaded = estimate_expectation(model, pair, 100_000, workers=4)
+                assert serial == threaded
 
     def test_tie_handling_under_policies(self):
         lambda_a = np.array([1.0, 2.0, 1.5])
@@ -137,29 +160,25 @@ class TestMeanAndStderr:
 
 class TestBellStatistic:
     def test_vessel_values_reach_the_algebraic_ceiling(self):
-        statistic = bell_statistic(*make_estimates([-1.0, 1.0, 1.0, 1.0])[::-1])
+        statistic = bell_statistic(make_estimates([-1.0, 1.0, 1.0, 1.0])[::-1])
         assert statistic.value == 4.0
         assert statistic.classification is BellClassification.SUPER_QUANTUM
 
     def test_null_correlations_are_local(self):
         estimates = make_estimates([0.0, 0.0, 0.0, 0.0])
-        statistic = bell_statistic(*estimates)
+        statistic = bell_statistic(estimates)
         assert statistic.value == 0.0
         assert statistic.classification is BellClassification.LOCAL
 
     def test_components_are_matched_by_pair_not_position(self):
         estimates = {est.pair: est for est in make_estimates([-1.0, 1.0, 1.0, 1.0])}
         statistic = bell_statistic(
-            estimates[PAIR_APRIME_BPRIME],
-            estimates[PAIR_APRIME_B],
-            estimates[PAIR_AB_PRIME],
-            estimates[PAIR_AB],
+            estimates[pair]
+            for pair in (PAIR_APRIME_BPRIME, PAIR_APRIME_B, PAIR_AB_PRIME, PAIR_AB)
         )
         shuffled = bell_statistic(
-            estimates[PAIR_AB],
-            estimates[PAIR_AB_PRIME],
-            estimates[PAIR_APRIME_B],
-            estimates[PAIR_APRIME_BPRIME],
+            estimates[pair]
+            for pair in (PAIR_AB, PAIR_AB_PRIME, PAIR_APRIME_B, PAIR_APRIME_BPRIME)
         )
         assert statistic == shuffled
         assert statistic.value == 4.0
@@ -167,16 +186,19 @@ class TestBellStatistic:
     def test_missing_pair_rejected(self):
         estimates = make_estimates([-1.0, 1.0, 1.0, 1.0])
         with pytest.raises(MismatchedPairsError):
-            bell_statistic(estimates[0], estimates[0], estimates[1], estimates[2])
+            bell_statistic([estimates[0], estimates[0], estimates[1], estimates[2]])
+
+    def test_duplicated_pair_rejected_even_with_all_four_present(self):
+        estimates = make_estimates([-1.0, 1.0, 1.0, 1.0])
+        with pytest.raises(MismatchedPairsError):
+            bell_statistic([*estimates, estimates[2]])
+
+    def test_fewer_than_four_rejected(self):
+        with pytest.raises(MismatchedPairsError):
+            bell_statistic(make_estimates([-1.0, 1.0, 1.0, 1.0])[:3])
 
     def test_singlet_optimum_is_quantum_attainable(self):
-        estimates = {est.pair: est for est in singlet_analytic_estimates((0, 90, 45, 135))}
-        statistic = bell_statistic(
-            estimates[PAIR_APRIME_BPRIME],
-            estimates[PAIR_APRIME_B],
-            estimates[PAIR_AB_PRIME],
-            estimates[PAIR_AB],
-        )
+        statistic = bell_statistic(singlet_analytic_estimates((0, 90, 45, 135)))
         assert statistic.value == pytest.approx(TSIRELSON_BOUND, abs=1e-12)
         assert statistic.classification is BellClassification.QUANTUM_ATTAINABLE
 

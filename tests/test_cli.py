@@ -75,6 +75,47 @@ class TestExitCodes:
         run_cli(["vessel-chsh", "--scenario", str(path), "--out", str(out)])
         assert not out.exists()
         capsys.readouterr()
+        # A worker count below 1 is a usage error, caught before any run.
+        scenario = write_scenario(tmp_path, singlet_angles=[0, 90, 45, 135])
+        for subcommand, workers in (("vessel-chsh", "0"), ("quantum-chsh", "-3")):
+            argv = [subcommand, "--scenario", scenario, "--out", str(out), "--workers", workers]
+            with pytest.raises(SystemExit) as exit_info:
+                run_cli(argv)
+            assert exit_info.value.code == 2
+            assert not out.exists()
+            assert "--workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "subcommand, overrides",
+        [
+            ("vessel-chsh", {"system": {"total_volume": math.nan}}),
+            ("flow", {"system": {"total_volume": math.inf}}),
+            ("vessel-chsh", {"system": {"total_volume": 10**400}}),
+            ("vessel-chsh", {"sampler": {"high": math.inf}}),
+            ("locality-check", {"sampler": {"low": -math.inf}}),
+            ("quantum-chsh", {"singlet_angles": [math.nan, 0, 0, 0]}),
+            ("quantum-chsh", {"singlet_angles": [0, 90, math.inf, 135]}),
+            ("sample-state", {"amplitudes": [[math.nan, 0.0]] + [[0.0, 0.0]] * 10}),
+        ],
+        ids=[
+            "total_volume-nan",
+            "total_volume-inf",
+            "total_volume-overflowing-int",
+            "sampler.high-inf",
+            "sampler.low-minus-inf",
+            "singlet_angles-nan",
+            "singlet_angles-inf",
+            "amplitudes-nan",
+        ],
+    )
+    def test_non_finite_numbers_are_config_errors(self, tmp_path, capsys, subcommand, overrides):
+        # json.dumps writes NaN and Infinity tokens, which json.loads accepts.
+        scenario = write_scenario(tmp_path, **overrides)
+        out = tmp_path / "report.json"
+        extra = ["--lambda-a", "1.0", "--lambda-b", "2.0"] if subcommand == "flow" else []
+        assert run_cli([subcommand, "--scenario", scenario, "--out", str(out), *extra]) == 2
+        assert not out.exists()
+        assert "finite" in capsys.readouterr().err
 
 
 def tied_draws(monkeypatch):

@@ -7,14 +7,18 @@ import pytest
 from scipy import linalg as scipy_linalg
 from scipy import stats
 
+from vesselsim.bell import PAIR_STREAM
+from vesselsim.streams import substream
+
 from vesselsim import (
+    ALL_PAIRS,
     TSIRELSON_BOUND,
     BellClassification,
+    ExperimentKind,
     MeasurementDirection,
     NotNormalizedError,
     NotUnitError,
     WrongArityError,
-    born_sample,
     born_samples,
     coefficient_matrix,
     is_entangled,
@@ -25,7 +29,8 @@ from vesselsim import (
     singlet_bell_value,
     singlet_expectation,
     singlet_experiment,
-    singlet_sample,
+    singlet_analytic_estimates,
+    singlet_model,
     singlet_samples,
 )
 
@@ -89,10 +94,7 @@ class TestBornSampling:
         amplitudes[5] = 1.0
         state = make_state(amplitudes)
         for seed in range(20):
-            final = born_sample(state, seed)
-            assert final.x == 5
-            assert final.left_liters == 5
-            assert final.right_liters == 5
+            assert born_samples(state, 1, seed).tolist() == [5]
 
     def test_zero_probability_branches_never_occur(self):
         amplitudes = np.zeros(11, dtype=complex)
@@ -222,6 +224,15 @@ class TestSingletBellValue:
             value = singlet_bell_value(tuple(rng.uniform(0.0, 360.0, size=4)))
             assert abs(value) <= TSIRELSON_BOUND + 1e-9
 
+    def test_aligned_analyzers_stay_valid_despite_rounding(self):
+        # Left at a and right at -a are the same direction in the shared
+        # frame; at a = 348 degrees their dot product rounds to 1 + 2**-52.
+        for angle in range(360):
+            estimates = singlet_analytic_estimates((angle, 0.0, -angle, 0.0))
+            assert abs(estimates[0].mean) <= 1.0
+            assert abs(singlet_bell_value((angle, 0.0, -angle, 0.0))) <= TSIRELSON_BOUND
+        assert singlet_analytic_estimates((348.0, 0.0, -348.0, 0.0))[0].mean == -1.0
+
     def test_direction_quadruples_respect_the_quantum_bound(self):
         rng = np.random.default_rng(9)
         vectors = rng.normal(size=(100_000, 4, 3))
@@ -245,13 +256,6 @@ class TestSingletSampling:
         joint, counts = np.unique(np.stack([left, right]), axis=1, return_counts=True)
         assert joint.shape[1] == 4
         assert np.allclose(counts / counts.sum(), 0.25, atol=0.02)
-
-    def test_single_draw_matches_vectorized(self):
-        a = MeasurementDirection(1.0, 0.0, 0.0)
-        b = MeasurementDirection(0.0, 0.0, 1.0)
-        outcome = singlet_sample(a, b, 33)
-        left, right = singlet_samples(a, b, 1, np.random.default_rng(33))
-        assert outcome == (int(left[0]), int(right[0]))
 
     def test_mean_product_tracks_the_analytic_value(self):
         a = MeasurementDirection(1.0, 0.0, 0.0)
@@ -283,6 +287,26 @@ class TestSingletSampling:
             if abs(products.mean() - (-0.5)) <= 4 * stderr:
                 hits += 1
         assert hits >= math.ceil(0.99 * trials)
+
+
+class TestSingletModel:
+    def test_columns_are_the_keyed_singlet_draws(self):
+        model = singlet_model((10.0, 100.0, 35.0, 125.0), seed=21)
+        direction = {
+            ExperimentKind.A: left_analyzer_direction(10.0),
+            ExperimentKind.APRIME: left_analyzer_direction(100.0),
+            ExperimentKind.B: right_analyzer_direction(35.0),
+            ExperimentKind.BPRIME: right_analyzer_direction(125.0),
+        }
+        for pair in ALL_PAIRS:
+            key = (PAIR_STREAM[pair], 3)
+            columns = model(pair, key, 500)
+            left, right = singlet_samples(
+                direction[pair.left], direction[pair.right], 500, substream(21, *key)
+            )
+            assert list(columns) == ["outcome_left", "outcome_right"]
+            assert np.array_equal(columns["outcome_left"], left)
+            assert np.array_equal(columns["outcome_right"], right)
 
 
 class TestSingletExperiment:
