@@ -28,6 +28,7 @@ from .errors import (
     ConfigError,
     DegenerateTieError,
     EmptySampleSetError,
+    FlowRangeError,
     InvalidStepError,
     MismatchedPairsError,
     NotNormalizedError,
@@ -56,6 +57,7 @@ from .quantum import (
     UNIT_TOL,
     MeasurementDirection,
     VesselSuperpositionState,
+    born_histogram,
     born_samples,
     coefficient_matrix,
     is_entangled,

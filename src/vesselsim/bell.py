@@ -45,9 +45,13 @@ BOUND_TOL = 1e-12
 
 PAIR_STREAM = {pair: index for index, pair in enumerate(ALL_PAIRS)}
 
-# A model maps (pair, substream key, size) to per-run columns, at least
-# ``outcome_left`` and ``outcome_right``.
-Model = Callable[[CoincidencePair, tuple[int, int], int], dict[str, np.ndarray]]
+# A model maps (pair, substream key, size, collect) to the chunk's sum of
+# outcome products and, with ``collect=True``, its per-run columns (at least
+# ``outcome_left`` and ``outcome_right``); otherwise the columns are None.
+Model = Callable[
+    [CoincidencePair, tuple[int, int], int, bool],
+    tuple[int, dict[str, np.ndarray] | None],
+]
 
 
 class BellClassification(enum.Enum):
@@ -148,10 +152,8 @@ def pair_products(
     Vectorized but pointwise identical to run_coincidence over the same
     draws; the product array is outcome_left * outcome_right.
     """
-    n = len(lambda_a)
-    spoon = spoon_outcome(system)
     if pair == PAIR_AB:
-        outcome_left = np.where(lambda_b < lambda_a, 1, -1).astype(np.int64)
+        outcome_left = (lambda_b < lambda_a).astype(np.int64) * 2 - 1
         ties = np.nonzero(lambda_a == lambda_b)[0]
         for index in ties:
             left, _ = _resolve_tie(
@@ -160,11 +162,19 @@ def pair_products(
             outcome_left[index] = left
         outcome_right = -outcome_left
     else:
-        left_value = spoon if pair.left is ExperimentKind.APRIME else 1
-        right_value = spoon if pair.right is ExperimentKind.BPRIME else 1
-        outcome_left = np.full(n, left_value, dtype=np.int64)
-        outcome_right = np.full(n, right_value, dtype=np.int64)
+        left_value, right_value = constant_outcomes(pair, system)
+        outcome_left = np.full(len(lambda_a), left_value, dtype=np.int64)
+        outcome_right = np.full(len(lambda_a), right_value, dtype=np.int64)
     return outcome_left, outcome_right
+
+
+def constant_outcomes(pair: CoincidencePair, system: VesselSystem) -> tuple[int, int]:
+    """Outcomes of a pair with at most one siphon, which the state fixes:
+    a spoon test scores by transparency, a solo siphon always +1."""
+    spoon = spoon_outcome(system)
+    left = spoon if pair.left is ExperimentKind.APRIME else 1
+    right = spoon if pair.right is ExperimentKind.BPRIME else 1
+    return left, right
 
 
 def mean_and_stderr(product_sum: int, n: int) -> tuple[float, float]:
@@ -186,14 +196,24 @@ def vessel_model(
     tie_policy: TiePolicy = TiePolicy.ERROR,
 ) -> Model:
     """The vessel experiment as a model: diameters drawn on the key's
-    substream, then the outcome rule; the draws are columns too."""
+    substream, then the outcome rule; the draws are columns too.
 
-    def model(pair, key, size):
+    Only the joint siphon run reads the diameters, so without ``collect``
+    the other three pairs draw nothing and sum their fixed products.
+    """
+
+    def model(pair, key, size, collect):
+        if pair != PAIR_AB and not collect:
+            left, right = constant_outcomes(pair, system)
+            return size * left * right, None
         lambda_a, lambda_b = sampler.draw_arrays(size, key)
         outcome_left, outcome_right = pair_products(
             pair, lambda_a, lambda_b, system, tie_policy, tie_seed=sampler.seed
         )
-        return {
+        product_sum = int(outcome_left @ outcome_right)
+        if not collect:
+            return product_sum, None
+        return product_sum, {
             "lambda_a": lambda_a,
             "lambda_b": lambda_b,
             "outcome_left": outcome_left,
@@ -214,17 +234,16 @@ def estimate_expectation(
 
     Each fixed-size chunk uses its own ``(PAIR_STREAM[pair], chunk)`` key and
     the partial sums merge in chunk order, so the estimate depends only on
-    (model, pair, n), never on the worker count.  With ``collect=True`` every
-    column of every run comes back too (for per-run dumps).
+    (model, pair, n), never on the worker count.  Each chunk's model call
+    reduces its own products; with ``collect=True`` every column of every run
+    comes back too (for per-run dumps).
     """
     if n < 1:
         raise EmptySampleSetError(f"estimation needs n >= 1, got {n}")
     stream_index = PAIR_STREAM[pair]
 
     def one_chunk(chunk_index: int, size: int):
-        columns = model(pair, (stream_index, chunk_index), size)
-        products = columns["outcome_left"] * columns["outcome_right"]
-        return int(products.sum()), columns if collect else None
+        return model(pair, (stream_index, chunk_index), size, collect)
 
     results = run_chunks(one_chunk, n, workers=workers)
     mean, stderr = mean_and_stderr(sum(total for total, _ in results), n)

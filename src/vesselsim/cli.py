@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -24,7 +25,11 @@ EXIT_DOMAIN = 3
 
 
 def render_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """Strict JSON; a NaN or infinity in the report is a domain error."""
+    try:
+        return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise VesselSimError(f"report is not strict JSON: {exc}") from None
 
 
 def render_csv(dump: commands.RunDump) -> str:
@@ -44,6 +49,17 @@ def _worker_count(text: str) -> int:
     if workers < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return workers
+
+
+def _finite_float(text: str) -> float:
+    """A float option value other than NaN or +-infinity."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,9 +118,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subparsers.add_parser("flow", help="integrate one joint drainage")
     add_common(sub)
-    sub.add_argument("--lambda-a", type=float, required=True, help="left diameter (cm)")
-    sub.add_argument("--lambda-b", type=float, required=True, help="right diameter (cm)")
-    sub.add_argument("--dt", type=float, default=1e-4, help="integration step (s)")
+    sub.add_argument(
+        "--lambda-a", type=_finite_float, required=True, help="left diameter (cm)"
+    )
+    sub.add_argument(
+        "--lambda-b", type=_finite_float, required=True, help="right diameter (cm)"
+    )
+    sub.add_argument("--dt", type=_finite_float, default=1e-4, help="integration step (s)")
 
     return parser
 
@@ -134,6 +154,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         report, dump = _dispatch(args)
+        text = render_json(report) if args.format == "json" else render_csv(dump)
     except ConfigError as exc:
         print(f"vesselsim: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -141,7 +162,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"vesselsim: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 
-    text = render_json(report) if args.format == "json" else render_csv(dump)
     try:
         if args.out is None:
             sys.stdout.write(text)

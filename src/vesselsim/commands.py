@@ -29,7 +29,9 @@ from .bell import (
 from .errors import ConfigError
 from .locality import CorrelationKind, scan_columns
 from .quantum import (
+    N_AMPLITUDES,
     TOTAL_LITERS,
+    born_histogram,
     born_samples,
     is_entangled,
     schmidt_rank,
@@ -188,8 +190,12 @@ def sample_state(scenario: Scenario, collect_runs: bool = False) -> tuple[dict, 
         raise ConfigError("sample-state requires 'amplitudes' in the scenario")
     state = scenario.state()
     n = scenario.runs_per_pair
-    draws = born_samples(state, n, substream(scenario.seed, BORN_STREAM, 0))
-    histogram = np.bincount(draws, minlength=len(state.amplitudes)).tolist()
+    rng = substream(scenario.seed, BORN_STREAM, 0)
+    if collect_runs:
+        draws = born_samples(state, n, rng)
+        histogram = np.bincount(draws, minlength=N_AMPLITUDES).tolist()
+    else:
+        histogram = born_histogram(state, n, rng).tolist()
 
     report = _base_report(scenario)
     report["histogram"] = histogram

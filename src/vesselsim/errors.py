@@ -18,6 +18,10 @@ class InvalidStepError(VesselSimError):
     """Flow integration asked for a non-positive or non-finite time step."""
 
 
+class FlowRangeError(VesselSimError):
+    """Flow integration whose per-step outflows or step count leave the float range."""
+
+
 class EmptySampleSetError(VesselSimError):
     """An estimator or classifier was given no samples to work with."""
 

@@ -85,16 +85,39 @@ def make_state(amplitudes, normalize: bool = False) -> VesselSuperpositionState:
     return VesselSuperpositionState(amplitudes=array)
 
 
+def _born_cdf(state: VesselSuperpositionState) -> np.ndarray:
+    """Cumulative Born probabilities over the 11 divisions, built the way
+    ``Generator.choice`` builds its cdf (so its last entry is exactly 1)."""
+    probabilities = state.probabilities()
+    cdf = (probabilities / probabilities.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 def born_samples(
     state: VesselSuperpositionState,
     n: int,
     seed_or_rng: int | np.random.Generator,
 ) -> np.ndarray:
-    """Draw ``n`` division outcomes; the state itself is never touched."""
-    rng = _as_rng(seed_or_rng)
-    probabilities = state.probabilities()
-    probabilities = probabilities / probabilities.sum()
-    return rng.choice(N_AMPLITUDES, size=n, p=probabilities)
+    """Draw ``n`` division outcomes; the state itself is never touched.
+
+    The draws equal ``rng.choice(11, n, p=probabilities)``: one uniform per
+    outcome, located in the cdf.
+    """
+    uniforms = _as_rng(seed_or_rng).random(n)
+    return _born_cdf(state).searchsorted(uniforms, side="right")
+
+
+def born_histogram(
+    state: VesselSuperpositionState,
+    n: int,
+    seed_or_rng: int | np.random.Generator,
+) -> np.ndarray:
+    """Per-division counts of the ``n`` outcomes ``born_samples`` draws from
+    the same generator, counted without materialising the outcomes."""
+    uniforms = _as_rng(seed_or_rng).random(n)
+    below = [np.count_nonzero(uniforms < bound) for bound in _born_cdf(state)]
+    return np.diff(below, prepend=0)
 
 
 def coefficient_matrix(state: VesselSuperpositionState) -> np.ndarray:
@@ -173,11 +196,15 @@ def singlet_samples(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``n`` joint outcomes; each marginal is a fair +1/-1 coin."""
     rng = _as_rng(seed_or_rng)
-    dot = a.dot(b)
     left = rng.integers(0, 2, size=n) * 2 - 1
-    same = rng.random(n) < (1.0 - dot) / 2.0
+    same = rng.random(n) < _agreement_probability(a, b)
     right = np.where(same, left, -left)
     return left, right
+
+
+def _agreement_probability(a: MeasurementDirection, b: MeasurementDirection) -> float:
+    """Probability that the two sides' outcomes agree: (1 - a . b) / 2."""
+    return (1.0 - a.dot(b)) / 2.0
 
 
 def _pair_directions(
@@ -225,12 +252,23 @@ def singlet_analytic_estimates(
 
 def singlet_model(angles_deg: tuple[float, float, float, float], seed: int) -> Model:
     """The singlet as a model: joint spin outcomes at the pair's analyzer
-    directions, drawn on the key's substream under ``seed``."""
+    directions, drawn on the key's substream under ``seed``.
+
+    A product is +1 exactly when the sides agree, so without ``collect`` the
+    chunk only counts agreements among the same uniforms ``singlet_samples``
+    reads; the coin draw before them still runs to keep their positions.
+    """
     directions = _pair_directions(angles_deg)
 
-    def model(pair, key, size):
-        left, right = singlet_samples(*directions[pair], size, substream(seed, *key))
-        return {"outcome_left": left, "outcome_right": right}
+    def model(pair, key, size, collect):
+        rng = substream(seed, *key)
+        if collect:
+            left, right = singlet_samples(*directions[pair], size, rng)
+            return int(left @ right), {"outcome_left": left, "outcome_right": right}
+        rng.integers(0, 2, size=size)
+        threshold = _agreement_probability(*directions[pair])
+        agree = np.count_nonzero(rng.random(size) < threshold)
+        return 2 * agree - size, None
 
     return model
 

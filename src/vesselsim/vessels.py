@@ -27,13 +27,18 @@ import math
 import struct
 from dataclasses import dataclass
 
-from .errors import DegenerateTieError, InvalidStepError
+from .errors import DegenerateTieError, FlowRangeError, InvalidStepError
 
 # Siphon outflow in L/s per cm^2 of squared diameter.  Only the ratio of the
 # two outflow rates matters for the collected fractions.
 FLOW_COEFF = 1.0
 
 CONSERVATION_TOL = 1e-9
+
+# Above this many steps a float no longer counts them exactly: the bulk
+# phase then leaves a rounding remainder worth many steps, which the
+# step-by-step tail would drain one tiny step at a time.
+MAX_FLOW_STEPS = 2.0**53
 
 
 class ExperimentKind(enum.Enum):
@@ -221,16 +226,30 @@ def simulate_flow(
     The constant-rate phase is collapsed algebraically (no clipping can occur
     while each vessel still holds a full step's outflow), which keeps the
     result identical to the naive step loop while large step counts stay cheap.
+    Steps whose outflows leave the float range, and more than
+    ``MAX_FLOW_STEPS`` of them, raise ``FlowRangeError``.
     """
     if not (dt > 0.0) or math.isinf(dt):
         raise InvalidStepError(f"time step must be positive and finite, got {dt}")
-    rate_left = FLOW_COEFF * lam.lambda_a**2
-    rate_right = FLOW_COEFF * lam.lambda_b**2
+    try:
+        step_left = FLOW_COEFF * float(lam.lambda_a) ** 2 * dt
+        step_right = FLOW_COEFF * float(lam.lambda_b) ** 2 * dt
+    except OverflowError:
+        step_left = step_right = math.inf
+    step_total = step_left + step_right
+    if not (0.0 < step_total < math.inf):
+        raise FlowRangeError(
+            f"per-step outflows of diameters ({lam.lambda_a}, {lam.lambda_b}) at "
+            f"dt={dt} under- or overflow a float"
+        )
     total = system.total_volume
+    if not total / step_total < MAX_FLOW_STEPS:
+        raise FlowRangeError(
+            f"draining {total} L in steps of {step_total} L takes more than 2**53 "
+            f"steps, past exact float step counting"
+        )
 
-    step_left = rate_left * dt
-    step_right = rate_right * dt
-    n_bulk = int(max(0.0, total - 2.0 * max(step_left, step_right)) // (step_left + step_right))
+    n_bulk = int(max(0.0, total - 2.0 * max(step_left, step_right)) // step_total)
     x_left = n_bulk * step_left
     x_right = n_bulk * step_right
     available = total - (x_left + x_right)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vesselsim import (
     ALL_PAIRS,
@@ -13,6 +15,7 @@ from vesselsim import (
     PAIR_APRIME_BPRIME,
     TSIRELSON_BOUND,
     BellClassification,
+    DegenerateTieError,
     EmptySampleSetError,
     ExpectationEstimate,
     HiddenVariableSampler,
@@ -31,6 +34,7 @@ from vesselsim import (
     vessel_model,
 )
 from vesselsim.bell import PAIR_STREAM, mean_and_stderr
+from vesselsim.streams import CHUNK_SIZE
 
 # The shared estimator must treat every model alike; tests loop over these.
 MODELS = {
@@ -40,6 +44,42 @@ MODELS = {
     ),
     "singlet": singlet_model((0.0, 90.0, 45.0, 135.0), seed=17),
 }
+
+
+# Diameters on a 4097-point grid just above 1 cm, so exact ties turn up
+# every few thousand runs.
+TIE_PRONE_RANGE = {"low": 1.0, "high": 1.0 + 2.0**-40}
+
+
+@st.composite
+def any_model(draw):
+    """A vessel model (either range, either transparency, any tie policy)
+    or a singlet model at arbitrary angles."""
+    seed = draw(st.integers(0, 2**64 - 1))
+    if draw(st.booleans()):
+        sampler_range = draw(st.sampled_from([{}, TIE_PRONE_RANGE]))
+        return vessel_model(
+            HiddenVariableSampler(seed=seed, **sampler_range),
+            VesselSystem(transparent=draw(st.booleans())),
+            draw(st.sampled_from(TiePolicy)),
+        )
+    angles = tuple(draw(st.floats(-360.0, 360.0)) for _ in range(4))
+    return singlet_model(angles, seed)
+
+
+chunk_run_counts = st.one_of(
+    st.just(1),
+    st.integers(0, 3000).map(lambda k: 2 * k + 1),
+    st.sampled_from([CHUNK_SIZE - 1, CHUNK_SIZE + 1, 3 * CHUNK_SIZE + 5]),
+)
+
+
+def tie_or(call):
+    """``call()``, or the marker "tie" when it raises DegenerateTieError."""
+    try:
+        return call()
+    except DegenerateTieError:
+        return "tie"
 
 
 def make_estimates(means):
@@ -129,6 +169,29 @@ class TestEstimateExpectation:
                 serial = estimate_expectation(model, pair, 100_000, workers=1)
                 threaded = estimate_expectation(model, pair, 100_000, workers=4)
                 assert serial == threaded
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        model=any_model(),
+        pair=st.sampled_from(ALL_PAIRS),
+        key=st.tuples(st.integers(0, 3), st.integers(0, 40)),
+        n=chunk_run_counts,
+    )
+    def test_reduce_only_chunks_agree_with_the_collected_columns(self, model, pair, key, n):
+        def reduced():
+            product_sum, columns = model(pair, key, n, False)
+            assert columns is None
+            return product_sum
+
+        def collected():
+            product_sum, columns = model(pair, key, n, True)
+            assert product_sum == int((columns["outcome_left"] * columns["outcome_right"]).sum())
+            return product_sum
+
+        assert tie_or(reduced) == tie_or(collected)
+        assert tie_or(lambda: estimate_expectation(model, pair, n)) == tie_or(
+            lambda: estimate_expectation(model, pair, n, collect=True)[0]
+        )
 
     def test_tie_handling_under_policies(self):
         lambda_a = np.array([1.0, 2.0, 1.5])

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from vesselsim import TSIRELSON_BOUND, HiddenVariableSampler
+from vesselsim import TSIRELSON_BOUND, HiddenVariableSampler, commands
 from vesselsim.cli import main
 
 UNIFORM_AMPLITUDES = [[1.0 / math.sqrt(11), 0.0]] * 11
@@ -117,6 +117,52 @@ class TestExitCodes:
         assert not out.exists()
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "option, value", [("--lambda-a", "inf"), ("--lambda-b", "nan"), ("--dt", "inf")]
+    )
+    def test_non_finite_flow_options_are_usage_errors(self, tmp_path, capsys, option, value):
+        scenario = write_scenario(tmp_path)
+        out = tmp_path / "report.json"
+        options = {"--lambda-a": "1.0", "--lambda-b": "2.0", "--dt": "1e-4", option: value}
+        argv = ["flow", "--scenario", scenario, "--out", str(out)]
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(argv + [item for pair in options.items() for item in pair])
+        assert exit_info.value.code == 2
+        assert not out.exists()
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "lambda_a, lambda_b, dt, overrides",
+        [
+            ("1e-200", "1e-200", "1e-4", {}),
+            ("1e200", "1", "1e-4", {}),
+            ("1.0", "2.0", "1e-4", {"system": {"total_volume": 1e308}}),
+            ("0.23", "0.01", "0.19", {"system": {"total_volume": 1.5e149}}),
+        ],
+        ids=["rates-underflow", "rate-overflows", "step-count-overflows", "step-count-too-large"],
+    )
+    def test_flow_out_of_float_range_is_three(
+        self, tmp_path, capsys, lambda_a, lambda_b, dt, overrides
+    ):
+        scenario = write_scenario(tmp_path, **overrides)
+        out = tmp_path / "report.json"
+        argv = ["flow", "--scenario", scenario, "--out", str(out)]
+        argv += ["--lambda-a", lambda_a, "--lambda-b", lambda_b, "--dt", dt]
+        assert run_cli(argv) == 3
+        assert not out.exists()
+        assert "float" in capsys.readouterr().err
+
+    def test_report_that_is_not_strict_json_is_three(self, tmp_path, capsys, monkeypatch):
+        def nan_report(scenario, **options):
+            return {"value": math.nan}, commands.RunDump(["value"], [(math.nan,)])
+
+        monkeypatch.setattr(commands, "vessel_chsh", nan_report)
+        scenario = write_scenario(tmp_path)
+        out = tmp_path / "report.json"
+        assert run_cli(["vessel-chsh", "--scenario", scenario, "--out", str(out)]) == 3
+        assert not out.exists()
+        assert "strict JSON" in capsys.readouterr().err
+
 
 def tied_draws(monkeypatch):
     """Make every sampler draw hold an exact tie at row 1."""
@@ -161,6 +207,33 @@ class TestLocalityTies:
         witness_count = sum(row["witness_differs"] == "True" for row in rows)
         assert witness_count == report["factorization"]["witness_count"]
         assert report["factorization"]["unsatisfiable_count"] == 5
+
+
+class TestVesselChshTies:
+    # JSON runs draw diameters only for the joint siphon pair; a tie there
+    # must still reach the tie policy.
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_tie_under_error_policy_is_three(self, tmp_path, capsys, monkeypatch, fmt):
+        tied_draws(monkeypatch)
+        scenario = write_scenario(tmp_path, runs_per_pair=5)
+        out = tmp_path / "report"
+        code = run_cli(
+            ["vessel-chsh", "--scenario", scenario, "--format", fmt, "--out", str(out)]
+        )
+        assert code == 3
+        assert not out.exists()
+        assert "equal siphon diameters" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("policy", ["favor_left", "favor_right", "split_coin"])
+    def test_tie_resolved_by_policy_keeps_the_joint_anticorrelation(
+        self, tmp_path, monkeypatch, policy
+    ):
+        tied_draws(monkeypatch)
+        scenario = write_scenario(tmp_path, runs_per_pair=5, tie_policy=policy)
+        report = run_json(tmp_path, "vessel-chsh", scenario)
+        estimates = {entry["pair"]: entry["mean"] for entry in report["estimates"]}
+        assert estimates["AB"] == -1.0
+        assert report["bell"]["value"] == 4.0
 
 
 class TestReportSchema:

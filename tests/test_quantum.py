@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import linalg as scipy_linalg
 from scipy import stats
 
@@ -19,6 +21,7 @@ from vesselsim import (
     NotNormalizedError,
     NotUnitError,
     WrongArityError,
+    born_histogram,
     born_samples,
     coefficient_matrix,
     is_entangled,
@@ -125,6 +128,42 @@ class TestBornSampling:
         keep = expected > 0
         result = stats.chisquare(counts[keep], expected[keep])
         assert result.pvalue > 0.001
+
+
+# Eleven complex amplitudes, many of them exactly zero, not all negligible.
+amplitude_vectors = st.lists(
+    st.one_of(
+        st.just(0j),
+        st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    ),
+    min_size=11,
+    max_size=11,
+).filter(lambda amplitudes: max(abs(value) for value in amplitudes) > 1e-3)
+
+sample_counts = st.one_of(st.integers(0, 5000), st.just(200_001))
+
+
+def choice_draws(state, n, seed):
+    """The Born draws as ``Generator.choice`` makes them."""
+    probabilities = state.probabilities()
+    return np.random.default_rng(seed).choice(
+        11, size=n, p=probabilities / probabilities.sum()
+    )
+
+
+class TestBornCounting:
+    @settings(max_examples=60, deadline=None)
+    @given(amplitudes=amplitude_vectors, n=sample_counts, seed=st.integers(0, 2**32))
+    def test_counted_histogram_equals_the_binned_choice_draws(self, amplitudes, n, seed):
+        state = make_state(amplitudes, normalize=True)
+        expected = np.bincount(choice_draws(state, n, seed), minlength=11)
+        assert born_histogram(state, n, seed).tolist() == expected.tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(amplitudes=amplitude_vectors, n=sample_counts, seed=st.integers(0, 2**32))
+    def test_samples_equal_the_choice_draws(self, amplitudes, n, seed):
+        state = make_state(amplitudes, normalize=True)
+        assert np.array_equal(born_samples(state, n, seed), choice_draws(state, n, seed))
 
 
 class TestSchmidtRank:
@@ -300,13 +339,15 @@ class TestSingletModel:
         }
         for pair in ALL_PAIRS:
             key = (PAIR_STREAM[pair], 3)
-            columns = model(pair, key, 500)
+            product_sum, columns = model(pair, key, 500, True)
             left, right = singlet_samples(
                 direction[pair.left], direction[pair.right], 500, substream(21, *key)
             )
             assert list(columns) == ["outcome_left", "outcome_right"]
             assert np.array_equal(columns["outcome_left"], left)
             assert np.array_equal(columns["outcome_right"], right)
+            assert product_sum == int((left * right).sum())
+            assert model(pair, key, 500, False) == (product_sum, None)
 
 
 class TestSingletExperiment:
