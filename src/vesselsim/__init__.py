@@ -20,7 +20,6 @@ from .bell import (
     bell_statistic,
     classify_value,
     estimate_expectation,
-    pair_products,
     run_full_experiment,
     vessel_model,
 )
@@ -80,16 +79,14 @@ from .vessels import (
     PAIR_APRIME_B,
     PAIR_APRIME_BPRIME,
     CoincidencePair,
-    CoincidenceRun,
     ExperimentKind,
     SiphonDiameters,
     SplitVolume,
     TiePolicy,
     VesselSystem,
-    ab_split,
     joint_outcome_ab,
     outcome_solo_siphon,
-    run_coincidence,
+    pair_products,
     simulate_flow,
     spoon_outcome,
 )

@@ -27,12 +27,11 @@ from .vessels import (
     ALL_PAIRS,
     PAIR_AB,
     CoincidencePair,
-    ExperimentKind,
     SiphonDiameters,
     TiePolicy,
     VesselSystem,
-    _resolve_tie,
-    spoon_outcome,
+    constant_outcomes,
+    pair_products,
 )
 
 LOCAL_BOUND = 2.0
@@ -137,44 +136,6 @@ class BellStatistic:
             )
         if abs(self.value) > ALGEBRAIC_BOUND + BOUND_TOL:
             raise ValueError(f"|value| exceeds the algebraic ceiling 4: {self.value}")
-
-
-def pair_products(
-    pair: CoincidencePair,
-    lambda_a: np.ndarray,
-    lambda_b: np.ndarray,
-    system: VesselSystem,
-    tie_policy: TiePolicy = TiePolicy.ERROR,
-    tie_seed: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-run outcomes for a batch of diameter draws, as two int arrays.
-
-    Vectorized but pointwise identical to run_coincidence over the same
-    draws; the product array is outcome_left * outcome_right.
-    """
-    if pair == PAIR_AB:
-        outcome_left = (lambda_b < lambda_a).astype(np.int64) * 2 - 1
-        ties = np.nonzero(lambda_a == lambda_b)[0]
-        for index in ties:
-            left, _ = _resolve_tie(
-                SiphonDiameters(lambda_a[index], lambda_b[index]), tie_policy, tie_seed
-            )
-            outcome_left[index] = left
-        outcome_right = -outcome_left
-    else:
-        left_value, right_value = constant_outcomes(pair, system)
-        outcome_left = np.full(len(lambda_a), left_value, dtype=np.int64)
-        outcome_right = np.full(len(lambda_a), right_value, dtype=np.int64)
-    return outcome_left, outcome_right
-
-
-def constant_outcomes(pair: CoincidencePair, system: VesselSystem) -> tuple[int, int]:
-    """Outcomes of a pair with at most one siphon, which the state fixes:
-    a spoon test scores by transparency, a solo siphon always +1."""
-    spoon = spoon_outcome(system)
-    left = spoon if pair.left is ExperimentKind.APRIME else 1
-    right = spoon if pair.right is ExperimentKind.BPRIME else 1
-    return left, right
 
 
 def mean_and_stderr(product_sum: int, n: int) -> tuple[float, float]:

@@ -1,7 +1,8 @@
 """Command-line entry point: scenario file in, machine-readable report out.
 
 Exit codes: 0 success, 2 configuration error, 3 domain invariant or
-numerical failure.  Nothing is written on an error path.
+numerical failure, running out of memory included.  Nothing is written
+on an error path.
 """
 
 from __future__ import annotations
@@ -160,6 +161,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except VesselSimError as exc:
         print(f"vesselsim: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except MemoryError as exc:
+        print(f"vesselsim: out of memory: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 
     try:

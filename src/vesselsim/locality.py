@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bell import pair_products
 from .errors import EmptySampleSetError
 from .vessels import (
     ALL_PAIRS,
@@ -31,7 +30,7 @@ from .vessels import (
     VesselSystem,
     joint_outcome_ab,
     outcome_solo_siphon,
-    run_coincidence,
+    pair_products,
 )
 
 _SIGNS = (1, -1)
@@ -132,16 +131,15 @@ def contextual_table(
     tie_policy: TiePolicy = TiePolicy.ERROR,
     tie_seed: int = 0,
 ) -> ContextualOutcomeTable:
-    """The four deterministic joint products for this hidden variable."""
-    products = {}
-    for pair in (PAIR_AB, PAIR_APRIME_B, PAIR_AB_PRIME, PAIR_APRIME_BPRIME):
-        products[pair.label] = run_coincidence(pair, lam, system, tie_policy, tie_seed).product
-    return ContextualOutcomeTable(
-        product_ab=products[PAIR_AB.label],
-        product_aprime_b=products[PAIR_APRIME_B.label],
-        product_ab_prime=products[PAIR_AB_PRIME.label],
-        product_aprime_bprime=products[PAIR_APRIME_BPRIME.label],
-    )
+    """The four deterministic joint products for this hidden variable:
+    one row of ``pair_products`` per pair."""
+    lambda_a = np.array([lam.lambda_a], dtype=np.float64)
+    lambda_b = np.array([lam.lambda_b], dtype=np.float64)
+    products = []
+    for pair in ALL_PAIRS:
+        left, right = pair_products(pair, lambda_a, lambda_b, system, tie_policy, tie_seed)
+        products.append(int(left[0] * right[0]))
+    return ContextualOutcomeTable(*products)
 
 
 def search_factorization(table: ContextualOutcomeTable) -> FactorizationReport:

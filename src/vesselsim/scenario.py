@@ -19,6 +19,9 @@ from .quantum import N_AMPLITUDES, VesselSuperpositionState, make_state
 from .vessels import TiePolicy, VesselSystem
 
 DEFAULT_RUNS_PER_PAIR = 1000
+# Past 2**53 a float no longer counts runs exactly, so means and standard
+# errors would be computed from rounded counts.
+MAX_RUNS_PER_PAIR = 2**53
 DEFAULT_SAMPLER_LOW = 0.5
 DEFAULT_SAMPLER_HIGH = 3.0
 
@@ -213,9 +216,9 @@ def scenario_from_dict(data: dict) -> Scenario:
     runs_per_pair = _as_int(
         data.get("runs_per_pair", DEFAULT_RUNS_PER_PAIR), "scenario.runs_per_pair"
     )
-    if runs_per_pair < 1:
+    if not 1 <= runs_per_pair <= MAX_RUNS_PER_PAIR:
         raise ConfigError(
-            f"scenario.runs_per_pair: must be at least 1, got {runs_per_pair}"
+            f"scenario.runs_per_pair: must be between 1 and 2**53, got {runs_per_pair}"
         )
     return Scenario(
         seed=_parse_seed(data),

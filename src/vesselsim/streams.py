@@ -10,6 +10,7 @@ how many workers executed the chunks.
 
 from __future__ import annotations
 
+import os
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from typing import TypeVar
@@ -51,10 +52,12 @@ def run_chunks(
     """Evaluate ``chunk_fn(chunk_index, size)`` for every chunk of ``n``.
 
     Results come back in chunk order regardless of ``workers``, so any
-    order-respecting reduction over them is reproducible.
+    order-respecting reduction over them is reproducible.  The pool gets
+    no more threads than there are chunks or CPUs.
     """
     sizes = chunk_sizes(n, chunk_size)
-    if workers <= 1 or len(sizes) <= 1:
+    workers = min(workers, len(sizes), os.cpu_count() or 1)
+    if workers <= 1:
         return [chunk_fn(i, size) for i, size in enumerate(sizes)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(chunk_fn, range(len(sizes)), sizes))

@@ -13,7 +13,9 @@ experiments act on it:
 When both siphons run together they compete for the same connected body of
 water, so the wider siphon collects more than half and the outcomes are
 perfectly anti-correlated.  A siphon running alone (its partner experiment
-being a spoon test) drains everything and always scores +1.
+being a spoon test) drains everything and always scores +1.  This module
+is the one place that rule is written: ``joint_outcome_ab`` for one joint
+run, ``pair_products`` for a batch of draws.
 
 Everything in this module is a pure function of its inputs; randomness, if
 any, lives in the hidden-variable samplers upstream.
@@ -26,6 +28,8 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DegenerateTieError, FlowRangeError, InvalidStepError
 
@@ -141,44 +145,11 @@ class SplitVolume:
             )
 
 
-@dataclass(frozen=True)
-class CoincidenceRun:
-    """One joint measurement: the pair, both outcomes, and their product."""
-
-    pair: CoincidencePair
-    outcome_left: int
-    outcome_right: int
-    product: int
-    split: SplitVolume | None = None
-
-    def __post_init__(self) -> None:
-        for name in ("outcome_left", "outcome_right"):
-            if getattr(self, name) not in (-1, 1):
-                raise ValueError(f"{name} must be +1 or -1")
-        if self.product != self.outcome_left * self.outcome_right:
-            raise ValueError("product must equal outcome_left * outcome_right")
-
-
 def _tie_coin(lam: SiphonDiameters, seed: int) -> int:
     # Stable across platforms and processes: hash the seed and both diameters.
     payload = struct.pack("<Qdd", seed & 0xFFFFFFFFFFFFFFFF, lam.lambda_a, lam.lambda_b)
     digest = hashlib.blake2b(payload, digest_size=8).digest()
     return 1 if digest[0] & 1 else -1
-
-
-def _resolve_tie(
-    lam: SiphonDiameters, tie_policy: TiePolicy, tie_seed: int
-) -> tuple[int, int]:
-    if tie_policy is TiePolicy.ERROR:
-        raise DegenerateTieError(
-            f"equal siphon diameters {lam.lambda_a} leave the joint outcome undefined"
-        )
-    if tie_policy is TiePolicy.FAVOR_LEFT:
-        return 1, -1
-    if tie_policy is TiePolicy.FAVOR_RIGHT:
-        return -1, 1
-    winner = _tie_coin(lam, tie_seed)
-    return (1, -1) if winner == 1 else (-1, 1)
 
 
 def joint_outcome_ab(
@@ -196,7 +167,15 @@ def joint_outcome_ab(
         return 1, -1
     if lam.lambda_a < lam.lambda_b:
         return -1, 1
-    return _resolve_tie(lam, tie_policy, tie_seed)
+    if tie_policy is TiePolicy.ERROR:
+        raise DegenerateTieError(
+            f"equal siphon diameters {lam.lambda_a} leave the joint outcome undefined"
+        )
+    if tie_policy is TiePolicy.FAVOR_LEFT:
+        return 1, -1
+    if tie_policy is TiePolicy.FAVOR_RIGHT:
+        return -1, 1
+    return (1, -1) if _tie_coin(lam, tie_seed) == 1 else (-1, 1)
 
 
 def outcome_solo_siphon(system: VesselSystem | None = None) -> int:
@@ -211,6 +190,43 @@ def outcome_solo_siphon(system: VesselSystem | None = None) -> int:
 def spoon_outcome(system: VesselSystem) -> int:
     """Outcome of a spoonful transparency check: +1 transparent, -1 not."""
     return 1 if system.transparent else -1
+
+
+def constant_outcomes(pair: CoincidencePair, system: VesselSystem) -> tuple[int, int]:
+    """Outcomes of a pair with at most one siphon, which the state fixes:
+    a spoon test scores by transparency, a solo siphon always +1."""
+    spoon = spoon_outcome(system)
+    solo = outcome_solo_siphon(system)
+    left = spoon if pair.left is ExperimentKind.APRIME else solo
+    right = spoon if pair.right is ExperimentKind.BPRIME else solo
+    return left, right
+
+
+def pair_products(
+    pair: CoincidencePair,
+    lambda_a: np.ndarray,
+    lambda_b: np.ndarray,
+    system: VesselSystem,
+    tie_policy: TiePolicy = TiePolicy.ERROR,
+    tie_seed: int = 0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-run outcomes for a batch of diameter draws, as two int arrays.
+
+    The joint siphon run applies the winner rule to every row (tied rows go
+    through ``joint_outcome_ab`` and its ``tie_policy``); the other pairs
+    repeat their ``constant_outcomes``.
+    """
+    if pair == PAIR_AB:
+        outcome_left = (lambda_b < lambda_a).astype(np.int64) * 2 - 1
+        for index in np.flatnonzero(lambda_a == lambda_b).tolist():
+            tie = SiphonDiameters(lambda_a[index], lambda_b[index])
+            outcome_left[index], _ = joint_outcome_ab(tie, tie_policy, tie_seed)
+        return outcome_left, -outcome_left
+    left, right = constant_outcomes(pair, system)
+    return (
+        np.full(len(lambda_a), left, dtype=np.int64),
+        np.full(len(lambda_a), right, dtype=np.int64),
+    )
 
 
 def simulate_flow(
@@ -265,45 +281,3 @@ def simulate_flow(
         available -= drawn_left + drawn_right
 
     return SplitVolume(x_left, x_right)
-
-
-def ab_split(lam: SiphonDiameters, system: VesselSystem) -> SplitVolume:
-    """Closed-form split of a joint siphon run (the fine-step flow limit)."""
-    fraction_left = lam.lambda_a**2 / (lam.lambda_a**2 + lam.lambda_b**2)
-    x_left = system.total_volume * fraction_left
-    return SplitVolume(x_left, system.total_volume - x_left)
-
-
-def run_coincidence(
-    pair: CoincidencePair,
-    lam: SiphonDiameters,
-    system: VesselSystem,
-    tie_policy: TiePolicy = TiePolicy.ERROR,
-    tie_seed: int = 0,
-) -> CoincidenceRun:
-    """Perform one joint measurement and return outcomes, product, and split.
-
-    Both-siphon runs get their outcomes from the winner rule and carry the
-    closed-form split; a siphon paired with a spoon test scores +1
-    unconditionally; spoon tests score by transparency alone.
-    """
-    split = None
-    if pair == PAIR_AB:
-        outcome_left, outcome_right = joint_outcome_ab(lam, tie_policy, tie_seed)
-        split = ab_split(lam, system)
-    else:
-        if pair.left is ExperimentKind.APRIME:
-            outcome_left = spoon_outcome(system)
-        else:
-            outcome_left = outcome_solo_siphon(system)
-        if pair.right is ExperimentKind.BPRIME:
-            outcome_right = spoon_outcome(system)
-        else:
-            outcome_right = outcome_solo_siphon(system)
-    return CoincidenceRun(
-        pair=pair,
-        outcome_left=outcome_left,
-        outcome_right=outcome_right,
-        product=outcome_left * outcome_right,
-        split=split,
-    )

@@ -20,14 +20,12 @@ from vesselsim import (
     ExpectationEstimate,
     HiddenVariableSampler,
     MismatchedPairsError,
-    SiphonDiameters,
     TiePolicy,
     VesselSystem,
     bell_statistic,
     classify_value,
     estimate_expectation,
     pair_products,
-    run_coincidence,
     run_full_experiment,
     singlet_analytic_estimates,
     singlet_model,
@@ -131,17 +129,26 @@ class TestEstimateExpectation:
             with pytest.raises(EmptySampleSetError):
                 estimate_expectation(model, PAIR_AB, 0)
 
-    def test_vectorized_products_match_per_run_dispatch(self):
+    def test_vectorized_products_match_per_run_dispatch(self, per_run_oracle):
         sampler = HiddenVariableSampler(seed=123)
         system = VesselSystem(transparent=False)
         for pair in ALL_PAIRS:
             lambda_a, lambda_b = sampler.draw_arrays(256, key=(PAIR_STREAM[pair], 0))
             left, right = pair_products(pair, lambda_a, lambda_b, system)
             for i in range(256):
-                run = run_coincidence(
-                    pair, SiphonDiameters(lambda_a[i], lambda_b[i]), system
-                )
-                assert (left[i], right[i]) == (run.outcome_left, run.outcome_right)
+                expected = per_run_oracle(pair.label, lambda_a[i], lambda_b[i], False)
+                assert (left[i], right[i]) == expected
+        # Tied rows follow every resolving policy, the seeded coin included.
+        tie_prone = HiddenVariableSampler(seed=5, **TIE_PRONE_RANGE)
+        lambda_a, lambda_b = tie_prone.draw_arrays(20_000)
+        assert (lambda_a == lambda_b).sum() >= 2
+        for policy in TiePolicy:
+            if policy is TiePolicy.ERROR:
+                continue
+            left, _ = pair_products(PAIR_AB, lambda_a, lambda_b, system, policy, 77)
+            for i in np.flatnonzero(lambda_a == lambda_b):
+                expected = per_run_oracle("AB", lambda_a[i], lambda_b[i], False, policy.value, 77)
+                assert left[i] == expected[0]
 
     def test_collect_returns_the_runs_behind_the_estimate(self):
         # 40k runs span two chunks, so the columns are concatenated in order.

@@ -3,11 +3,15 @@
 import csv
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vesselsim import TSIRELSON_BOUND, HiddenVariableSampler, commands
+from vesselsim import TSIRELSON_BOUND, HiddenVariableSampler, TiePolicy, commands
 from vesselsim.cli import main
 
 UNIFORM_AMPLITUDES = [[1.0 / math.sqrt(11), 0.0]] * 11
@@ -151,6 +155,39 @@ class TestExitCodes:
         assert run_cli(argv) == 3
         assert not out.exists()
         assert "float" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "subcommand, runs",
+        [
+            ("vessel-chsh", 10**30),
+            ("quantum-chsh", 10**30),
+            ("locality-check", 2**53 + 1),
+            ("sample-state", 2**53 + 1),
+        ],
+    )
+    def test_runs_per_pair_past_2_53_is_a_config_error(self, tmp_path, capsys, subcommand, runs):
+        scenario = write_scenario(
+            tmp_path,
+            runs_per_pair=runs,
+            amplitudes=UNIFORM_AMPLITUDES,
+            singlet_angles=[0, 90, 45, 135],
+        )
+        out = tmp_path / "report.json"
+        assert run_cli([subcommand, "--scenario", scenario, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "runs_per_pair" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand", ["locality-check", "sample-state"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_out_of_memory_is_three(self, tmp_path, capsys, subcommand, fmt):
+        # 2**50 float64 draws need 8 PiB, more than a 64-bit address space
+        # holds, so the first allocation fails at once.
+        scenario = write_scenario(tmp_path, runs_per_pair=2**50, amplitudes=UNIFORM_AMPLITUDES)
+        out = tmp_path / "report.json"
+        argv = [subcommand, "--scenario", scenario, "--out", str(out), "--format", fmt]
+        assert run_cli(argv) == 3
+        assert not out.exists()
+        assert "out of memory" in capsys.readouterr().err
 
     def test_report_that_is_not_strict_json_is_three(self, tmp_path, capsys, monkeypatch):
         def nan_report(scenario, **options):
@@ -449,3 +486,130 @@ class TestStdout:
         assert run_cli(["vessel-chsh", "--scenario", scenario]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["bell"]["value"] == 4.0
+
+
+def reject_constant(token):
+    raise ValueError(f"report holds the non-strict JSON constant {token}")
+
+
+EXTREME_NUMBERS = [0.0, -0.0, 5e-324, 1e-300, 1.0, 2.5, 1e300, 1.7e308, -1.0, 2**64, 10**400]
+NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(EXTREME_NUMBERS + [math.nan, math.inf, -math.inf]),
+)
+WRONG_TYPES = st.sampled_from([None, "1.0", True, [], {}, [1.0]])
+ANY_VALUE = st.one_of(NUMBERS, WRONG_TYPES, st.integers(-(2**70), 2**70))
+POSITIVE = st.floats(min_value=5e-324, allow_infinity=False)
+
+# Each scenario field as a valid value (extreme magnitudes included) and as
+# an invalid one.  Run counts between 2000 and 2**53 are valid but slow;
+# past 2**53 the parser must refuse them.
+VALID_FIELDS = {
+    "seed": st.integers(0, 2**64 - 1),
+    "system": st.fixed_dictionaries(
+        {}, optional={"total_volume": POSITIVE, "transparent": st.booleans()}
+    ),
+    "sampler": st.one_of(
+        st.lists(POSITIVE, min_size=2, max_size=2, unique=True).map(
+            lambda bounds: dict(zip(("low", "high"), sorted(bounds)))
+        ),
+        st.just({"low": 1.0, "high": 1.0 + 2.0**-40}),  # exact ties every few runs
+    ),
+    "runs_per_pair": st.integers(1, 2000),
+    "tie_policy": st.sampled_from([policy.value for policy in TiePolicy]),
+    "amplitudes": st.one_of(
+        st.just(UNIFORM_AMPLITUDES),
+        st.integers(0, 10).map(lambda k: [[float(i == k), 0.0] for i in range(11)]),
+    ),
+    "singlet_angles": st.lists(
+        st.one_of(st.floats(-720, 720), st.floats(allow_nan=False, allow_infinity=False)),
+        min_size=4,
+        max_size=4,
+    ),
+}
+INVALID_FIELDS = {
+    "seed": st.one_of(st.integers(-(2**70), -1), st.integers(2**64, 2**70), NUMBERS, WRONG_TYPES),
+    "system": st.one_of(
+        st.fixed_dictionaries({"total_volume": NUMBERS}),
+        st.fixed_dictionaries({"transparent": WRONG_TYPES}),
+        st.fixed_dictionaries({"depth": ANY_VALUE}),
+        WRONG_TYPES,
+    ),
+    "sampler": st.one_of(
+        st.fixed_dictionaries({"low": st.one_of(NUMBERS, WRONG_TYPES), "high": NUMBERS}),
+        WRONG_TYPES,
+    ),
+    "runs_per_pair": st.one_of(
+        st.integers(2**53 + 1, 2**200),
+        st.sampled_from([2**53 + 1, 10**30, 0, -3, 1.5, math.nan, "10", None]),
+    ),
+    "tie_policy": st.one_of(st.just("coin"), WRONG_TYPES),
+    "amplitudes": st.one_of(
+        st.lists(st.lists(NUMBERS, min_size=2, max_size=2), max_size=12),
+        WRONG_TYPES,
+    ),
+    "singlet_angles": st.one_of(st.lists(NUMBERS, max_size=5), WRONG_TYPES),
+    "unknown_field": ANY_VALUE,
+}
+
+
+@st.composite
+def scenario_dicts(draw):
+    """A scenario with up to two fields left out and up to two made invalid."""
+    absent = draw(st.sets(st.sampled_from(sorted(VALID_FIELDS)), max_size=2))
+    broken = draw(st.sets(st.sampled_from(sorted(INVALID_FIELDS)), max_size=2))
+    data = {name: draw(valid) for name, valid in VALID_FIELDS.items() if name not in absent}
+    data.update({name: draw(INVALID_FIELDS[name]) for name in sorted(broken)})
+    return data
+
+
+OPTION_NUMBERS = st.one_of(
+    st.sampled_from(["1.0", "2.0", "0.5", "0", "-1", "1e-200", "1e200", "nan", "-inf", "x"]),
+    st.floats(min_value=0.01, max_value=10.0).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+
+
+@st.composite
+def subcommand_options(draw):
+    """A subcommand plus its options, every one of them possibly invalid."""
+    subcommand = draw(
+        st.sampled_from(["vessel-chsh", "locality-check", "sample-state", "quantum-chsh", "flow"])
+    )
+    options = [subcommand, "--format", draw(st.sampled_from(["json", "csv"]))]
+    if subcommand in ("vessel-chsh", "quantum-chsh") and draw(st.booleans()):
+        options += ["--workers", draw(st.sampled_from(["1", "2", "3", "0", "-1", "x"]))]
+    if subcommand == "quantum-chsh" and draw(st.booleans()):
+        options.append("--analytic")
+    if subcommand == "flow":
+        # "--option=value", so argparse takes "-1" as a value, not an option.
+        options += [f"--lambda-a={draw(OPTION_NUMBERS)}", f"--lambda-b={draw(OPTION_NUMBERS)}"]
+        if draw(st.booleans()):
+            dt = draw(st.sampled_from(["1e-4", "1e-2", "0", "-1e-3", "1e-300", "inf"]))
+            options.append(f"--dt={dt}")
+    return options
+
+
+class TestContractFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(scenario=scenario_dicts(), options=subcommand_options())
+    def test_every_input_keeps_the_exit_code_contract(self, scenario, options):
+        with tempfile.TemporaryDirectory() as tmp:
+            scenario_path = Path(tmp) / "scenario.json"
+            out = Path(tmp) / "report.out"
+            # json.dumps writes NaN and Infinity tokens, which json.loads accepts.
+            scenario_path.write_text(json.dumps(scenario))
+            argv = [*options, "--scenario", str(scenario_path), "--out", str(out)]
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            assert code in (0, 2, 3)
+            if code != 0:
+                assert not out.exists()
+            elif "json" in options:
+                json.loads(out.read_text(), parse_constant=reject_constant)
+            else:
+                rows = list(csv.reader(out.read_text().splitlines()))
+                assert rows
+                assert not {"nan", "inf", "-inf"} & {cell for row in rows for cell in row}

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vesselsim import (
-    PAIR_AB,
     ContextualOutcomeTable,
     CorrelationKind,
     DegenerateTieError,
@@ -19,7 +18,6 @@ from vesselsim import (
     classify_correlations,
     contextual_table,
     contextuality_witness,
-    run_coincidence,
     scan_columns,
     scan_hidden_variables,
     search_factorization,
@@ -133,12 +131,14 @@ class TestContextualityWitness:
             contextuality_witness(SiphonDiameters(1.0, 1.0))
 
     @pytest.mark.parametrize("policy", RESOLVING_POLICIES)
-    def test_tie_follows_policy_like_the_table(self, policy):
+    def test_tie_follows_policy_like_the_table(self, policy, per_run_oracle):
         for lam in (SiphonDiameters(1.0, 1.0), SiphonDiameters(2.5, 2.5)):
             witness = contextuality_witness(lam, policy, tie_seed=99)
-            resolved = run_coincidence(PAIR_AB, lam, VesselSystem(), policy, tie_seed=99)
-            assert witness.outcome_with_b == resolved.outcome_left
-            assert witness.differs == (resolved.outcome_left != 1)
+            left, _ = per_run_oracle("AB", lam.lambda_a, lam.lambda_b, True, policy.value, 99)
+            assert witness.outcome_with_b == left
+            assert witness.differs == (left != 1)
+            table = contextual_table(lam, VesselSystem(), policy, tie_seed=99)
+            assert table.product_ab == -1
 
     def test_differs_exactly_when_left_is_narrower(self):
         rng = np.random.default_rng(21)

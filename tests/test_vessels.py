@@ -10,7 +10,7 @@ from vesselsim import (
     PAIR_APRIME_B,
     PAIR_APRIME_BPRIME,
     CoincidencePair,
-    CoincidenceRun,
+    ContextualOutcomeTable,
     DegenerateTieError,
     ExperimentKind,
     InvalidStepError,
@@ -18,10 +18,10 @@ from vesselsim import (
     SplitVolume,
     TiePolicy,
     VesselSystem,
-    ab_split,
+    contextual_table,
     joint_outcome_ab,
     outcome_solo_siphon,
-    run_coincidence,
+    pair_products,
     simulate_flow,
     spoon_outcome,
 )
@@ -52,12 +52,6 @@ class TestTypes:
 
     def test_pair_labels(self):
         assert [pair.label for pair in ALL_PAIRS] == ["AB", "A'B", "AB'", "A'B'"]
-
-    def test_run_product_is_validated(self):
-        with pytest.raises(ValueError):
-            CoincidenceRun(PAIR_AB, 1, 1, -1)
-        with pytest.raises(ValueError):
-            CoincidenceRun(PAIR_AB, 2, 1, 2)
 
     def test_split_volume_nonnegative(self):
         with pytest.raises(ValueError):
@@ -176,69 +170,60 @@ class TestSimulateFlow:
                 assert np.sign(split.x_left - system.half_volume) == outcome_left
 
 
+def one_run(pair, lam, system):
+    """Both outcomes of one run: a single row of ``pair_products``."""
+    left, right = pair_products(pair, np.array([lam.lambda_a]), np.array([lam.lambda_b]), system)
+    return int(left[0]), int(right[0])
+
+
 class TestRunCoincidence:
     def test_joint_siphons_anticorrelate(self):
-        run = run_coincidence(PAIR_AB, SiphonDiameters(2.0, 1.0), VesselSystem())
-        assert (run.outcome_left, run.outcome_right) == (1, -1)
-        assert run.product == -1
+        lam = SiphonDiameters(2.0, 1.0)
+        assert one_run(PAIR_AB, lam, VesselSystem()) == (1, -1)
+        assert contextual_table(lam, VesselSystem()).product_ab == -1
 
     def test_two_spoons_agree(self):
-        run = run_coincidence(PAIR_APRIME_BPRIME, SiphonDiameters(0.7, 2.2), VesselSystem())
-        assert run.product == 1
+        lam = SiphonDiameters(0.7, 2.2)
+        assert one_run(PAIR_APRIME_BPRIME, lam, VesselSystem()) == (1, 1)
+        assert contextual_table(lam, VesselSystem()).product_aprime_bprime == 1
 
     def test_siphon_with_spoon(self):
-        run = run_coincidence(PAIR_AB_PRIME, SiphonDiameters(1.0, 2.0), VesselSystem())
-        assert (run.outcome_left, run.outcome_right) == (1, 1)
-        assert run.product == 1
+        lam = SiphonDiameters(1.0, 2.0)
+        assert one_run(PAIR_AB_PRIME, lam, VesselSystem()) == (1, 1)
+        assert contextual_table(lam, VesselSystem()).product_ab_prime == 1
 
     def test_spoon_with_siphon(self):
-        run = run_coincidence(PAIR_APRIME_B, SiphonDiameters(1.0, 2.0), VesselSystem())
-        assert (run.outcome_left, run.outcome_right) == (1, 1)
-
-    def test_split_only_for_joint_siphons(self):
-        lam = SiphonDiameters(2.0, 1.0)
-        system = VesselSystem()
-        assert run_coincidence(PAIR_AB, lam, system).split is not None
-        for pair in (PAIR_APRIME_B, PAIR_AB_PRIME, PAIR_APRIME_BPRIME):
-            assert run_coincidence(pair, lam, system).split is None
-
-    def test_split_conserves_volume_exactly(self):
-        rng = np.random.default_rng(3)
-        system = VesselSystem()
-        for _ in range(200):
-            lam = SiphonDiameters(*rng.uniform(0.5, 3.0, size=2))
-            split = run_coincidence(PAIR_AB, lam, system).split
-            assert split.x_left + split.x_right == pytest.approx(20.0, abs=1e-9)
+        lam = SiphonDiameters(1.0, 2.0)
+        assert one_run(PAIR_APRIME_B, lam, VesselSystem()) == (1, 1)
+        assert contextual_table(lam, VesselSystem()).product_aprime_b == 1
 
     def test_anticorrelation_holds_for_all_untied_diameters(self):
         rng = np.random.default_rng(9)
         system = VesselSystem()
-        for _ in range(500):
-            lam = SiphonDiameters(*rng.uniform(0.5, 3.0, size=2))
-            assert run_coincidence(PAIR_AB, lam, system).product == -1
+        lambda_a, lambda_b = rng.uniform(0.5, 3.0, size=(2, 500))
+        left, right = pair_products(PAIR_AB, lambda_a, lambda_b, system)
+        assert (left * right == -1).all()
+        for a, b in zip(lambda_a[:50], lambda_b[:50]):
+            assert contextual_table(SiphonDiameters(a, b), system).product_ab == -1
 
     def test_tie_propagates(self):
         with pytest.raises(DegenerateTieError):
-            run_coincidence(PAIR_AB, SiphonDiameters(1.0, 1.0), VesselSystem())
+            one_run(PAIR_AB, SiphonDiameters(1.0, 1.0), VesselSystem())
+        with pytest.raises(DegenerateTieError):
+            contextual_table(SiphonDiameters(1.0, 1.0), VesselSystem())
 
     def test_opaque_water_flips_spoons_only(self):
         lam = SiphonDiameters(2.0, 1.0)
         opaque = VesselSystem(transparent=False)
-        assert run_coincidence(PAIR_AB, lam, opaque).product == -1
-        assert run_coincidence(PAIR_APRIME_B, lam, opaque).product == -1
-        assert run_coincidence(PAIR_AB_PRIME, lam, opaque).product == -1
-        assert run_coincidence(PAIR_APRIME_BPRIME, lam, opaque).product == 1
+        assert contextual_table(lam, opaque) == ContextualOutcomeTable(-1, -1, -1, 1)
+        assert one_run(PAIR_APRIME_B, lam, opaque) == (-1, 1)
+        assert one_run(PAIR_AB_PRIME, lam, opaque) == (1, -1)
+        assert one_run(PAIR_APRIME_BPRIME, lam, opaque) == (-1, -1)
 
     def test_deterministic(self):
         lam = SiphonDiameters(1.3, 2.6)
         system = VesselSystem()
-        runs = [run_coincidence(pair, lam, system) for pair in ALL_PAIRS]
-        again = [run_coincidence(pair, lam, system) for pair in ALL_PAIRS]
+        runs = [one_run(pair, lam, system) for pair in ALL_PAIRS]
+        again = [one_run(pair, lam, system) for pair in ALL_PAIRS]
         assert runs == again
-
-    def test_closed_form_split_matches_fine_integration(self):
-        lam = SiphonDiameters(2.4, 0.9)
-        system = VesselSystem()
-        split = ab_split(lam, system)
-        fine = simulate_flow(lam, system, dt=1e-4)
-        assert split.x_left == pytest.approx(fine.x_left, abs=0.01)
+        assert contextual_table(lam, system) == contextual_table(lam, system)
