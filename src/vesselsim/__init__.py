@@ -29,6 +29,7 @@ from .errors import (
     EmptySampleSetError,
     FlowRangeError,
     InvalidStepError,
+    InvariantError,
     MismatchedPairsError,
     NotNormalizedError,
     NotUnitError,

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySampleSetError, MismatchedPairsError
-from .streams import run_chunks, substream
+from .errors import EmptySampleSetError, InvariantError, MismatchedPairsError
+from .streams import check_seed, run_chunks, substream
 from .vessels import (
     ALL_PAIRS,
     PAIR_AB,
@@ -74,12 +74,11 @@ class HiddenVariableSampler:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.low < self.high):
-            raise ValueError(
-                f"need 0 < low < high for positive diameters, got [{self.low}, {self.high}]"
-            )
-        if not (0 <= int(self.seed) < 2**64):
-            raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
+        if not self.low > 0.0:
+            raise InvariantError(f"low must be positive, got {self.low}", "low")
+        if not self.low < self.high < math.inf:
+            raise InvariantError(f"need low < high < inf, got [{self.low}, {self.high}]", "high")
+        check_seed(self.seed)
 
     def draw_arrays(self, n: int, key: tuple[int, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
         """Draw ``n`` diameter pairs as two arrays on the keyed substream."""
@@ -107,11 +106,11 @@ class ExpectationEstimate:
 
     def __post_init__(self) -> None:
         if self.n < 1:
-            raise ValueError(f"an estimate needs at least one run, got n={self.n}")
-        if abs(self.mean) > 1.0:
-            raise ValueError(f"mean outcome product out of [-1, 1]: {self.mean}")
-        if self.stderr < 0.0:
-            raise ValueError(f"stderr cannot be negative: {self.stderr}")
+            raise InvariantError(f"an estimate needs at least one run, got n={self.n}", "n")
+        if not abs(self.mean) <= 1.0:
+            raise InvariantError(f"mean outcome product out of [-1, 1]: {self.mean}", "mean")
+        if not self.stderr >= 0.0:
+            raise InvariantError(f"stderr must be non-negative: {self.stderr}", "stderr")
 
 
 @dataclass(frozen=True)
@@ -127,15 +126,15 @@ class BellStatistic:
 
     def __post_init__(self) -> None:
         if tuple(estimate.pair for estimate in self.components) != ALL_PAIRS:
-            raise ValueError("components must be the four pairs in canonical order")
+            raise InvariantError("components must follow ALL_PAIRS order", "components")
         ab, aprime_b, ab_prime, aprime_bprime = self.components
         recomputed = aprime_bprime.mean + aprime_b.mean + ab_prime.mean - ab.mean
         if self.value != recomputed:
-            raise ValueError(
-                f"value {self.value} does not match its components ({recomputed})"
+            raise InvariantError(
+                f"value {self.value} does not match its components ({recomputed})", "value"
             )
         if abs(self.value) > ALGEBRAIC_BOUND + BOUND_TOL:
-            raise ValueError(f"|value| exceeds the algebraic ceiling 4: {self.value}")
+            raise InvariantError(f"|value| exceeds the algebraic ceiling 4: {self.value}", "value")
 
 
 def mean_and_stderr(product_sum: int, n: int) -> tuple[float, float]:

@@ -26,7 +26,7 @@ from .bell import (
     estimate_expectation,
     vessel_model,
 )
-from .errors import ConfigError
+from .errors import ConfigError, InvariantError
 from .locality import CorrelationKind, scan_columns
 from .quantum import (
     N_AMPLITUDES,
@@ -186,8 +186,6 @@ def locality_check(scenario: Scenario, collect_runs: bool = False) -> tuple[dict
 
 def sample_state(scenario: Scenario, collect_runs: bool = False) -> tuple[dict, RunDump]:
     """Born-sample the superposition state and report the histogram and rank."""
-    if scenario.amplitudes is None:
-        raise ConfigError("sample-state requires 'amplitudes' in the scenario")
     state = scenario.state()
     n = scenario.runs_per_pair
     rng = substream(scenario.seed, BORN_STREAM, 0)
@@ -247,7 +245,7 @@ def flow(
     """Integrate one joint drainage and report the collected volumes."""
     try:
         lam = SiphonDiameters(lambda_a, lambda_b)
-    except ValueError as exc:
+    except InvariantError as exc:
         raise ConfigError(str(exc)) from None
     split = simulate_flow(lam, scenario.system, dt)
     outcome_left, outcome_right = joint_outcome_ab(

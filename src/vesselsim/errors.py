@@ -30,15 +30,24 @@ class MismatchedPairsError(VesselSimError):
     """The four expectation estimates do not cover the four coincidence pairs."""
 
 
-class NotNormalizedError(VesselSimError):
+class InvariantError(VesselSimError, ValueError):
+    """A value breaks an invariant of the object or function it was given to;
+    ``field`` names the offending parameter (None if the check spans several)."""
+
+    def __init__(self, message: str, field: str | None = None) -> None:
+        super().__init__(message)
+        self.field = field
+
+
+class NotNormalizedError(InvariantError):
     """Amplitude vector whose squared moduli do not sum to one."""
 
 
-class WrongArityError(VesselSimError):
+class WrongArityError(InvariantError):
     """Amplitude vector with the wrong number of entries."""
 
 
-class NotUnitError(VesselSimError):
+class NotUnitError(InvariantError):
     """Measurement direction whose Euclidean norm is not one."""
 
 

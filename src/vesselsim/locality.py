@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptySampleSetError
+from .errors import EmptySampleSetError, InvariantError
 from .vessels import (
     ALL_PAIRS,
     PAIR_AB,
@@ -50,9 +50,9 @@ class ContextualOutcomeTable:
     product_aprime_bprime: int
 
     def __post_init__(self) -> None:
-        for name, value in self.as_dict().items():
+        for name, value in vars(self).items():
             if value not in _SIGNS:
-                raise ValueError(f"{name} must be +1 or -1, got {value}")
+                raise InvariantError(f"{name} must be +1 or -1, got {value}", name)
 
     def as_dict(self) -> dict[str, int]:
         return {
@@ -111,9 +111,9 @@ class FactorizationReport:
 
     def __post_init__(self) -> None:
         if self.satisfiable and self.assignment is None:
-            raise ValueError("a satisfiable report must carry its assignment")
+            raise InvariantError("a satisfiable report must carry its assignment", "assignment")
         if not self.satisfiable and not self.search_exhausted and not self.witnesses:
-            raise ValueError(
+            raise InvariantError(
                 "an unsatisfiable report needs witnesses or an exhausted search"
             )
 

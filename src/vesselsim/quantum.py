@@ -33,8 +33,8 @@ from .bell import (
     bell_statistic,
     estimate_expectation,
 )
-from .errors import NotNormalizedError, NotUnitError, WrongArityError
-from .streams import substream
+from .errors import InvariantError, NotNormalizedError, NotUnitError, WrongArityError
+from .streams import check_seed, substream
 from .vessels import ALL_PAIRS, PAIR_AB, PAIR_AB_PRIME, PAIR_APRIME_B, PAIR_APRIME_BPRIME
 
 N_AMPLITUDES = 11
@@ -62,23 +62,23 @@ class VesselSuperpositionState:
 def make_state(amplitudes, normalize: bool = False) -> VesselSuperpositionState:
     """Build a superposition state from 11 complex amplitudes.
 
-    With ``normalize=False`` the squared moduli must already sum to one
-    within ``NORM_TOL``; with ``normalize=True`` any nonzero vector is
-    rescaled.
+    The squared moduli must sum to one within ``NORM_TOL``; with
+    ``normalize=True`` a vector whose squared moduli have a positive finite
+    sum is rescaled first.
     """
     array = np.asarray(amplitudes, dtype=complex)
     if array.shape != (N_AMPLITUDES,):
         raise WrongArityError(
-            f"expected {N_AMPLITUDES} amplitudes, got shape {array.shape}"
+            f"expected {N_AMPLITUDES} amplitudes, got shape {array.shape}", "amplitudes"
         )
-    total = float(np.sum(np.abs(array) ** 2))
-    if normalize:
-        if total == 0.0:
-            raise NotNormalizedError("cannot normalize the zero amplitude vector")
+    with np.errstate(over="ignore"):
+        total = float(np.sum(np.abs(array) ** 2))
+    if normalize and 0.0 < total < math.inf:
         array = array / math.sqrt(total)
-    elif abs(total - 1.0) > NORM_TOL:
+        total = float(np.sum(np.abs(array) ** 2))
+    if not abs(total - 1.0) <= NORM_TOL:
         raise NotNormalizedError(
-            f"squared moduli sum to {total!r}, expected 1 within {NORM_TOL}"
+            f"squared moduli sum to {total!r}, expected 1 within {NORM_TOL}", "amplitudes"
         )
     array = array.copy()
     array.setflags(write=False)
@@ -134,8 +134,8 @@ def schmidt_rank(state: VesselSuperpositionState, tol: float = NORM_TOL) -> int:
     For this anti-diagonal matrix the singular values are the amplitude
     moduli, so the rank also counts the amplitudes above ``tol``.
     """
-    if tol < 0.0:
-        raise ValueError(f"tolerance cannot be negative: {tol}")
+    if not tol >= 0.0:
+        raise InvariantError(f"tolerance must be non-negative: {tol}", "tol")
     singular_values = np.linalg.svd(coefficient_matrix(state), compute_uv=False)
     return int(np.count_nonzero(singular_values > tol))
 
@@ -154,8 +154,8 @@ class MeasurementDirection:
     z: float
 
     def __post_init__(self) -> None:
-        norm = math.sqrt(self.x**2 + self.y**2 + self.z**2)
-        if abs(norm - 1.0) > UNIT_TOL:
+        norm = math.hypot(self.x, self.y, self.z)
+        if not abs(norm - 1.0) <= UNIT_TOL:
             raise NotUnitError(f"direction norm is {norm!r}, expected 1 within {UNIT_TOL}")
 
     def dot(self, other: MeasurementDirection) -> float:
@@ -164,6 +164,8 @@ class MeasurementDirection:
 
 def left_analyzer_direction(angle_deg: float) -> MeasurementDirection:
     """Left-wing analyzer at ``angle_deg``, counterclockwise in the shared frame."""
+    if not math.isfinite(angle_deg):
+        raise InvariantError(f"analyzer angle must be finite, got {angle_deg!r}", "angle_deg")
     angle = math.radians(angle_deg)
     return MeasurementDirection(math.cos(angle), math.sin(angle), 0.0)
 
@@ -172,10 +174,10 @@ def right_analyzer_direction(angle_deg: float) -> MeasurementDirection:
     """Right-wing analyzer at ``angle_deg`` in its own frame.
 
     The right wing faces the left one, so its in-plane axis is mirrored in
-    the shared frame and the angle counts clockwise there.
+    the shared frame and the angle counts clockwise there: it is the left
+    direction at ``-angle_deg``.
     """
-    angle = math.radians(angle_deg)
-    return MeasurementDirection(math.cos(angle), -math.sin(angle), 0.0)
+    return left_analyzer_direction(-angle_deg)
 
 
 def singlet_expectation(a: MeasurementDirection, b: MeasurementDirection) -> float:
@@ -258,6 +260,7 @@ def singlet_model(angles_deg: tuple[float, float, float, float], seed: int) -> M
     chunk only counts agreements among the same uniforms ``singlet_samples``
     reads; the coin draw before them still runs to keep their positions.
     """
+    check_seed(seed)
     directions = _pair_directions(angles_deg)
 
     def model(pair, key, size, collect):

@@ -14,16 +14,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .bell import HiddenVariableSampler
-from .errors import ConfigError, NotNormalizedError, WrongArityError
-from .quantum import N_AMPLITUDES, VesselSuperpositionState, make_state
+from .errors import ConfigError, InvariantError
+from .quantum import VesselSuperpositionState, make_state
 from .vessels import TiePolicy, VesselSystem
 
 DEFAULT_RUNS_PER_PAIR = 1000
 # Past 2**53 a float no longer counts runs exactly, so means and standard
 # errors would be computed from rounded counts.
 MAX_RUNS_PER_PAIR = 2**53
-DEFAULT_SAMPLER_LOW = 0.5
-DEFAULT_SAMPLER_HIGH = 3.0
 
 _TOP_LEVEL_FIELDS = {
     "seed",
@@ -34,32 +32,26 @@ _TOP_LEVEL_FIELDS = {
     "amplitudes",
     "singlet_angles",
 }
-_SYSTEM_FIELDS = {"total_volume", "transparent"}
-_SAMPLER_FIELDS = {"low", "high"}
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """A fully resolved run configuration."""
+    """A fully resolved run configuration; the sampler carries the seed."""
 
-    seed: int
     system: VesselSystem
-    sampler_low: float
-    sampler_high: float
+    sampler: HiddenVariableSampler
     runs_per_pair: int
     tie_policy: TiePolicy
     amplitudes: tuple[tuple[float, float], ...] | None = None
     singlet_angles: tuple[float, float, float, float] | None = None
 
     @property
-    def sampler(self) -> HiddenVariableSampler:
-        return HiddenVariableSampler(
-            low=self.sampler_low, high=self.sampler_high, seed=self.seed
-        )
+    def seed(self) -> int:
+        return self.sampler.seed
 
     def state(self) -> VesselSuperpositionState:
         if self.amplitudes is None:
-            raise ConfigError("scenario has no amplitudes")
+            raise ConfigError("scenario.amplitudes: missing; sample-state needs them")
         return make_state([complex(re, im) for re, im in self.amplitudes])
 
     def echo(self) -> dict:
@@ -70,7 +62,7 @@ class Scenario:
                 "total_volume": self.system.total_volume,
                 "transparent": self.system.transparent,
             },
-            "sampler": {"low": self.sampler_low, "high": self.sampler_high},
+            "sampler": {"low": self.sampler.low, "high": self.sampler.high},
             "runs_per_pair": self.runs_per_pair,
             "tie_policy": self.tie_policy.value,
         }
@@ -121,39 +113,33 @@ def _as_bool(value, where: str) -> bool:
     return value
 
 
+# The fields of each nested object, with the reader that checks a JSON value.
+_OBJECT_READERS = {
+    "system": {"total_volume": _as_number, "transparent": _as_bool},
+    "sampler": {"low": _as_number, "high": _as_number},
+}
+# Scenario path of each nested field, for an InvariantError that names it.
+_FIELD_PATHS = {
+    key: f"{section}.{key}" for section, readers in _OBJECT_READERS.items() for key in readers
+}
+
+
 def _parse_seed(data: dict) -> int:
     if "seed" not in data:
         raise ConfigError(
             "scenario.seed: missing; an explicit seed is required for reproducible runs"
         )
-    seed = _as_int(data["seed"], "scenario.seed")
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"scenario.seed: must fit in 64 unsigned bits, got {seed}")
-    return seed
+    return _as_int(data["seed"], "scenario.seed")
 
 
-def _parse_system(data: dict) -> VesselSystem:
-    raw = _require_mapping(data.get("system", {}), "scenario.system")
-    _reject_unknown(raw, _SYSTEM_FIELDS, "scenario.system")
-    total_volume = _as_number(raw.get("total_volume", 20.0), "scenario.system.total_volume")
-    if total_volume <= 0.0:
-        raise ConfigError(
-            f"scenario.system.total_volume: must be positive, got {total_volume}"
-        )
-    transparent = _as_bool(raw.get("transparent", True), "scenario.system.transparent")
-    return VesselSystem(total_volume=total_volume, transparent=transparent)
-
-
-def _parse_sampler(data: dict) -> tuple[float, float]:
-    raw = _require_mapping(data.get("sampler", {}), "scenario.sampler")
-    _reject_unknown(raw, _SAMPLER_FIELDS, "scenario.sampler")
-    low = _as_number(raw.get("low", DEFAULT_SAMPLER_LOW), "scenario.sampler.low")
-    high = _as_number(raw.get("high", DEFAULT_SAMPLER_HIGH), "scenario.sampler.high")
-    if not 0.0 < low < high:
-        raise ConfigError(
-            f"scenario.sampler: need 0 < low < high, got [{low}, {high}]"
-        )
-    return low, high
+def _parse_object(data: dict, name: str, cls: type, **given):
+    """``cls`` built from the fields present in the ``name`` object, each
+    checked by its reader; absent fields take the class's defaults."""
+    readers = _OBJECT_READERS[name]
+    raw = _require_mapping(data.get(name, {}), f"scenario.{name}")
+    _reject_unknown(raw, set(readers), f"scenario.{name}")
+    fields = {key: readers[key](value, f"scenario.{name}.{key}") for key, value in raw.items()}
+    return cls(**given, **fields)
 
 
 def _parse_tie_policy(data: dict) -> TiePolicy:
@@ -173,10 +159,9 @@ def _parse_amplitudes(data: dict) -> tuple[tuple[float, float], ...] | None:
     if "amplitudes" not in data:
         return None
     raw = data["amplitudes"]
-    if not isinstance(raw, list) or len(raw) != N_AMPLITUDES:
+    if not isinstance(raw, list):
         raise ConfigError(
-            f"scenario.amplitudes: expected a list of {N_AMPLITUDES} [re, im] pairs, "
-            f"got {len(raw) if isinstance(raw, list) else type(raw).__name__}"
+            f"scenario.amplitudes: expected a list of [re, im] pairs, got {type(raw).__name__}"
         )
     pairs = []
     for index, entry in enumerate(raw):
@@ -184,12 +169,8 @@ def _parse_amplitudes(data: dict) -> tuple[tuple[float, float], ...] | None:
         if not isinstance(entry, list) or len(entry) != 2:
             raise ConfigError(f"{where}: expected an [re, im] pair, got {entry!r}")
         pairs.append((_as_number(entry[0], where), _as_number(entry[1], where)))
-    amplitudes = tuple(pairs)
-    try:
-        make_state([complex(re, im) for re, im in amplitudes])
-    except (NotNormalizedError, WrongArityError) as exc:
-        raise ConfigError(f"scenario.amplitudes: {exc}") from None
-    return amplitudes
+    make_state([complex(re, im) for re, im in pairs])
+    return tuple(pairs)
 
 
 def _parse_singlet_angles(data: dict) -> tuple[float, float, float, float] | None:
@@ -201,18 +182,20 @@ def _parse_singlet_angles(data: dict) -> tuple[float, float, float, float] | Non
             "scenario.singlet_angles: expected four planar angles in degrees "
             "(A, A', B, B')"
         )
-    angles = tuple(
+    return tuple(
         _as_number(entry, f"scenario.singlet_angles[{index}]")
         for index, entry in enumerate(raw)
     )
-    return angles
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    """Validate a parsed JSON object and resolve defaults."""
+    """Validate a parsed JSON object and resolve defaults.
+
+    Only what raw JSON can get wrong is checked here; the model objects'
+    own ``InvariantError`` becomes a ``ConfigError`` at the field's path.
+    """
     data = _require_mapping(data, "scenario")
     _reject_unknown(data, _TOP_LEVEL_FIELDS, "scenario")
-    low, high = _parse_sampler(data)
     runs_per_pair = _as_int(
         data.get("runs_per_pair", DEFAULT_RUNS_PER_PAIR), "scenario.runs_per_pair"
     )
@@ -220,16 +203,18 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ConfigError(
             f"scenario.runs_per_pair: must be between 1 and 2**53, got {runs_per_pair}"
         )
-    return Scenario(
-        seed=_parse_seed(data),
-        system=_parse_system(data),
-        sampler_low=low,
-        sampler_high=high,
-        runs_per_pair=runs_per_pair,
-        tie_policy=_parse_tie_policy(data),
-        amplitudes=_parse_amplitudes(data),
-        singlet_angles=_parse_singlet_angles(data),
-    )
+    try:
+        return Scenario(
+            sampler=_parse_object(data, "sampler", HiddenVariableSampler, seed=_parse_seed(data)),
+            system=_parse_object(data, "system", VesselSystem),
+            runs_per_pair=runs_per_pair,
+            tie_policy=_parse_tie_policy(data),
+            amplitudes=_parse_amplitudes(data),
+            singlet_angles=_parse_singlet_angles(data),
+        )
+    except InvariantError as exc:
+        path = _FIELD_PATHS.get(exc.field, exc.field)
+        raise ConfigError(f"scenario.{path}: {exc}") from None
 
 
 def parse_scenario(path: str | Path) -> Scenario:

@@ -10,12 +10,15 @@ how many workers executed the chunks.
 
 from __future__ import annotations
 
+import numbers
 import os
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from typing import TypeVar
 
 import numpy as np
+
+from .errors import InvariantError
 
 CHUNK_SIZE = 1 << 15
 
@@ -32,30 +35,29 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
 
 
-def chunk_sizes(n: int, chunk_size: int = CHUNK_SIZE) -> list[int]:
-    """Split ``n`` draws into fixed-size chunks (last one ragged)."""
+def check_seed(seed: int) -> None:
+    """The seed rule of every seeded consumer: an integer in [0, 2**64),
+    which ``SeedSequence`` and the tie coin's hash both take."""
+    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):
+        raise InvariantError(f"seed must be an integer in [0, 2**64), got {seed!r}", "seed")
+
+
+def chunk_sizes(n: int) -> list[int]:
+    """Split ``n`` draws into ``CHUNK_SIZE`` chunks (last one ragged)."""
     if n < 0:
-        raise ValueError(f"cannot chunk a negative count: {n}")
-    full, rest = divmod(n, chunk_size)
-    sizes = [chunk_size] * full
-    if rest:
-        sizes.append(rest)
-    return sizes
+        raise InvariantError(f"cannot chunk a negative count: {n}", "n")
+    full, rest = divmod(n, CHUNK_SIZE)
+    return [CHUNK_SIZE] * full + ([rest] if rest else [])
 
 
-def run_chunks(
-    chunk_fn: Callable[[int, int], T],
-    n: int,
-    workers: int = 1,
-    chunk_size: int = CHUNK_SIZE,
-) -> list[T]:
+def run_chunks(chunk_fn: Callable[[int, int], T], n: int, workers: int = 1) -> list[T]:
     """Evaluate ``chunk_fn(chunk_index, size)`` for every chunk of ``n``.
 
     Results come back in chunk order regardless of ``workers``, so any
     order-respecting reduction over them is reproducible.  The pool gets
     no more threads than there are chunks or CPUs.
     """
-    sizes = chunk_sizes(n, chunk_size)
+    sizes = chunk_sizes(n)
     workers = min(workers, len(sizes), os.cpu_count() or 1)
     if workers <= 1:
         return [chunk_fn(i, size) for i, size in enumerate(sizes)]

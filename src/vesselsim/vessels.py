@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateTieError, FlowRangeError, InvalidStepError
+from .errors import DegenerateTieError, FlowRangeError, InvalidStepError, InvariantError
 
 # Siphon outflow in L/s per cm^2 of squared diameter.  Only the ratio of the
 # two outflow rates matters for the collected fractions.
@@ -81,7 +81,7 @@ class SiphonDiameters:
 
     def __post_init__(self) -> None:
         if not (self.lambda_a > 0.0 and self.lambda_b > 0.0):
-            raise ValueError(
+            raise InvariantError(
                 f"siphon diameters must be strictly positive, "
                 f"got ({self.lambda_a}, {self.lambda_b})"
             )
@@ -96,7 +96,9 @@ class VesselSystem:
 
     def __post_init__(self) -> None:
         if not self.total_volume > 0.0:
-            raise ValueError(f"total_volume must be positive, got {self.total_volume}")
+            raise InvariantError(
+                f"total_volume must be positive, got {self.total_volume}", "total_volume"
+            )
 
     @property
     def half_volume(self) -> float:
@@ -113,9 +115,9 @@ class CoincidencePair:
 
     def __post_init__(self) -> None:
         if self.left not in LEFT_KINDS:
-            raise ValueError(f"{self.left} is not a left-side experiment")
+            raise InvariantError(f"{self.left} is not a left-side experiment", "left")
         if self.right not in RIGHT_KINDS:
-            raise ValueError(f"{self.right} is not a right-side experiment")
+            raise InvariantError(f"{self.right} is not a right-side experiment", "right")
 
     @property
     def label(self) -> str:
@@ -139,9 +141,9 @@ class SplitVolume:
     x_right: float
 
     def __post_init__(self) -> None:
-        if self.x_left < 0.0 or self.x_right < 0.0:
-            raise ValueError(
-                f"collected volumes cannot be negative, got ({self.x_left}, {self.x_right})"
+        if not (self.x_left >= 0.0 and self.x_right >= 0.0):
+            raise InvariantError(
+                f"collected volumes must be non-negative, got ({self.x_left}, {self.x_right})"
             )
 
 

@@ -22,6 +22,7 @@ PUBLIC_NAMES = [
     "FlowRangeError",
     "HiddenVariableSampler",
     "InvalidStepError",
+    "InvariantError",
     "LOCAL_BOUND",
     "MeasurementDirection",
     "MismatchedPairsError",
@@ -92,3 +93,12 @@ PUBLIC_NAMES = [
 def test_public_names_are_pinned():
     assert sorted(vesselsim.__all__) == PUBLIC_NAMES
 
+
+
+def test_invariant_error_is_the_typed_value_error():
+    assert issubclass(vesselsim.InvariantError, vesselsim.VesselSimError)
+    assert issubclass(vesselsim.InvariantError, ValueError)
+    for name in ("NotNormalizedError", "WrongArityError", "NotUnitError"):
+        assert issubclass(getattr(vesselsim, name), vesselsim.InvariantError)
+    assert vesselsim.InvariantError("bad", "seed").field == "seed"
+    assert vesselsim.InvariantError("bad").field is None

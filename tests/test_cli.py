@@ -135,6 +135,16 @@ class TestExitCodes:
         assert not out.exists()
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lambda_a", ["0", "-1"])
+    def test_non_positive_flow_diameter_is_a_config_error(self, tmp_path, capsys, lambda_a):
+        scenario = write_scenario(tmp_path)
+        out = tmp_path / "report.json"
+        argv = ["flow", "--scenario", scenario, "--out", str(out)]
+        # "--option=value", so argparse takes "-1" as a value, not an option.
+        assert run_cli(argv + [f"--lambda-a={lambda_a}", "--lambda-b=2.0"]) == 2
+        assert not out.exists()
+        assert "strictly positive" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "lambda_a, lambda_b, dt, overrides",
         [

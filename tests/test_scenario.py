@@ -20,8 +20,9 @@ class TestDefaults:
         assert scenario.seed == 42
         assert scenario.system.total_volume == 20.0
         assert scenario.system.transparent is True
-        assert scenario.sampler_low == 0.5
-        assert scenario.sampler_high == 3.0
+        assert scenario.sampler.low == 0.5
+        assert scenario.sampler.high == 3.0
+        assert scenario.sampler.seed == 42
         assert scenario.runs_per_pair == 1000
         assert scenario.tie_policy is TiePolicy.ERROR
         assert scenario.amplitudes is None
@@ -46,7 +47,7 @@ class TestDefaults:
         )
         assert scenario.system.total_volume == 12.5
         assert scenario.system.transparent is False
-        assert (scenario.sampler_low, scenario.sampler_high) == (1.0, 2.0)
+        assert (scenario.sampler.low, scenario.sampler.high) == (1.0, 2.0)
         assert scenario.runs_per_pair == 50
         assert scenario.tie_policy is TiePolicy.FAVOR_LEFT
 
@@ -110,6 +111,23 @@ class TestValidation:
         ones = [[1.0, 0.0]] * 11
         with pytest.raises(ConfigError, match="amplitudes"):
             parse_scenario(write_scenario(tmp_path, {"seed": 1, "amplitudes": ones}))
+
+    @pytest.mark.parametrize(
+        "overrides, path",
+        [
+            ({"seed": -1}, "scenario.seed: "),
+            ({"seed": 2**64}, "scenario.seed: "),
+            ({"system": {"total_volume": -2.0}}, "scenario.system.total_volume: "),
+            ({"sampler": {"low": 0.0}}, "scenario.sampler.low: "),
+            ({"sampler": {"low": 3.0, "high": 0.5}}, "scenario.sampler.high: "),
+            ({"amplitudes": [[1.0, 0.0]] * 10}, "scenario.amplitudes: "),
+            ({"amplitudes": [[1.0, 0.0]] * 11}, "scenario.amplitudes: "),
+        ],
+    )
+    def test_model_invariants_report_their_scenario_path(self, tmp_path, overrides, path):
+        with pytest.raises(ConfigError) as error:
+            parse_scenario(write_scenario(tmp_path, {"seed": 1, **overrides}))
+        assert str(error.value).startswith(path)
 
     def test_singlet_angles_arity(self, tmp_path):
         with pytest.raises(ConfigError, match="singlet_angles"):
