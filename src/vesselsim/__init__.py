@@ -20,6 +20,7 @@ from .bell import (
     bell_statistic,
     classify_value,
     estimate_expectation,
+    pair_chunks,
     run_full_experiment,
     vessel_model,
 )

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptySampleSetError, InvariantError, MismatchedPairsError
-from .streams import check_seed, run_chunks, substream
+from .streams import check_count, check_seed, chunk_sizes, run_chunks, substream
 from .vessels import (
     ALL_PAIRS,
     PAIR_AB,
@@ -81,11 +81,31 @@ class HiddenVariableSampler:
         check_seed(self.seed)
 
     def draw_arrays(self, n: int, key: tuple[int, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
-        """Draw ``n`` diameter pairs as two arrays on the keyed substream."""
+        """Draw ``n`` diameter pairs as two arrays on the keyed substream:
+        all ``n`` left diameters, then all ``n`` right ones."""
+        check_count(n)
         rng = substream(self.seed, *key)
         lambda_a = rng.uniform(self.low, self.high, size=n)
         lambda_b = rng.uniform(self.low, self.high, size=n)
         return lambda_a, lambda_b
+
+    def draw_chunks(
+        self, n: int, key: tuple[int, ...] = ()
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The draws of ``draw_arrays(n, key)``, lazily, in ``CHUNK_SIZE`` slices.
+
+        Each uniform takes exactly one 64-bit output of the stream, so the
+        right diameters come from a second generator on the same key moved
+        past the ``n`` left ones.
+        """
+        sizes = chunk_sizes(n)
+        rng_a = substream(self.seed, *key)
+        rng_b = substream(self.seed, *key)
+        rng_b.bit_generator.advance(n)
+        return (
+            (rng_a.uniform(self.low, self.high, size), rng_b.uniform(self.low, self.high, size))
+            for size in sizes
+        )
 
     def draw(self, n: int, key: tuple[int, ...] = ()) -> list[SiphonDiameters]:
         lambda_a, lambda_b = self.draw_arrays(n, key)
@@ -183,21 +203,22 @@ def vessel_model(
     return model
 
 
-def estimate_expectation(
+def pair_chunks(
     model: Model,
     pair: CoincidencePair,
     n: int,
     workers: int = 1,
     collect: bool = False,
-) -> ExpectationEstimate | tuple[ExpectationEstimate, dict[str, np.ndarray]]:
-    """Estimate one pair's expectation from ``n`` runs of ``model``.
+) -> Iterator[tuple[int, dict[str, np.ndarray] | None]]:
+    """The results of ``n`` runs of ``model`` on one pair, lazily, chunk by chunk.
 
-    Each fixed-size chunk uses its own ``(PAIR_STREAM[pair], chunk)`` key and
-    the partial sums merge in chunk order, so the estimate depends only on
-    (model, pair, n), never on the worker count.  Each chunk's model call
-    reduces its own products; with ``collect=True`` every column of every run
-    comes back too (for per-run dumps).
+    Each fixed-size chunk uses its own ``(PAIR_STREAM[pair], chunk)`` key
+    and the results come in chunk order, so they depend only on
+    (model, pair, n), never on the worker count.  Each result is the
+    chunk's sum of outcome products and, with ``collect=True``, its per-run
+    columns.
     """
+    check_count(n)
     if n < 1:
         raise EmptySampleSetError(f"estimation needs n >= 1, got {n}")
     stream_index = PAIR_STREAM[pair]
@@ -205,16 +226,17 @@ def estimate_expectation(
     def one_chunk(chunk_index: int, size: int):
         return model(pair, (stream_index, chunk_index), size, collect)
 
-    results = run_chunks(one_chunk, n, workers=workers)
-    mean, stderr = mean_and_stderr(sum(total for total, _ in results), n)
-    estimate = ExpectationEstimate(pair=pair, mean=mean, stderr=stderr, n=n)
-    if not collect:
-        return estimate
-    columns = {
-        name: np.concatenate([payload[name] for _, payload in results])
-        for name in results[0][1]
-    }
-    return estimate, columns
+    return run_chunks(one_chunk, n, workers=workers)
+
+
+def estimate_expectation(
+    model: Model, pair: CoincidencePair, n: int, workers: int = 1
+) -> ExpectationEstimate:
+    """Estimate one pair's expectation from ``n`` runs of ``model``, folding
+    the chunks' product sums as they arrive."""
+    total = sum(product_sum for product_sum, _ in pair_chunks(model, pair, n, workers))
+    mean, stderr = mean_and_stderr(total, n)
+    return ExpectationEstimate(pair=pair, mean=mean, stderr=stderr, n=n)
 
 
 def classify_value(value: float) -> BellClassification:

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 2 configuration error, 3 domain invariant or
 numerical failure, running out of memory included.  Nothing is written
-on an error path.
+on an error path: ``--out`` receives a temporary file in its directory that
+replaces it only once the whole report is written, and stdout receives the
+report only once it is complete.
 """
 
 from __future__ import annotations
@@ -12,8 +14,12 @@ import csv
 import io
 import json
 import math
+import os
 import sys
+import tempfile
+from collections.abc import Callable
 from pathlib import Path
+from typing import TextIO
 
 from . import commands
 from ._version import __version__
@@ -33,12 +39,46 @@ def render_json(report: dict) -> str:
         raise VesselSimError(f"report is not strict JSON: {exc}") from None
 
 
-def render_csv(dump: commands.RunDump) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+def render_csv(dump: commands.RunDump, out: TextIO) -> None:
+    """Write the dump to ``out`` one row block at a time, computing each
+    block as it goes."""
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(dump.fieldnames)
-    writer.writerows(dump.rows)
-    return buffer.getvalue()
+    for block in dump.rows:
+        writer.writerows(block)
+
+
+def commit(out: str | None, write: Callable[[TextIO], None]) -> None:
+    """Run ``write`` on a text stream so that the target gets the whole
+    report or nothing.
+
+    A regular file (or a new one) at ``out`` is replaced by a temporary file
+    from its own directory once ``write`` returns, and the temporary file is
+    removed if anything fails.  Stdout, and a device or pipe named by
+    ``out``, get the report from memory once it is complete.
+    """
+    path = None if out is None else Path(out)
+    if path is None or (path.exists() and not path.is_file()):
+        buffer = io.StringIO()
+        write(buffer)
+        if path is None:
+            sys.stdout.write(buffer.getvalue())
+        else:
+            path.write_text(buffer.getvalue())
+        return
+    target = path.resolve()
+    fd, temporary = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.")
+    try:
+        with open(fd, "w") as handle:
+            # mkstemp makes the file private; give it the mode a new file gets.
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(handle.fileno(), 0o666 & ~umask)
+            write(handle)
+        os.replace(temporary, target)
+    except BaseException:
+        os.unlink(temporary)
+        raise
 
 
 def _worker_count(text: str) -> int:
@@ -155,7 +195,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         report, dump = _dispatch(args)
-        text = render_json(report) if args.format == "json" else render_csv(dump)
+        if args.format == "json":
+            text = render_json(report)
+            commit(args.out, lambda handle: handle.write(text))
+        else:
+            commit(args.out, lambda handle: render_csv(dump, handle))
     except ConfigError as exc:
         print(f"vesselsim: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -165,12 +209,6 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:
         print(f"vesselsim: out of memory: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-
-    try:
-        if args.out is None:
-            sys.stdout.write(text)
-        else:
-            Path(args.out).write_text(text)
     except OSError as exc:
         print(f"vesselsim: cannot write output: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

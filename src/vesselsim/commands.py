@@ -5,11 +5,17 @@ keys (``scenario``, ``estimates``, ``bell``, ``factorization``, ``version``,
 ``seed``; unused sections are null) plus command-specific sections, and an
 optional per-run dump for CSV output.  Reports contain nothing but
 seed-derived values, so identical scenarios yield byte-identical output.
+
+The dump's rows are computed lazily, one chunk of runs at a time, while the
+CSV is written.  With ``collect_runs`` the sampling commands return no
+report (None): it would take a second pass over the runs, and CSV output
+does not use it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
@@ -24,12 +30,12 @@ from .bell import (
     Model,
     bell_statistic,
     estimate_expectation,
+    pair_chunks,
     vessel_model,
 )
 from .errors import ConfigError, InvariantError
 from .locality import CorrelationKind, scan_columns
 from .quantum import (
-    N_AMPLITUDES,
     TOTAL_LITERS,
     born_histogram,
     born_samples,
@@ -39,16 +45,32 @@ from .quantum import (
     singlet_model,
 )
 from .scenario import Scenario
-from .streams import BORN_STREAM, LOCALITY_STREAM, substream
+from .streams import BORN_STREAM, LOCALITY_STREAM, chunk_sizes, substream
 from .vessels import ALL_PAIRS, SiphonDiameters, joint_outcome_ab, simulate_flow
+
+
+class RowBlocks:
+    """Row blocks of at most ``CHUNK_SIZE`` rows each, computed lazily as
+    they are iterated (once); ``len()`` is the number of rows they hold."""
+
+    def __init__(self, blocks: Iterable[Iterable[tuple]], row_count: int) -> None:
+        self._blocks = blocks
+        self._row_count = row_count
+
+    def __iter__(self) -> Iterator[Iterable[tuple]]:
+        return iter(self._blocks)
+
+    def __len__(self) -> int:
+        return self._row_count
 
 
 @dataclass
 class RunDump:
-    """Per-run rows for CSV output, each a tuple in ``fieldnames`` order."""
+    """Per-run rows for CSV output: blocks of rows, each row a tuple in
+    ``fieldnames`` order."""
 
     fieldnames: list[str]
-    rows: list[tuple] = field(default_factory=list)
+    rows: Iterable[Iterable[tuple]] = ()
 
 
 def _base_report(scenario: Scenario) -> dict:
@@ -98,64 +120,61 @@ def _chsh(
     run_columns: list[str],
     workers: int,
     collect_runs: bool,
-) -> tuple[dict, RunDump]:
+) -> tuple[dict | None, RunDump]:
     """Estimate the four pairs with ``model`` and report the statistic; the
     dump holds every run's ``run_columns`` and outcome product."""
     n = scenario.runs_per_pair
     dump = RunDump(["pair", "run_index", *run_columns, "product"])
-    estimates = []
+    if collect_runs:
+        dump.rows = RowBlocks(_chsh_blocks(model, run_columns, n, workers), len(ALL_PAIRS) * n)
+        return None, dump
+    estimates = [estimate_expectation(model, pair, n, workers) for pair in ALL_PAIRS]
+    return _chsh_report(scenario, estimates), dump
+
+
+def _chsh_blocks(
+    model: Model, run_columns: list[str], n: int, workers: int
+) -> Iterator[Iterable[tuple]]:
     for pair in ALL_PAIRS:
-        if not collect_runs:
-            estimates.append(estimate_expectation(model, pair, n, workers))
-            continue
-        estimate, columns = estimate_expectation(model, pair, n, workers, collect=True)
-        estimates.append(estimate)
-        products = columns["outcome_left"] * columns["outcome_right"]
-        dump.rows.extend(
-            zip(
+        start = 0
+        for _, columns in pair_chunks(model, pair, n, workers, collect=True):
+            products = columns["outcome_left"] * columns["outcome_right"]
+            size = len(products)
+            yield zip(
                 repeat(pair.label),
-                range(n),
+                range(start, start + size),
                 *(columns[name].tolist() for name in run_columns),
                 products.tolist(),
             )
-        )
-    return _chsh_report(scenario, estimates), dump
+            start += size
 
 
 def vessel_chsh(
     scenario: Scenario, workers: int = 1, collect_runs: bool = False
-) -> tuple[dict, RunDump]:
+) -> tuple[dict | None, RunDump]:
     """Estimate all four coincidence pairs and combine them."""
     model = vessel_model(scenario.sampler, scenario.system, scenario.tie_policy)
     run_columns = ["lambda_a", "lambda_b", "outcome_left", "outcome_right"]
     return _chsh(scenario, model, run_columns, workers, collect_runs)
 
 
-def locality_check(scenario: Scenario, collect_runs: bool = False) -> tuple[dict, RunDump]:
+def locality_check(
+    scenario: Scenario, collect_runs: bool = False
+) -> tuple[dict | None, RunDump]:
     """Factorization search and context witnesses over sampled hidden variables."""
-    lambda_a, lambda_b = scenario.sampler.draw_arrays(
-        scenario.runs_per_pair, key=(LOCALITY_STREAM, 0)
+    n = scenario.runs_per_pair
+    # One search report per table code, shared by the scans of all chunks.
+    reports: dict = {}
+    scans = (
+        (
+            lambda_a,
+            lambda_b,
+            scan_columns(
+                lambda_a, lambda_b, scenario.system, scenario.tie_policy, scenario.seed, reports
+            ),
+        )
+        for lambda_a, lambda_b in scenario.sampler.draw_chunks(n, key=(LOCALITY_STREAM, 0))
     )
-    columns = scan_columns(
-        lambda_a, lambda_b, scenario.system, scenario.tie_policy, tie_seed=scenario.seed
-    )
-    sample_count = len(lambda_a)
-    unsatisfiable = sample_count - int(np.count_nonzero(columns["satisfiable"]))
-    witnesses = int(np.count_nonzero(columns["witness_differs"]))
-    kind = (
-        CorrelationKind.SECOND_KIND if unsatisfiable else CorrelationKind.FIRST_KIND
-    )
-
-    report = _base_report(scenario)
-    report["factorization"] = {
-        # True only if every sampled hidden variable admits an assignment.
-        "satisfiable": unsatisfiable == 0,
-        "witness_count": witnesses,
-        "sample_count": sample_count,
-        "unsatisfiable_count": unsatisfiable,
-    }
-    report["correlation_kind"] = kind.value
-
     dump = RunDump(
         [
             "sample_index",
@@ -172,41 +191,74 @@ def locality_check(scenario: Scenario, collect_runs: bool = False) -> tuple[dict
         ]
     )
     if collect_runs:
-        # .tolist() hands csv Python floats, ints and bools, which it writes
-        # as repr, str and True/False.
-        values = [
-            range(sample_count),
-            lambda_a.tolist(),
-            lambda_b.tolist(),
-            *(columns[name].tolist() for name in dump.fieldnames[3:]),
-        ]
-        dump.rows = list(zip(*values))
+        dump.rows = RowBlocks(_locality_blocks(scans, dump.fieldnames[3:]), n)
+        return None, dump
+
+    satisfiable = witnesses = 0
+    for _, _, columns in scans:
+        satisfiable += int(np.count_nonzero(columns["satisfiable"]))
+        witnesses += int(np.count_nonzero(columns["witness_differs"]))
+    unsatisfiable = n - satisfiable
+    kind = (
+        CorrelationKind.SECOND_KIND if unsatisfiable else CorrelationKind.FIRST_KIND
+    )
+
+    report = _base_report(scenario)
+    report["factorization"] = {
+        # True only if every sampled hidden variable admits an assignment.
+        "satisfiable": unsatisfiable == 0,
+        "witness_count": witnesses,
+        "sample_count": n,
+        "unsatisfiable_count": unsatisfiable,
+    }
+    report["correlation_kind"] = kind.value
     return report, dump
 
 
-def sample_state(scenario: Scenario, collect_runs: bool = False) -> tuple[dict, RunDump]:
+def _locality_blocks(scans, scan_fields: list[str]) -> Iterator[Iterable[tuple]]:
+    start = 0
+    for lambda_a, lambda_b, columns in scans:
+        size = len(lambda_a)
+        # .tolist() hands csv Python floats, ints and bools, which it writes
+        # as repr, str and True/False.
+        yield zip(
+            range(start, start + size),
+            lambda_a.tolist(),
+            lambda_b.tolist(),
+            *(columns[name].tolist() for name in scan_fields),
+        )
+        start += size
+
+
+def sample_state(
+    scenario: Scenario, collect_runs: bool = False
+) -> tuple[dict | None, RunDump]:
     """Born-sample the superposition state and report the histogram and rank."""
     state = scenario.state()
     n = scenario.runs_per_pair
     rng = substream(scenario.seed, BORN_STREAM, 0)
+    dump = RunDump(["sample_index", "x", "left_liters", "right_liters"])
     if collect_runs:
-        draws = born_samples(state, n, rng)
-        histogram = np.bincount(draws, minlength=N_AMPLITUDES).tolist()
-    else:
-        histogram = born_histogram(state, n, rng).tolist()
+        dump.rows = RowBlocks(_born_blocks(state, n, rng), n)
+        return None, dump
 
     report = _base_report(scenario)
-    report["histogram"] = histogram
+    report["histogram"] = born_histogram(state, n, rng).tolist()
     report["n_samples"] = n
     report["probabilities"] = state.probabilities().tolist()
     report["schmidt_rank"] = schmidt_rank(state)
     report["entangled"] = is_entangled(state)
-
-    dump = RunDump(["sample_index", "x", "left_liters", "right_liters"])
-    if collect_runs:
-        left = draws.tolist()
-        dump.rows = list(zip(range(n), left, left, (TOTAL_LITERS - draws).tolist()))
     return report, dump
+
+
+def _born_blocks(state, n: int, rng: np.random.Generator) -> Iterator[Iterable[tuple]]:
+    # Chunk after chunk on one generator: the same draws as born_samples(state, n, rng).
+    start = 0
+    for size in chunk_sizes(n):
+        draws = born_samples(state, size, rng)
+        left = draws.tolist()
+        yield zip(range(start, start + size), left, left, (TOTAL_LITERS - draws).tolist())
+        start += size
 
 
 def quantum_chsh(
@@ -214,7 +266,7 @@ def quantum_chsh(
     analytic: bool = False,
     workers: int = 1,
     collect_runs: bool = False,
-) -> tuple[dict, RunDump]:
+) -> tuple[dict | None, RunDump]:
     """Singlet statistic at the scenario's analyzer angles."""
     if scenario.singlet_angles is None:
         raise ConfigError("quantum-chsh requires 'singlet_angles' in the scenario")
@@ -225,13 +277,15 @@ def quantum_chsh(
         report = _chsh_report(scenario, estimates)
         dump = RunDump(["pair", "expectation"])
         if collect_runs:
-            dump.rows = [(estimate.pair.label, estimate.mean) for estimate in estimates]
+            rows = [(estimate.pair.label, estimate.mean) for estimate in estimates]
+            dump.rows = RowBlocks([rows], len(rows))
     else:
         model = singlet_model(angles, scenario.seed)
         run_columns = ["outcome_left", "outcome_right"]
         report, dump = _chsh(scenario, model, run_columns, workers, collect_runs)
-    report["mode"] = "analytic" if analytic else "monte_carlo"
-    report["angles"] = list(angles)
+    if report is not None:
+        report["mode"] = "analytic" if analytic else "monte_carlo"
+        report["angles"] = list(angles)
     return report, dump
 
 
@@ -267,5 +321,5 @@ def flow(
         ["lambda_a", "lambda_b", "dt", "x_left", "x_right", "outcome_left", "outcome_right"]
     )
     if collect_runs:
-        dump.rows.append(tuple(report["flow"][name] for name in dump.fieldnames))
+        dump.rows = RowBlocks([[tuple(report["flow"][name] for name in dump.fieldnames)]], 1)
     return report, dump

@@ -212,10 +212,16 @@ def _table_of_code(code: int) -> ContextualOutcomeTable:
     return ContextualOutcomeTable(*(-1 if code >> bit & 1 else 1 for bit in range(4)))
 
 
-def _factorizations(codes: np.ndarray) -> dict[int, FactorizationReport]:
-    """The exhaustive search's report for each table code present, one search per code."""
-    present = np.flatnonzero(np.bincount(codes, minlength=16))
-    return {code: search_factorization(_table_of_code(code)) for code in present.tolist()}
+def _factorizations(
+    codes: np.ndarray, reports: dict[int, FactorizationReport] | None = None
+) -> dict[int, FactorizationReport]:
+    """The exhaustive search's report for each table code present, one search
+    per code not yet in ``reports``; returns ``reports`` with them added."""
+    reports = {} if reports is None else reports
+    for code in np.flatnonzero(np.bincount(codes, minlength=16)).tolist():
+        if code not in reports:
+            reports[code] = search_factorization(_table_of_code(code))
+    return reports
 
 
 def scan_columns(
@@ -224,6 +230,7 @@ def scan_columns(
     system: VesselSystem,
     tie_policy: TiePolicy = TiePolicy.ERROR,
     tie_seed: int = 0,
+    reports: dict[int, FactorizationReport] | None = None,
 ) -> dict[str, np.ndarray]:
     """The locality scan over a batch of draws, one numpy column per field.
 
@@ -237,7 +244,9 @@ def scan_columns(
 
     The products come from the vectorized outcome rule ``pair_products``.
     The exhaustive search stays the authority on factorizability, but runs
-    once per distinct table code (at most 16 times), not once per row.
+    once per distinct table code (at most 16 times), not once per row;
+    passing the same ``reports`` dict to the scans of several batches keeps
+    it to once per code over all of them.
     """
     outcomes = {
         pair: pair_products(pair, lambda_a, lambda_b, system, tie_policy, tie_seed)
@@ -251,7 +260,7 @@ def scan_columns(
         codes |= (columns[name] < 0).astype(np.intp) << bit
 
     verdicts = np.zeros(16, dtype=bool)
-    for code, report in _factorizations(codes).items():
+    for code, report in _factorizations(codes, reports).items():
         verdicts[code] = report.satisfiable
     witness_with_b = outcomes[PAIR_AB][0]
     witness_with_bprime = np.full(len(lambda_a), outcome_solo_siphon(system), dtype=np.int64)
@@ -275,8 +284,8 @@ def scan_hidden_variables(
     """
     lambda_a = np.array([lam.lambda_a for lam in samples], dtype=np.float64)
     lambda_b = np.array([lam.lambda_b for lam in samples], dtype=np.float64)
-    columns = scan_columns(lambda_a, lambda_b, system, tie_policy, tie_seed)
-    reports = _factorizations(columns["table_code"])
+    reports: dict[int, FactorizationReport] = {}
+    columns = scan_columns(lambda_a, lambda_b, system, tie_policy, tie_seed, reports)
     rows = zip(
         samples,
         columns["table_code"].tolist(),

@@ -34,7 +34,7 @@ from .bell import (
     estimate_expectation,
 )
 from .errors import InvariantError, NotNormalizedError, NotUnitError, WrongArityError
-from .streams import check_seed, substream
+from .streams import check_count, check_seed, chunk_sizes, substream
 from .vessels import ALL_PAIRS, PAIR_AB, PAIR_AB_PRIME, PAIR_APRIME_B, PAIR_APRIME_BPRIME
 
 N_AMPLITUDES = 11
@@ -46,6 +46,7 @@ UNIT_TOL = 1e-12
 def _as_rng(seed_or_rng: int | np.random.Generator) -> np.random.Generator:
     if isinstance(seed_or_rng, np.random.Generator):
         return seed_or_rng
+    check_seed(seed_or_rng, "seed_or_rng")
     return np.random.default_rng(seed_or_rng)
 
 
@@ -102,10 +103,18 @@ def born_samples(
     """Draw ``n`` division outcomes; the state itself is never touched.
 
     The draws equal ``rng.choice(11, n, p=probabilities)``: one uniform per
-    outcome, located in the cdf.
+    outcome, located in the cdf.  The uniforms are drawn ``CHUNK_SIZE`` at
+    a time, which leaves the stream's values unchanged.
     """
-    uniforms = _as_rng(seed_or_rng).random(n)
-    return _born_cdf(state).searchsorted(uniforms, side="right")
+    check_count(n)
+    rng = _as_rng(seed_or_rng)
+    cdf = _born_cdf(state)
+    draws = np.empty(n, dtype=np.intp)
+    start = 0
+    for size in chunk_sizes(n):
+        draws[start : start + size] = cdf.searchsorted(rng.random(size), side="right")
+        start += size
+    return draws
 
 
 def born_histogram(
@@ -114,9 +123,14 @@ def born_histogram(
     seed_or_rng: int | np.random.Generator,
 ) -> np.ndarray:
     """Per-division counts of the ``n`` outcomes ``born_samples`` draws from
-    the same generator, counted without materialising the outcomes."""
-    uniforms = _as_rng(seed_or_rng).random(n)
-    below = [np.count_nonzero(uniforms < bound) for bound in _born_cdf(state)]
+    the same generator, counted chunk by chunk without materialising them."""
+    check_count(n)
+    rng = _as_rng(seed_or_rng)
+    cdf = _born_cdf(state)
+    below = np.zeros(N_AMPLITUDES, dtype=np.int64)
+    for size in chunk_sizes(n):
+        uniforms = rng.random(size)
+        below += [np.count_nonzero(uniforms < bound) for bound in cdf]
     return np.diff(below, prepend=0)
 
 
@@ -197,6 +211,7 @@ def singlet_samples(
     seed_or_rng: int | np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``n`` joint outcomes; each marginal is a fair +1/-1 coin."""
+    check_count(n)
     rng = _as_rng(seed_or_rng)
     left = rng.integers(0, 2, size=n) * 2 - 1
     same = rng.random(n) < _agreement_probability(a, b)

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateTieError, FlowRangeError, InvalidStepError, InvariantError
+from .streams import check_seed
 
 # Siphon outflow in L/s per cm^2 of squared diameter.  Only the ratio of the
 # two outflow rates matters for the collected fractions.
@@ -147,11 +148,21 @@ class SplitVolume:
             )
 
 
-def _tie_coin(lam: SiphonDiameters, seed: int) -> int:
-    # Stable across platforms and processes: hash the seed and both diameters.
-    payload = struct.pack("<Qdd", seed & 0xFFFFFFFFFFFFFFFF, lam.lambda_a, lam.lambda_b)
+def _break_tie(lam: SiphonDiameters, tie_policy: TiePolicy, tie_seed: int) -> tuple[int, int]:
+    """Outcomes of a joint run with equal diameters, by ``tie_policy``; the
+    split coin hashes the seed and both diameters, which keeps it stable
+    across platforms and processes."""
+    if tie_policy is TiePolicy.ERROR:
+        raise DegenerateTieError(
+            f"equal siphon diameters {lam.lambda_a} leave the joint outcome undefined"
+        )
+    if tie_policy is TiePolicy.FAVOR_LEFT:
+        return 1, -1
+    if tie_policy is TiePolicy.FAVOR_RIGHT:
+        return -1, 1
+    payload = struct.pack("<Qdd", tie_seed, lam.lambda_a, lam.lambda_b)
     digest = hashlib.blake2b(payload, digest_size=8).digest()
-    return 1 if digest[0] & 1 else -1
+    return (1, -1) if digest[0] & 1 else (-1, 1)
 
 
 def joint_outcome_ab(
@@ -163,21 +174,14 @@ def joint_outcome_ab(
 
     The wider siphon drains faster and ends up with more than half of the
     water, so it scores +1 and the other side -1.  An exact tie is resolved
-    by ``tie_policy``.
+    by ``tie_policy``; ``tie_seed`` follows the seed rule.
     """
+    check_seed(tie_seed, "tie_seed")
     if lam.lambda_b < lam.lambda_a:
         return 1, -1
     if lam.lambda_a < lam.lambda_b:
         return -1, 1
-    if tie_policy is TiePolicy.ERROR:
-        raise DegenerateTieError(
-            f"equal siphon diameters {lam.lambda_a} leave the joint outcome undefined"
-        )
-    if tie_policy is TiePolicy.FAVOR_LEFT:
-        return 1, -1
-    if tie_policy is TiePolicy.FAVOR_RIGHT:
-        return -1, 1
-    return (1, -1) if _tie_coin(lam, tie_seed) == 1 else (-1, 1)
+    return _break_tie(lam, tie_policy, tie_seed)
 
 
 def outcome_solo_siphon(system: VesselSystem | None = None) -> int:
@@ -214,15 +218,16 @@ def pair_products(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-run outcomes for a batch of diameter draws, as two int arrays.
 
-    The joint siphon run applies the winner rule to every row (tied rows go
-    through ``joint_outcome_ab`` and its ``tie_policy``); the other pairs
-    repeat their ``constant_outcomes``.
+    The joint siphon run applies the winner rule of ``joint_outcome_ab`` to
+    every row (tied rows go to its ``tie_policy``); the other pairs repeat
+    their ``constant_outcomes``.
     """
+    check_seed(tie_seed, "tie_seed")
     if pair == PAIR_AB:
         outcome_left = (lambda_b < lambda_a).astype(np.int64) * 2 - 1
         for index in np.flatnonzero(lambda_a == lambda_b).tolist():
             tie = SiphonDiameters(lambda_a[index], lambda_b[index])
-            outcome_left[index], _ = joint_outcome_ab(tie, tie_policy, tie_seed)
+            outcome_left[index], _ = _break_tie(tie, tie_policy, tie_seed)
         return outcome_left, -outcome_left
     left, right = constant_outcomes(pair, system)
     return (

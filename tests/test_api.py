@@ -65,6 +65,7 @@ PUBLIC_NAMES = [
     "locality",
     "make_state",
     "outcome_solo_siphon",
+    "pair_chunks",
     "pair_products",
     "parse_scenario",
     "quantum",

@@ -31,7 +31,7 @@ from vesselsim import (
     singlet_model,
     vessel_model,
 )
-from vesselsim.bell import PAIR_STREAM, mean_and_stderr
+from vesselsim.bell import PAIR_STREAM, mean_and_stderr, pair_chunks
 from vesselsim.streams import CHUNK_SIZE
 
 # The shared estimator must treat every model alike; tests loop over these.
@@ -78,6 +78,16 @@ def tie_or(call):
         return call()
     except DegenerateTieError:
         return "tie"
+
+
+def collected_estimate(model, pair, n):
+    """The estimate from the per-run columns of every chunk, and the columns."""
+    chunks = list(pair_chunks(model, pair, n, collect=True))
+    columns = {
+        name: np.concatenate([payload[name] for _, payload in chunks]) for name in chunks[0][1]
+    }
+    mean, stderr = mean_and_stderr(sum(product_sum for product_sum, _ in chunks), n)
+    return ExpectationEstimate(pair=pair, mean=mean, stderr=stderr, n=n), columns
 
 
 def make_estimates(means):
@@ -154,7 +164,7 @@ class TestEstimateExpectation:
         # 40k runs span two chunks, so the columns are concatenated in order.
         for model in MODELS.values():
             for pair in ALL_PAIRS:
-                estimate, columns = estimate_expectation(model, pair, 40_000, collect=True)
+                estimate, columns = collected_estimate(model, pair, 40_000)
                 products = columns["outcome_left"] * columns["outcome_right"]
                 assert len(products) == 40_000
                 assert products.mean() == estimate.mean
@@ -163,7 +173,7 @@ class TestEstimateExpectation:
 
     def test_vessel_columns_are_the_keyed_draws(self):
         sampler = HiddenVariableSampler(seed=8)
-        _, columns = estimate_expectation(
+        [(_, columns)] = pair_chunks(
             vessel_model(sampler, VesselSystem()), PAIR_AB, 300, collect=True
         )
         lambda_a, lambda_b = sampler.draw_arrays(300, key=(PAIR_STREAM[PAIR_AB], 0))
@@ -197,7 +207,7 @@ class TestEstimateExpectation:
 
         assert tie_or(reduced) == tie_or(collected)
         assert tie_or(lambda: estimate_expectation(model, pair, n)) == tie_or(
-            lambda: estimate_expectation(model, pair, n, collect=True)[0]
+            lambda: collected_estimate(model, pair, n)[0]
         )
 
     def test_tie_handling_under_policies(self):

@@ -1,9 +1,13 @@
 """End-to-end CLI behavior: exit codes, report schema, determinism, CSV dumps."""
 
 import csv
+import errno
 import json
 import math
+import os
+import stat
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vesselsim import TSIRELSON_BOUND, HiddenVariableSampler, TiePolicy, commands
+from vesselsim import TSIRELSON_BOUND, HiddenVariableSampler, TiePolicy, commands, streams
 from vesselsim.cli import main
 
 UNIFORM_AMPLITUDES = [[1.0 / math.sqrt(11), 0.0]] * 11
@@ -189,14 +193,17 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("subcommand", ["locality-check", "sample-state"])
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_out_of_memory_is_three(self, tmp_path, capsys, subcommand, fmt):
-        # 2**50 float64 draws need 8 PiB, more than a 64-bit address space
-        # holds, so the first allocation fails at once.
+    def test_out_of_memory_is_three(self, tmp_path, capsys, monkeypatch, subcommand, fmt):
+        # Runs are drawn a chunk at a time; with chunks of 2**50 float64
+        # draws the first one needs 8 PiB, more than a 64-bit address space
+        # holds, so its allocation fails at once.
+        monkeypatch.setattr(streams, "CHUNK_SIZE", 2**50)
         scenario = write_scenario(tmp_path, runs_per_pair=2**50, amplitudes=UNIFORM_AMPLITUDES)
         out = tmp_path / "report.json"
         argv = [subcommand, "--scenario", scenario, "--out", str(out), "--format", fmt]
         assert run_cli(argv) == 3
         assert not out.exists()
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["scenario.json"]
         assert "out of memory" in capsys.readouterr().err
 
     def test_report_that_is_not_strict_json_is_three(self, tmp_path, capsys, monkeypatch):
@@ -212,15 +219,24 @@ class TestExitCodes:
 
 
 def tied_draws(monkeypatch):
-    """Make every sampler draw hold an exact tie at row 1."""
+    """Make every sampler draw hold an exact tie at row 1, whether drawn at
+    once or in chunks."""
     original = HiddenVariableSampler.draw_arrays
+    original_chunks = HiddenVariableSampler.draw_chunks
 
     def draw_arrays(self, n, key=()):
         lambda_a, lambda_b = original(self, n, key)
         lambda_b[1] = lambda_a[1]
         return lambda_a, lambda_b
 
+    def draw_chunks(self, n, key=()):
+        for index, (lambda_a, lambda_b) in enumerate(original_chunks(self, n, key)):
+            if index == 0:
+                lambda_b[1] = lambda_a[1]
+            yield lambda_a, lambda_b
+
     monkeypatch.setattr(HiddenVariableSampler, "draw_arrays", draw_arrays)
+    monkeypatch.setattr(HiddenVariableSampler, "draw_chunks", draw_chunks)
 
 
 class TestLocalityTies:
@@ -496,6 +512,154 @@ class TestStdout:
         assert run_cli(["vessel-chsh", "--scenario", scenario]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["bell"]["value"] == 4.0
+
+
+PREVIOUS = "an earlier report\n"
+
+
+def leftovers(directory, keep):
+    """Names in ``directory`` other than ``keep``: a temporary file left behind."""
+    return sorted(path.name for path in directory.iterdir() if path.name not in keep)
+
+
+class TestAtomicCommit:
+    """``--out`` gets the whole report or keeps what it held: rows stream
+    into a temporary file in the same directory, renamed over ``--out`` only
+    on success."""
+
+    @pytest.mark.parametrize("subcommand", ["vessel-chsh", "locality-check"])
+    def test_tie_in_a_later_chunk_leaves_no_file(
+        self, tmp_path, capsys, monkeypatch, subcommand
+    ):
+        out = tmp_path / "report.csv"
+        out.write_text(PREVIOUS)
+        streamed = []
+        original = HiddenVariableSampler.draw_arrays
+        original_chunks = HiddenVariableSampler.draw_chunks
+
+        def tie_in_chunk_1(index, lambda_a, lambda_b):
+            if index == 1:
+                # The rows of chunk 0 are already in the temporary file.
+                streamed.extend(path.stat().st_size for path in tmp_path.glob(".report.csv.*"))
+                lambda_b[7] = lambda_a[7]
+            return lambda_a, lambda_b
+
+        def draw_arrays(self, n, key=()):
+            return tie_in_chunk_1(key[1], *original(self, n, key))
+
+        def draw_chunks(self, n, key=()):
+            for index, draws in enumerate(original_chunks(self, n, key)):
+                yield tie_in_chunk_1(index, *draws)
+
+        monkeypatch.setattr(HiddenVariableSampler, "draw_arrays", draw_arrays)
+        monkeypatch.setattr(HiddenVariableSampler, "draw_chunks", draw_chunks)
+        scenario = write_scenario(tmp_path, runs_per_pair=streams.CHUNK_SIZE + 10)
+        argv = [subcommand, "--scenario", scenario, "--format", "csv"]
+        assert run_cli([*argv, "--out", str(out)]) == 3
+        assert "equal siphon diameters" in capsys.readouterr().err
+        assert len(streamed) == 1 and streamed[0] > 0
+        assert out.read_text() == PREVIOUS
+        assert leftovers(tmp_path, {"scenario.json", "report.csv"}) == []
+        # Stdout buffers the report, so it gets nothing either.
+        assert run_cli(argv) == 3
+        assert capsys.readouterr().out == ""
+
+    def test_write_error_mid_stream_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "report.csv"
+        out.write_text(PREVIOUS)
+        real_writer = csv.writer
+
+        class FullDisk:
+            def __init__(self, handle, **options):
+                self.writer = real_writer(handle, **options)
+                self.blocks = 0
+
+            def writerow(self, row):
+                self.writer.writerow(row)
+
+            def writerows(self, rows):
+                self.blocks += 1
+                if self.blocks == 2:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                self.writer.writerows(rows)
+
+        monkeypatch.setattr(csv, "writer", FullDisk)
+        scenario = write_scenario(tmp_path, runs_per_pair=10)
+        argv = ["vessel-chsh", "--scenario", scenario, "--format", "csv", "--out", str(out)]
+        assert run_cli(argv) == 3
+        assert "cannot write output" in capsys.readouterr().err
+        assert out.read_text() == PREVIOUS
+        assert leftovers(tmp_path, {"scenario.json", "report.csv"}) == []
+
+    def test_unwritable_directory_leaves_the_report(self, tmp_path, capsys, monkeypatch):
+        directory = tmp_path / "reports"
+        directory.mkdir()
+        out = directory / "report.csv"
+        out.write_text(PREVIOUS)
+        directory.chmod(0o555)
+        if os.geteuid() == 0:
+            # Root ignores the mode bits; fail the way an unprivileged user's
+            # temporary file fails there.
+            def denied(*args, **kwargs):
+                raise PermissionError(errno.EACCES, "Permission denied", str(directory))
+
+            monkeypatch.setattr(tempfile, "mkstemp", denied)
+        scenario = write_scenario(tmp_path, runs_per_pair=10)
+        try:
+            for fmt in ("csv", "json"):
+                argv = ["vessel-chsh", "--scenario", scenario, "--format", fmt, "--out", str(out)]
+                assert run_cli(argv) == 3
+                assert "cannot write output" in capsys.readouterr().err
+                assert out.read_text() == PREVIOUS
+                assert leftovers(directory, {"report.csv"}) == []
+        finally:
+            directory.chmod(0o755)
+
+    def test_out_under_a_file_is_three(self, tmp_path, capsys):
+        (tmp_path / "plain").write_text("")
+        scenario = write_scenario(tmp_path, runs_per_pair=10)
+        out = tmp_path / "plain" / "report.csv"
+        argv = ["vessel-chsh", "--scenario", scenario, "--format", "csv", "--out", str(out)]
+        assert run_cli(argv) == 3
+        assert "cannot write output" in capsys.readouterr().err
+        assert leftovers(tmp_path, {"scenario.json", "plain"}) == []
+
+    def test_new_report_gets_the_usual_file_mode(self, tmp_path):
+        umask = os.umask(0o022)
+        try:
+            scenario = write_scenario(tmp_path, runs_per_pair=10)
+            out = tmp_path / "report.json"
+            assert run_cli(["vessel-chsh", "--scenario", scenario, "--out", str(out)]) == 0
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o644
+
+    def test_pipe_is_written_through(self, tmp_path):
+        # A pipe (or device) named by --out cannot be replaced by a rename;
+        # it gets the finished report written into it.
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+        reader.start()
+        scenario = write_scenario(tmp_path, runs_per_pair=10)
+        assert run_cli(["vessel-chsh", "--scenario", scenario, "--out", str(fifo)]) == 0
+        reader.join(timeout=30)
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert json.loads(received[0])["bell"]["value"] == 4.0
+
+    @pytest.mark.parametrize("subcommand", ["locality-check", "sample-state"])
+    def test_rows_continue_across_chunks(self, tmp_path, subcommand):
+        n = streams.CHUNK_SIZE + 3
+        scenario = write_scenario(tmp_path, runs_per_pair=n, amplitudes=UNIFORM_AMPLITUDES)
+        report = run_json(tmp_path, subcommand, scenario)
+        rows = run_csv(tmp_path, subcommand, scenario)
+        assert [int(row["sample_index"]) for row in rows] == list(range(n))
+        if subcommand == "sample-state":
+            assert np.bincount([int(row["x"]) for row in rows]).tolist() == report["histogram"]
+        else:
+            witnesses = sum(row["witness_differs"] == "True" for row in rows)
+            assert witnesses == report["factorization"]["witness_count"]
 
 
 def reject_constant(token):

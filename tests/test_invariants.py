@@ -11,22 +11,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vesselsim import (
+    PAIR_AB,
     HiddenVariableSampler,
     InvariantError,
     MeasurementDirection,
     NotNormalizedError,
     NotUnitError,
     SiphonDiameters,
+    TiePolicy,
     VesselSimError,
     VesselSystem,
+    born_histogram,
+    born_samples,
+    estimate_expectation,
+    joint_outcome_ab,
     left_analyzer_direction,
     make_state,
+    pair_products,
     right_analyzer_direction,
     schmidt_rank,
     simulate_flow,
     singlet_bell_value,
     singlet_experiment,
+    vessel_model,
+    vessels,
 )
+from vesselsim.streams import chunk_sizes
 
 NAN, INF = math.nan, math.inf
 UNIFORM = [1.0 / math.sqrt(11)] * 11
@@ -45,6 +55,13 @@ INTS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
 )
 AMPLITUDES = st.lists(st.builds(complex, FLOATS, FLOATS), min_size=10, max_size=12)
+# Sample counts: valid ones small enough to run, negative and non-integral ones.
+COUNTS = st.one_of(
+    st.integers(0, 40),
+    st.integers(-(2**70), -1),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([1.5, -0.5, 2.0, "3", None]),
+)
 
 
 def outcome(fn, *args):
@@ -129,6 +146,24 @@ class TestLibraryContract:
         assert statistic is None or abs(statistic.value) <= 4.0
 
 
+    @settings(max_examples=150, deadline=None)
+    @given(n=COUNTS)
+    def test_sample_counts(self, n):
+        sizes = outcome(chunk_sizes, n)
+        assert sizes is None or sum(sizes) == n
+        sampler = HiddenVariableSampler(seed=3)
+        for draw in (sampler.draw_arrays, lambda n: next(sampler.draw_chunks(n), ())):
+            draws = outcome(draw, n)
+            assert draws is None or all(len(column) <= n for column in draws)
+        estimate = outcome(estimate_expectation, vessel_model(sampler, VesselSystem()), PAIR_AB, n)
+        assert estimate is None or estimate.n == n
+        state = make_state(UNIFORM)
+        samples = outcome(born_samples, state, n, 5)
+        assert samples is None or len(samples) == n
+        histogram = outcome(born_histogram, state, n, 5)
+        assert histogram is None or histogram.sum() == n
+
+
 class TestInvariantHoles:
     """Inputs that slipped past a check (NaN compares false) or failed only
     at draw time, each now stopped by its typed error."""
@@ -186,3 +221,36 @@ class TestInvariantHoles:
     def test_largest_seed_is_accepted(self):
         assert HiddenVariableSampler(seed=2**64 - 1).draw_arrays(1)[0].shape == (1,)
         assert abs(singlet_experiment(ANGLES, 2**64 - 1, 10).value) <= 4.0
+
+    @pytest.mark.parametrize("tie_seed", [1.5, -1, 2**64, NAN])
+    def test_tie_seed_follows_the_seed_rule(self, tie_seed):
+        with pytest.raises(InvariantError) as error:
+            joint_outcome_ab(SiphonDiameters(1, 1), TiePolicy.SPLIT_COIN, tie_seed=tie_seed)
+        assert error.value.field == "tie_seed"
+        tied = np.ones(3)
+        with pytest.raises(InvariantError) as error:
+            pair_products(PAIR_AB, tied, tied, VesselSystem(), TiePolicy.SPLIT_COIN, tie_seed)
+        assert error.value.field == "tie_seed"
+
+    def test_tie_seed_is_checked_once_per_call(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(vessels, "check_seed", lambda *args: checked.append(args))
+        tied = np.ones(100)
+        pair_products(PAIR_AB, tied, tied, VesselSystem(), TiePolicy.SPLIT_COIN, 9)
+        assert checked == [(9, "tie_seed")]
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2**64])
+    def test_born_seed_follows_the_seed_rule(self, seed):
+        for draw in (born_samples, born_histogram):
+            with pytest.raises(InvariantError) as error:
+                draw(make_state(UNIFORM), 3, seed)
+            assert error.value.field == "seed_or_rng"
+
+    def test_non_integral_count(self):
+        model = vessel_model(HiddenVariableSampler(seed=1), VesselSystem())
+        with pytest.raises(InvariantError) as error:
+            estimate_expectation(model, PAIR_AB, 1.5)
+        assert error.value.field == "n"
+        with pytest.raises(InvariantError) as error:
+            HiddenVariableSampler(seed=1).draw_arrays(-1)
+        assert error.value.field == "n"

@@ -1,9 +1,23 @@
-"""Chunked execution: chunk order and the size of the worker pool."""
+"""Chunked execution: chunk order, the worker pool and its window, and the
+stream positions that let chunked draws reproduce one-shot draws."""
 
+import math
+import tracemalloc
+from concurrent.futures import Future
+from itertools import islice
+
+import numpy as np
 import pytest
 
-from vesselsim import streams
-from vesselsim.streams import CHUNK_SIZE, chunk_sizes, run_chunks
+from vesselsim import HiddenVariableSampler, born_histogram, born_samples, make_state, streams
+from vesselsim.streams import (
+    BORN_STREAM,
+    CHUNK_SIZE,
+    LOCALITY_STREAM,
+    chunk_sizes,
+    run_chunks,
+    substream,
+)
 
 
 class SerialPool:
@@ -18,8 +32,10 @@ class SerialPool:
     def __exit__(self, *exc_info):
         return False
 
-    def map(self, fn, *iterables):
-        return list(map(fn, *iterables))
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
 
 
 class TestRunChunks:
@@ -43,6 +59,75 @@ class TestRunChunks:
         )
         monkeypatch.setattr(streams.os, "cpu_count", lambda: cpus)
         n = CHUNK_SIZE * (n_chunks - 1) + 5
-        results = run_chunks(lambda index, size: (index, size), n, workers=workers)
+        results = list(run_chunks(lambda index, size: (index, size), n, workers=workers))
         assert results == list(enumerate(chunk_sizes(n)))
         assert created == ([] if pool_size is None else [pool_size])
+
+    def test_results_are_lazy_with_a_bounded_window(self, monkeypatch):
+        submitted = []
+
+        class CountingPool(SerialPool):
+            def submit(self, fn, *args):
+                submitted.append(args[0])
+                return super().submit(fn, *args)
+
+        monkeypatch.setattr(
+            streams, "ThreadPoolExecutor", lambda max_workers: CountingPool([], max_workers)
+        )
+        monkeypatch.setattr(streams.os, "cpu_count", lambda: 2)
+        results = run_chunks(lambda index, size: index, 1000 * CHUNK_SIZE, workers=2)
+        assert submitted == []
+        assert list(islice(results, 3)) == [0, 1, 2]
+        # Two chunks per thread in flight, one more submitted per result taken.
+        assert submitted == list(range(4 + 2))
+
+
+# Sizes around the chunk boundaries.
+CHUNK_EDGES = [1, CHUNK_SIZE - 1, CHUNK_SIZE, CHUNK_SIZE + 1, 3 * CHUNK_SIZE + 5]
+
+
+class TestStreamPositions:
+    """Chunked draws reproduce one-shot draws because PCG64 spends exactly
+    one 64-bit output on each ``random`` or ``uniform`` double."""
+
+    @pytest.mark.parametrize("draws", [1, 7, CHUNK_SIZE + 1])
+    def test_one_output_per_double(self, draws):
+        for draw in (lambda rng: rng.random(draws), lambda rng: rng.uniform(0.5, 3.0, draws)):
+            drawn, advanced = substream(3, 4, 0), substream(3, 4, 0)
+            draw(drawn)
+            advanced.bit_generator.advance(draws)
+            assert drawn.bit_generator.state == advanced.bit_generator.state
+
+    @pytest.mark.parametrize("n", CHUNK_EDGES)
+    def test_chunked_diameters_equal_the_one_shot_draws(self, n):
+        sampler = HiddenVariableSampler(low=0.5, high=3.0, seed=11)
+        chunks = list(sampler.draw_chunks(n, key=(LOCALITY_STREAM, 0)))
+        assert [len(lambda_a) for lambda_a, _ in chunks] == list(chunk_sizes(n))
+        lambda_a, lambda_b = sampler.draw_arrays(n, key=(LOCALITY_STREAM, 0))
+        assert np.array_equal(np.concatenate([a for a, _ in chunks]), lambda_a)
+        assert np.array_equal(np.concatenate([b for _, b in chunks]), lambda_b)
+
+    @pytest.mark.parametrize("n", CHUNK_EDGES)
+    def test_chunked_born_draws_equal_the_one_shot_uniforms(self, n):
+        state = make_state([math.sqrt((k + 1) / 66) for k in range(11)])
+        uniforms = substream(5, BORN_STREAM, 0).random(n)
+        rng = substream(5, BORN_STREAM, 0)
+        chunked = np.concatenate([rng.random(size) for size in chunk_sizes(n)])
+        assert np.array_equal(chunked, uniforms)
+        cdf = (state.probabilities() / state.probabilities().sum()).cumsum()
+        cdf /= cdf[-1]
+        expected = cdf.searchsorted(uniforms, side="right")
+        draws = born_samples(state, n, substream(5, BORN_STREAM, 0))
+        assert np.array_equal(draws, expected)
+        histogram = born_histogram(state, n, substream(5, BORN_STREAM, 0))
+        assert histogram.tolist() == np.bincount(expected, minlength=11).tolist()
+
+
+def test_chunk_schedule_takes_constant_memory():
+    tracemalloc.start()
+    try:
+        assert list(islice(chunk_sizes(2**40), 3)) == [CHUNK_SIZE] * 3
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000
