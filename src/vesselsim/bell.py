@@ -31,6 +31,7 @@ from .vessels import (
     TiePolicy,
     VesselSystem,
     constant_outcomes,
+    joint_product_sum,
     pair_products,
 )
 
@@ -179,7 +180,8 @@ def vessel_model(
     substream, then the outcome rule; the draws are columns too.
 
     Only the joint siphon run reads the diameters, so without ``collect``
-    the other three pairs draw nothing and sum their fixed products.
+    the other three pairs draw nothing and sum their fixed products, and
+    the joint run draws only to put its ties through ``tie_policy``.
     """
 
     def model(pair, key, size, collect):
@@ -187,13 +189,12 @@ def vessel_model(
             left, right = constant_outcomes(pair, system)
             return size * left * right, None
         lambda_a, lambda_b = sampler.draw_arrays(size, key)
+        if not collect:
+            return joint_product_sum(lambda_a, lambda_b, tie_policy, sampler.seed), None
         outcome_left, outcome_right = pair_products(
             pair, lambda_a, lambda_b, system, tie_policy, tie_seed=sampler.seed
         )
-        product_sum = int(outcome_left @ outcome_right)
-        if not collect:
-            return product_sum, None
-        return product_sum, {
+        return int(outcome_left @ outcome_right), {
             "lambda_a": lambda_a,
             "lambda_b": lambda_b,
             "outcome_left": outcome_left,

@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from collections.abc import Callable
 from pathlib import Path
 from typing import TextIO
@@ -67,18 +66,26 @@ def commit(out: str | None, write: Callable[[TextIO], None]) -> None:
             path.write_text(buffer.getvalue())
         return
     target = path.resolve()
-    fd, temporary = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.")
+    fd, temporary = _create_beside(target)
     try:
         with open(fd, "w") as handle:
-            # mkstemp makes the file private; give it the mode a new file gets.
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(handle.fileno(), 0o666 & ~umask)
             write(handle)
         os.replace(temporary, target)
     except BaseException:
         os.unlink(temporary)
         raise
+
+
+def _create_beside(target: Path) -> tuple[int, Path]:
+    """A new empty file with a fresh ``.<name>.`` name in ``target``'s
+    directory, open for writing.  The kernel gives it the mode of any new
+    file, 0o666 less the umask, so the process-wide umask is never touched."""
+    while True:
+        temporary = target.with_name(f".{target.name}.{os.urandom(6).hex()}")
+        try:
+            return os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), temporary
+        except FileExistsError:
+            continue
 
 
 def _worker_count(text: str) -> int:

@@ -273,7 +273,9 @@ def singlet_model(angles_deg: tuple[float, float, float, float], seed: int) -> M
 
     A product is +1 exactly when the sides agree, so without ``collect`` the
     chunk only counts agreements among the same uniforms ``singlet_samples``
-    reads; the coin draw before them still runs to keep their positions.
+    reads.  It skips the coins instead of drawing them: ``integers(0, 2)``
+    takes one 32-bit half of a 64-bit output per coin and never rejects, so
+    ``size`` coins spend ``ceil(size / 2)`` outputs.
     """
     check_seed(seed)
     directions = _pair_directions(angles_deg)
@@ -283,7 +285,7 @@ def singlet_model(angles_deg: tuple[float, float, float, float], seed: int) -> M
         if collect:
             left, right = singlet_samples(*directions[pair], size, rng)
             return int(left @ right), {"outcome_left": left, "outcome_right": right}
-        rng.integers(0, 2, size=size)
+        rng.bit_generator.advance(-(-size // 2))
         threshold = _agreement_probability(*directions[pair])
         agree = np.count_nonzero(rng.random(size) < threshold)
         return 2 * agree - size, None

@@ -218,16 +218,24 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 
 def parse_scenario(path: str | Path) -> Scenario:
-    """Load and validate a scenario file."""
+    """Load and validate a scenario file.
+
+    JSON text is UTF-8 whatever the locale says; bytes that do not decode,
+    and nesting too deep for the decoder, are configuration errors too.
+    """
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read scenario file {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON: not UTF-8 text: {exc}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise ConfigError(f"{path}: invalid JSON: nested too deeply to decode") from None
     return scenario_from_dict(data)

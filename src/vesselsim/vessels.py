@@ -15,7 +15,8 @@ water, so the wider siphon collects more than half and the outcomes are
 perfectly anti-correlated.  A siphon running alone (its partner experiment
 being a spoon test) drains everything and always scores +1.  This module
 is the one place that rule is written: ``joint_outcome_ab`` for one joint
-run, ``pair_products`` for a batch of draws.
+run, ``pair_products`` for a batch of draws, and ``joint_product_sum`` for
+the sum of a batch's joint-run products.
 
 Everything in this module is a pure function of its inputs; randomness, if
 any, lives in the hidden-variable samplers upstream.
@@ -165,6 +166,18 @@ def _break_tie(lam: SiphonDiameters, tie_policy: TiePolicy, tie_seed: int) -> tu
     return (1, -1) if digest[0] & 1 else (-1, 1)
 
 
+def _broken_ties(
+    lambda_a: np.ndarray, lambda_b: np.ndarray, tie_policy: TiePolicy, tie_seed: int
+) -> list[tuple[int, int]]:
+    """Row index and left outcome of each tied row of a batch, in row order,
+    by ``tie_policy``."""
+    ties = []
+    for index in np.flatnonzero(lambda_a == lambda_b).tolist():
+        tie = SiphonDiameters(lambda_a[index], lambda_b[index])
+        ties.append((index, _break_tie(tie, tie_policy, tie_seed)[0]))
+    return ties
+
+
 def joint_outcome_ab(
     lam: SiphonDiameters,
     tie_policy: TiePolicy = TiePolicy.ERROR,
@@ -225,15 +238,31 @@ def pair_products(
     check_seed(tie_seed, "tie_seed")
     if pair == PAIR_AB:
         outcome_left = (lambda_b < lambda_a).astype(np.int64) * 2 - 1
-        for index in np.flatnonzero(lambda_a == lambda_b).tolist():
-            tie = SiphonDiameters(lambda_a[index], lambda_b[index])
-            outcome_left[index], _ = _break_tie(tie, tie_policy, tie_seed)
+        for index, left in _broken_ties(lambda_a, lambda_b, tie_policy, tie_seed):
+            outcome_left[index] = left
         return outcome_left, -outcome_left
     left, right = constant_outcomes(pair, system)
     return (
         np.full(len(lambda_a), left, dtype=np.int64),
         np.full(len(lambda_a), right, dtype=np.int64),
     )
+
+
+def joint_product_sum(
+    lambda_a: np.ndarray,
+    lambda_b: np.ndarray,
+    tie_policy: TiePolicy = TiePolicy.ERROR,
+    tie_seed: int = 0,
+) -> int:
+    """Sum of the joint siphon run's outcome products over a batch of draws.
+
+    Every joint run anti-correlates, ties included, so the sum is minus the
+    batch size; only the tied rows are read, so that they meet
+    ``tie_policy`` (and ``error`` raises) just as in ``pair_products``.
+    """
+    check_seed(tie_seed, "tie_seed")
+    _broken_ties(lambda_a, lambda_b, tie_policy, tie_seed)
+    return -len(lambda_a)
 
 
 def simulate_flow(

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vesselsim import TSIRELSON_BOUND, HiddenVariableSampler, TiePolicy, commands, streams
-from vesselsim.cli import main
+from vesselsim.cli import commit, main
 
 UNIFORM_AMPLITUDES = [[1.0 / math.sqrt(11), 0.0]] * 11
 
@@ -69,6 +69,22 @@ class TestExitCodes:
         )
         assert code == 3
         assert "step" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b'\xff\xfe{"seed": 1}', "not UTF-8"),
+            (b"[" * 200_000 + b"]" * 200_000, "nested too deeply"),
+        ],
+        ids=["not-utf-8", "too-deep"],
+    )
+    def test_unreadable_scenario_is_a_config_error(self, tmp_path, capsys, content, message):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(content)
+        out = tmp_path / "report.json"
+        assert run_cli(["vessel-chsh", "--scenario", str(path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_required_sections_are_config_errors(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path)
@@ -600,10 +616,14 @@ class TestAtomicCommit:
         if os.geteuid() == 0:
             # Root ignores the mode bits; fail the way an unprivileged user's
             # temporary file fails there.
-            def denied(*args, **kwargs):
-                raise PermissionError(errno.EACCES, "Permission denied", str(directory))
+            real_open = os.open
 
-            monkeypatch.setattr(tempfile, "mkstemp", denied)
+            def denied(path, flags, *args, **kwargs):
+                if Path(path).parent == directory and flags & os.O_CREAT:
+                    raise PermissionError(errno.EACCES, "Permission denied", str(path))
+                return real_open(path, flags, *args, **kwargs)
+
+            monkeypatch.setattr(os, "open", denied)
         scenario = write_scenario(tmp_path, runs_per_pair=10)
         try:
             for fmt in ("csv", "json"):
@@ -633,6 +653,24 @@ class TestAtomicCommit:
         finally:
             os.umask(umask)
         assert stat.S_IMODE(out.stat().st_mode) == 0o644
+
+    def test_commit_leaves_the_umask_alone(self, tmp_path, monkeypatch):
+        # Reading the umask means setting it, which races with other threads.
+        set_umask = os.umask
+        previous = set_umask(0o027)
+
+        def no_umask(mask):
+            raise AssertionError("the process umask was changed")
+
+        monkeypatch.setattr(os, "umask", no_umask)
+        out = tmp_path / "report.txt"
+        try:
+            commit(str(out), lambda handle: handle.write("report\n"))
+        finally:
+            set_umask(previous)
+        assert out.read_text() == "report\n"
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~0o027
+        assert leftovers(tmp_path, {"report.txt"}) == []
 
     def test_pipe_is_written_through(self, tmp_path):
         # A pipe (or device) named by --out cannot be replaced by a rename;
@@ -787,3 +825,21 @@ class TestContractFuzz:
                 rows = list(csv.reader(out.read_text().splitlines()))
                 assert rows
                 assert not {"nan", "inf", "-inf"} & {cell for row in rows for cell in row}
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        content=st.one_of(
+            st.binary(max_size=200),
+            st.binary(max_size=20).map(lambda tail: b'{"seed": 1' + tail),
+            st.integers(1, 10_000).map(lambda depth: b"[" * depth + b"]" * depth),
+        ),
+        subcommand=st.sampled_from(["vessel-chsh", "locality-check", "quantum-chsh"]),
+    )
+    def test_any_scenario_bytes_keep_the_exit_code_contract(self, content, subcommand):
+        with tempfile.TemporaryDirectory() as tmp:
+            scenario_path = Path(tmp) / "scenario.json"
+            out = Path(tmp) / "report.out"
+            scenario_path.write_bytes(content)
+            code = main([subcommand, "--scenario", str(scenario_path), "--out", str(out)])
+            assert code in (0, 2, 3)
+            assert out.exists() == (code == 0)

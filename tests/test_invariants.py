@@ -231,6 +231,9 @@ class TestInvariantHoles:
         with pytest.raises(InvariantError) as error:
             pair_products(PAIR_AB, tied, tied, VesselSystem(), TiePolicy.SPLIT_COIN, tie_seed)
         assert error.value.field == "tie_seed"
+        with pytest.raises(InvariantError) as error:
+            vessels.joint_product_sum(tied, tied, TiePolicy.SPLIT_COIN, tie_seed)
+        assert error.value.field == "tie_seed"
 
     def test_tie_seed_is_checked_once_per_call(self, monkeypatch):
         checked = []
@@ -238,6 +241,8 @@ class TestInvariantHoles:
         tied = np.ones(100)
         pair_products(PAIR_AB, tied, tied, VesselSystem(), TiePolicy.SPLIT_COIN, 9)
         assert checked == [(9, "tie_seed")]
+        vessels.joint_product_sum(tied, tied, TiePolicy.SPLIT_COIN, 9)
+        assert checked == [(9, "tie_seed")] * 2
 
     @pytest.mark.parametrize("seed", [-1, 1.5, 2**64])
     def test_born_seed_follows_the_seed_rule(self, seed):

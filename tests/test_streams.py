@@ -88,7 +88,8 @@ CHUNK_EDGES = [1, CHUNK_SIZE - 1, CHUNK_SIZE, CHUNK_SIZE + 1, 3 * CHUNK_SIZE + 5
 
 class TestStreamPositions:
     """Chunked draws reproduce one-shot draws because PCG64 spends exactly
-    one 64-bit output on each ``random`` or ``uniform`` double."""
+    one 64-bit output on each ``random`` or ``uniform`` double, and half of
+    one on each ``integers(0, 2)`` coin."""
 
     @pytest.mark.parametrize("draws", [1, 7, CHUNK_SIZE + 1])
     def test_one_output_per_double(self, draws):
@@ -97,6 +98,19 @@ class TestStreamPositions:
             draw(drawn)
             advanced.bit_generator.advance(draws)
             assert drawn.bit_generator.state == advanced.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**63 + 5])
+    @pytest.mark.parametrize("size", [1, 2, 3, 31, CHUNK_SIZE - 1, CHUNK_SIZE, CHUNK_SIZE + 1])
+    def test_coins_take_half_an_output_each(self, seed, size):
+        # The singlet's reduce-only chunk skips its coins with this advance,
+        # so a numpy that draws coins differently would change its report.
+        drawn, advanced = substream(seed, 0, 0), substream(seed, 0, 0)
+        drawn.integers(0, 2, size=size)
+        advanced.bit_generator.advance(-(-size // 2))
+        # An odd count leaves half an output in the 32-bit buffer, which
+        # doubles never read; the 128-bit PCG state must agree.
+        assert drawn.bit_generator.state["state"] == advanced.bit_generator.state["state"]
+        assert np.array_equal(drawn.random(size), advanced.random(size))
 
     @pytest.mark.parametrize("n", CHUNK_EDGES)
     def test_chunked_diameters_equal_the_one_shot_draws(self, n):

@@ -25,6 +25,7 @@ from vesselsim import (
     simulate_flow,
     spoon_outcome,
 )
+from vesselsim.vessels import joint_product_sum
 
 
 class TestTypes:
@@ -211,6 +212,27 @@ class TestRunCoincidence:
             one_run(PAIR_AB, SiphonDiameters(1.0, 1.0), VesselSystem())
         with pytest.raises(DegenerateTieError):
             contextual_table(SiphonDiameters(1.0, 1.0), VesselSystem())
+
+    @pytest.mark.parametrize(
+        "policy", [TiePolicy.FAVOR_LEFT, TiePolicy.FAVOR_RIGHT, TiePolicy.SPLIT_COIN]
+    )
+    def test_joint_product_sum_is_the_sum_of_the_products(self, policy):
+        # Diameters on a 17-point grid, so about one row in 17 is tied.
+        rng = np.random.default_rng(3)
+        lambda_a, lambda_b = 1.0 + rng.integers(0, 17, size=(2, 2000)) / 16
+        assert (lambda_a == lambda_b).sum() > 50
+        left, right = pair_products(PAIR_AB, lambda_a, lambda_b, VesselSystem(), policy, 5)
+        assert joint_product_sum(lambda_a, lambda_b, policy, 5) == int(left @ right) == -2000
+
+    def test_joint_product_sum_raises_at_the_first_tie(self):
+        lambda_a = np.array([1.0, 2.0, 1.5, 1.25])
+        lambda_b = np.array([1.5, 2.0, 1.5, 1.0])
+        with pytest.raises(DegenerateTieError) as expected:
+            pair_products(PAIR_AB, lambda_a, lambda_b, VesselSystem())
+        with pytest.raises(DegenerateTieError) as error:
+            joint_product_sum(lambda_a, lambda_b)
+        assert str(error.value) == str(expected.value)
+        assert "diameters 2.0 " in str(error.value)
 
     def test_opaque_water_flips_spoons_only(self):
         lam = SiphonDiameters(2.0, 1.0)
