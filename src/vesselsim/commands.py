@@ -34,7 +34,7 @@ from .bell import (
     vessel_model,
 )
 from .errors import ConfigError, InvariantError
-from .locality import CorrelationKind, scan_columns
+from .locality import CorrelationKind, scan_columns, scan_counts
 from .quantum import (
     TOTAL_LITERS,
     born_histogram,
@@ -163,18 +163,10 @@ def locality_check(
 ) -> tuple[dict | None, RunDump]:
     """Factorization search and context witnesses over sampled hidden variables."""
     n = scenario.runs_per_pair
+    chunks = scenario.sampler.draw_chunks(n, key=(LOCALITY_STREAM, 0))
     # One search report per table code, shared by the scans of all chunks.
     reports: dict = {}
-    scans = (
-        (
-            lambda_a,
-            lambda_b,
-            scan_columns(
-                lambda_a, lambda_b, scenario.system, scenario.tie_policy, scenario.seed, reports
-            ),
-        )
-        for lambda_a, lambda_b in scenario.sampler.draw_chunks(n, key=(LOCALITY_STREAM, 0))
-    )
+    scan_args = (scenario.system, scenario.tie_policy, scenario.seed, reports)
     dump = RunDump(
         [
             "sample_index",
@@ -191,13 +183,18 @@ def locality_check(
         ]
     )
     if collect_runs:
+        scans = (
+            (lambda_a, lambda_b, scan_columns(lambda_a, lambda_b, *scan_args))
+            for lambda_a, lambda_b in chunks
+        )
         dump.rows = RowBlocks(_locality_blocks(scans, dump.fieldnames[3:]), n)
         return None, dump
 
     satisfiable = witnesses = 0
-    for _, _, columns in scans:
-        satisfiable += int(np.count_nonzero(columns["satisfiable"]))
-        witnesses += int(np.count_nonzero(columns["witness_differs"]))
+    for lambda_a, lambda_b in chunks:
+        chunk_satisfiable, chunk_witnesses = scan_counts(lambda_a, lambda_b, *scan_args)
+        satisfiable += chunk_satisfiable
+        witnesses += chunk_witnesses
     unsatisfiable = n - satisfiable
     kind = (
         CorrelationKind.SECOND_KIND if unsatisfiable else CorrelationKind.FIRST_KIND

@@ -28,6 +28,8 @@ from .vessels import (
     SiphonDiameters,
     TiePolicy,
     VesselSystem,
+    constant_outcomes,
+    joint_left_wins,
     joint_outcome_ab,
     outcome_solo_siphon,
     pair_products,
@@ -212,6 +214,14 @@ def _table_of_code(code: int) -> ContextualOutcomeTable:
     return ContextualOutcomeTable(*(-1 if code >> bit & 1 else 1 for bit in range(4)))
 
 
+def _factorization(code: int, reports: dict[int, FactorizationReport]) -> FactorizationReport:
+    """The exhaustive search's report for table ``code``, searched only if
+    ``reports`` does not hold it yet (and then added to it)."""
+    if code not in reports:
+        reports[code] = search_factorization(_table_of_code(code))
+    return reports[code]
+
+
 def _factorizations(
     codes: np.ndarray, reports: dict[int, FactorizationReport] | None = None
 ) -> dict[int, FactorizationReport]:
@@ -219,8 +229,7 @@ def _factorizations(
     per code not yet in ``reports``; returns ``reports`` with them added."""
     reports = {} if reports is None else reports
     for code in np.flatnonzero(np.bincount(codes, minlength=16)).tolist():
-        if code not in reports:
-            reports[code] = search_factorization(_table_of_code(code))
+        _factorization(code, reports)
     return reports
 
 
@@ -270,6 +279,39 @@ def scan_columns(
     columns["witness_differs"] = witness_with_b != witness_with_bprime
     columns["table_code"] = codes
     return columns
+
+
+def scan_counts(
+    lambda_a: np.ndarray,
+    lambda_b: np.ndarray,
+    system: VesselSystem,
+    tie_policy: TiePolicy = TiePolicy.ERROR,
+    tie_seed: int = 0,
+    reports: dict[int, FactorizationReport] | None = None,
+) -> tuple[int, int]:
+    """``scan_columns``' ``satisfiable.sum()`` and ``witness_differs.sum()``
+    over a batch of draws, without building its columns.
+
+    Every row has the same table: the joint siphon run multiplies to -1 for
+    every hidden variable, ties included (the lemma of
+    ``joint_product_sum``), and the other three pairs are constants of the
+    state.  One exhaustive search on that table (shared through ``reports``
+    as in ``scan_columns``) therefore decides all rows or none.  A row is a
+    witness when its left siphon's outcome against B differs from the solo
+    siphon's, which is always +1: when the left side loses the joint run.
+    ``joint_left_wins`` counts the wins, putting the tied rows through
+    ``tie_policy`` (``error`` raises at the first).
+    """
+    size = len(lambda_a)
+    left_losses = size - joint_left_wins(lambda_a, lambda_b, tie_policy, tie_seed)
+    # ALL_PAIRS[0] is the joint siphon run PAIR_AB.
+    products = [-1]
+    for pair in ALL_PAIRS[1:]:
+        left, right = constant_outcomes(pair, system)
+        products.append(left * right)
+    code = sum(1 << bit for bit, product in enumerate(products) if product < 0)
+    report = _factorization(code, {} if reports is None else reports)
+    return (size if report.satisfiable else 0), left_losses
 
 
 def scan_hidden_variables(

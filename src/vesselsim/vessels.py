@@ -15,8 +15,9 @@ water, so the wider siphon collects more than half and the outcomes are
 perfectly anti-correlated.  A siphon running alone (its partner experiment
 being a spoon test) drains everything and always scores +1.  This module
 is the one place that rule is written: ``joint_outcome_ab`` for one joint
-run, ``pair_products`` for a batch of draws, and ``joint_product_sum`` for
-the sum of a batch's joint-run products.
+run, ``pair_products`` for a batch of draws, ``joint_product_sum`` for
+the sum of a batch's joint-run products, and ``joint_left_wins`` for the
+number of joint runs the left side wins.
 
 Everything in this module is a pure function of its inputs; randomness, if
 any, lives in the hidden-variable samplers upstream.
@@ -263,6 +264,24 @@ def joint_product_sum(
     check_seed(tie_seed, "tie_seed")
     _broken_ties(lambda_a, lambda_b, tie_policy, tie_seed)
     return -len(lambda_a)
+
+
+def joint_left_wins(
+    lambda_a: np.ndarray,
+    lambda_b: np.ndarray,
+    tie_policy: TiePolicy = TiePolicy.ERROR,
+    tie_seed: int = 0,
+) -> int:
+    """Number of joint siphon runs in a batch that the left side wins (+1).
+
+    The count of ``pair_products(PAIR_AB, ...)``'s left outcomes equal to
+    +1, without building them: the strictly wider left siphons plus the tied
+    rows that ``tie_policy`` hands to the left (``error`` raises at the
+    first tie).
+    """
+    check_seed(tie_seed, "tie_seed")
+    ties = _broken_ties(lambda_a, lambda_b, tie_policy, tie_seed)
+    return int(np.count_nonzero(lambda_b < lambda_a)) + sum(left == 1 for _, left in ties)
 
 
 def simulate_flow(

@@ -6,6 +6,8 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import tempfile
 import threading
 from pathlib import Path
@@ -15,7 +17,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vesselsim import TSIRELSON_BOUND, HiddenVariableSampler, TiePolicy, commands, streams
+from vesselsim import (
+    TSIRELSON_BOUND,
+    HiddenVariableSampler,
+    TiePolicy,
+    __version__,
+    commands,
+    locality,
+    streams,
+    vessels,
+)
 from vesselsim.cli import commit, main
 
 UNIFORM_AMPLITUDES = [[1.0 / math.sqrt(11), 0.0]] * 11
@@ -255,6 +266,19 @@ def tied_draws(monkeypatch):
     monkeypatch.setattr(HiddenVariableSampler, "draw_chunks", draw_chunks)
 
 
+def tie_in_chunk_1(monkeypatch, row=7):
+    """Make row ``row`` of chunk 1 of every chunked draw an exact tie."""
+    original_chunks = HiddenVariableSampler.draw_chunks
+
+    def draw_chunks(self, n, key=()):
+        for index, (lambda_a, lambda_b) in enumerate(original_chunks(self, n, key)):
+            if index == 1:
+                lambda_b[row] = lambda_a[row]
+            yield lambda_a, lambda_b
+
+    monkeypatch.setattr(HiddenVariableSampler, "draw_chunks", draw_chunks)
+
+
 class TestLocalityTies:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_tie_under_error_policy_is_three(self, tmp_path, capsys, monkeypatch, fmt):
@@ -286,6 +310,54 @@ class TestLocalityTies:
         witness_count = sum(row["witness_differs"] == "True" for row in rows)
         assert witness_count == report["factorization"]["witness_count"]
         assert report["factorization"]["unsatisfiable_count"] == 5
+
+    def test_tie_in_a_later_json_chunk_follows_policy(self, tmp_path, monkeypatch):
+        tie_in_chunk_1(monkeypatch)
+        witness_counts = {}
+        for policy in ("favor_left", "favor_right"):
+            scenario = write_scenario(
+                tmp_path, runs_per_pair=streams.CHUNK_SIZE + 10, tie_policy=policy
+            )
+            report = run_json(tmp_path, "locality-check", scenario)
+            witness_counts[policy] = report["factorization"]["witness_count"]
+        rows = run_csv(tmp_path, "locality-check", scenario)
+        tie = rows[streams.CHUNK_SIZE + 7]
+        assert tie["lambda_a"] == tie["lambda_b"]
+        assert tie["witness_differs"] == "True"
+        witnesses = sum(row["witness_differs"] == "True" for row in rows)
+        assert witness_counts["favor_right"] == witnesses
+        assert witness_counts["favor_right"] == witness_counts["favor_left"] + 1
+
+
+class TestLocalityJsonIsReduceOnly:
+    # The JSON report reads two counts; building the scan's per-row columns
+    # for it would be wasted work.
+    def test_json_builds_no_scan_columns(self, tmp_path, monkeypatch):
+        scenario = write_scenario(
+            tmp_path, runs_per_pair=streams.CHUNK_SIZE + 5, tie_policy="favor_left"
+        )
+        argv = ["locality-check", "--scenario", scenario, "--out"]
+        assert run_cli([*argv, str(tmp_path / "expected.json")]) == 0
+
+        class Reached(Exception):
+            pass
+
+        def forbidden(*args, **kwargs):
+            raise Reached
+
+        for module, name in [
+            (commands, "scan_columns"),
+            (locality, "scan_columns"),
+            (locality, "pair_products"),
+            (vessels, "pair_products"),
+        ]:
+            monkeypatch.setattr(module, name, forbidden)
+        assert run_cli([*argv, str(tmp_path / "guarded.json")]) == 0
+        expected = (tmp_path / "expected.json").read_bytes()
+        assert (tmp_path / "guarded.json").read_bytes() == expected
+        # The CSV rows still come from the scan's columns.
+        with pytest.raises(Reached):
+            run_cli([*argv, str(tmp_path / "dump.csv"), "--format", "csv"])
 
 
 class TestVesselChshTies:
@@ -493,6 +565,29 @@ class TestCsvDumps:
             differs = (float(row["lambda_a"]) < float(row["lambda_b"]))
             assert (row["witness_differs"] == "True") == differs
 
+    @pytest.mark.parametrize(
+        "n", [streams.CHUNK_SIZE - 1, streams.CHUNK_SIZE + 1, 2 * streams.CHUNK_SIZE + 3]
+    )
+    def test_locality_counts_match_the_rows_across_chunks(self, tmp_path, n):
+        # A 17-double sampler range ties about one row in 17.
+        scenario = write_scenario(
+            tmp_path,
+            runs_per_pair=n,
+            sampler={"low": 1.0, "high": 1.0 + 2.0**-48},
+            tie_policy="split_coin",
+        )
+        report = run_json(tmp_path, "locality-check", scenario)
+        rows = run_csv(tmp_path, "locality-check", scenario)
+        assert len(rows) == n
+        assert sum(row["lambda_a"] == row["lambda_b"] for row in rows) > n // 50
+        summary = report["factorization"]
+        witnesses = sum(row["witness_differs"] == "True" for row in rows)
+        unsatisfiable = sum(row["satisfiable"] == "False" for row in rows)
+        assert (summary["witness_count"], summary["unsatisfiable_count"]) == (
+            witnesses,
+            unsatisfiable,
+        )
+
     def test_quantum_rows_reproduce_the_estimates(self, tmp_path):
         scenario = write_scenario(
             tmp_path, runs_per_pair=300, singlet_angles=[0, 90, 45, 135]
@@ -577,6 +672,19 @@ class TestAtomicCommit:
         assert out.read_text() == PREVIOUS
         assert leftovers(tmp_path, {"scenario.json", "report.csv"}) == []
         # Stdout buffers the report, so it gets nothing either.
+        assert run_cli(argv) == 3
+        assert capsys.readouterr().out == ""
+
+    def test_tie_in_a_later_json_chunk_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        tie_in_chunk_1(monkeypatch)
+        out = tmp_path / "report.json"
+        out.write_text(PREVIOUS)
+        scenario = write_scenario(tmp_path, runs_per_pair=streams.CHUNK_SIZE + 10)
+        argv = ["locality-check", "--scenario", scenario]
+        assert run_cli([*argv, "--out", str(out)]) == 3
+        assert "equal siphon diameters" in capsys.readouterr().err
+        assert out.read_text() == PREVIOUS
+        assert leftovers(tmp_path, {"scenario.json", "report.json"}) == []
         assert run_cli(argv) == 3
         assert capsys.readouterr().out == ""
 
@@ -698,6 +806,34 @@ class TestAtomicCommit:
         else:
             witnesses = sum(row["witness_differs"] == "True" for row in rows)
             assert witnesses == report["factorization"]["witness_count"]
+
+
+class TestModuleEntryPoint:
+    """``python -m vesselsim`` runs the same command line in a new process."""
+
+    def run_module(self, *args):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "vesselsim", *args],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+
+    def test_version_exits_zero(self):
+        result = self.run_module("--version")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == f"vesselsim {__version__}\n"
+
+    def test_unknown_flag_is_a_usage_error(self):
+        result = self.run_module("sample-state", "--scenario", "unused.json", "--no-such-flag")
+        assert result.returncode == 2
+        assert "unrecognized arguments: --no-such-flag" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
 
 
 def reject_constant(token):

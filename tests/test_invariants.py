@@ -234,6 +234,9 @@ class TestInvariantHoles:
         with pytest.raises(InvariantError) as error:
             vessels.joint_product_sum(tied, tied, TiePolicy.SPLIT_COIN, tie_seed)
         assert error.value.field == "tie_seed"
+        with pytest.raises(InvariantError) as error:
+            vessels.joint_left_wins(tied, tied, TiePolicy.SPLIT_COIN, tie_seed)
+        assert error.value.field == "tie_seed"
 
     def test_tie_seed_is_checked_once_per_call(self, monkeypatch):
         checked = []
@@ -243,6 +246,8 @@ class TestInvariantHoles:
         assert checked == [(9, "tie_seed")]
         vessels.joint_product_sum(tied, tied, TiePolicy.SPLIT_COIN, 9)
         assert checked == [(9, "tie_seed")] * 2
+        vessels.joint_left_wins(tied, tied, TiePolicy.SPLIT_COIN, 9)
+        assert checked == [(9, "tie_seed")] * 3
 
     @pytest.mark.parametrize("seed", [-1, 1.5, 2**64])
     def test_born_seed_follows_the_seed_rule(self, seed):

@@ -12,6 +12,9 @@ from vesselsim import (
     CorrelationKind,
     DegenerateTieError,
     EmptySampleSetError,
+    FactorizationReport,
+    HiddenVariableSampler,
+    SignAssignment,
     SiphonDiameters,
     TiePolicy,
     VesselSystem,
@@ -22,7 +25,7 @@ from vesselsim import (
     scan_hidden_variables,
     search_factorization,
 )
-from vesselsim.locality import PRODUCT_COLUMNS
+from vesselsim.locality import PRODUCT_COLUMNS, scan_counts
 
 VESSEL_TABLE = ContextualOutcomeTable(-1, 1, 1, 1)
 RESOLVING_POLICIES = [policy for policy in TiePolicy if policy is not TiePolicy.ERROR]
@@ -266,3 +269,62 @@ class TestScanColumns:
         else:
             columns = scan_columns(lambda_a, lambda_b, VesselSystem(), TiePolicy.ERROR)
             assert not columns["satisfiable"].any()
+
+
+# Sampler ranges: [1, 1 + 2**-48] holds only 17 doubles, so about one row in
+# 17 is an exact tie; [0.5, 3] almost never ties.
+TIE_PRONE = (1.0, 1.0 + 2.0**-48)
+NORMAL = (0.5, 3.0)
+
+
+class TestScanCounts:
+    """The reduce-only counts of the JSON report against the scan's columns."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        bounds=st.sampled_from([TIE_PRONE, NORMAL]),
+        n=st.integers(min_value=0, max_value=400),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        transparent=st.booleans(),
+        policy=st.sampled_from(list(TiePolicy)),
+        tie_seed=st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    def test_counts_match_the_scan_columns(
+        self, bounds, n, seed, transparent, policy, tie_seed
+    ):
+        sampler = HiddenVariableSampler(*bounds, seed=seed)
+        lambda_a, lambda_b = sampler.draw_arrays(n)
+        system = VesselSystem(transparent=transparent)
+        try:
+            columns = scan_columns(lambda_a, lambda_b, system, policy, tie_seed)
+        except DegenerateTieError as expected:
+            assert policy is TiePolicy.ERROR
+            with pytest.raises(DegenerateTieError) as error:
+                scan_counts(lambda_a, lambda_b, system, policy, tie_seed)
+            assert str(error.value) == str(expected)
+            return
+        counts = scan_counts(lambda_a, lambda_b, system, policy, tie_seed)
+        assert counts == (
+            int(columns["satisfiable"].sum()),
+            int(columns["witness_differs"].sum()),
+        )
+
+    def test_tie_prone_range_ties(self):
+        lambda_a, lambda_b = HiddenVariableSampler(*TIE_PRONE, seed=1).draw_arrays(400)
+        assert (lambda_a == lambda_b).sum() > 10
+
+    @pytest.mark.parametrize("transparent", [True, False])
+    def test_shared_reports_decide_every_row(self, transparent):
+        # Every vessel table is unsatisfiable; a verdict already in the shared
+        # reports dict is what both scans read, for every row.
+        system = VesselSystem(transparent=transparent)
+        lambda_a, lambda_b = HiddenVariableSampler(*NORMAL, seed=4).draw_arrays(50)
+        (code,) = set(scan_columns(lambda_a, lambda_b, system)["table_code"].tolist())
+        forged = FactorizationReport(satisfiable=True, assignment=SignAssignment(1, 1, 1, 1))
+        columns = scan_columns(lambda_a, lambda_b, system, reports={code: forged})
+        counts = scan_counts(lambda_a, lambda_b, system, reports={code: forged})
+        assert counts[0] == int(columns["satisfiable"].sum()) == 50
+        reports = {}
+        assert scan_counts(lambda_a, lambda_b, system, reports=reports)[0] == 0
+        table = contextual_table(SiphonDiameters(2.0, 1.0), system)
+        assert reports == {code: search_factorization(table)}

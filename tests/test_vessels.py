@@ -25,7 +25,7 @@ from vesselsim import (
     simulate_flow,
     spoon_outcome,
 )
-from vesselsim.vessels import joint_product_sum
+from vesselsim.vessels import joint_left_wins, joint_product_sum
 
 
 class TestTypes:
@@ -233,6 +233,25 @@ class TestRunCoincidence:
             joint_product_sum(lambda_a, lambda_b)
         assert str(error.value) == str(expected.value)
         assert "diameters 2.0 " in str(error.value)
+
+    @pytest.mark.parametrize(
+        "policy", [TiePolicy.FAVOR_LEFT, TiePolicy.FAVOR_RIGHT, TiePolicy.SPLIT_COIN]
+    )
+    def test_joint_left_wins_counts_the_left_outcomes(self, policy):
+        rng = np.random.default_rng(4)
+        lambda_a, lambda_b = 1.0 + rng.integers(0, 17, size=(2, 2000)) / 16
+        left, _ = pair_products(PAIR_AB, lambda_a, lambda_b, VesselSystem(), policy, 5)
+        assert joint_left_wins(lambda_a, lambda_b, policy, 5) == int((left == 1).sum())
+        assert joint_left_wins(lambda_a[:0], lambda_b[:0], policy, 5) == 0
+
+    def test_joint_left_wins_raises_at_the_first_tie(self):
+        lambda_a = np.array([1.0, 2.0, 1.5, 1.25])
+        lambda_b = np.array([1.5, 2.0, 1.5, 1.0])
+        with pytest.raises(DegenerateTieError) as expected:
+            pair_products(PAIR_AB, lambda_a, lambda_b, VesselSystem())
+        with pytest.raises(DegenerateTieError) as error:
+            joint_left_wins(lambda_a, lambda_b)
+        assert str(error.value) == str(expected.value)
 
     def test_opaque_water_flips_spoons_only(self):
         lam = SiphonDiameters(2.0, 1.0)
