@@ -14,9 +14,9 @@ does not use it.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -73,6 +73,22 @@ class RunDump:
     rows: Iterable[Iterable[tuple]] = ()
 
 
+def _row_blocks(chunks: Iterable[Sequence[np.ndarray]], *leading) -> Iterator[Iterable[tuple]]:
+    """One block of rows per chunk of columns: the ``leading`` values, a
+    running row index, then the chunk's columns."""
+    start = 0
+    for columns in chunks:
+        size = len(columns[0])
+        # .tolist() hands csv Python floats, ints and bools, which it writes
+        # as repr, str and True/False.
+        yield zip(
+            *map(repeat, leading),
+            range(start, start + size),
+            *(column.tolist() for column in columns),
+        )
+        start += size
+
+
 def _base_report(scenario: Scenario) -> dict:
     return {
         "scenario": scenario.echo(),
@@ -126,27 +142,17 @@ def _chsh(
     n = scenario.runs_per_pair
     dump = RunDump(["pair", "run_index", *run_columns, "product"])
     if collect_runs:
-        dump.rows = RowBlocks(_chsh_blocks(model, run_columns, n, workers), len(ALL_PAIRS) * n)
+
+        def chunk_columns(pair):
+            for _, columns in pair_chunks(model, pair, n, workers, collect=True):
+                products = columns["outcome_left"] * columns["outcome_right"]
+                yield [*(columns[name] for name in run_columns), products]
+
+        blocks = (_row_blocks(chunk_columns(pair), pair.label) for pair in ALL_PAIRS)
+        dump.rows = RowBlocks(chain.from_iterable(blocks), len(ALL_PAIRS) * n)
         return None, dump
     estimates = [estimate_expectation(model, pair, n, workers) for pair in ALL_PAIRS]
     return _chsh_report(scenario, estimates), dump
-
-
-def _chsh_blocks(
-    model: Model, run_columns: list[str], n: int, workers: int
-) -> Iterator[Iterable[tuple]]:
-    for pair in ALL_PAIRS:
-        start = 0
-        for _, columns in pair_chunks(model, pair, n, workers, collect=True):
-            products = columns["outcome_left"] * columns["outcome_right"]
-            size = len(products)
-            yield zip(
-                repeat(pair.label),
-                range(start, start + size),
-                *(columns[name].tolist() for name in run_columns),
-                products.tolist(),
-            )
-            start += size
 
 
 def vessel_chsh(
@@ -164,9 +170,7 @@ def locality_check(
     """Factorization search and context witnesses over sampled hidden variables."""
     n = scenario.runs_per_pair
     chunks = scenario.sampler.draw_chunks(n, key=(LOCALITY_STREAM, 0))
-    # One search report per table code, shared by the scans of all chunks.
-    reports: dict = {}
-    scan_args = (scenario.system, scenario.tie_policy, scenario.seed, reports)
+    scan_args = (scenario.system, scenario.tie_policy, scenario.seed)
     dump = RunDump(
         [
             "sample_index",
@@ -183,18 +187,14 @@ def locality_check(
         ]
     )
     if collect_runs:
-        scans = (
-            (lambda_a, lambda_b, scan_columns(lambda_a, lambda_b, *scan_args))
-            for lambda_a, lambda_b in chunks
+        scans = ((a, b, scan_columns(a, b, *scan_args)) for a, b in chunks)
+        blocks = (
+            [a, b, *(columns[name] for name in dump.fieldnames[3:])] for a, b, columns in scans
         )
-        dump.rows = RowBlocks(_locality_blocks(scans, dump.fieldnames[3:]), n)
+        dump.rows = RowBlocks(_row_blocks(blocks), n)
         return None, dump
 
-    satisfiable = witnesses = 0
-    for lambda_a, lambda_b in chunks:
-        chunk_satisfiable, chunk_witnesses = scan_counts(lambda_a, lambda_b, *scan_args)
-        satisfiable += chunk_satisfiable
-        witnesses += chunk_witnesses
+    satisfiable, witnesses = scan_counts(chunks, *scan_args)
     unsatisfiable = n - satisfiable
     kind = (
         CorrelationKind.SECOND_KIND if unsatisfiable else CorrelationKind.FIRST_KIND
@@ -212,21 +212,6 @@ def locality_check(
     return report, dump
 
 
-def _locality_blocks(scans, scan_fields: list[str]) -> Iterator[Iterable[tuple]]:
-    start = 0
-    for lambda_a, lambda_b, columns in scans:
-        size = len(lambda_a)
-        # .tolist() hands csv Python floats, ints and bools, which it writes
-        # as repr, str and True/False.
-        yield zip(
-            range(start, start + size),
-            lambda_a.tolist(),
-            lambda_b.tolist(),
-            *(columns[name].tolist() for name in scan_fields),
-        )
-        start += size
-
-
 def sample_state(
     scenario: Scenario, collect_runs: bool = False
 ) -> tuple[dict | None, RunDump]:
@@ -236,7 +221,9 @@ def sample_state(
     rng = substream(scenario.seed, BORN_STREAM, 0)
     dump = RunDump(["sample_index", "x", "left_liters", "right_liters"])
     if collect_runs:
-        dump.rows = RowBlocks(_born_blocks(state, n, rng), n)
+        # Chunk after chunk on one generator: the same draws as born_samples(state, n, rng).
+        draws = (born_samples(state, size, rng) for size in chunk_sizes(n))
+        dump.rows = RowBlocks(_row_blocks((left, left, TOTAL_LITERS - left) for left in draws), n)
         return None, dump
 
     report = _base_report(scenario)
@@ -246,16 +233,6 @@ def sample_state(
     report["schmidt_rank"] = schmidt_rank(state)
     report["entangled"] = is_entangled(state)
     return report, dump
-
-
-def _born_blocks(state, n: int, rng: np.random.Generator) -> Iterator[Iterable[tuple]]:
-    # Chunk after chunk on one generator: the same draws as born_samples(state, n, rng).
-    start = 0
-    for size in chunk_sizes(n):
-        draws = born_samples(state, size, rng)
-        left = draws.tolist()
-        yield zip(range(start, start + size), left, left, (TOTAL_LITERS - draws).tolist())
-        start += size
 
 
 def quantum_chsh(

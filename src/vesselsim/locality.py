@@ -7,14 +7,21 @@ question: there are only 16 sign assignments ``(e_A, e_A', e_B, e_B')``, so
 an exhaustive search settles whether any of them reproduces the four joint
 products.  For the vessel model none does, and the obstruction is visible in
 one experiment's outcome flipping with its partner context.
+
+The table is the same for every hidden variable: the joint siphon run always
+anti-correlates and the other pairs are fixed by the state, so the scans
+search it once.  Only which diameter wins varies, and that decides just the
+witness.  ``contextual_table`` still derives a table pair by pair from the
+outcome rule, as the independent check of that lemma.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+import math
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -134,7 +141,8 @@ def contextual_table(
     tie_seed: int = 0,
 ) -> ContextualOutcomeTable:
     """The four deterministic joint products for this hidden variable:
-    one row of ``pair_products`` per pair."""
+    one row of ``pair_products`` per pair.  It does not use the scans'
+    one-table lemma, so that the tests can check the scans against it."""
     lambda_a = np.array([lam.lambda_a], dtype=np.float64)
     lambda_b = np.array([lam.lambda_b], dtype=np.float64)
     products = []
@@ -209,28 +217,17 @@ class SampleAnalysis:
     witness: Witness
 
 
-def _table_of_code(code: int) -> ContextualOutcomeTable:
-    """The table whose entry for ``ALL_PAIRS[bit]`` is -1 where bit ``bit`` of ``code`` is set."""
-    return ContextualOutcomeTable(*(-1 if code >> bit & 1 else 1 for bit in range(4)))
+def _system_table(system: VesselSystem) -> ContextualOutcomeTable:
+    """The contextual table of every hidden variable of ``system``.
 
-
-def _factorization(code: int, reports: dict[int, FactorizationReport]) -> FactorizationReport:
-    """The exhaustive search's report for table ``code``, searched only if
-    ``reports`` does not hold it yet (and then added to it)."""
-    if code not in reports:
-        reports[code] = search_factorization(_table_of_code(code))
-    return reports[code]
-
-
-def _factorizations(
-    codes: np.ndarray, reports: dict[int, FactorizationReport] | None = None
-) -> dict[int, FactorizationReport]:
-    """The exhaustive search's report for each table code present, one search
-    per code not yet in ``reports``; returns ``reports`` with them added."""
-    reports = {} if reports is None else reports
-    for code in np.flatnonzero(np.bincount(codes, minlength=16)).tolist():
-        _factorization(code, reports)
-    return reports
+    The joint siphon run multiplies to -1 for every draw, ties included (the
+    lemma of ``joint_product_sum``): the measurement creates the
+    anti-correlation.  The other three pairs hold at most one siphon, so the
+    state fixes their outcomes (``constant_outcomes``).
+    """
+    return ContextualOutcomeTable(
+        -1, *(math.prod(constant_outcomes(pair, system)) for pair in ALL_PAIRS[1:])
+    )
 
 
 def scan_columns(
@@ -239,7 +236,6 @@ def scan_columns(
     system: VesselSystem,
     tie_policy: TiePolicy = TiePolicy.ERROR,
     tie_seed: int = 0,
-    reports: dict[int, FactorizationReport] | None = None,
 ) -> dict[str, np.ndarray]:
     """The locality scan over a batch of draws, one numpy column per field.
 
@@ -247,71 +243,50 @@ def scan_columns(
     exactly as ``contextual_table``, ``search_factorization`` and
     ``contextuality_witness`` would: the four joint products (columns
     ``PRODUCT_COLUMNS``), ``satisfiable``, and ``witness_with_b``,
-    ``witness_with_bprime`` and ``witness_differs``.  ``table_code`` packs
-    the table's signs into 4 bits (bit ``k`` set when pair ``ALL_PAIRS[k]``
-    multiplies to -1).
+    ``witness_with_bprime`` and ``witness_differs``.
 
-    The products come from the vectorized outcome rule ``pair_products``.
-    The exhaustive search stays the authority on factorizability, but runs
-    once per distinct table code (at most 16 times), not once per row;
-    passing the same ``reports`` dict to the scans of several batches keeps
-    it to once per code over all of them.
+    Every row has the system's one table, so the product columns and
+    ``satisfiable`` are constants, the latter from one exhaustive search.
+    Only ``witness_with_b``, the left outcome of the joint siphon run, varies
+    by row; it comes from the vectorized outcome rule ``pair_products``.
     """
-    outcomes = {
-        pair: pair_products(pair, lambda_a, lambda_b, system, tie_policy, tie_seed)
-        for pair in ALL_PAIRS
+    witness_with_b, _ = pair_products(PAIR_AB, lambda_a, lambda_b, system, tie_policy, tie_seed)
+    size = len(witness_with_b)
+    table = _system_table(system)
+    columns = {
+        name: np.full(size, product, dtype=np.int64)
+        for name, product in zip(PRODUCT_COLUMNS, astuple(table))
     }
-    columns: dict[str, np.ndarray] = {}
-    codes = np.zeros(len(lambda_a), dtype=np.intp)
-    for bit, (name, pair) in enumerate(zip(PRODUCT_COLUMNS, ALL_PAIRS)):
-        outcome_left, outcome_right = outcomes[pair]
-        columns[name] = outcome_left * outcome_right
-        codes |= (columns[name] < 0).astype(np.intp) << bit
-
-    verdicts = np.zeros(16, dtype=bool)
-    for code, report in _factorizations(codes, reports).items():
-        verdicts[code] = report.satisfiable
-    witness_with_b = outcomes[PAIR_AB][0]
-    witness_with_bprime = np.full(len(lambda_a), outcome_solo_siphon(system), dtype=np.int64)
-    columns["satisfiable"] = verdicts[codes]
+    columns["satisfiable"] = np.full(size, search_factorization(table).satisfiable)
     columns["witness_with_b"] = witness_with_b
-    columns["witness_with_bprime"] = witness_with_bprime
-    columns["witness_differs"] = witness_with_b != witness_with_bprime
-    columns["table_code"] = codes
+    columns["witness_with_bprime"] = np.full(size, outcome_solo_siphon(system), dtype=np.int64)
+    columns["witness_differs"] = witness_with_b != columns["witness_with_bprime"]
     return columns
 
 
 def scan_counts(
-    lambda_a: np.ndarray,
-    lambda_b: np.ndarray,
+    chunks: Iterable[tuple[np.ndarray, np.ndarray]],
     system: VesselSystem,
     tie_policy: TiePolicy = TiePolicy.ERROR,
     tie_seed: int = 0,
-    reports: dict[int, FactorizationReport] | None = None,
 ) -> tuple[int, int]:
     """``scan_columns``' ``satisfiable.sum()`` and ``witness_differs.sum()``
-    over a batch of draws, without building its columns.
+    over all the ``(lambda_a, lambda_b)`` chunks of a run, without building
+    its columns.
 
-    Every row has the same table: the joint siphon run multiplies to -1 for
-    every hidden variable, ties included (the lemma of
-    ``joint_product_sum``), and the other three pairs are constants of the
-    state.  One exhaustive search on that table (shared through ``reports``
-    as in ``scan_columns``) therefore decides all rows or none.  A row is a
-    witness when its left siphon's outcome against B differs from the solo
-    siphon's, which is always +1: when the left side loses the joint run.
-    ``joint_left_wins`` counts the wins, putting the tied rows through
-    ``tie_policy`` (``error`` raises at the first).
+    Every row has the system's one table, so one exhaustive search decides
+    all rows of the run or none.  A row is a witness when its left siphon's
+    outcome against B differs from the solo siphon's, which is always +1:
+    when the left side loses the joint run.  ``joint_left_wins`` counts the
+    wins, putting the tied rows through ``tie_policy`` (``error`` raises at
+    the first).
     """
-    size = len(lambda_a)
-    left_losses = size - joint_left_wins(lambda_a, lambda_b, tie_policy, tie_seed)
-    # ALL_PAIRS[0] is the joint siphon run PAIR_AB.
-    products = [-1]
-    for pair in ALL_PAIRS[1:]:
-        left, right = constant_outcomes(pair, system)
-        products.append(left * right)
-    code = sum(1 << bit for bit, product in enumerate(products) if product < 0)
-    report = _factorization(code, {} if reports is None else reports)
-    return (size if report.satisfiable else 0), left_losses
+    size = left_wins = 0
+    for lambda_a, lambda_b in chunks:
+        left_wins += joint_left_wins(lambda_a, lambda_b, tie_policy, tie_seed)
+        size += len(lambda_a)
+    satisfiable = search_factorization(_system_table(system)).satisfiable
+    return (size if satisfiable else 0), size - left_wins
 
 
 def scan_hidden_variables(
@@ -322,25 +297,18 @@ def scan_hidden_variables(
 ) -> list[SampleAnalysis]:
     """Per-sample tables, factorization verdicts, and context witnesses.
 
-    The row-object view of ``scan_columns`` over the same diameters.
+    The row-object view of ``scan_columns`` over the same diameters: every
+    row shares the system's one table and the one search's report.
     """
     lambda_a = np.array([lam.lambda_a for lam in samples], dtype=np.float64)
     lambda_b = np.array([lam.lambda_b for lam in samples], dtype=np.float64)
-    reports: dict[int, FactorizationReport] = {}
-    columns = scan_columns(lambda_a, lambda_b, system, tie_policy, tie_seed, reports)
-    rows = zip(
-        samples,
-        columns["table_code"].tolist(),
-        columns["witness_with_b"].tolist(),
-        columns["witness_with_bprime"].tolist(),
-        columns["witness_differs"].tolist(),
-    )
+    witness_with_b, _ = pair_products(PAIR_AB, lambda_a, lambda_b, system, tie_policy, tie_seed)
+    table = _system_table(system)
+    factorization = search_factorization(table)
+    with_bprime = outcome_solo_siphon(system)
     return [
         SampleAnalysis(
-            lam=lam,
-            table=_table_of_code(code),
-            factorization=reports[code],
-            witness=Witness(lam, with_b, with_bprime, differs),
+            lam, table, factorization, Witness(lam, with_b, with_bprime, with_b != with_bprime)
         )
-        for lam, code, with_b, with_bprime, differs in rows
+        for lam, with_b in zip(samples, witness_with_b.tolist())
     ]

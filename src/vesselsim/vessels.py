@@ -167,6 +167,18 @@ def _break_tie(lam: SiphonDiameters, tie_policy: TiePolicy, tie_seed: int) -> tu
     return (1, -1) if digest[0] & 1 else (-1, 1)
 
 
+def _check_batch(lambda_a: np.ndarray, lambda_b: np.ndarray, tie_seed: int) -> None:
+    """The checks every batch function makes once per call: the tie coin's
+    seed follows the seed rule, and the diameters are two 1-D arrays of
+    equal length, row ``i`` being the draw ``(lambda_a[i], lambda_b[i])``."""
+    check_seed(tie_seed, "tie_seed")
+    if not (np.ndim(lambda_a) == np.ndim(lambda_b) == 1 and len(lambda_a) == len(lambda_b)):
+        raise InvariantError(
+            f"a batch of draws needs two 1-D diameter arrays of equal length, "
+            f"got shapes {np.shape(lambda_a)} and {np.shape(lambda_b)}"
+        )
+
+
 def _broken_ties(
     lambda_a: np.ndarray, lambda_b: np.ndarray, tie_policy: TiePolicy, tie_seed: int
 ) -> list[tuple[int, int]]:
@@ -236,7 +248,7 @@ def pair_products(
     every row (tied rows go to its ``tie_policy``); the other pairs repeat
     their ``constant_outcomes``.
     """
-    check_seed(tie_seed, "tie_seed")
+    _check_batch(lambda_a, lambda_b, tie_seed)
     if pair == PAIR_AB:
         outcome_left = (lambda_b < lambda_a).astype(np.int64) * 2 - 1
         for index, left in _broken_ties(lambda_a, lambda_b, tie_policy, tie_seed):
@@ -261,7 +273,7 @@ def joint_product_sum(
     batch size; only the tied rows are read, so that they meet
     ``tie_policy`` (and ``error`` raises) just as in ``pair_products``.
     """
-    check_seed(tie_seed, "tie_seed")
+    _check_batch(lambda_a, lambda_b, tie_seed)
     _broken_ties(lambda_a, lambda_b, tie_policy, tie_seed)
     return -len(lambda_a)
 
@@ -279,7 +291,7 @@ def joint_left_wins(
     rows that ``tie_policy`` hands to the left (``error`` raises at the
     first tie).
     """
-    check_seed(tie_seed, "tie_seed")
+    _check_batch(lambda_a, lambda_b, tie_seed)
     ties = _broken_ties(lambda_a, lambda_b, tie_policy, tie_seed)
     return int(np.count_nonzero(lambda_b < lambda_a)) + sum(left == 1 for _, left in ties)
 

@@ -360,6 +360,24 @@ class TestLocalityJsonIsReduceOnly:
             run_cli([*argv, str(tmp_path / "dump.csv"), "--format", "csv"])
 
 
+class TestLocalitySearchesOnce:
+    # Every sample has the system's one table, so a run needs one exhaustive
+    # search, however many chunks it spans.
+    def test_json_runs_one_search_per_run(self, tmp_path, monkeypatch):
+        tables = []
+        search = locality.search_factorization
+
+        def counted(table):
+            tables.append(table)
+            return search(table)
+
+        monkeypatch.setattr(locality, "search_factorization", counted)
+        scenario = write_scenario(tmp_path, runs_per_pair=3 * streams.CHUNK_SIZE + 5)
+        report = run_json(tmp_path, "locality-check", scenario)
+        assert len(tables) == 1
+        assert report["factorization"]["unsatisfiable_count"] == 3 * streams.CHUNK_SIZE + 5
+
+
 class TestVesselChshTies:
     # JSON runs draw diameters only for the joint siphon pair; a tie there
     # must still reach the tie policy.

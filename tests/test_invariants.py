@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from vesselsim import (
     PAIR_AB,
+    PAIR_APRIME_B,
     HiddenVariableSampler,
     InvariantError,
     MeasurementDirection,
@@ -29,6 +30,7 @@ from vesselsim import (
     make_state,
     pair_products,
     right_analyzer_direction,
+    scan_columns,
     schmidt_rank,
     simulate_flow,
     singlet_bell_value,
@@ -36,6 +38,7 @@ from vesselsim import (
     vessel_model,
     vessels,
 )
+from vesselsim.locality import scan_counts
 from vesselsim.streams import chunk_sizes
 
 NAN, INF = math.nan, math.inf
@@ -248,6 +251,30 @@ class TestInvariantHoles:
         assert checked == [(9, "tie_seed")] * 2
         vessels.joint_left_wins(tied, tied, TiePolicy.SPLIT_COIN, 9)
         assert checked == [(9, "tie_seed")] * 3
+
+    @pytest.mark.parametrize(
+        "lambda_a, lambda_b",
+        [
+            (np.full(1, 2.0), np.ones(3)),
+            (np.ones(3), np.full(1, 2.0)),
+            (np.full((2, 2), 2.0), np.ones((2, 2))),
+            (np.float64(2.0), np.float64(1.0)),
+        ],
+        ids=["shorter-left", "shorter-right", "2-d", "0-d"],
+    )
+    def test_diameter_batches_are_1d_and_of_equal_length(self, lambda_a, lambda_b):
+        batch_calls = [
+            lambda: pair_products(PAIR_AB, lambda_a, lambda_b, VesselSystem()),
+            lambda: pair_products(PAIR_APRIME_B, lambda_a, lambda_b, VesselSystem()),
+            lambda: vessels.joint_product_sum(lambda_a, lambda_b),
+            lambda: vessels.joint_left_wins(lambda_a, lambda_b),
+            lambda: scan_columns(lambda_a, lambda_b, VesselSystem()),
+            lambda: scan_counts([(lambda_a, lambda_b)], VesselSystem()),
+        ]
+        for call in batch_calls:
+            with pytest.raises(InvariantError, match="equal length") as error:
+                call()
+            assert error.value.field is None
 
     @pytest.mark.parametrize("seed", [-1, 1.5, 2**64])
     def test_born_seed_follows_the_seed_rule(self, seed):

@@ -25,6 +25,7 @@ from vesselsim import (
     scan_hidden_variables,
     search_factorization,
 )
+from vesselsim import locality
 from vesselsim.locality import PRODUCT_COLUMNS, scan_counts
 
 VESSEL_TABLE = ContextualOutcomeTable(-1, 1, 1, 1)
@@ -294,16 +295,19 @@ class TestScanCounts:
     ):
         sampler = HiddenVariableSampler(*bounds, seed=seed)
         lambda_a, lambda_b = sampler.draw_arrays(n)
+        # The same rows as uneven chunks, the last one possibly empty.
+        splits = sorted({n // 3, n // 2, n})
+        chunks = list(zip(np.split(lambda_a, splits), np.split(lambda_b, splits)))
         system = VesselSystem(transparent=transparent)
         try:
             columns = scan_columns(lambda_a, lambda_b, system, policy, tie_seed)
         except DegenerateTieError as expected:
             assert policy is TiePolicy.ERROR
             with pytest.raises(DegenerateTieError) as error:
-                scan_counts(lambda_a, lambda_b, system, policy, tie_seed)
+                scan_counts(chunks, system, policy, tie_seed)
             assert str(error.value) == str(expected)
             return
-        counts = scan_counts(lambda_a, lambda_b, system, policy, tie_seed)
+        counts = scan_counts(chunks, system, policy, tie_seed)
         assert counts == (
             int(columns["satisfiable"].sum()),
             int(columns["witness_differs"].sum()),
@@ -314,17 +318,30 @@ class TestScanCounts:
         assert (lambda_a == lambda_b).sum() > 10
 
     @pytest.mark.parametrize("transparent", [True, False])
-    def test_shared_reports_decide_every_row(self, transparent):
-        # Every vessel table is unsatisfiable; a verdict already in the shared
-        # reports dict is what both scans read, for every row.
+    def test_one_search_decides_every_row(self, transparent, monkeypatch):
+        # Every vessel table is unsatisfiable; a forged satisfiable verdict
+        # from the one search is what every row of every scan reads.
         system = VesselSystem(transparent=transparent)
         lambda_a, lambda_b = HiddenVariableSampler(*NORMAL, seed=4).draw_arrays(50)
-        (code,) = set(scan_columns(lambda_a, lambda_b, system)["table_code"].tolist())
+        assert scan_counts([(lambda_a, lambda_b)], system)[0] == 0
+        tables = []
         forged = FactorizationReport(satisfiable=True, assignment=SignAssignment(1, 1, 1, 1))
-        columns = scan_columns(lambda_a, lambda_b, system, reports={code: forged})
-        counts = scan_counts(lambda_a, lambda_b, system, reports={code: forged})
-        assert counts[0] == int(columns["satisfiable"].sum()) == 50
-        reports = {}
-        assert scan_counts(lambda_a, lambda_b, system, reports=reports)[0] == 0
-        table = contextual_table(SiphonDiameters(2.0, 1.0), system)
-        assert reports == {code: search_factorization(table)}
+
+        def forged_search(table):
+            tables.append(table)
+            return forged
+
+        monkeypatch.setattr(locality, "search_factorization", forged_search)
+        columns = scan_columns(lambda_a, lambda_b, system)
+        assert columns["satisfiable"].all()
+        halves = [(lambda_a[:20], lambda_b[:20]), (lambda_a[20:], lambda_b[20:])]
+        assert scan_counts(halves, system)[0] == 50
+        samples = [SiphonDiameters(a, b) for a, b in zip(lambda_a.tolist(), lambda_b.tolist())]
+        scan = scan_hidden_variables(samples, system)
+        assert all(entry.factorization is forged for entry in scan)
+        assert all(entry.table is scan[0].table for entry in scan)
+        # One search per scan, always on the system's table.
+        assert tables == [contextual_table(SiphonDiameters(2.0, 1.0), system)] * 3
+
+    def test_scan_counts_of_no_chunks(self):
+        assert scan_counts([], VesselSystem()) == (0, 0)

@@ -1,0 +1,18 @@
+"""The README's library tour runs: each python code block, in a fresh namespace."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).parent.parent / "README.md"
+BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+
+
+def test_readme_has_python_blocks():
+    assert BLOCKS
+
+
+@pytest.mark.parametrize("index", range(len(BLOCKS)))
+def test_python_block_runs(index):
+    exec(compile(BLOCKS[index], f"README.md python block {index}", "exec"), {})
