@@ -148,8 +148,7 @@ class BellStatistic:
     def __post_init__(self) -> None:
         if tuple(estimate.pair for estimate in self.components) != ALL_PAIRS:
             raise InvariantError("components must follow ALL_PAIRS order", "components")
-        ab, aprime_b, ab_prime, aprime_bprime = self.components
-        recomputed = aprime_bprime.mean + aprime_b.mean + ab_prime.mean - ab.mean
+        recomputed = statistic_value(*(estimate.mean for estimate in self.components))
         if self.value != recomputed:
             raise InvariantError(
                 f"value {self.value} does not match its components ({recomputed})", "value"
@@ -208,16 +207,14 @@ def pair_chunks(
     model: Model,
     pair: CoincidencePair,
     n: int,
-    workers: int = 1,
     collect: bool = False,
 ) -> Iterator[tuple[int, dict[str, np.ndarray] | None]]:
     """The results of ``n`` runs of ``model`` on one pair, lazily, chunk by chunk.
 
     Each fixed-size chunk uses its own ``(PAIR_STREAM[pair], chunk)`` key
     and the results come in chunk order, so they depend only on
-    (model, pair, n), never on the worker count.  Each result is the
-    chunk's sum of outcome products and, with ``collect=True``, its per-run
-    columns.
+    (model, pair, n).  Each result is the chunk's sum of outcome products
+    and, with ``collect=True``, its per-run columns.
     """
     check_count(n)
     if n < 1:
@@ -227,15 +224,13 @@ def pair_chunks(
     def one_chunk(chunk_index: int, size: int):
         return model(pair, (stream_index, chunk_index), size, collect)
 
-    return run_chunks(one_chunk, n, workers=workers)
+    return run_chunks(one_chunk, n)
 
 
-def estimate_expectation(
-    model: Model, pair: CoincidencePair, n: int, workers: int = 1
-) -> ExpectationEstimate:
+def estimate_expectation(model: Model, pair: CoincidencePair, n: int) -> ExpectationEstimate:
     """Estimate one pair's expectation from ``n`` runs of ``model``, folding
     the chunks' product sums as they arrive."""
-    total = sum(product_sum for product_sum, _ in pair_chunks(model, pair, n, workers))
+    total = sum(product_sum for product_sum, _ in pair_chunks(model, pair, n))
     mean, stderr = mean_and_stderr(total, n)
     return ExpectationEstimate(pair=pair, mean=mean, stderr=stderr, n=n)
 
@@ -247,6 +242,11 @@ def classify_value(value: float) -> BellClassification:
     if magnitude <= TSIRELSON_BOUND + BOUND_TOL:
         return BellClassification.QUANTUM_ATTAINABLE
     return BellClassification.SUPER_QUANTUM
+
+
+def statistic_value(ab: float, aprime_b: float, ab_prime: float, aprime_bprime: float) -> float:
+    """The statistic from the four pair means, given in ``ALL_PAIRS`` order."""
+    return aprime_bprime + aprime_b + ab_prime - ab
 
 
 def bell_statistic(estimates: Iterable[ExpectationEstimate]) -> BellStatistic:
@@ -263,8 +263,7 @@ def bell_statistic(estimates: Iterable[ExpectationEstimate]) -> BellStatistic:
             f"estimates must cover the four coincidence pairs once each, got {got}"
         )
     components = tuple(by_pair[pair] for pair in ALL_PAIRS)
-    ab, aprime_b, ab_prime, aprime_bprime = (estimate.mean for estimate in components)
-    value = aprime_bprime + aprime_b + ab_prime - ab
+    value = statistic_value(*(estimate.mean for estimate in components))
     return BellStatistic(
         value=value, components=components, classification=classify_value(value)
     )
@@ -275,10 +274,7 @@ def run_full_experiment(
     system: VesselSystem,
     n_per_pair: int,
     tie_policy: TiePolicy = TiePolicy.ERROR,
-    workers: int = 1,
 ) -> BellStatistic:
     """Estimate all four pairs on independent substreams and combine them."""
     model = vessel_model(sampler, system, tie_policy)
-    return bell_statistic(
-        estimate_expectation(model, pair, n_per_pair, workers) for pair in ALL_PAIRS
-    )
+    return bell_statistic(estimate_expectation(model, pair, n_per_pair) for pair in ALL_PAIRS)

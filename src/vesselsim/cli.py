@@ -89,7 +89,9 @@ def _create_beside(target: Path) -> tuple[int, Path]:
 
 
 def _worker_count(text: str) -> int:
-    """The ``--workers`` value: an integer of at least 1."""
+    """The ``--workers`` value: an integer of at least 1.  It is checked so
+    that existing scripts keep their exit codes, and then unused: every
+    chunk runs on the calling thread."""
     try:
         workers = int(text)
     except ValueError:
@@ -137,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_common(sub)
     sub.add_argument(
-        "--workers", type=_worker_count, default=1, help="chunk workers (result-neutral)"
+        "--workers", type=_worker_count, default=1, help="no longer changes how runs execute"
     )
 
     sub = subparsers.add_parser(
@@ -156,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_common(sub)
     sub.add_argument(
-        "--workers", type=_worker_count, default=1, help="chunk workers (result-neutral)"
+        "--workers", type=_worker_count, default=1, help="no longer changes how runs execute"
     )
     sub.add_argument(
         "--analytic",
@@ -181,15 +183,13 @@ def _dispatch(args: argparse.Namespace):
     scenario = parse_scenario(args.scenario)
     collect = args.format == "csv"
     if args.subcommand == "vessel-chsh":
-        return commands.vessel_chsh(scenario, workers=args.workers, collect_runs=collect)
+        return commands.vessel_chsh(scenario, collect_runs=collect)
     if args.subcommand == "locality-check":
         return commands.locality_check(scenario, collect_runs=collect)
     if args.subcommand == "sample-state":
         return commands.sample_state(scenario, collect_runs=collect)
     if args.subcommand == "quantum-chsh":
-        return commands.quantum_chsh(
-            scenario, analytic=args.analytic, workers=args.workers, collect_runs=collect
-        )
+        return commands.quantum_chsh(scenario, analytic=args.analytic, collect_runs=collect)
     if args.subcommand == "flow":
         return commands.flow(
             scenario, args.lambda_a, args.lambda_b, args.dt, collect_runs=collect

@@ -134,7 +134,6 @@ def _chsh(
     scenario: Scenario,
     model: Model,
     run_columns: list[str],
-    workers: int,
     collect_runs: bool,
 ) -> tuple[dict | None, RunDump]:
     """Estimate the four pairs with ``model`` and report the statistic; the
@@ -144,24 +143,22 @@ def _chsh(
     if collect_runs:
 
         def chunk_columns(pair):
-            for _, columns in pair_chunks(model, pair, n, workers, collect=True):
+            for _, columns in pair_chunks(model, pair, n, collect=True):
                 products = columns["outcome_left"] * columns["outcome_right"]
                 yield [*(columns[name] for name in run_columns), products]
 
         blocks = (_row_blocks(chunk_columns(pair), pair.label) for pair in ALL_PAIRS)
         dump.rows = RowBlocks(chain.from_iterable(blocks), len(ALL_PAIRS) * n)
         return None, dump
-    estimates = [estimate_expectation(model, pair, n, workers) for pair in ALL_PAIRS]
+    estimates = [estimate_expectation(model, pair, n) for pair in ALL_PAIRS]
     return _chsh_report(scenario, estimates), dump
 
 
-def vessel_chsh(
-    scenario: Scenario, workers: int = 1, collect_runs: bool = False
-) -> tuple[dict | None, RunDump]:
+def vessel_chsh(scenario: Scenario, collect_runs: bool = False) -> tuple[dict | None, RunDump]:
     """Estimate all four coincidence pairs and combine them."""
     model = vessel_model(scenario.sampler, scenario.system, scenario.tie_policy)
     run_columns = ["lambda_a", "lambda_b", "outcome_left", "outcome_right"]
-    return _chsh(scenario, model, run_columns, workers, collect_runs)
+    return _chsh(scenario, model, run_columns, collect_runs)
 
 
 def locality_check(
@@ -238,7 +235,6 @@ def sample_state(
 def quantum_chsh(
     scenario: Scenario,
     analytic: bool = False,
-    workers: int = 1,
     collect_runs: bool = False,
 ) -> tuple[dict | None, RunDump]:
     """Singlet statistic at the scenario's analyzer angles."""
@@ -256,7 +252,7 @@ def quantum_chsh(
     else:
         model = singlet_model(angles, scenario.seed)
         run_columns = ["outcome_left", "outcome_right"]
-        report, dump = _chsh(scenario, model, run_columns, workers, collect_runs)
+        report, dump = _chsh(scenario, model, run_columns, collect_runs)
     if report is not None:
         report["mode"] = "analytic" if analytic else "monte_carlo"
         report["angles"] = list(angles)

@@ -21,7 +21,7 @@ import enum
 import itertools
 import math
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -116,15 +116,12 @@ class FactorizationReport:
     satisfiable: bool
     assignment: SignAssignment | None = None
     search_exhausted: bool = False
-    witnesses: tuple[Witness, ...] = field(default=())
 
     def __post_init__(self) -> None:
         if self.satisfiable and self.assignment is None:
             raise InvariantError("a satisfiable report must carry its assignment", "assignment")
-        if not self.satisfiable and not self.search_exhausted and not self.witnesses:
-            raise InvariantError(
-                "an unsatisfiable report needs witnesses or an exhausted search"
-            )
+        if not self.satisfiable and not self.search_exhausted:
+            raise InvariantError("an unsatisfiable report needs an exhausted search")
 
 
 class CorrelationKind(enum.Enum):
@@ -259,7 +256,7 @@ def scan_columns(
     }
     columns["satisfiable"] = np.full(size, search_factorization(table).satisfiable)
     columns["witness_with_b"] = witness_with_b
-    columns["witness_with_bprime"] = np.full(size, outcome_solo_siphon(system), dtype=np.int64)
+    columns["witness_with_bprime"] = np.full(size, outcome_solo_siphon(), dtype=np.int64)
     columns["witness_differs"] = witness_with_b != columns["witness_with_bprime"]
     return columns
 
@@ -305,7 +302,7 @@ def scan_hidden_variables(
     witness_with_b, _ = pair_products(PAIR_AB, lambda_a, lambda_b, system, tie_policy, tie_seed)
     table = _system_table(system)
     factorization = search_factorization(table)
-    with_bprime = outcome_solo_siphon(system)
+    with_bprime = outcome_solo_siphon()
     return [
         SampleAnalysis(
             lam, table, factorization, Witness(lam, with_b, with_bprime, with_b != with_bprime)

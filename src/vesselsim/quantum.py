@@ -32,10 +32,11 @@ from .bell import (
     Model,
     bell_statistic,
     estimate_expectation,
+    statistic_value,
 )
 from .errors import InvariantError, NotNormalizedError, NotUnitError, WrongArityError
 from .streams import check_count, check_seed, chunk_sizes, substream
-from .vessels import ALL_PAIRS, PAIR_AB, PAIR_AB_PRIME, PAIR_APRIME_B, PAIR_APRIME_BPRIME
+from .vessels import ALL_PAIRS
 
 N_AMPLITUDES = 11
 TOTAL_LITERS = 10
@@ -176,12 +177,17 @@ class MeasurementDirection:
         return self.x * other.x + self.y * other.y + self.z * other.z
 
 
-def left_analyzer_direction(angle_deg: float) -> MeasurementDirection:
-    """Left-wing analyzer at ``angle_deg``, counterclockwise in the shared frame."""
+def _planar(angle_deg: float) -> tuple[float, float]:
+    """In-plane components (cos, sin) of the left-wing analyzer at ``angle_deg``."""
     if not math.isfinite(angle_deg):
         raise InvariantError(f"analyzer angle must be finite, got {angle_deg!r}", "angle_deg")
     angle = math.radians(angle_deg)
-    return MeasurementDirection(math.cos(angle), math.sin(angle), 0.0)
+    return math.cos(angle), math.sin(angle)
+
+
+def left_analyzer_direction(angle_deg: float) -> MeasurementDirection:
+    """Left-wing analyzer at ``angle_deg``, counterclockwise in the shared frame."""
+    return MeasurementDirection(*_planar(angle_deg), 0.0)
 
 
 def right_analyzer_direction(angle_deg: float) -> MeasurementDirection:
@@ -200,7 +206,10 @@ def singlet_expectation(a: MeasurementDirection, b: MeasurementDirection) -> flo
     Rounding can carry the dot product of two unit vectors one ulp past
     +-1; its magnitude is capped at 1 so the result is always a valid mean.
     """
-    dot = a.dot(b)
+    return _expectation(a.dot(b))
+
+
+def _expectation(dot: float) -> float:
     return -math.copysign(min(abs(dot), 1.0), dot)
 
 
@@ -226,8 +235,9 @@ def _agreement_probability(a: MeasurementDirection, b: MeasurementDirection) -> 
 
 def _pair_directions(
     angles_deg: tuple[float, float, float, float],
-) -> dict:
-    """Map each coincidence pair to its (left, right) analyzer directions.
+) -> tuple[tuple[MeasurementDirection, MeasurementDirection], ...]:
+    """Each coincidence pair's (left, right) analyzer directions, in
+    ``ALL_PAIRS`` order.
 
     ``angles_deg`` lists the analyzer angles for A, A', B, B' in degrees;
     the left two use the shared frame, the right two their own mirrored
@@ -238,32 +248,43 @@ def _pair_directions(
     aprime = left_analyzer_direction(angle_aprime)
     b = right_analyzer_direction(angle_b)
     bprime = right_analyzer_direction(angle_bprime)
-    return {
-        PAIR_AB: (a, b),
-        PAIR_APRIME_B: (aprime, b),
-        PAIR_AB_PRIME: (a, bprime),
-        PAIR_APRIME_BPRIME: (aprime, bprime),
-    }
+    return (a, b), (aprime, b), (a, bprime), (aprime, bprime)
+
+
+def _pair_expectations(
+    angles_deg: tuple[float, float, float, float],
+) -> tuple[float, float, float, float]:
+    """``singlet_expectation`` of each pair's directions, in ``ALL_PAIRS`` order.
+
+    The same arithmetic as ``_pair_directions`` and ``MeasurementDirection.dot``
+    on plain floats, z term included, so the values agree bit for bit
+    without building a dataclass or hashing a pair.
+    """
+    angle_a, angle_aprime, angle_b, angle_bprime = angles_deg
+    ax, ay = _planar(angle_a)
+    apx, apy = _planar(angle_aprime)
+    bx, by = _planar(-angle_b)
+    bpx, bpy = _planar(-angle_bprime)
+    return (
+        _expectation(ax * bx + ay * by + 0.0),
+        _expectation(apx * bx + apy * by + 0.0),
+        _expectation(ax * bpx + ay * bpy + 0.0),
+        _expectation(apx * bpx + apy * bpy + 0.0),
+    )
 
 
 def singlet_bell_value(angles_deg: tuple[float, float, float, float]) -> float:
     """Analytic Bell statistic of the singlet at four planar analyzer angles."""
-    return bell_statistic(singlet_analytic_estimates(angles_deg)).value
+    return statistic_value(*_pair_expectations(angles_deg))
 
 
 def singlet_analytic_estimates(
     angles_deg: tuple[float, float, float, float],
 ) -> list[ExpectationEstimate]:
     """Exact per-pair expectations packaged as zero-spread estimates."""
-    directions = _pair_directions(angles_deg)
     return [
-        ExpectationEstimate(
-            pair=pair,
-            mean=singlet_expectation(*directions[pair]),
-            stderr=0.0,
-            n=1,
-        )
-        for pair in ALL_PAIRS
+        ExpectationEstimate(pair=pair, mean=mean, stderr=0.0, n=1)
+        for pair, mean in zip(ALL_PAIRS, _pair_expectations(angles_deg))
     ]
 
 
@@ -281,12 +302,13 @@ def singlet_model(angles_deg: tuple[float, float, float, float], seed: int) -> M
     directions = _pair_directions(angles_deg)
 
     def model(pair, key, size, collect):
+        left_direction, right_direction = directions[ALL_PAIRS.index(pair)]
         rng = substream(seed, *key)
         if collect:
-            left, right = singlet_samples(*directions[pair], size, rng)
+            left, right = singlet_samples(left_direction, right_direction, size, rng)
             return int(left @ right), {"outcome_left": left, "outcome_right": right}
         rng.bit_generator.advance(-(-size // 2))
-        threshold = _agreement_probability(*directions[pair])
+        threshold = _agreement_probability(left_direction, right_direction)
         agree = np.count_nonzero(rng.random(size) < threshold)
         return 2 * agree - size, None
 
@@ -297,10 +319,7 @@ def singlet_experiment(
     angles_deg: tuple[float, float, float, float],
     seed: int,
     n_per_pair: int,
-    workers: int = 1,
 ) -> BellStatistic:
     """Monte Carlo singlet statistic at the given analyzer angles."""
     model = singlet_model(angles_deg, seed)
-    return bell_statistic(
-        estimate_expectation(model, pair, n_per_pair, workers) for pair in ALL_PAIRS
-    )
+    return bell_statistic(estimate_expectation(model, pair, n_per_pair) for pair in ALL_PAIRS)

@@ -3,20 +3,17 @@
 A master seed plus an integer key tuple pins down one generator, so every
 consumer of randomness (one per coincidence pair, the locality scan, the
 state sampler) owns an independent stream.  Large jobs are cut into
-fixed-size chunks, one substream per chunk; results are merged in chunk
-order, which makes every estimate a pure function of (seed, n) no matter
-how many workers executed the chunks.  The chunk schedule and the results
-are produced lazily, so memory depends on ``CHUNK_SIZE``, not on n.
+fixed-size chunks, one substream per chunk, run one after another on the
+calling thread and merged in chunk order, which makes every estimate a pure
+function of (seed, n).  The chunk schedule and the results are produced
+lazily, so memory depends on ``CHUNK_SIZE``, not on n.
 """
 
 from __future__ import annotations
 
 import itertools
 import numbers
-import os
-from collections import deque
 from collections.abc import Callable, Iterator
-from concurrent.futures import ThreadPoolExecutor
 from typing import TypeVar
 
 import numpy as np
@@ -59,33 +56,11 @@ def chunk_sizes(n: int) -> Iterator[int]:
     return itertools.chain(itertools.repeat(CHUNK_SIZE, full), [rest] if rest else [])
 
 
-def run_chunks(chunk_fn: Callable[[int, int], T], n: int, workers: int = 1) -> Iterator[T]:
+def run_chunks(chunk_fn: Callable[[int, int], T], n: int) -> Iterator[T]:
     """Yield ``chunk_fn(chunk_index, size)`` for every chunk of ``n``, in chunk order.
 
-    Results come in chunk order regardless of ``workers``, so any
-    order-respecting reduction over them is reproducible.  The pool gets
-    no more threads than there are chunks or CPUs, and holds at most two
-    chunks per thread in flight: it submits the next chunk as the caller
-    consumes a result.
+    Each chunk runs only when the caller asks for its result, so one chunk
+    is in flight at a time and any order-respecting reduction over the
+    results is reproducible.
     """
-    sizes = chunk_sizes(n)
-    workers = min(workers, -(-n // CHUNK_SIZE), os.cpu_count() or 1)
-    if workers <= 1:
-        return (chunk_fn(index, size) for index, size in enumerate(sizes))
-    return _pooled(chunk_fn, sizes, workers)
-
-
-def _pooled(chunk_fn: Callable[[int, int], T], sizes: Iterator[int], workers: int) -> Iterator[T]:
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        in_flight: deque = deque()
-        try:
-            for index, size in enumerate(sizes):
-                in_flight.append(pool.submit(chunk_fn, index, size))
-                if len(in_flight) == 2 * workers:
-                    yield in_flight.popleft().result()
-            while in_flight:
-                yield in_flight.popleft().result()
-        finally:
-            # A caller that stops early leaves no queued chunk to run.
-            for future in in_flight:
-                future.cancel()
+    return (chunk_fn(index, size) for index, size in enumerate(chunk_sizes(n)))

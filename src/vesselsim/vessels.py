@@ -210,11 +210,12 @@ def joint_outcome_ab(
     return _break_tie(lam, tie_policy, tie_seed)
 
 
-def outcome_solo_siphon(system: VesselSystem | None = None) -> int:
+def outcome_solo_siphon() -> int:
     """Outcome of a siphon whose partner experiment is a spoon test.
 
     With no competing siphon it drains the entire connected volume, which
-    always exceeds the half-volume threshold, independent of the diameters.
+    always exceeds the half-volume threshold, whatever the diameters or the
+    volume.
     """
     return 1
 
@@ -228,7 +229,7 @@ def constant_outcomes(pair: CoincidencePair, system: VesselSystem) -> tuple[int,
     """Outcomes of a pair with at most one siphon, which the state fixes:
     a spoon test scores by transparency, a solo siphon always +1."""
     spoon = spoon_outcome(system)
-    solo = outcome_solo_siphon(system)
+    solo = outcome_solo_siphon()
     left = spoon if pair.left is ExperimentKind.APRIME else solo
     right = spoon if pair.right is ExperimentKind.BPRIME else solo
     return left, right

@@ -32,7 +32,7 @@ from vesselsim import (
     vessel_model,
 )
 from vesselsim.bell import PAIR_STREAM, mean_and_stderr, pair_chunks
-from vesselsim.streams import CHUNK_SIZE
+from vesselsim.streams import CHUNK_SIZE, chunk_sizes
 
 # The shared estimator must treat every model alike; tests loop over these.
 MODELS = {
@@ -180,12 +180,18 @@ class TestEstimateExpectation:
         assert np.array_equal(columns["lambda_a"], lambda_a)
         assert np.array_equal(columns["lambda_b"], lambda_b)
 
-    def test_worker_count_does_not_change_the_estimate(self):
+    def test_estimate_folds_the_keyed_chunks_in_order(self):
+        # 100k runs span four chunks, the last one ragged.
+        n = 100_000
         for model in MODELS.values():
             for pair in ALL_PAIRS:
-                serial = estimate_expectation(model, pair, 100_000, workers=1)
-                threaded = estimate_expectation(model, pair, 100_000, workers=4)
-                assert serial == threaded
+                total = sum(
+                    model(pair, (PAIR_STREAM[pair], index), size, False)[0]
+                    for index, size in enumerate(chunk_sizes(n))
+                )
+                mean, stderr = mean_and_stderr(total, n)
+                expected = ExpectationEstimate(pair=pair, mean=mean, stderr=stderr, n=n)
+                assert estimate_expectation(model, pair, n) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -326,14 +332,11 @@ class TestRunFullExperiment:
         second = run_full_experiment(HiddenVariableSampler(seed=55), VesselSystem(), 5000)
         assert first == second
 
-    def test_worker_count_invariance(self):
-        serial = run_full_experiment(
-            HiddenVariableSampler(seed=55), VesselSystem(), 70_000, workers=1
-        )
-        threaded = run_full_experiment(
-            HiddenVariableSampler(seed=55), VesselSystem(), 70_000, workers=4
-        )
-        assert serial == threaded
+    def test_multi_chunk_runs_reproduce_bit_for_bit(self):
+        # 70k runs per pair span three chunks.
+        first = run_full_experiment(HiddenVariableSampler(seed=55), VesselSystem(), 70_000)
+        second = run_full_experiment(HiddenVariableSampler(seed=55), VesselSystem(), 70_000)
+        assert first == second
 
     def test_estimates_stay_in_range(self):
         statistic = run_full_experiment(HiddenVariableSampler(seed=2), VesselSystem(), 500)

@@ -827,19 +827,31 @@ class TestAtomicCommit:
 
 
 class TestModuleEntryPoint:
-    """``python -m vesselsim`` runs the same command line in a new process."""
+    """``python -m vesselsim`` runs the same command line in a new process,
+    and importing the CLI loads only what a run needs."""
 
-    def run_module(self, *args):
+    def run_python(self, *args):
         src = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
         return subprocess.run(
-            [sys.executable, "-m", "vesselsim", *args],
+            [sys.executable, *args],
             env=env,
             capture_output=True,
             text=True,
             timeout=120,
         )
+
+    def run_module(self, *args):
+        return self.run_python("-m", "vesselsim", *args)
+
+    def test_import_loads_no_thread_pool(self):
+        # Every chunk runs on the calling thread, so the executor machinery
+        # would only add to each process's start-up time.
+        probe = "import sys, vesselsim.cli; print('concurrent.futures' in sys.modules)"
+        result = self.run_python("-c", probe)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "False\n"
 
     def test_version_exits_zero(self):
         result = self.run_module("--version")

@@ -10,17 +10,21 @@ from scipy import linalg as scipy_linalg
 from scipy import stats
 
 from vesselsim.bell import PAIR_STREAM
+from vesselsim.quantum import _pair_expectations
 from vesselsim.streams import substream
 
 from vesselsim import (
     ALL_PAIRS,
     TSIRELSON_BOUND,
     BellClassification,
+    ExpectationEstimate,
     ExperimentKind,
+    InvariantError,
     MeasurementDirection,
     NotNormalizedError,
     NotUnitError,
     WrongArityError,
+    bell_statistic,
     born_histogram,
     born_samples,
     coefficient_matrix,
@@ -251,7 +255,60 @@ class TestSingletExpectation:
             )
 
 
+def dataclass_estimates(angles):
+    """The reference for the float path: each pair's expectation through
+    ``MeasurementDirection`` and ``singlet_expectation``, in ``ALL_PAIRS`` order."""
+    angle_a, angle_aprime, angle_b, angle_bprime = angles
+    a, aprime = left_analyzer_direction(angle_a), left_analyzer_direction(angle_aprime)
+    b, bprime = right_analyzer_direction(angle_b), right_analyzer_direction(angle_bprime)
+    directions = ((a, b), (aprime, b), (a, bprime), (aprime, bprime))
+    return [
+        ExpectationEstimate(pair=pair, mean=singlet_expectation(left, right), stderr=0.0, n=1)
+        for pair, (left, right) in zip(ALL_PAIRS, directions)
+    ]
+
+
+def bits(values):
+    # float.hex tells -0.0 from 0.0, which == does not.
+    return [value.hex() for value in values]
+
+
+finite_angles = st.floats(allow_nan=False, allow_infinity=False)
+
+
 class TestSingletBellValue:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        angles=st.one_of(
+            st.tuples(*[st.floats(-720.0, 720.0)] * 4), st.tuples(*[finite_angles] * 4)
+        )
+    )
+    def test_float_path_matches_the_dataclass_path_bit_for_bit(self, angles):
+        reference = dataclass_estimates(angles)
+        means = [estimate.mean for estimate in reference]
+        assert bits(_pair_expectations(angles)) == bits(means)
+        assert singlet_analytic_estimates(angles) == reference
+        assert bits(estimate.mean for estimate in singlet_analytic_estimates(angles)) == bits(means)
+        assert bits([singlet_bell_value(angles)]) == bits([bell_statistic(reference).value])
+
+    @pytest.mark.parametrize(
+        "angles",
+        [
+            (math.nan, 0.0, 0.0, 0.0),
+            (0.0, math.inf, -math.inf, 0.0),
+            (0.0, 0.0, math.inf, 0.0),
+            (0.0, 0.0, 0.0, math.nan),
+        ],
+    )
+    def test_non_finite_angles_fail_like_the_dataclass_path(self, angles):
+        with pytest.raises(InvariantError) as expected:
+            dataclass_estimates(angles)
+        for path in (_pair_expectations, singlet_analytic_estimates, singlet_bell_value):
+            with pytest.raises(InvariantError) as raised:
+                path(angles)
+            assert raised.value.field == expected.value.field == "angle_deg"
+            assert str(raised.value) == str(expected.value)
+
     def test_textbook_angles_attain_the_quantum_maximum(self):
         assert singlet_bell_value((0.0, 90.0, 45.0, 135.0)) == pytest.approx(
             TSIRELSON_BOUND, abs=1e-12
@@ -360,10 +417,8 @@ class TestSingletExperiment:
             BellClassification.SUPER_QUANTUM,
         )
 
-    def test_reproducible_and_worker_invariant(self):
+    def test_same_seed_reproduces_bit_for_bit(self):
+        # 50k runs per pair span two chunks.
         first = singlet_experiment((0.0, 90.0, 45.0, 135.0), seed=5, n_per_pair=50_000)
         second = singlet_experiment((0.0, 90.0, 45.0, 135.0), seed=5, n_per_pair=50_000)
-        threaded = singlet_experiment(
-            (0.0, 90.0, 45.0, 135.0), seed=5, n_per_pair=50_000, workers=4
-        )
-        assert first == second == threaded
+        assert first == second

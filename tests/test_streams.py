@@ -1,15 +1,17 @@
-"""Chunked execution: chunk order, the worker pool and its window, and the
-stream positions that let chunked draws reproduce one-shot draws."""
+"""Chunked execution: chunk order, laziness, and the stream positions that
+let chunked draws reproduce one-shot draws."""
 
 import math
+import os
+import threading
 import tracemalloc
-from concurrent.futures import Future
 from itertools import islice
 
 import numpy as np
 import pytest
 
-from vesselsim import HiddenVariableSampler, born_histogram, born_samples, make_state, streams
+from vesselsim import HiddenVariableSampler, born_histogram, born_samples, make_state
+from vesselsim.cli import _worker_count
 from vesselsim.streams import (
     BORN_STREAM,
     CHUNK_SIZE,
@@ -18,24 +20,6 @@ from vesselsim.streams import (
     run_chunks,
     substream,
 )
-
-
-class SerialPool:
-    """Stands in for ThreadPoolExecutor: records ``max_workers``, runs serially."""
-
-    def __init__(self, created, max_workers):
-        created.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return False
-
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
 
 
 class TestRunChunks:
@@ -53,33 +37,39 @@ class TestRunChunks:
     def test_pool_is_clamped_to_chunks_and_cpus(
         self, monkeypatch, cpus, workers, n_chunks, pool_size
     ):
-        created = []
-        monkeypatch.setattr(
-            streams, "ThreadPoolExecutor", lambda max_workers: SerialPool(created, max_workers)
-        )
-        monkeypatch.setattr(streams.os, "cpu_count", lambda: cpus)
+        # Rows of the retired pool's clamp: pool_size threads is what it
+        # started for --workers N.  Now no CPU count or accepted --workers
+        # value starts a thread: every chunk, the ragged last one included,
+        # runs on the calling thread, in chunk order.
+        assert _worker_count(str(workers)) == workers
+        started = []
+        start = threading.Thread.start
+
+        def recorded_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(threading.Thread, "start", recorded_start)
+        caller = threading.get_ident()
         n = CHUNK_SIZE * (n_chunks - 1) + 5
-        results = list(run_chunks(lambda index, size: (index, size), n, workers=workers))
-        assert results == list(enumerate(chunk_sizes(n)))
-        assert created == ([] if pool_size is None else [pool_size])
+        results = list(run_chunks(lambda index, size: (index, size, threading.get_ident()), n))
+        assert results == [(index, size, caller) for index, size in enumerate(chunk_sizes(n))]
+        assert started == [], f"the retired pool started {pool_size} threads here"
 
-    def test_results_are_lazy_with_a_bounded_window(self, monkeypatch):
-        submitted = []
+    def test_results_are_lazy_with_a_bounded_window(self):
+        calls = []
 
-        class CountingPool(SerialPool):
-            def submit(self, fn, *args):
-                submitted.append(args[0])
-                return super().submit(fn, *args)
+        def chunk_fn(index, size):
+            calls.append(index)
+            return index
 
-        monkeypatch.setattr(
-            streams, "ThreadPoolExecutor", lambda max_workers: CountingPool([], max_workers)
-        )
-        monkeypatch.setattr(streams.os, "cpu_count", lambda: 2)
-        results = run_chunks(lambda index, size: index, 1000 * CHUNK_SIZE, workers=2)
-        assert submitted == []
-        assert list(islice(results, 3)) == [0, 1, 2]
-        # Two chunks per thread in flight, one more submitted per result taken.
-        assert submitted == list(range(4 + 2))
+        results = run_chunks(chunk_fn, 1000 * CHUNK_SIZE)
+        assert calls == []
+        for taken in range(1, 4):
+            assert next(results) == taken - 1
+            # One chunk runs per result taken, none ahead of the caller.
+            assert calls == list(range(taken))
 
 
 # Sizes around the chunk boundaries.

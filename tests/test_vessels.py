@@ -25,7 +25,7 @@ from vesselsim import (
     simulate_flow,
     spoon_outcome,
 )
-from vesselsim.vessels import joint_left_wins, joint_product_sum
+from vesselsim.vessels import constant_outcomes, joint_left_wins, joint_product_sum
 
 
 class TestTypes:
@@ -97,9 +97,11 @@ class TestJointOutcome:
 class TestSingleSideOutcomes:
     def test_solo_siphon_always_wins(self):
         assert outcome_solo_siphon() == 1
-        assert outcome_solo_siphon(VesselSystem(total_volume=20.0)) == 1
         # independent of any diameters and of the configured volume
-        assert outcome_solo_siphon(VesselSystem(total_volume=0.3)) == 1
+        for volume in (0.3, 10.0, 20.0):
+            system = VesselSystem(total_volume=volume, transparent=False)
+            assert constant_outcomes(PAIR_AB_PRIME, system) == (1, -1)
+            assert constant_outcomes(PAIR_APRIME_B, system) == (-1, 1)
 
     def test_spoon_reads_transparency_only(self):
         assert spoon_outcome(VesselSystem(transparent=True)) == 1
