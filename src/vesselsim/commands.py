@@ -79,8 +79,7 @@ def _row_blocks(chunks: Iterable[Sequence[np.ndarray]], *leading) -> Iterator[It
     start = 0
     for columns in chunks:
         size = len(columns[0])
-        # .tolist() hands csv Python floats, ints and bools, which it writes
-        # as repr, str and True/False.
+        # .tolist() gives Python floats, ints and bools: "%s" writes repr and str.
         yield zip(
             *map(repeat, leading),
             range(start, start + size),

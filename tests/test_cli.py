@@ -2,6 +2,7 @@
 
 import csv
 import errno
+import io
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+from itertools import cycle, islice, zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -24,10 +26,11 @@ from vesselsim import (
     __version__,
     commands,
     locality,
+    parse_scenario,
     streams,
     vessels,
 )
-from vesselsim.cli import commit, main
+from vesselsim.cli import CSV_ROWS_PER_WRITE, commit, main, render_csv
 
 UNIFORM_AMPLITUDES = [[1.0 / math.sqrt(11), 0.0]] * 11
 
@@ -635,6 +638,96 @@ class TestCsvDumps:
         assert abs(float(rows[0]["x_left"]) - 16.0) <= 0.05
 
 
+def csv_writer_bytes(dump):
+    """The reference: ``dump`` as ``csv.writer(lineterminator="\\n")`` writes
+    it.  Every row must be a tuple of plain Python str, int, float or bool."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(dump.fieldnames)
+    for block in dump.rows:
+        rows = list(block)
+        assert {type(row) for row in rows} <= {tuple}
+        assert {type(cell) for row in rows for cell in row} <= {str, int, float, bool}
+        writer.writerows(rows)
+    return buffer.getvalue()
+
+
+def first_difference(text, expected):
+    """The first line at which ``text`` and ``expected`` differ, with its
+    index, or None.  A pytest diff of two multi-megabyte texts takes minutes."""
+    pairs = zip_longest(text.splitlines(keepends=True), expected.splitlines(keepends=True))
+    return next(((index, *pair) for index, pair in enumerate(pairs) if pair[0] != pair[1]), None)
+
+
+PAIR_LABELS = [pair.label for pair in vessels.ALL_PAIRS]
+CELLS = st.one_of(
+    st.sampled_from(PAIR_LABELS),
+    st.integers(),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 2.5e-310, 1e16, 1e-05, 1.7976931348623157e308]),
+)
+
+
+@st.composite
+def run_dumps(draw):
+    """Up to three blocks of up to two slices and a row, cycling a few drawn rows."""
+    width = draw(st.integers(1, 6))
+    blocks = []
+    for _ in range(draw(st.integers(0, 3))):
+        rows = draw(st.lists(st.tuples(*[CELLS] * width), min_size=1, max_size=5))
+        length = draw(st.integers(0, 2 * CSV_ROWS_PER_WRITE + 1))
+        blocks.append(list(islice(cycle(rows), length)))
+    return commands.RunDump([f"field_{index}" for index in range(width)], blocks)
+
+
+# Each sampling command's dump crosses a chunk boundary and many row slices.
+BYTES_RUNS = streams.CHUNK_SIZE + 2500
+
+
+class TestCsvBytes:
+    """The dumps are the bytes ``csv.writer`` would write for the same rows."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dump=run_dumps())
+    def test_template_rows_are_the_csv_writer_bytes(self, dump):
+        out = io.StringIO()
+        render_csv(dump, out)
+        assert out.getvalue() == csv_writer_bytes(dump)
+
+    @pytest.mark.parametrize(
+        "argv, collect",
+        [
+            (["vessel-chsh"], lambda s: commands.vessel_chsh(s, collect_runs=True)),
+            (["quantum-chsh"], lambda s: commands.quantum_chsh(s, collect_runs=True)),
+            (
+                ["quantum-chsh", "--analytic"],
+                lambda s: commands.quantum_chsh(s, analytic=True, collect_runs=True),
+            ),
+            (["sample-state"], lambda s: commands.sample_state(s, collect_runs=True)),
+            (["locality-check"], lambda s: commands.locality_check(s, collect_runs=True)),
+            (
+                ["flow", "--lambda-a", "2.0", "--lambda-b", "1.0"],
+                lambda s: commands.flow(s, 2.0, 1.0, 1e-4, collect_runs=True),
+            ),
+        ],
+        ids=["vessel-chsh", "quantum-chsh", "analytic", "sample-state", "locality-check", "flow"],
+    )
+    def test_every_producer_writes_the_csv_writer_bytes(self, tmp_path, argv, collect):
+        scenario = write_scenario(
+            tmp_path,
+            runs_per_pair=BYTES_RUNS,
+            singlet_angles=[0, 90, 45, 135],
+            amplitudes=UNIFORM_AMPLITUDES,
+        )
+        out = tmp_path / "dump.csv"
+        assert run_cli([*argv, "--scenario", scenario, "--format", "csv", "--out", str(out)]) == 0
+        _, dump = collect(parse_scenario(scenario))
+        expected = csv_writer_bytes(dump)
+        assert expected.count("\n") == len(dump.rows) + 1
+        assert first_difference(out.read_text(), expected) is None
+
+
 class TestStdout:
     def test_report_goes_to_stdout_by_default(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path, runs_per_pair=5)
@@ -709,26 +802,38 @@ class TestAtomicCommit:
     def test_write_error_mid_stream_leaves_no_file(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "report.csv"
         out.write_text(PREVIOUS)
-        real_writer = csv.writer
+        written = []
 
         class FullDisk:
-            def __init__(self, handle, **options):
-                self.writer = real_writer(handle, **options)
-                self.blocks = 0
+            """The temporary file's handle; the disk fills after two writes."""
 
-            def writerow(self, row):
-                self.writer.writerow(row)
+            def __init__(self, handle):
+                self.handle = handle
 
-            def writerows(self, rows):
-                self.blocks += 1
-                if self.blocks == 2:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return self.handle.__exit__(*exc_info)
+
+            def write(self, text):
+                if len(written) == 2:
                     raise OSError(errno.ENOSPC, "No space left on device")
-                self.writer.writerows(rows)
+                written.append(text)
+                return self.handle.write(text)
 
-        monkeypatch.setattr(csv, "writer", FullDisk)
-        scenario = write_scenario(tmp_path, runs_per_pair=10)
+        def full_disk_open(*args, **kwargs):
+            return FullDisk(open(*args, **kwargs))
+
+        # Shadows the builtin for the module that opens the temporary file.
+        monkeypatch.setattr("vesselsim.cli.open", full_disk_open, raising=False)
+        scenario = write_scenario(tmp_path, runs_per_pair=CSV_ROWS_PER_WRITE)
         argv = ["vessel-chsh", "--scenario", scenario, "--format", "csv", "--out", str(out)]
         assert run_cli(argv) == 3
+        # The disk filled after the header and the AB rows, with rows to come.
+        header, rows = written
+        assert header.startswith("pair,run_index,")
+        assert [row.split(",")[0] for row in rows.splitlines()] == ["AB"] * CSV_ROWS_PER_WRITE
         assert "cannot write output" in capsys.readouterr().err
         assert out.read_text() == PREVIOUS
         assert leftovers(tmp_path, {"scenario.json", "report.csv"}) == []

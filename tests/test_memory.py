@@ -49,6 +49,8 @@ def peak_rss_kb(tmp_path, subcommand, fmt, runs):
     "subcommand, fmt, runs",
     [
         ("vessel-chsh", "csv", 4_000),
+        ("locality-check", "csv", 16_000),
+        ("sample-state", "csv", 16_000),
         ("sample-state", "json", 300_000),
         ("locality-check", "json", 100_000),
     ],
