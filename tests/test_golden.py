@@ -2,12 +2,15 @@
 
 A refactor of the command path is accepted when these files still match byte
 for byte.  The files under ``tests/golden/`` were written by the code before
-the columnar locality scan; regenerate them only for an intended change of
-the report format, with
+the columnar locality scan, and ``large-dumps.sha256`` pins every CSV
+producer at a size that crosses a chunk boundary and many write slices by
+the sha256 of its bytes.  Regenerate them only for an intended change of the
+report format, with
 
     PYTHONPATH=src python tests/test_golden.py --regen
 """
 
+import hashlib
 import json
 import math
 import sys
@@ -17,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from vesselsim.cli import main
+from vesselsim.streams import CHUNK_SIZE
 
 GOLDEN = Path(__file__).parent / "golden"
 FORMATS = ("json", "csv")
@@ -70,9 +74,27 @@ CASES = {
 }
 
 
-def render(case: str, fmt: str, directory: Path) -> bytes:
+# Every CSV producer past one chunk of runs: case name -> (subcommand, extra argv).
+LARGE_DUMPS = {
+    "vessel-chsh": ("vessel-chsh", []),
+    "quantum-chsh": ("quantum-chsh", []),
+    "quantum-chsh-analytic": ("quantum-chsh", ["--analytic"]),
+    "sample-state": ("sample-state", []),
+    "locality-check": ("locality-check", []),
+    "flow": ("flow", ["--lambda-a", "2.0", "--lambda-b", "1.0"]),
+}
+LARGE_SCENARIO = {
+    "seed": 42,
+    "runs_per_pair": CHUNK_SIZE + 2500,
+    "singlet_angles": [0, 90, 45, 135],
+    "amplitudes": [[1.0 / math.sqrt(11), 0.0]] * 11,
+}
+LARGE_HASHES = GOLDEN / "large-dumps.sha256"
+
+
+def render(case: str, subcommand: str, extra: list, scenario: dict, fmt: str,
+           directory: Path) -> bytes:
     """Run the CLI on ``case`` in ``fmt`` and return the bytes it wrote."""
-    subcommand, extra, scenario = CASES[case]
     scenario_path = directory / f"{case}.scenario.json"
     scenario_path.write_text(json.dumps(scenario))
     out = directory / f"{case}.{fmt}"
@@ -86,7 +108,20 @@ def render(case: str, fmt: str, directory: Path) -> bytes:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_report_bytes_match_golden(case, fmt, tmp_path):
     expected = (GOLDEN / f"{case}.{fmt}").read_bytes()
-    assert render(case, fmt, tmp_path) == expected
+    assert render(case, *CASES[case], fmt, tmp_path) == expected
+
+
+def large_dump_hashes(directory: Path) -> str:
+    """``sha256sum``-style lines for every large CSV dump."""
+    lines = []
+    for case, (subcommand, extra) in sorted(LARGE_DUMPS.items()):
+        text = render(case, subcommand, extra, LARGE_SCENARIO, "csv", directory)
+        lines.append(f"{hashlib.sha256(text).hexdigest()}  {case}.csv\n")
+    return "".join(lines)
+
+
+def test_large_dump_hashes_match_golden(tmp_path):
+    assert large_dump_hashes(tmp_path) == LARGE_HASHES.read_text()
 
 
 def _regenerate() -> None:
@@ -94,7 +129,9 @@ def _regenerate() -> None:
     with tempfile.TemporaryDirectory() as scratch:
         for case in sorted(CASES):
             for fmt in FORMATS:
-                (GOLDEN / f"{case}.{fmt}").write_bytes(render(case, fmt, Path(scratch)))
+                text = render(case, *CASES[case], fmt, Path(scratch))
+                (GOLDEN / f"{case}.{fmt}").write_bytes(text)
+        LARGE_HASHES.write_text(large_dump_hashes(Path(scratch)))
 
 
 if __name__ == "__main__":
