@@ -42,14 +42,14 @@ def render_json(report: dict) -> str:
 
 
 def render_csv(dump: commands.RunDump, out: TextIO) -> None:
-    """Write the dump to ``out`` a slice of rows at a time, computing each
-    block as the slices reach it.  No dump cell needs quoting, so one ``%s``
-    template per row writes the bytes ``csv.writer(lineterminator="\\n")`` would."""
-    line = ",".join(["%s"] * len(dump.fieldnames)) + "\n"
-    out.write(line % tuple(dump.fieldnames))
+    """Write the dump to ``out`` a slice of lines at a time, computing each
+    block as the slices reach it.  The producers format every line; no dump
+    cell needs quoting, so they are the bytes ``csv.writer(lineterminator="\\n")``
+    would write."""
+    out.write(",".join(dump.fieldnames) + "\n")
     # chain drops each spent block before it computes the next.
-    rows = map(line.__mod__, chain.from_iterable(dump.rows))
-    while text := "".join(islice(rows, CSV_ROWS_PER_WRITE)):
+    lines = chain.from_iterable(dump.rows)
+    while text := "".join(islice(lines, CSV_ROWS_PER_WRITE)):
         out.write(text)
 
 

@@ -14,9 +14,9 @@ does not use it.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
@@ -46,18 +46,32 @@ from .quantum import (
 )
 from .scenario import Scenario
 from .streams import BORN_STREAM, LOCALITY_STREAM, chunk_sizes, substream
-from .vessels import ALL_PAIRS, SiphonDiameters, joint_outcome_ab, simulate_flow
+from .vessels import (
+    ALL_PAIRS, PAIR_AB, SiphonDiameters, joint_outcome_ab, pair_products, simulate_flow
+)
+
+
+def _csv_lines(rows: Iterable[Iterable]) -> np.ndarray:
+    """Each row's cells rendered as a CSV line, or a line's tail, in an
+    object array so that a chunk's tails are one take."""
+    return np.array([",".join(map(str, row)) + "\n" for row in rows], dtype=object)
+
+
+# outcome_left, outcome_right, product at 2 * (outcome_left > 0) + (outcome_right > 0).
+_CHSH_TAILS = _csv_lines((left, right, left * right) for left in (-1, 1) for right in (-1, 1))
+# x, left_liters, right_liters at the Born draw x.
+_BORN_TAILS = _csv_lines((x, x, TOTAL_LITERS - x) for x in range(TOTAL_LITERS + 1))
 
 
 class RowBlocks:
     """Row blocks of at most ``CHUNK_SIZE`` rows each, computed lazily as
     they are iterated (once); ``len()`` is the number of rows they hold."""
 
-    def __init__(self, blocks: Iterable[Iterable[tuple]], row_count: int) -> None:
+    def __init__(self, blocks: Iterable[Iterable[str]], row_count: int) -> None:
         self._blocks = blocks
         self._row_count = row_count
 
-    def __iter__(self) -> Iterator[Iterable[tuple]]:
+    def __iter__(self) -> Iterator[Iterable[str]]:
         return iter(self._blocks)
 
     def __len__(self) -> int:
@@ -66,25 +80,22 @@ class RowBlocks:
 
 @dataclass
 class RunDump:
-    """Per-run rows for CSV output: blocks of rows, each row a tuple in
-    ``fieldnames`` order."""
+    """Per-run rows for CSV output: blocks of rows, each row a CSV line of
+    cells in ``fieldnames`` order."""
 
     fieldnames: list[str]
-    rows: Iterable[Iterable[tuple]] = ()
+    rows: Iterable[Iterable[str]] = ()
 
 
-def _row_blocks(chunks: Iterable[Sequence[np.ndarray]], *leading) -> Iterator[Iterable[tuple]]:
-    """One block of rows per chunk of columns: the ``leading`` values, a
-    running row index, then the chunk's columns."""
+def _row_blocks(chunks: Iterable[list[np.ndarray]], template: str) -> Iterator[Iterable[str]]:
+    """One block of CSV lines per chunk of cell columns: ``template`` filled
+    with a running row index, then a cell of each column."""
     start = 0
     for columns in chunks:
         size = len(columns[0])
-        # .tolist() gives Python floats, ints and bools: "%s" writes repr and str.
-        yield zip(
-            *map(repeat, leading),
-            range(start, start + size),
-            *(column.tolist() for column in columns),
-        )
+        # .tolist() gives Python floats, ints and strs: "%s" writes repr and str.
+        cells = (column.tolist() for column in columns)
+        yield map(template.__mod__, zip(range(start, start + size), *cells))
         start += size
 
 
@@ -136,17 +147,19 @@ def _chsh(
     collect_runs: bool,
 ) -> tuple[dict | None, RunDump]:
     """Estimate the four pairs with ``model`` and report the statistic; the
-    dump holds every run's ``run_columns`` and outcome product."""
+    dump holds every run's ``run_columns``, outcomes and outcome product."""
     n = scenario.runs_per_pair
-    dump = RunDump(["pair", "run_index", *run_columns, "product"])
+    dump = RunDump(["pair", "run_index", *run_columns, "outcome_left", "outcome_right", "product"])
     if collect_runs:
+        # The pair label, then the run index, run columns and outcome tail.
+        template = ",%s" * (len(run_columns) + 2)
 
-        def chunk_columns(pair):
+        def chunk_cells(pair):
             for _, columns in pair_chunks(model, pair, n, collect=True):
-                products = columns["outcome_left"] * columns["outcome_right"]
-                yield [*(columns[name] for name in run_columns), products]
+                tail = 2 * (columns["outcome_left"] > 0) + (columns["outcome_right"] > 0)
+                yield [*(columns[name] for name in run_columns), _CHSH_TAILS[tail]]
 
-        blocks = (_row_blocks(chunk_columns(pair), pair.label) for pair in ALL_PAIRS)
+        blocks = (_row_blocks(chunk_cells(pair), pair.label + template) for pair in ALL_PAIRS)
         dump.rows = RowBlocks(chain.from_iterable(blocks), len(ALL_PAIRS) * n)
         return None, dump
     estimates = [estimate_expectation(model, pair, n) for pair in ALL_PAIRS]
@@ -156,8 +169,7 @@ def _chsh(
 def vessel_chsh(scenario: Scenario, collect_runs: bool = False) -> tuple[dict | None, RunDump]:
     """Estimate all four coincidence pairs and combine them."""
     model = vessel_model(scenario.sampler, scenario.system, scenario.tie_policy)
-    run_columns = ["lambda_a", "lambda_b", "outcome_left", "outcome_right"]
-    return _chsh(scenario, model, run_columns, collect_runs)
+    return _chsh(scenario, model, ["lambda_a", "lambda_b"], collect_runs)
 
 
 def locality_check(
@@ -183,11 +195,14 @@ def locality_check(
         ]
     )
     if collect_runs:
-        scans = ((a, b, scan_columns(a, b, *scan_args)) for a, b in chunks)
-        blocks = (
-            [a, b, *(columns[name] for name in dump.fieldnames[3:])] for a, b, columns in scans
-        )
-        dump.rows = RowBlocks(_row_blocks(blocks), n)
+        # Every sample has the system's one table, so the witness fixes the
+        # cells after lambda_b: tails[witness_with_b > 0] holds the
+        # scan_columns row of a tie-free left loss, then of a left win.
+        fixed = scan_columns(np.array([1.0, 2.0]), np.array([2.0, 1.0]), *scan_args)
+        tails = _csv_lines(zip(*(fixed[name].tolist() for name in dump.fieldnames[3:])))
+        scans = ((a, b, pair_products(PAIR_AB, a, b, *scan_args)[0]) for a, b in chunks)
+        blocks = ([a, b, tails[(witness > 0).astype(np.intp)]] for a, b, witness in scans)
+        dump.rows = RowBlocks(_row_blocks(blocks, "%s,%s,%s,%s"), n)
         return None, dump
 
     satisfiable, witnesses = scan_counts(chunks, *scan_args)
@@ -219,7 +234,7 @@ def sample_state(
     if collect_runs:
         # Chunk after chunk on one generator: the same draws as born_samples(state, n, rng).
         draws = (born_samples(state, size, rng) for size in chunk_sizes(n))
-        dump.rows = RowBlocks(_row_blocks((left, left, TOTAL_LITERS - left) for left in draws), n)
+        dump.rows = RowBlocks(_row_blocks(([_BORN_TAILS[x]] for x in draws), "%s,%s"), n)
         return None, dump
 
     report = _base_report(scenario)
@@ -238,7 +253,7 @@ def quantum_chsh(
 ) -> tuple[dict | None, RunDump]:
     """Singlet statistic at the scenario's analyzer angles."""
     if scenario.singlet_angles is None:
-        raise ConfigError("quantum-chsh requires 'singlet_angles' in the scenario")
+        raise ConfigError("scenario.singlet_angles: missing; quantum-chsh needs them")
     angles = scenario.singlet_angles
 
     if analytic:
@@ -246,12 +261,11 @@ def quantum_chsh(
         report = _chsh_report(scenario, estimates)
         dump = RunDump(["pair", "expectation"])
         if collect_runs:
-            rows = [(estimate.pair.label, estimate.mean) for estimate in estimates]
+            rows = _csv_lines((estimate.pair.label, estimate.mean) for estimate in estimates)
             dump.rows = RowBlocks([rows], len(rows))
     else:
         model = singlet_model(angles, scenario.seed)
-        run_columns = ["outcome_left", "outcome_right"]
-        report, dump = _chsh(scenario, model, run_columns, collect_runs)
+        report, dump = _chsh(scenario, model, [], collect_runs)
     if report is not None:
         report["mode"] = "analytic" if analytic else "monte_carlo"
         report["angles"] = list(angles)
@@ -290,5 +304,6 @@ def flow(
         ["lambda_a", "lambda_b", "dt", "x_left", "x_right", "outcome_left", "outcome_right"]
     )
     if collect_runs:
-        dump.rows = RowBlocks([[tuple(report["flow"][name] for name in dump.fieldnames)]], 1)
+        cells = tuple(report["flow"][name] for name in dump.fieldnames)
+        dump.rows = RowBlocks([_csv_lines([cells])], 1)
     return report, dump

@@ -20,17 +20,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vesselsim import (
+    TOTAL_LITERS,
     TSIRELSON_BOUND,
     HiddenVariableSampler,
     TiePolicy,
     __version__,
+    born_samples,
     commands,
     locality,
+    pair_chunks,
     parse_scenario,
+    scan_columns,
+    scenario_from_dict,
+    singlet_analytic_estimates,
+    singlet_model,
     streams,
+    vessel_model,
     vessels,
 )
-from vesselsim.cli import CSV_ROWS_PER_WRITE, commit, main, render_csv
+from vesselsim.bell import mean_and_stderr
+from vesselsim.cli import CSV_ROWS_PER_WRITE, commit, main, render_csv, render_json
+from vesselsim.errors import DegenerateTieError, VesselSimError
 
 UNIFORM_AMPLITUDES = [[1.0 / math.sqrt(11), 0.0]] * 11
 
@@ -102,9 +112,14 @@ class TestExitCodes:
 
     def test_missing_required_sections_are_config_errors(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path)
-        assert run_cli(["sample-state", "--scenario", scenario]) == 2
-        assert run_cli(["quantum-chsh", "--scenario", scenario]) == 2
-        capsys.readouterr()
+        for argv, field in [
+            (["sample-state"], "amplitudes"),
+            (["quantum-chsh"], "singlet_angles"),
+            (["quantum-chsh", "--analytic"], "singlet_angles"),
+        ]:
+            assert run_cli([*argv, "--scenario", scenario]) == 2
+            message = f"scenario.{field}: missing; {argv[0]} needs them"
+            assert capsys.readouterr().err == f"vesselsim: configuration error: {message}\n"
 
     def test_no_output_written_on_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -638,17 +653,16 @@ class TestCsvDumps:
         assert abs(float(rows[0]["x_left"]) - 16.0) <= 0.05
 
 
-def csv_writer_bytes(dump):
-    """The reference: ``dump`` as ``csv.writer(lineterminator="\\n")`` writes
-    it.  Every row must be a tuple of plain Python str, int, float or bool."""
+def csv_writer_bytes(fieldnames, rows):
+    """The reference: a header and ``rows`` as ``csv.writer(lineterminator="\\n")``
+    writes them.  Every row must be a tuple of plain Python str, int, float or bool."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(dump.fieldnames)
-    for block in dump.rows:
-        rows = list(block)
-        assert {type(row) for row in rows} <= {tuple}
-        assert {type(cell) for row in rows for cell in row} <= {str, int, float, bool}
-        writer.writerows(rows)
+    writer.writerow(fieldnames)
+    for row in rows:
+        assert type(row) is tuple
+        assert {type(cell) for cell in row} <= {str, int, float, bool}
+        writer.writerow(row)
     return buffer.getvalue()
 
 
@@ -670,50 +684,158 @@ CELLS = st.one_of(
 
 
 @st.composite
-def run_dumps(draw):
-    """Up to three blocks of up to two slices and a row, cycling a few drawn rows."""
-    width = draw(st.integers(1, 6))
-    blocks = []
+def tail_dumps(draw):
+    """Fieldnames, ``_row_blocks`` inputs and the rows they stand for: an
+    optional label, a running index, drawn leading cells and a tail from a
+    drawn table, in up to three blocks of up to two slices and a row."""
+    label = draw(st.one_of(st.none(), st.sampled_from(PAIR_LABELS)))
+    width = draw(st.integers(0, 3))
+    table = draw(st.lists(st.tuples(*[CELLS] * draw(st.integers(1, 3))), min_size=1, max_size=4))
+    tails = commands._csv_lines(table)
+    leading = draw(st.lists(st.tuples(*[CELLS] * width), min_size=1, max_size=5))
+    chunks, rows = [], []
     for _ in range(draw(st.integers(0, 3))):
-        rows = draw(st.lists(st.tuples(*[CELLS] * width), min_size=1, max_size=5))
         length = draw(st.integers(0, 2 * CSV_ROWS_PER_WRITE + 1))
-        blocks.append(list(islice(cycle(rows), length)))
-    return commands.RunDump([f"field_{index}" for index in range(width)], blocks)
+        picks = draw(st.lists(st.integers(0, len(table) - 1), min_size=1, max_size=5))
+        cells = list(islice(cycle(leading), length))
+        tail_index = np.array(list(islice(cycle(picks), length)), dtype=np.intp)
+        columns = [np.array([row[k] for row in cells], dtype=object) for k in range(width)]
+        chunks.append([*columns, tails[tail_index]])
+        rows += [(*cells[i], *table[tail_index[i]]) for i in range(length)]
+    prefix = () if label is None else (label,)
+    rows = [(*prefix, index, *row) for index, row in enumerate(rows)]
+    template = ("" if label is None else label + ",") + "%s" + ",%s" * (width + 1)
+    fieldnames = [f"field_{index}" for index in range(len(prefix) + 1 + width + len(table[0]))]
+    return fieldnames, commands._row_blocks(chunks, template), rows
 
 
 # Each sampling command's dump crosses a chunk boundary and many row slices.
 BYTES_RUNS = streams.CHUNK_SIZE + 2500
 
 
+def chsh_reference(model, run_columns):
+    """Every run of ``model`` on the four pairs, from its collected columns."""
+    fieldnames = ["pair", "run_index", *run_columns, "outcome_left", "outcome_right", "product"]
+
+    def rows(n):
+        for pair in vessels.ALL_PAIRS:
+            index = 0
+            for _, columns in pair_chunks(model, pair, n, collect=True):
+                cells = zip(*(columns[name].tolist() for name in fieldnames[2:-1]))
+                for *leading, left, right in cells:
+                    yield (pair.label, index, *leading, left, right, left * right)
+                    index += 1
+
+    return fieldnames, rows
+
+
+def vessel_reference(scenario):
+    model = vessel_model(scenario.sampler, scenario.system, scenario.tie_policy)
+    fieldnames, rows = chsh_reference(model, ["lambda_a", "lambda_b"])
+    return fieldnames, rows(scenario.runs_per_pair)
+
+
+def singlet_reference(scenario):
+    fieldnames, rows = chsh_reference(singlet_model(scenario.singlet_angles, scenario.seed), [])
+    return fieldnames, rows(scenario.runs_per_pair)
+
+
+def analytic_reference(scenario):
+    estimates = singlet_analytic_estimates(scenario.singlet_angles)
+    rows = [(estimate.pair.label, estimate.mean) for estimate in estimates]
+    return ["pair", "expectation"], rows
+
+
+def born_reference(scenario):
+    rng = streams.substream(scenario.seed, streams.BORN_STREAM, 0)
+    draws = born_samples(scenario.state(), scenario.runs_per_pair, rng).tolist()
+    fieldnames = ["sample_index", "x", "left_liters", "right_liters"]
+    return fieldnames, [(index, x, x, TOTAL_LITERS - x) for index, x in enumerate(draws)]
+
+
+LOCALITY_FIELDS = [
+    "sample_index",
+    "lambda_a",
+    "lambda_b",
+    *locality.PRODUCT_COLUMNS,
+    "satisfiable",
+    "witness_with_b",
+    "witness_with_bprime",
+    "witness_differs",
+]
+
+
+def locality_reference(scenario):
+    """``scan_columns`` on every chunk of the scenario's locality draws."""
+    chunks = scenario.sampler.draw_chunks(
+        scenario.runs_per_pair, key=(streams.LOCALITY_STREAM, 0)
+    )
+    rows = []
+    for lambda_a, lambda_b in chunks:
+        columns = scan_columns(
+            lambda_a, lambda_b, scenario.system, scenario.tie_policy, scenario.seed
+        )
+        columns.update(lambda_a=lambda_a, lambda_b=lambda_b)
+        rows += zip(*(columns[name].tolist() for name in LOCALITY_FIELDS[1:]))
+    return LOCALITY_FIELDS, [(index, *row) for index, row in enumerate(rows)]
+
+
+def flow_reference(scenario):
+    report, _ = commands.flow(scenario, 2.0, 1.0, 1e-4)
+    fieldnames = ["lambda_a", "lambda_b", "dt", "x_left", "x_right"]
+    fieldnames += ["outcome_left", "outcome_right"]
+    return fieldnames, [tuple(report["flow"][name] for name in fieldnames)]
+
+
 class TestCsvBytes:
-    """The dumps are the bytes ``csv.writer`` would write for the same rows."""
+    """The dumps are the bytes ``csv.writer`` writes for rows rebuilt from
+    the library's columns."""
 
     @settings(max_examples=60, deadline=None)
-    @given(dump=run_dumps())
+    @given(dump=tail_dumps())
     def test_template_rows_are_the_csv_writer_bytes(self, dump):
+        fieldnames, blocks, rows = dump
         out = io.StringIO()
-        render_csv(dump, out)
-        assert out.getvalue() == csv_writer_bytes(dump)
+        render_csv(commands.RunDump(fieldnames, blocks), out)
+        assert out.getvalue() == csv_writer_bytes(fieldnames, rows)
 
     @pytest.mark.parametrize(
-        "argv, collect",
+        "argv, collect, reference",
         [
-            (["vessel-chsh"], lambda s: commands.vessel_chsh(s, collect_runs=True)),
-            (["quantum-chsh"], lambda s: commands.quantum_chsh(s, collect_runs=True)),
+            (
+                ["vessel-chsh"],
+                lambda s: commands.vessel_chsh(s, collect_runs=True),
+                vessel_reference,
+            ),
+            (
+                ["quantum-chsh"],
+                lambda s: commands.quantum_chsh(s, collect_runs=True),
+                singlet_reference,
+            ),
             (
                 ["quantum-chsh", "--analytic"],
                 lambda s: commands.quantum_chsh(s, analytic=True, collect_runs=True),
+                analytic_reference,
             ),
-            (["sample-state"], lambda s: commands.sample_state(s, collect_runs=True)),
-            (["locality-check"], lambda s: commands.locality_check(s, collect_runs=True)),
+            (
+                ["sample-state"],
+                lambda s: commands.sample_state(s, collect_runs=True),
+                born_reference,
+            ),
+            (
+                ["locality-check"],
+                lambda s: commands.locality_check(s, collect_runs=True),
+                locality_reference,
+            ),
             (
                 ["flow", "--lambda-a", "2.0", "--lambda-b", "1.0"],
                 lambda s: commands.flow(s, 2.0, 1.0, 1e-4, collect_runs=True),
+                flow_reference,
             ),
         ],
         ids=["vessel-chsh", "quantum-chsh", "analytic", "sample-state", "locality-check", "flow"],
     )
-    def test_every_producer_writes_the_csv_writer_bytes(self, tmp_path, argv, collect):
+    def test_every_producer_writes_the_csv_writer_bytes(self, tmp_path, argv, collect, reference):
         scenario = write_scenario(
             tmp_path,
             runs_per_pair=BYTES_RUNS,
@@ -723,9 +845,74 @@ class TestCsvBytes:
         out = tmp_path / "dump.csv"
         assert run_cli([*argv, "--scenario", scenario, "--format", "csv", "--out", str(out)]) == 0
         _, dump = collect(parse_scenario(scenario))
-        expected = csv_writer_bytes(dump)
+        expected = csv_writer_bytes(*reference(parse_scenario(scenario)))
         assert expected.count("\n") == len(dump.rows) + 1
         assert first_difference(out.read_text(), expected) is None
+
+
+TIE_PRONE = {"low": 1.0, "high": 1.0 + 2.0**-48}  # 17 doubles: a tie about every 17 runs
+
+
+def csv_line(cells):
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow(cells)
+    return buffer.getvalue()
+
+
+class TestCsvTails:
+    """The pre-rendered line tails stand for exactly the cells they replace."""
+
+    def test_chsh_tails_are_the_csv_writer_lines(self):
+        assert len(commands._CHSH_TAILS) == 4
+        for left in (-1, 1):
+            for right in (-1, 1):
+                tail = commands._CHSH_TAILS[2 * (left > 0) + (right > 0)]
+                assert tail == csv_line([left, right, left * right])
+
+    def test_born_tails_are_the_csv_writer_lines(self):
+        assert len(commands._BORN_TAILS) == TOTAL_LITERS + 1
+        for x in range(TOTAL_LITERS + 1):
+            assert commands._BORN_TAILS[x] == csv_line([x, x, TOTAL_LITERS - x])
+
+    @pytest.mark.parametrize("transparent", [True, False])
+    @pytest.mark.parametrize("policy", [policy.value for policy in TiePolicy])
+    def test_locality_tails_are_the_scan_columns_rows(self, policy, transparent):
+        data = {
+            "seed": 29,
+            "runs_per_pair": 400,
+            "system": {"transparent": transparent},
+            "tie_policy": policy,
+        }
+        if policy != "error":
+            data["sampler"] = TIE_PRONE
+        scenario = scenario_from_dict(data)
+        _, dump = commands.locality_check(scenario, collect_runs=True)
+        lines = [line for block in dump.rows for line in block]
+        fieldnames, rows = locality_reference(scenario)
+        assert lines == [csv_line(row) for row in rows]
+        witness = fieldnames.index("witness_with_b")
+        assert {row[witness] for row in rows} == {-1, 1}
+        if policy != "error":
+            assert any(row[1] == row[2] for row in rows)
+
+    @pytest.mark.parametrize("policy", list(TiePolicy))
+    def test_outcome_columns_are_strictly_plus_or_minus_one(self, policy):
+        # Tails are indexed by "outcome > 0": a 0 would read as -1.
+        sampler = TIE_PRONE if policy is not TiePolicy.ERROR else {"low": 0.5, "high": 3.0}
+        sampler = HiddenVariableSampler(sampler["low"], sampler["high"], seed=31)
+        lambda_a, lambda_b = sampler.draw_arrays(500, key=(streams.LOCALITY_STREAM, 0))
+        if policy is not TiePolicy.ERROR:
+            assert (lambda_a == lambda_b).any()
+        models = [singlet_model((0, 90, 45, 135), 31)]
+        for system in (vessels.VesselSystem(), vessels.VesselSystem(transparent=False)):
+            models.append(vessel_model(sampler, system, policy))
+            witness = scan_columns(lambda_a, lambda_b, system, policy, 31)["witness_with_b"]
+            assert set(np.unique(witness).tolist()) == {-1, 1}
+        for model in models:
+            for pair in vessels.ALL_PAIRS:
+                for _, columns in pair_chunks(model, pair, 500, collect=True):
+                    for name in ("outcome_left", "outcome_right"):
+                        assert set(np.unique(columns[name]).tolist()) <= {-1, 1}
 
 
 class TestStdout:
@@ -1114,3 +1301,91 @@ class TestContractFuzz:
             code = main([subcommand, "--scenario", str(scenario_path), "--out", str(out)])
             assert code in (0, 2, 3)
             assert out.exists() == (code == 0)
+
+
+@st.composite
+def born_amplitudes(draw):
+    """Normalized amplitudes with drawn Born weights and phases."""
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=11, max_size=11))
+    weights[draw(st.integers(0, 10))] += 1.0
+    phases = draw(st.lists(st.floats(-math.pi, math.pi), min_size=11, max_size=11))
+    total = sum(weights)
+    return [
+        [math.sqrt(w / total) * math.cos(p), math.sqrt(w / total) * math.sin(p)]
+        for w, p in zip(weights, phases)
+    ]
+
+
+FOLD_FIELDS = {
+    **VALID_FIELDS,
+    "system": st.fixed_dictionaries(
+        {"transparent": st.booleans()}, optional={"total_volume": POSITIVE}
+    ),
+    "sampler": st.one_of(VALID_FIELDS["sampler"], st.just(TIE_PRONE)),
+    "runs_per_pair": st.integers(1, 60),
+    "amplitudes": st.one_of(VALID_FIELDS["amplitudes"], born_amplitudes()),
+}
+SAMPLING_COMMANDS = ["vessel_chsh", "quantum_chsh", "sample_state", "locality_check"]
+
+
+def outcome_or_error(produce):
+    """``produce()``'s value, or the type of the domain error it raised."""
+    try:
+        return produce()
+    except VesselSimError as exc:
+        return type(exc)
+
+
+class TestCsvFoldsToJson:
+    """For generated scenarios, with chunks of 7 runs so that small run
+    counts cross many chunk boundaries, every number of a sampling command's
+    JSON report is the fold of its CSV rows."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.fixed_dictionaries(FOLD_FIELDS), name=st.sampled_from(SAMPLING_COMMANDS))
+    def test_json_numbers_are_the_fold_of_the_csv_rows(self, data, name):
+        command = getattr(commands, name)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(streams, "CHUNK_SIZE", 7)
+            scenario = scenario_from_dict(data)
+            report = outcome_or_error(lambda: json.loads(render_json(command(scenario)[0])))
+            text = outcome_or_error(lambda: csv_text(command(scenario, collect_runs=True)[1]))
+        if isinstance(report, type) or isinstance(text, type):
+            # Only an exact tie under the "error" policy stops a run, on both paths.
+            assert report is text is DegenerateTieError
+            return
+        rows = list(csv.DictReader(io.StringIO(text)))
+        n = scenario.runs_per_pair
+        if name in ("vessel_chsh", "quantum_chsh"):
+            products = {entry["pair"]: [] for entry in report["estimates"]}
+            for row in rows:
+                left, right = int(row["outcome_left"]), int(row["outcome_right"])
+                assert int(row["product"]) == left * right
+                products[row["pair"]].append(left * right)
+            for entry in report["estimates"]:
+                assert entry["n"] == len(products[entry["pair"]]) == n
+                mean, stderr = mean_and_stderr(sum(products[entry["pair"]]), n)
+                assert (entry["mean"], entry["stderr"]) == (mean, stderr)
+        elif name == "sample_state":
+            histogram = [0] * (TOTAL_LITERS + 1)
+            for row in rows:
+                histogram[int(row["x"])] += 1
+                assert int(row["left_liters"]) == int(row["x"])
+                assert int(row["right_liters"]) == TOTAL_LITERS - int(row["x"])
+            assert report["histogram"] == histogram
+            assert report["n_samples"] == len(rows) == n
+        else:
+            factorization = report["factorization"]
+            assert factorization["sample_count"] == len(rows) == n
+            assert factorization["witness_count"] == sum(
+                row["witness_differs"] == "True" for row in rows
+            )
+            assert factorization["unsatisfiable_count"] == sum(
+                row["satisfiable"] == "False" for row in rows
+            )
+
+
+def csv_text(dump):
+    out = io.StringIO()
+    render_csv(dump, out)
+    return out.getvalue()
