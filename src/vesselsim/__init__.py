@@ -7,6 +7,8 @@ models (superposition over final divisions with Born sampling, spin-1/2
 singlet correlations).
 """
 
+from types import ModuleType as _ModuleType
+
 from ._version import __version__
 from .bell import (
     ALGEBRAIC_BOUND,
@@ -93,4 +95,10 @@ from .vessels import (
     spoon_outcome,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The import block above is the one list of public names; the submodules
+# it loads on the way are reached as ``vesselsim.<module>``, not exported.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -223,7 +223,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"vesselsim: out of memory: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except OSError as exc:
-        print(f"vesselsim: cannot write output: {exc}", file=sys.stderr)
+        # Name the target the user gave, not the temporary file beside it.
+        target = "stdout" if args.out is None else repr(args.out)
+        reason = exc.strerror or exc
+        print(f"vesselsim: cannot write output to {target}: {reason}", file=sys.stderr)
         return EXIT_DOMAIN
     return EXIT_OK
 

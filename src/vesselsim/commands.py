@@ -34,7 +34,7 @@ from .bell import (
     vessel_model,
 )
 from .errors import ConfigError, InvariantError
-from .locality import CorrelationKind, scan_columns, scan_counts
+from .locality import SCAN_COLUMNS, CorrelationKind, scan_columns, scan_counts
 from .quantum import (
     TOTAL_LITERS,
     born_histogram,
@@ -179,27 +179,13 @@ def locality_check(
     n = scenario.runs_per_pair
     chunks = scenario.sampler.draw_chunks(n, key=(LOCALITY_STREAM, 0))
     scan_args = (scenario.system, scenario.tie_policy, scenario.seed)
-    dump = RunDump(
-        [
-            "sample_index",
-            "lambda_a",
-            "lambda_b",
-            "product_ab",
-            "product_aprime_b",
-            "product_ab_prime",
-            "product_aprime_bprime",
-            "satisfiable",
-            "witness_with_b",
-            "witness_with_bprime",
-            "witness_differs",
-        ]
-    )
+    dump = RunDump(["sample_index", "lambda_a", "lambda_b", *SCAN_COLUMNS])
     if collect_runs:
         # Every sample has the system's one table, so the witness fixes the
         # cells after lambda_b: tails[witness_with_b > 0] holds the
         # scan_columns row of a tie-free left loss, then of a left win.
         fixed = scan_columns(np.array([1.0, 2.0]), np.array([2.0, 1.0]), *scan_args)
-        tails = _csv_lines(zip(*(fixed[name].tolist() for name in dump.fieldnames[3:])))
+        tails = _csv_lines(zip(*(fixed[name].tolist() for name in SCAN_COLUMNS)))
         scans = ((a, b, pair_products(PAIR_AB, a, b, *scan_args)[0]) for a, b in chunks)
         blocks = ([a, b, tails[(witness > 0).astype(np.intp)]] for a, b, witness in scans)
         dump.rows = RowBlocks(_row_blocks(blocks, "%s,%s,%s,%s"), n)

@@ -48,6 +48,11 @@ _SIGNS = (1, -1)
 # the field order of ContextualOutcomeTable).
 PRODUCT_COLUMNS = ("product_ab", "product_aprime_b", "product_ab_prime", "product_aprime_bprime")
 
+# The columns of a locality scan, in the order ``scan_columns`` returns them.
+SCAN_COLUMNS = (
+    *PRODUCT_COLUMNS, "satisfiable", "witness_with_b", "witness_with_bprime", "witness_differs"
+)
+
 
 @dataclass(frozen=True)
 class ContextualOutcomeTable:
@@ -238,9 +243,7 @@ def scan_columns(
 
     Row ``i`` describes the hidden variable ``(lambda_a[i], lambda_b[i])``
     exactly as ``contextual_table``, ``search_factorization`` and
-    ``contextuality_witness`` would: the four joint products (columns
-    ``PRODUCT_COLUMNS``), ``satisfiable``, and ``witness_with_b``,
-    ``witness_with_bprime`` and ``witness_differs``.
+    ``contextuality_witness`` would, in the columns ``SCAN_COLUMNS``.
 
     Every row has the system's one table, so the product columns and
     ``satisfiable`` are constants, the latter from one exhaustive search.
@@ -250,15 +253,15 @@ def scan_columns(
     witness_with_b, _ = pair_products(PAIR_AB, lambda_a, lambda_b, system, tie_policy, tie_seed)
     size = len(witness_with_b)
     table = _system_table(system)
-    columns = {
-        name: np.full(size, product, dtype=np.int64)
-        for name, product in zip(PRODUCT_COLUMNS, astuple(table))
-    }
-    columns["satisfiable"] = np.full(size, search_factorization(table).satisfiable)
-    columns["witness_with_b"] = witness_with_b
-    columns["witness_with_bprime"] = np.full(size, outcome_solo_siphon(), dtype=np.int64)
-    columns["witness_differs"] = witness_with_b != columns["witness_with_bprime"]
-    return columns
+    witness_with_bprime = np.full(size, outcome_solo_siphon(), dtype=np.int64)
+    columns = (
+        *(np.full(size, product, dtype=np.int64) for product in astuple(table)),
+        np.full(size, search_factorization(table).satisfiable),
+        witness_with_b,
+        witness_with_bprime,
+        witness_with_b != witness_with_bprime,
+    )
+    return dict(zip(SCAN_COLUMNS, columns, strict=True))
 
 
 def scan_counts(

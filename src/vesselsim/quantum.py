@@ -233,21 +233,19 @@ def _agreement_probability(a: MeasurementDirection, b: MeasurementDirection) -> 
     return (1.0 - a.dot(b)) / 2.0
 
 
-def _pair_directions(
+def _pair_planar(
     angles_deg: tuple[float, float, float, float],
-) -> tuple[tuple[MeasurementDirection, MeasurementDirection], ...]:
-    """Each coincidence pair's (left, right) analyzer directions, in
-    ``ALL_PAIRS`` order.
+) -> tuple[tuple[tuple[float, float], tuple[float, float]], ...]:
+    """Each coincidence pair's (left, right) in-plane analyzer components
+    ``(cos, sin)``, in ``ALL_PAIRS`` order.
 
     ``angles_deg`` lists the analyzer angles for A, A', B, B' in degrees;
     the left two use the shared frame, the right two their own mirrored
-    frame.
+    frame, as in ``right_analyzer_direction``.
     """
     angle_a, angle_aprime, angle_b, angle_bprime = angles_deg
-    a = left_analyzer_direction(angle_a)
-    aprime = left_analyzer_direction(angle_aprime)
-    b = right_analyzer_direction(angle_b)
-    bprime = right_analyzer_direction(angle_bprime)
+    a, aprime = _planar(angle_a), _planar(angle_aprime)
+    b, bprime = _planar(-angle_b), _planar(-angle_bprime)
     return (a, b), (aprime, b), (a, bprime), (aprime, bprime)
 
 
@@ -256,20 +254,11 @@ def _pair_expectations(
 ) -> tuple[float, float, float, float]:
     """``singlet_expectation`` of each pair's directions, in ``ALL_PAIRS`` order.
 
-    The same arithmetic as ``_pair_directions`` and ``MeasurementDirection.dot``
-    on plain floats, z term included, so the values agree bit for bit
-    without building a dataclass or hashing a pair.
+    The arithmetic of ``MeasurementDirection.dot`` on plain floats, z term
+    included, so the values agree bit for bit without building a dataclass.
     """
-    angle_a, angle_aprime, angle_b, angle_bprime = angles_deg
-    ax, ay = _planar(angle_a)
-    apx, apy = _planar(angle_aprime)
-    bx, by = _planar(-angle_b)
-    bpx, bpy = _planar(-angle_bprime)
-    return (
-        _expectation(ax * bx + ay * by + 0.0),
-        _expectation(apx * bx + apy * by + 0.0),
-        _expectation(ax * bpx + ay * bpy + 0.0),
-        _expectation(apx * bpx + apy * bpy + 0.0),
+    return tuple(
+        _expectation(lx * rx + ly * ry + 0.0) for (lx, ly), (rx, ry) in _pair_planar(angles_deg)
     )
 
 
@@ -299,7 +288,10 @@ def singlet_model(angles_deg: tuple[float, float, float, float], seed: int) -> M
     ``size`` coins spend ``ceil(size / 2)`` outputs.
     """
     check_seed(seed)
-    directions = _pair_directions(angles_deg)
+    directions = [
+        (MeasurementDirection(*left, 0.0), MeasurementDirection(*right, 0.0))
+        for left, right in _pair_planar(angles_deg)
+    ]
 
     def model(pair, key, size, collect):
         left_direction, right_direction = directions[ALL_PAIRS.index(pair)]

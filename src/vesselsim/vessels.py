@@ -40,8 +40,6 @@ from .streams import check_seed
 # two outflow rates matters for the collected fractions.
 FLOW_COEFF = 1.0
 
-CONSERVATION_TOL = 1e-9
-
 # Above this many steps a float no longer counts them exactly: the bulk
 # phase then leaves a rounding remainder worth many steps, which the
 # step-by-step tail would drain one tiny step at a time.

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, report schema, determinism, CSV dumps."""
 
+import contextlib
 import csv
 import errno
 import io
@@ -1047,7 +1048,9 @@ class TestAtomicCommit:
             for fmt in ("csv", "json"):
                 argv = ["vessel-chsh", "--scenario", scenario, "--format", fmt, "--out", str(out)]
                 assert run_cli(argv) == 3
-                assert "cannot write output" in capsys.readouterr().err
+                err = capsys.readouterr().err
+                assert f"cannot write output to {str(out)!r}: Permission denied" in err
+                assert ".report.csv." not in err
                 assert out.read_text() == PREVIOUS
                 assert leftovers(directory, {"report.csv"}) == []
         finally:
@@ -1059,8 +1062,20 @@ class TestAtomicCommit:
         out = tmp_path / "plain" / "report.csv"
         argv = ["vessel-chsh", "--scenario", scenario, "--format", "csv", "--out", str(out)]
         assert run_cli(argv) == 3
-        assert "cannot write output" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"cannot write output to {str(out)!r}: Not a directory" in err
+        assert ".report.csv." not in err
         assert leftovers(tmp_path, {"scenario.json", "plain"}) == []
+
+    def test_stdout_write_error_names_stdout(self, tmp_path, capsys, monkeypatch):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        scenario = write_scenario(tmp_path, runs_per_pair=10)
+        assert run_cli(["vessel-chsh", "--scenario", scenario]) == 3
+        assert "cannot write output to stdout: Broken pipe" in capsys.readouterr().err
 
     def test_new_report_gets_the_usual_file_mode(self, tmp_path):
         umask = os.umask(0o022)
@@ -1180,8 +1195,11 @@ VALID_FIELDS = {
         {}, optional={"total_volume": POSITIVE, "transparent": st.booleans()}
     ),
     "sampler": st.one_of(
-        st.lists(POSITIVE, min_size=2, max_size=2, unique=True).map(
-            lambda bounds: dict(zip(("low", "high"), sorted(bounds)))
+        # Every pair low < high of positive finite floats, none drawn twice.
+        st.floats(min_value=5e-324, max_value=sys.float_info.max, exclude_max=True).flatmap(
+            lambda low: st.floats(min_value=low, exclude_min=True, allow_infinity=False).map(
+                lambda high: {"low": low, "high": high}
+            )
         ),
         st.just({"low": 1.0, "high": 1.0 + 2.0**-40}),  # exact ties every few runs
     ),
@@ -1383,6 +1401,72 @@ class TestCsvFoldsToJson:
             assert factorization["unsatisfiable_count"] == sum(
                 row["satisfiable"] == "False" for row in rows
             )
+
+
+# Every subcommand as a command line; flow gets its diameters when drawn.
+COMMAND_LINES = [
+    ["vessel-chsh"],
+    ["locality-check"],
+    ["sample-state"],
+    ["quantum-chsh"],
+    ["quantum-chsh", "--analytic"],
+    ["flow"],
+]
+
+
+class TestBytesRepeat:
+    """For generated scenarios, with chunks of 7 runs, a command's output
+    bytes do not depend on where they go, on ``--workers``, or on whether
+    the scenario is the original file or the report's echo of it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.fixed_dictionaries(FOLD_FIELDS),
+        command=st.sampled_from(COMMAND_LINES),
+        fmt=st.sampled_from(["json", "csv"]),
+        diameters=st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
+    )
+    def test_stdout_workers_and_echo_give_the_same_bytes(self, data, command, fmt, diameters):
+        if command == ["flow"]:
+            lambda_a, lambda_b = diameters
+            command = ["flow", f"--lambda-a={lambda_a!r}", f"--lambda-b={lambda_b!r}"]
+        if command[0] in ("vessel-chsh", "quantum-chsh"):
+            workers = [["--workers", count] for count in "123"]
+        else:
+            workers = [[]]
+        with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
+            patch.setattr(streams, "CHUNK_SIZE", 7)
+            scenario = Path(tmp) / "scenario.json"
+            scenario.write_text(json.dumps(data))
+
+            def run(scenario_path, options=workers[0], out="report.out", fmt=fmt):
+                """The exit code and the bytes written to ``out`` (stdout when
+                None), or None for the bytes when nothing was written."""
+                argv = [*command, *options, "--format", fmt, "--scenario", str(scenario_path)]
+                if out is None:
+                    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+                        code = main(argv)
+                    return code, stdout.getvalue().encode() or None
+                target = Path(tmp) / out
+                target.unlink(missing_ok=True)
+                code = main([*argv, "--out", str(target)])
+                return code, target.read_bytes() if target.exists() else None
+
+            first = run(scenario)
+            # A valid scenario fails only on a domain error, such as a tie
+            # under the "error" policy, and then writes nothing.
+            assert first[0] in (0, 3)
+            assert (first[1] is None) == (first[0] == 3)
+            assert run(scenario, out=None) == first
+            for options in workers[1:]:
+                assert run(scenario, options) == first
+            if first[0] == 3:
+                return
+            code, report = run(scenario, fmt="json")
+            assert code == 0
+            echo = Path(tmp) / "echo.json"
+            echo.write_text(json.dumps(json.loads(report)["scenario"]))
+            assert run(echo) == first
 
 
 def csv_text(dump):

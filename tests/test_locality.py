@@ -26,7 +26,7 @@ from vesselsim import (
     search_factorization,
 )
 from vesselsim import locality
-from vesselsim.locality import PRODUCT_COLUMNS, scan_counts
+from vesselsim.locality import PRODUCT_COLUMNS, SCAN_COLUMNS, scan_counts
 
 VESSEL_TABLE = ContextualOutcomeTable(-1, 1, 1, 1)
 RESOLVING_POLICIES = [policy for policy in TiePolicy if policy is not TiePolicy.ERROR]
@@ -235,6 +235,7 @@ class TestScanColumns:
         system = VesselSystem(transparent=transparent)
         lambda_a, lambda_b = as_columns(rows)
         columns = scan_columns(lambda_a, lambda_b, system, policy, tie_seed)
+        assert tuple(columns) == SCAN_COLUMNS
         scan = scan_hidden_variables(
             [SiphonDiameters(a, b) for a, b in zip(lambda_a.tolist(), lambda_b.tolist())],
             system,
