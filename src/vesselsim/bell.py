@@ -126,7 +126,7 @@ class ExpectationEstimate:
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
+        if not self.n >= 1:
             raise InvariantError(f"an estimate needs at least one run, got n={self.n}", "n")
         if not abs(self.mean) <= 1.0:
             raise InvariantError(f"mean outcome product out of [-1, 1]: {self.mean}", "mean")

@@ -130,7 +130,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"vesselsim {__version__}")
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(sub: argparse.ArgumentParser) -> None:
+    def add_command(name: str, help: str, run: Callable, workers: bool = False):
+        """A subcommand with the options every one takes.  ``main`` calls
+        ``run(args, scenario, collect)``, which looks its command up on
+        ``commands`` only then and passes ``collect_runs=collect``."""
+        sub = subparsers.add_parser(name, help=help)
+        sub.set_defaults(run=run)
         sub.add_argument("--scenario", required=True, help="path to a scenario JSON file")
         sub.add_argument("--out", default=None, help="output path (default: stdout)")
         sub.add_argument(
@@ -139,41 +144,51 @@ def build_parser() -> argparse.ArgumentParser:
             default="json",
             help="json report or csv per-run dump",
         )
+        if workers:
+            sub.add_argument(
+                "--workers",
+                type=_worker_count,
+                default=1,
+                help="no longer changes how runs execute",
+            )
+        return sub
 
-    sub = subparsers.add_parser(
-        "vessel-chsh", help="estimate the four coincidence pairs and the Bell statistic"
+    add_command(
+        "vessel-chsh",
+        "estimate the four coincidence pairs and the Bell statistic",
+        lambda args, scenario, collect: commands.vessel_chsh(scenario, collect_runs=collect),
+        workers=True,
     )
-    add_common(sub)
-    sub.add_argument(
-        "--workers", type=_worker_count, default=1, help="no longer changes how runs execute"
-    )
-
-    sub = subparsers.add_parser(
+    add_command(
         "locality-check",
-        help="factorization search and context witnesses over sampled hidden variables",
+        "factorization search and context witnesses over sampled hidden variables",
+        lambda args, scenario, collect: commands.locality_check(scenario, collect_runs=collect),
     )
-    add_common(sub)
-
-    sub = subparsers.add_parser(
-        "sample-state", help="Born-sample the superposition state and report its rank"
+    add_command(
+        "sample-state",
+        "Born-sample the superposition state and report its rank",
+        lambda args, scenario, collect: commands.sample_state(scenario, collect_runs=collect),
     )
-    add_common(sub)
-
-    sub = subparsers.add_parser(
-        "quantum-chsh", help="singlet statistic at the scenario's analyzer angles"
-    )
-    add_common(sub)
-    sub.add_argument(
-        "--workers", type=_worker_count, default=1, help="no longer changes how runs execute"
+    sub = add_command(
+        "quantum-chsh",
+        "singlet statistic at the scenario's analyzer angles",
+        lambda args, scenario, collect: commands.quantum_chsh(
+            scenario, analytic=args.analytic, collect_runs=collect
+        ),
+        workers=True,
     )
     sub.add_argument(
         "--analytic",
         action="store_true",
         help="exact expectations instead of Monte Carlo sampling",
     )
-
-    sub = subparsers.add_parser("flow", help="integrate one joint drainage")
-    add_common(sub)
+    sub = add_command(
+        "flow",
+        "integrate one joint drainage",
+        lambda args, scenario, collect: commands.flow(
+            scenario, args.lambda_a, args.lambda_b, args.dt, collect_runs=collect
+        ),
+    )
     sub.add_argument(
         "--lambda-a", type=_finite_float, required=True, help="left diameter (cm)"
     )
@@ -185,29 +200,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dispatch(args: argparse.Namespace):
-    scenario = parse_scenario(args.scenario)
-    collect = args.format == "csv"
-    if args.subcommand == "vessel-chsh":
-        return commands.vessel_chsh(scenario, collect_runs=collect)
-    if args.subcommand == "locality-check":
-        return commands.locality_check(scenario, collect_runs=collect)
-    if args.subcommand == "sample-state":
-        return commands.sample_state(scenario, collect_runs=collect)
-    if args.subcommand == "quantum-chsh":
-        return commands.quantum_chsh(scenario, analytic=args.analytic, collect_runs=collect)
-    if args.subcommand == "flow":
-        return commands.flow(
-            scenario, args.lambda_a, args.lambda_b, args.dt, collect_runs=collect
-        )
-    raise ConfigError(f"unknown subcommand {args.subcommand!r}")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        report, dump = _dispatch(args)
+        report, dump = args.run(args, parse_scenario(args.scenario), args.format == "csv")
         if args.format == "json":
             text = render_json(report)
             commit(args.out, lambda handle: handle.write(text))

@@ -7,9 +7,9 @@ optional per-run dump for CSV output.  Reports contain nothing but
 seed-derived values, so identical scenarios yield byte-identical output.
 
 The dump's rows are computed lazily, one chunk of runs at a time, while the
-CSV is written.  With ``collect_runs`` the sampling commands return no
-report (None): it would take a second pass over the runs, and CSV output
-does not use it.
+CSV is written.  With ``collect_runs`` every command returns no report
+(None): CSV output does not use it, and for the sampling commands it would
+take a second pass over the runs.
 """
 
 from __future__ import annotations
@@ -61,6 +61,9 @@ def _csv_lines(rows: Iterable[Iterable]) -> np.ndarray:
 _CHSH_TAILS = _csv_lines((left, right, left * right) for left in (-1, 1) for right in (-1, 1))
 # x, left_liters, right_liters at the Born draw x.
 _BORN_TAILS = _csv_lines((x, x, TOTAL_LITERS - x) for x in range(TOTAL_LITERS + 1))
+
+# The flow report's section and its one CSV row, in this order.
+FLOW_COLUMNS = ("lambda_a", "lambda_b", "dt", "x_left", "x_right", "outcome_left", "outcome_right")
 
 
 class RowBlocks:
@@ -132,11 +135,12 @@ def _bell_record(statistic: BellStatistic) -> dict:
     }
 
 
-def _chsh_report(scenario: Scenario, estimates: list[ExpectationEstimate]) -> dict:
+def _chsh_report(scenario: Scenario, estimates: list[ExpectationEstimate], **sections) -> dict:
     statistic = bell_statistic(estimates)
     report = _base_report(scenario)
     report["estimates"] = [_estimate_record(estimate) for estimate in statistic.components]
     report["bell"] = _bell_record(statistic)
+    report.update(sections)
     return report
 
 
@@ -145,9 +149,11 @@ def _chsh(
     model: Model,
     run_columns: list[str],
     collect_runs: bool,
+    **sections,
 ) -> tuple[dict | None, RunDump]:
-    """Estimate the four pairs with ``model`` and report the statistic; the
-    dump holds every run's ``run_columns``, outcomes and outcome product."""
+    """Estimate the four pairs with ``model`` and report the statistic with
+    ``sections`` added; the dump holds every run's ``run_columns``, outcomes
+    and outcome product."""
     n = scenario.runs_per_pair
     dump = RunDump(["pair", "run_index", *run_columns, "outcome_left", "outcome_right", "product"])
     if collect_runs:
@@ -163,7 +169,7 @@ def _chsh(
         dump.rows = RowBlocks(chain.from_iterable(blocks), len(ALL_PAIRS) * n)
         return None, dump
     estimates = [estimate_expectation(model, pair, n) for pair in ALL_PAIRS]
-    return _chsh_report(scenario, estimates), dump
+    return _chsh_report(scenario, estimates, **sections), dump
 
 
 def vessel_chsh(scenario: Scenario, collect_runs: bool = False) -> tuple[dict | None, RunDump]:
@@ -241,21 +247,17 @@ def quantum_chsh(
     if scenario.singlet_angles is None:
         raise ConfigError("scenario.singlet_angles: missing; quantum-chsh needs them")
     angles = scenario.singlet_angles
+    sections = {"mode": "analytic" if analytic else "monte_carlo", "angles": list(angles)}
+    if not analytic:
+        return _chsh(scenario, singlet_model(angles, scenario.seed), [], collect_runs, **sections)
 
-    if analytic:
-        estimates = singlet_analytic_estimates(angles)
-        report = _chsh_report(scenario, estimates)
-        dump = RunDump(["pair", "expectation"])
-        if collect_runs:
-            rows = _csv_lines((estimate.pair.label, estimate.mean) for estimate in estimates)
-            dump.rows = RowBlocks([rows], len(rows))
-    else:
-        model = singlet_model(angles, scenario.seed)
-        report, dump = _chsh(scenario, model, [], collect_runs)
-    if report is not None:
-        report["mode"] = "analytic" if analytic else "monte_carlo"
-        report["angles"] = list(angles)
-    return report, dump
+    estimates = singlet_analytic_estimates(angles)
+    dump = RunDump(["pair", "expectation"])
+    if collect_runs:
+        rows = _csv_lines((estimate.pair.label, estimate.mean) for estimate in estimates)
+        dump.rows = RowBlocks([rows], len(rows))
+        return None, dump
+    return _chsh_report(scenario, estimates, **sections), dump
 
 
 def flow(
@@ -264,7 +266,7 @@ def flow(
     lambda_b: float,
     dt: float,
     collect_runs: bool = False,
-) -> tuple[dict, RunDump]:
+) -> tuple[dict | None, RunDump]:
     """Integrate one joint drainage and report the collected volumes."""
     try:
         lam = SiphonDiameters(lambda_a, lambda_b)
@@ -275,21 +277,13 @@ def flow(
         lam, scenario.tie_policy, tie_seed=scenario.seed
     )
 
-    report = _base_report(scenario)
-    report["flow"] = {
-        "lambda_a": lam.lambda_a,
-        "lambda_b": lam.lambda_b,
-        "dt": dt,
-        "x_left": split.x_left,
-        "x_right": split.x_right,
-        "outcome_left": outcome_left,
-        "outcome_right": outcome_right,
-    }
-
-    dump = RunDump(
-        ["lambda_a", "lambda_b", "dt", "x_left", "x_right", "outcome_left", "outcome_right"]
+    cells = (
+        lam.lambda_a, lam.lambda_b, dt, split.x_left, split.x_right, outcome_left, outcome_right
     )
+    dump = RunDump(list(FLOW_COLUMNS))
     if collect_runs:
-        cells = tuple(report["flow"][name] for name in dump.fieldnames)
         dump.rows = RowBlocks([_csv_lines([cells])], 1)
+        return None, dump
+    report = _base_report(scenario)
+    report["flow"] = dict(zip(FLOW_COLUMNS, cells, strict=True))
     return report, dump

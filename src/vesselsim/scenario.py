@@ -23,16 +23,6 @@ DEFAULT_RUNS_PER_PAIR = 1000
 # errors would be computed from rounded counts.
 MAX_RUNS_PER_PAIR = 2**53
 
-_TOP_LEVEL_FIELDS = {
-    "seed",
-    "system",
-    "sampler",
-    "runs_per_pair",
-    "tie_policy",
-    "amplitudes",
-    "singlet_angles",
-}
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -58,14 +48,12 @@ class Scenario:
         """Resolved scenario as a JSON-ready dict; re-parsing it is a no-op."""
         data: dict = {
             "seed": self.seed,
-            "system": {
-                "total_volume": self.system.total_volume,
-                "transparent": self.system.transparent,
-            },
-            "sampler": {"low": self.sampler.low, "high": self.sampler.high},
             "runs_per_pair": self.runs_per_pair,
             "tie_policy": self.tie_policy.value,
         }
+        for name, readers in _OBJECT_READERS.items():
+            section = getattr(self, name)
+            data[name] = {key: getattr(section, key) for key in readers}
         if self.amplitudes is not None:
             data["amplitudes"] = [[re, im] for re, im in self.amplitudes]
         if self.singlet_angles is not None:
@@ -114,6 +102,7 @@ def _as_bool(value, where: str) -> bool:
 
 
 # The fields of each nested object, with the reader that checks a JSON value.
+# Sections and fields are named as the attributes they fill, which echo() reads.
 _OBJECT_READERS = {
     "system": {"total_volume": _as_number, "transparent": _as_bool},
     "sampler": {"low": _as_number, "high": _as_number},
@@ -121,6 +110,14 @@ _OBJECT_READERS = {
 # Scenario path of each nested field, for an InvariantError that names it.
 _FIELD_PATHS = {
     key: f"{section}.{key}" for section, readers in _OBJECT_READERS.items() for key in readers
+}
+_TOP_LEVEL_FIELDS = {
+    "seed",
+    *_OBJECT_READERS,
+    "runs_per_pair",
+    "tie_policy",
+    "amplitudes",
+    "singlet_angles",
 }
 
 
@@ -221,7 +218,8 @@ def parse_scenario(path: str | Path) -> Scenario:
     """Load and validate a scenario file.
 
     JSON text is UTF-8 whatever the locale says; bytes that do not decode,
-    and nesting too deep for the decoder, are configuration errors too.
+    nesting too deep for the decoder and an integer literal too long for
+    it are configuration errors too.
     """
     path = Path(path)
     try:
@@ -238,4 +236,9 @@ def parse_scenario(path: str | Path) -> Scenario:
         ) from None
     except RecursionError:
         raise ConfigError(f"{path}: invalid JSON: nested too deeply to decode") from None
+    except ValueError:
+        # The decoder's int() refuses literals past sys.get_int_max_str_digits().
+        raise ConfigError(
+            f"{path}: invalid JSON: an integer has too many digits to convert"
+        ) from None
     return scenario_from_dict(data)

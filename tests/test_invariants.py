@@ -4,6 +4,7 @@ bare ``ValueError``, ``TypeError`` or ``OverflowError``; what comes back
 holds only finite numbers."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,8 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vesselsim import (
+    ALL_PAIRS,
     PAIR_AB,
     PAIR_APRIME_B,
+    BellClassification,
+    BellStatistic,
+    ExpectationEstimate,
+    FactorizationReport,
     HiddenVariableSampler,
     InvariantError,
     MeasurementDirection,
@@ -291,3 +297,60 @@ class TestInvariantHoles:
         with pytest.raises(InvariantError) as error:
             HiddenVariableSampler(seed=1).draw_arrays(-1)
         assert error.value.field == "n"
+
+
+def in_pair_order(means):
+    return tuple(ExpectationEstimate(pair, mean, 0.1, 10) for pair, mean in zip(ALL_PAIRS, means))
+
+
+class TestDataclassInvariants:
+    """Each check of the result dataclasses raises with its documented
+    field, NaN included."""
+
+    @pytest.mark.parametrize(
+        "mean, stderr, n, field",
+        [
+            (0.5, 0.1, 0, "n"),
+            (0.5, 0.1, NAN, "n"),
+            (1.5, 0.1, 10, "mean"),
+            (NAN, 0.1, 10, "mean"),
+            (0.5, -0.1, 10, "stderr"),
+            (0.5, NAN, 10, "stderr"),
+        ],
+    )
+    def test_expectation_estimate(self, mean, stderr, n, field):
+        with pytest.raises(InvariantError) as error:
+            ExpectationEstimate(PAIR_AB, mean, stderr, n)
+        assert error.value.field == field
+
+    @pytest.mark.parametrize(
+        "value, components, field",
+        [
+            (0.0, in_pair_order([0.0] * 4)[::-1], "components"),
+            (0.5, in_pair_order([0.0] * 4), "value"),
+            (NAN, in_pair_order([0.0] * 4), "value"),
+            # Valid estimates cannot pass 4, so stand-ins carry the means.
+            (
+                8.0,
+                tuple(
+                    SimpleNamespace(pair=pair, mean=mean)
+                    for pair, mean in zip(ALL_PAIRS, (-2.0, 2.0, 2.0, 2.0))
+                ),
+                "value",
+            ),
+        ],
+        ids=["pair-order", "value-mismatch", "nan-value", "ceiling"],
+    )
+    def test_bell_statistic(self, value, components, field):
+        with pytest.raises(InvariantError) as error:
+            BellStatistic(value, components, BellClassification.LOCAL)
+        assert error.value.field == field
+
+    @pytest.mark.parametrize(
+        "satisfiable, search_exhausted, field",
+        [(True, True, "assignment"), (False, False, None)],
+    )
+    def test_factorization_report(self, satisfiable, search_exhausted, field):
+        with pytest.raises(InvariantError) as error:
+            FactorizationReport(satisfiable, search_exhausted=search_exhausted)
+        assert error.value.field == field
