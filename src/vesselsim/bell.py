@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySampleSetError, InvariantError, MismatchedPairsError
-from .streams import check_count, check_seed, chunk_sizes, run_chunks, substream
+from .streams import check_count, check_seed, run_chunks, substream
 from .vessels import (
     ALL_PAIRS,
     PAIR_AB,
@@ -99,14 +99,14 @@ class HiddenVariableSampler:
         right diameters come from a second generator on the same key moved
         past the ``n`` left ones.
         """
-        sizes = chunk_sizes(n)
-        rng_a = substream(self.seed, *key)
-        rng_b = substream(self.seed, *key)
+        check_count(n)
+        rng_a, rng_b = substream(self.seed, *key), substream(self.seed, *key)
         rng_b.bit_generator.advance(n)
-        return (
-            (rng_a.uniform(self.low, self.high, size), rng_b.uniform(self.low, self.high, size))
-            for size in sizes
-        )
+
+        def one_chunk(_: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+            return rng_a.uniform(self.low, self.high, size), rng_b.uniform(self.low, self.high, size)
+
+        return run_chunks(one_chunk, n)
 
     def draw(self, n: int, key: tuple[int, ...] = ()) -> list[SiphonDiameters]:
         lambda_a, lambda_b = self.draw_arrays(n, key)

@@ -45,7 +45,7 @@ from .quantum import (
     singlet_model,
 )
 from .scenario import Scenario
-from .streams import BORN_STREAM, LOCALITY_STREAM, chunk_sizes, substream
+from .streams import BORN_STREAM, LOCALITY_STREAM, run_chunks, substream
 from .vessels import (
     ALL_PAIRS, PAIR_AB, SiphonDiameters, joint_outcome_ab, pair_products, simulate_flow
 )
@@ -225,7 +225,7 @@ def sample_state(
     dump = RunDump(["sample_index", "x", "left_liters", "right_liters"])
     if collect_runs:
         # Chunk after chunk on one generator: the same draws as born_samples(state, n, rng).
-        draws = (born_samples(state, size, rng) for size in chunk_sizes(n))
+        draws = run_chunks(lambda _, size: born_samples(state, size, rng), n)
         dump.rows = RowBlocks(_row_blocks(([_BORN_TAILS[x]] for x in draws), "%s,%s"), n)
         return None, dump
 

@@ -35,7 +35,7 @@ from .bell import (
     statistic_value,
 )
 from .errors import InvariantError, NotNormalizedError, NotUnitError, WrongArityError
-from .streams import check_count, check_seed, chunk_sizes, substream
+from .streams import check_count, check_seed, run_chunks, substream
 from .vessels import ALL_PAIRS
 
 N_AMPLITUDES = 11
@@ -112,9 +112,9 @@ def born_samples(
     cdf = _born_cdf(state)
     draws = np.empty(n, dtype=np.intp)
     start = 0
-    for size in chunk_sizes(n):
-        draws[start : start + size] = cdf.searchsorted(rng.random(size), side="right")
-        start += size
+    for uniforms in run_chunks(lambda _, size: rng.random(size), n):
+        draws[start : start + len(uniforms)] = cdf.searchsorted(uniforms, side="right")
+        start += len(uniforms)
     return draws
 
 
@@ -129,8 +129,7 @@ def born_histogram(
     rng = _as_rng(seed_or_rng)
     cdf = _born_cdf(state)
     below = np.zeros(N_AMPLITUDES, dtype=np.int64)
-    for size in chunk_sizes(n):
-        uniforms = rng.random(size)
+    for uniforms in run_chunks(lambda _, size: rng.random(size), n):
         below += [np.count_nonzero(uniforms < bound) for bound in cdf]
     return np.diff(below, prepend=0)
 

@@ -2,11 +2,12 @@
 
 A master seed plus an integer key tuple pins down one generator, so every
 consumer of randomness (one per coincidence pair, the locality scan, the
-state sampler) owns an independent stream.  Large jobs are cut into
-fixed-size chunks, one substream per chunk, run one after another on the
-calling thread and merged in chunk order, which makes every estimate a pure
-function of (seed, n).  The chunk schedule and the results are produced
-lazily, so memory depends on ``CHUNK_SIZE``, not on n.
+state sampler) owns an independent stream.  ``run_chunks`` is the one loop
+that cuts a job into fixed-size chunks: it runs them one after another on
+the calling thread, in chunk order, lazily, so every estimate is a pure
+function of (seed, n) and memory depends on ``CHUNK_SIZE``, not on n.  The
+pair streams take one substream per chunk; the locality scan's two
+generators and the Born sampler's one each run on across the chunks.
 """
 
 from __future__ import annotations
@@ -36,16 +37,16 @@ def substream(seed: int, *key: int) -> np.random.Generator:
 
 
 def check_seed(seed: int, field: str = "seed") -> None:
-    """The seed rule of every seeded consumer: an integer in [0, 2**64),
-    which ``SeedSequence`` and the tie coin's hash both take.  ``field``
-    names the parameter that carried it."""
-    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):
+    """The seed rule of every seeded consumer: an integer (not a bool) in
+    [0, 2**64), which ``SeedSequence`` and the tie coin's hash both take.
+    ``field`` names the parameter that carried it."""
+    if isinstance(seed, bool) or not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):
         raise InvariantError(f"{field} must be an integer in [0, 2**64), got {seed!r}", field)
 
 
 def check_count(n: int) -> None:
-    """The rule for a number of draws or runs: a non-negative integer."""
-    if not (isinstance(n, numbers.Integral) and n >= 0):
+    """The rule for a number of draws or runs: a non-negative integer, not a bool."""
+    if isinstance(n, bool) or not (isinstance(n, numbers.Integral) and n >= 0):
         raise InvariantError(f"a sample count must be a non-negative integer, got {n!r}", "n")
 
 

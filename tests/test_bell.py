@@ -34,6 +34,8 @@ from vesselsim import (
 from vesselsim.bell import PAIR_STREAM, mean_and_stderr, pair_chunks
 from vesselsim.streams import CHUNK_SIZE, chunk_sizes
 
+from strategies import TIE_PRONE
+
 # The shared estimator must treat every model alike; tests loop over these.
 MODELS = {
     "vessel": vessel_model(HiddenVariableSampler(seed=17), VesselSystem()),
@@ -44,18 +46,13 @@ MODELS = {
 }
 
 
-# Diameters on a 4097-point grid just above 1 cm, so exact ties turn up
-# every few thousand runs.
-TIE_PRONE_RANGE = {"low": 1.0, "high": 1.0 + 2.0**-40}
-
-
 @st.composite
 def any_model(draw):
     """A vessel model (either range, either transparency, any tie policy)
     or a singlet model at arbitrary angles."""
     seed = draw(st.integers(0, 2**64 - 1))
     if draw(st.booleans()):
-        sampler_range = draw(st.sampled_from([{}, TIE_PRONE_RANGE]))
+        sampler_range = draw(st.sampled_from([{}, TIE_PRONE]))
         return vessel_model(
             HiddenVariableSampler(seed=seed, **sampler_range),
             VesselSystem(transparent=draw(st.booleans())),
@@ -149,7 +146,7 @@ class TestEstimateExpectation:
                 expected = per_run_oracle(pair.label, lambda_a[i], lambda_b[i], False)
                 assert (left[i], right[i]) == expected
         # Tied rows follow every resolving policy, the seeded coin included.
-        tie_prone = HiddenVariableSampler(seed=5, **TIE_PRONE_RANGE)
+        tie_prone = HiddenVariableSampler(seed=5, **TIE_PRONE)
         lambda_a, lambda_b = tie_prone.draw_arrays(20_000)
         assert (lambda_a == lambda_b).sum() >= 2
         for policy in TiePolicy:

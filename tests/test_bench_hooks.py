@@ -28,7 +28,6 @@ finally:
 KNOWN_MISSING = {
     "vesselsim.commands.singlet_estimate",
     "vesselsim.commands.scan_hidden_variables",
-    "vesselsim.quantum.run_chunks",
     "vesselsim.locality.run_coincidence",
 }
 

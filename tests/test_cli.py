@@ -12,7 +12,7 @@ import subprocess
 import sys
 import tempfile
 import threading
-from itertools import cycle, islice, zip_longest
+from itertools import combinations, cycle, islice, zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +42,8 @@ from vesselsim import (
 from vesselsim.bell import mean_and_stderr
 from vesselsim.cli import CSV_ROWS_PER_WRITE, commit, main, render_csv, render_json
 from vesselsim.errors import DegenerateTieError, VesselSimError
+
+from strategies import NORMAL, TIE_PRONE, fixed_length, up_to
 
 UNIFORM_AMPLITUDES = [[1.0 / math.sqrt(11), 0.0]] * 11
 
@@ -853,9 +855,6 @@ class TestCsvBytes:
         assert first_difference(out.read_text(), expected) is None
 
 
-TIE_PRONE = {"low": 1.0, "high": 1.0 + 2.0**-48}  # 17 doubles: a tie about every 17 runs
-
-
 def csv_line(cells):
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerow(cells)
@@ -901,7 +900,7 @@ class TestCsvTails:
     @pytest.mark.parametrize("policy", list(TiePolicy))
     def test_outcome_columns_are_strictly_plus_or_minus_one(self, policy):
         # Tails are indexed by "outcome > 0": a 0 would read as -1.
-        sampler = TIE_PRONE if policy is not TiePolicy.ERROR else {"low": 0.5, "high": 3.0}
+        sampler = TIE_PRONE if policy is not TiePolicy.ERROR else NORMAL
         sampler = HiddenVariableSampler(sampler["low"], sampler["high"], seed=31)
         lambda_a, lambda_b = sampler.draw_arrays(500, key=(streams.LOCALITY_STREAM, 0))
         if policy is not TiePolicy.ERROR:
@@ -1189,27 +1188,16 @@ ANY_VALUE = st.one_of(NUMBERS, WRONG_TYPES, st.integers(-(2**70), 2**70))
 POSITIVE = st.floats(min_value=5e-324, allow_infinity=False)
 
 
-# Hypothesis's mutator copies one drawn span over another with the same
-# label, and every ``.map()`` and ``st.fixed_dictionaries`` shares one label.
-# Where the two spans hold different numbers of choices (eleven Born weights
-# and four angles, say), the copy runs out of choices and the example is
-# discarded as invalid, with no event; a fixed-size ``st.lists`` loses
-# examples the same way.  So what the fold and bytes tests draw is built
-# from ``st.builds`` and ``st.tuples``, whose labels follow their contents.
-
-
-def fixed_length(element, size):
-    """Lists of exactly ``size`` elements."""
-    return st.builds(list, st.tuples(*[element] * size))
-
-
 # Each scenario field as a valid value (extreme magnitudes included) and as
 # an invalid one.  Run counts between 2000 and 2**53 are valid but slow;
 # past 2**53 the parser must refuse them.
 VALID_FIELDS = {
     "seed": st.integers(0, 2**64 - 1),
-    "system": st.fixed_dictionaries(
-        {}, optional={"total_volume": POSITIVE, "transparent": st.booleans()}
+    "system": st.one_of(
+        st.builds(dict),
+        st.builds(dict, total_volume=POSITIVE),
+        st.builds(dict, transparent=st.booleans()),
+        st.builds(dict, total_volume=POSITIVE, transparent=st.booleans()),
     ),
     "sampler": st.one_of(
         # Every pair low < high of positive finite floats, none drawn twice.
@@ -1220,7 +1208,7 @@ VALID_FIELDS = {
                 high=st.floats(min_value=low, exclude_min=True, allow_infinity=False),
             )
         ),
-        st.just({"low": 1.0, "high": 1.0 + 2.0**-40}),  # exact ties every few runs
+        st.just(TIE_PRONE),
     ),
     "runs_per_pair": st.integers(1, 2000),
     "tie_policy": st.sampled_from([policy.value for policy in TiePolicy]),
@@ -1235,13 +1223,13 @@ VALID_FIELDS = {
 INVALID_FIELDS = {
     "seed": st.one_of(st.integers(-(2**70), -1), st.integers(2**64, 2**70), NUMBERS, WRONG_TYPES),
     "system": st.one_of(
-        st.fixed_dictionaries({"total_volume": NUMBERS}),
-        st.fixed_dictionaries({"transparent": WRONG_TYPES}),
-        st.fixed_dictionaries({"depth": ANY_VALUE}),
+        st.builds(dict, total_volume=NUMBERS),
+        st.builds(dict, transparent=WRONG_TYPES),
+        st.builds(dict, depth=ANY_VALUE),
         WRONG_TYPES,
     ),
     "sampler": st.one_of(
-        st.fixed_dictionaries({"low": st.one_of(NUMBERS, WRONG_TYPES), "high": NUMBERS}),
+        st.builds(dict, low=st.one_of(NUMBERS, WRONG_TYPES), high=NUMBERS),
         WRONG_TYPES,
     ),
     "runs_per_pair": st.one_of(
@@ -1249,20 +1237,24 @@ INVALID_FIELDS = {
         st.sampled_from([2**53 + 1, 10**30, 0, -3, 1.5, math.nan, "10", None]),
     ),
     "tie_policy": st.one_of(st.just("coin"), WRONG_TYPES),
-    "amplitudes": st.one_of(
-        st.lists(st.lists(NUMBERS, min_size=2, max_size=2), max_size=12),
-        WRONG_TYPES,
-    ),
-    "singlet_angles": st.one_of(st.lists(NUMBERS, max_size=5), WRONG_TYPES),
+    "amplitudes": st.one_of(up_to(fixed_length(NUMBERS, 2), 12), WRONG_TYPES),
+    "singlet_angles": st.one_of(up_to(NUMBERS, 5), WRONG_TYPES),
     "unknown_field": ANY_VALUE,
 }
+
+
+# Every set of at most two field names, drawn as one choice.
+UP_TO_TWO_VALID, UP_TO_TWO_INVALID = (
+    [names for size in range(3) for names in combinations(sorted(fields), size)]
+    for fields in (VALID_FIELDS, INVALID_FIELDS)
+)
 
 
 @st.composite
 def scenario_dicts(draw):
     """A scenario with up to two fields left out and up to two made invalid."""
-    absent = draw(st.sets(st.sampled_from(sorted(VALID_FIELDS)), max_size=2))
-    broken = draw(st.sets(st.sampled_from(sorted(INVALID_FIELDS)), max_size=2))
+    absent = draw(st.sampled_from(UP_TO_TWO_VALID))
+    broken = draw(st.sampled_from(UP_TO_TWO_INVALID))
     data = {name: draw(valid) for name, valid in VALID_FIELDS.items() if name not in absent}
     data.update({name: draw(INVALID_FIELDS[name]) for name in sorted(broken)})
     return data
@@ -1274,6 +1266,16 @@ OPTION_NUMBERS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
 )
 
+# Each option that may be left out is one draw, absent or present, so that
+# no copied span can turn an absent option into one that needs a value.
+WORKERS_OPTION = st.just(()) | st.sampled_from(
+    [("--workers", count) for count in ["1", "2", "3", "0", "-1", "x"]]
+)
+ANALYTIC_OPTION = st.sampled_from([(), ("--analytic",)])
+DT_OPTION = st.just(()) | st.sampled_from(
+    [(f"--dt={dt}",) for dt in ["1e-4", "1e-2", "0", "-1e-3", "1e-300", "inf"]]
+)
+
 
 @st.composite
 def subcommand_options(draw):
@@ -1282,16 +1284,14 @@ def subcommand_options(draw):
         st.sampled_from(["vessel-chsh", "locality-check", "sample-state", "quantum-chsh", "flow"])
     )
     options = [subcommand, "--format", draw(st.sampled_from(["json", "csv"]))]
-    if subcommand in ("vessel-chsh", "quantum-chsh") and draw(st.booleans()):
-        options += ["--workers", draw(st.sampled_from(["1", "2", "3", "0", "-1", "x"]))]
-    if subcommand == "quantum-chsh" and draw(st.booleans()):
-        options.append("--analytic")
+    if subcommand in ("vessel-chsh", "quantum-chsh"):
+        options += draw(WORKERS_OPTION)
+    if subcommand == "quantum-chsh":
+        options += draw(ANALYTIC_OPTION)
     if subcommand == "flow":
         # "--option=value", so argparse takes "-1" as a value, not an option.
         options += [f"--lambda-a={draw(OPTION_NUMBERS)}", f"--lambda-b={draw(OPTION_NUMBERS)}"]
-        if draw(st.booleans()):
-            dt = draw(st.sampled_from(["1e-4", "1e-2", "0", "-1e-3", "1e-300", "inf"]))
-            options.append(f"--dt={dt}")
+        options += draw(DT_OPTION)
     return options
 
 

@@ -60,7 +60,7 @@ FLOATS = st.one_of(
 # Integer parameters get negative and past-64-bit values, and non-integral floats.
 INTS = st.one_of(
     st.integers(-(2**70), 2**70),
-    st.sampled_from([-1, 0, 2**64 - 1, 2**64]),
+    st.sampled_from([-1, 0, 2**64 - 1, 2**64, True, False]),
     st.floats(allow_nan=True, allow_infinity=True),
 )
 AMPLITUDES = st.lists(st.builds(complex, FLOATS, FLOATS), min_size=10, max_size=12)
@@ -69,7 +69,7 @@ COUNTS = st.one_of(
     st.integers(0, 40),
     st.integers(-(2**70), -1),
     st.floats(allow_nan=True, allow_infinity=True),
-    st.sampled_from([1.5, -0.5, 2.0, "3", None]),
+    st.sampled_from([1.5, -0.5, 2.0, "3", None, True, False]),
 )
 
 
@@ -218,7 +218,7 @@ class TestInvariantHoles:
             HiddenVariableSampler(low, high, 1)
         assert error.value.field == field
 
-    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, 2.0, NAN, "7"])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, 2.0, NAN, "7", True, False])
     def test_seed_rule_is_shared(self, seed):
         with pytest.raises(InvariantError) as error:
             HiddenVariableSampler(seed=seed)
@@ -231,7 +231,7 @@ class TestInvariantHoles:
         assert HiddenVariableSampler(seed=2**64 - 1).draw_arrays(1)[0].shape == (1,)
         assert abs(singlet_experiment(ANGLES, 2**64 - 1, 10).value) <= 4.0
 
-    @pytest.mark.parametrize("tie_seed", [1.5, -1, 2**64, NAN])
+    @pytest.mark.parametrize("tie_seed", [1.5, -1, 2**64, NAN, True, False])
     def test_tie_seed_follows_the_seed_rule(self, tie_seed):
         with pytest.raises(InvariantError) as error:
             joint_outcome_ab(SiphonDiameters(1, 1), TiePolicy.SPLIT_COIN, tie_seed=tie_seed)
@@ -282,7 +282,7 @@ class TestInvariantHoles:
                 call()
             assert error.value.field is None
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, 2**64])
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2**64, True, False])
     def test_born_seed_follows_the_seed_rule(self, seed):
         for draw in (born_samples, born_histogram):
             with pytest.raises(InvariantError) as error:
@@ -297,6 +297,21 @@ class TestInvariantHoles:
         with pytest.raises(InvariantError) as error:
             HiddenVariableSampler(seed=1).draw_arrays(-1)
         assert error.value.field == "n"
+        # A bool is an Integral, but no count: n=True must not reach a report as true.
+        sampler = HiddenVariableSampler(seed=1)
+        bool_counts = [
+            lambda n: estimate_expectation(model, PAIR_AB, n),
+            sampler.draw_arrays,
+            sampler.draw_chunks,
+            chunk_sizes,
+            lambda n: born_samples(make_state(UNIFORM), n, 5),
+            lambda n: born_histogram(make_state(UNIFORM), n, 5),
+        ]
+        for count in (True, False):
+            for call in bool_counts:
+                with pytest.raises(InvariantError) as error:
+                    call(count)
+                assert error.value.field == "n"
 
 
 def in_pair_order(means):

@@ -28,6 +28,8 @@ from vesselsim import (
 from vesselsim import locality
 from vesselsim.locality import PRODUCT_COLUMNS, SCAN_COLUMNS, scan_counts
 
+from strategies import NORMAL, TIE_PRONE
+
 VESSEL_TABLE = ContextualOutcomeTable(-1, 1, 1, 1)
 RESOLVING_POLICIES = [policy for policy in TiePolicy if policy is not TiePolicy.ERROR]
 
@@ -273,12 +275,6 @@ class TestScanColumns:
             assert not columns["satisfiable"].any()
 
 
-# Sampler ranges: [1, 1 + 2**-48] holds only 17 doubles, so about one row in
-# 17 is an exact tie; [0.5, 3] almost never ties.
-TIE_PRONE = (1.0, 1.0 + 2.0**-48)
-NORMAL = (0.5, 3.0)
-
-
 class TestScanCounts:
     """The reduce-only counts of the JSON report against the scan's columns."""
 
@@ -294,7 +290,7 @@ class TestScanCounts:
     def test_counts_match_the_scan_columns(
         self, bounds, n, seed, transparent, policy, tie_seed
     ):
-        sampler = HiddenVariableSampler(*bounds, seed=seed)
+        sampler = HiddenVariableSampler(**bounds, seed=seed)
         lambda_a, lambda_b = sampler.draw_arrays(n)
         # The same rows as uneven chunks, the last one possibly empty.
         splits = sorted({n // 3, n // 2, n})
@@ -315,7 +311,7 @@ class TestScanCounts:
         )
 
     def test_tie_prone_range_ties(self):
-        lambda_a, lambda_b = HiddenVariableSampler(*TIE_PRONE, seed=1).draw_arrays(400)
+        lambda_a, lambda_b = HiddenVariableSampler(**TIE_PRONE, seed=1).draw_arrays(400)
         assert (lambda_a == lambda_b).sum() > 10
 
     @pytest.mark.parametrize("transparent", [True, False])
@@ -323,7 +319,7 @@ class TestScanCounts:
         # Every vessel table is unsatisfiable; a forged satisfiable verdict
         # from the one search is what every row of every scan reads.
         system = VesselSystem(transparent=transparent)
-        lambda_a, lambda_b = HiddenVariableSampler(*NORMAL, seed=4).draw_arrays(50)
+        lambda_a, lambda_b = HiddenVariableSampler(**NORMAL, seed=4).draw_arrays(50)
         assert scan_counts([(lambda_a, lambda_b)], system)[0] == 0
         tables = []
         forged = FactorizationReport(satisfiable=True, assignment=SignAssignment(1, 1, 1, 1))

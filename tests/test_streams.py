@@ -1,8 +1,10 @@
 """Chunked execution: chunk order, laziness, and the stream positions that
 let chunked draws reproduce one-shot draws."""
 
+import json
 import math
 import os
+import sys
 import threading
 import tracemalloc
 from itertools import islice
@@ -10,8 +12,8 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from vesselsim import HiddenVariableSampler, born_histogram, born_samples, make_state
-from vesselsim.cli import _worker_count
+from vesselsim import HiddenVariableSampler, born_histogram, born_samples, make_state, streams
+from vesselsim.cli import _worker_count, main
 from vesselsim.streams import (
     BORN_STREAM,
     CHUNK_SIZE,
@@ -70,6 +72,65 @@ class TestRunChunks:
             assert next(results) == taken - 1
             # One chunk runs per result taken, none ahead of the caller.
             assert calls == list(range(taken))
+
+
+# A run of two full chunks and a ragged third one.
+THREE_CHUNKS = 2 * CHUNK_SIZE + 3
+# The chunks each consumer schedules in one such run, by subcommand and format.
+SCHEDULED = [
+    # Four pairs of three chunks each.
+    ("vessel-chsh", "json", {"pair_chunks": 12}),
+    ("vessel-chsh", "csv", {"pair_chunks": 12}),
+    ("quantum-chsh", "json", {"pair_chunks": 12}),
+    ("quantum-chsh", "csv", {"pair_chunks": 12}),
+    ("locality-check", "json", {"draw_chunks": 3}),
+    ("locality-check", "csv", {"draw_chunks": 3}),
+    ("sample-state", "json", {"born_histogram": 3}),
+    # CSV cuts the run into chunks and Born-samples each one as one chunk.
+    ("sample-state", "csv", {"sample_state": 3, "born_samples": 3}),
+]
+
+
+class TestOneChunkLoop:
+    """Every chunk schedule a CLI run uses comes from ``run_chunks``, so a
+    per-chunk hook there sees every chunk of every consumer."""
+
+    @pytest.mark.parametrize(
+        "subcommand, fmt, scheduled",
+        SCHEDULED,
+        ids=[f"{subcommand}-{fmt}" for subcommand, fmt, _ in SCHEDULED],
+    )
+    def test_every_schedule_comes_from_run_chunks(
+        self, tmp_path, monkeypatch, subcommand, scheduled, fmt
+    ):
+        schedule = streams.chunk_sizes
+        callers, chunks = set(), {}
+
+        def recorded_schedule(n):
+            caller = sys._getframe(1)
+            callers.add(caller.f_code)
+            consumer = caller.f_back.f_code.co_name
+            sizes = list(schedule(n))
+            chunks[consumer] = chunks.get(consumer, 0) + len(sizes)
+            return iter(sizes)
+
+        monkeypatch.setattr(streams, "chunk_sizes", recorded_schedule)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(
+            json.dumps(
+                {
+                    "seed": 3,
+                    "runs_per_pair": THREE_CHUNKS,
+                    "singlet_angles": [0, 90, 45, 135],
+                    "amplitudes": [[1.0 / math.sqrt(11), 0.0]] * 11,
+                }
+            )
+        )
+        out = tmp_path / f"out.{fmt}"
+        argv = [subcommand, "--scenario", str(scenario), "--format", fmt, "--out", str(out)]
+        assert main(argv) == 0
+        assert callers == {streams.run_chunks.__code__}
+        assert chunks == scheduled
 
 
 # Sizes around the chunk boundaries.
