@@ -178,18 +178,23 @@ def vessel_model(
     """The vessel experiment as a model: diameters drawn on the key's
     substream, then the outcome rule; the draws are columns too.
 
-    Only the joint siphon run reads the diameters, so without ``collect``
-    the other three pairs draw nothing and sum their fixed products, and
-    the joint run draws only to put its ties through ``tie_policy``.
+    Without ``collect``, the three pairs with a spoon test draw nothing and
+    sum their fixed products.  A joint run anti-correlates whatever its
+    diameters, ties included, so the joint pair sums to ``-size`` and draws
+    only under the ``error`` policy, whose tie must raise.  Every chunk
+    has its own substream, so a skipped draw moves no other.
     """
 
     def model(pair, key, size, collect):
-        if pair != PAIR_AB and not collect:
-            left, right = constant_outcomes(pair, system)
-            return size * left * right, None
-        lambda_a, lambda_b = sampler.draw_arrays(size, key)
         if not collect:
-            return joint_product_sum(lambda_a, lambda_b, tie_policy, sampler.seed), None
+            if pair != PAIR_AB:
+                left, right = constant_outcomes(pair, system)
+                return size * left * right, None
+            if tie_policy is not TiePolicy.ERROR:
+                return -size, None
+            draws = sampler.draw_arrays(size, key)
+            return joint_product_sum(*draws, tie_policy, sampler.seed), None
+        lambda_a, lambda_b = sampler.draw_arrays(size, key)
         outcome_left, outcome_right = pair_products(
             pair, lambda_a, lambda_b, system, tie_policy, tie_seed=sampler.seed
         )

@@ -12,7 +12,7 @@ import subprocess
 import sys
 import tempfile
 import threading
-from itertools import combinations, cycle, islice, zip_longest
+from itertools import cycle, islice, zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -43,9 +43,7 @@ from vesselsim.bell import mean_and_stderr
 from vesselsim.cli import CSV_ROWS_PER_WRITE, commit, main, render_csv, render_json
 from vesselsim.errors import DegenerateTieError, VesselSimError
 
-from strategies import NORMAL, TIE_PRONE, fixed_length, up_to
-
-UNIFORM_AMPLITUDES = [[1.0 / math.sqrt(11), 0.0]] * 11
+from strategies import FOLD_FIELDS, NORMAL, TIE_PRONE, UNIFORM_AMPLITUDES, scenario_dicts
 
 
 def write_scenario(tmp_path, name="scenario.json", **overrides):
@@ -402,8 +400,9 @@ class TestLocalitySearchesOnce:
 
 
 class TestVesselChshTies:
-    # JSON runs draw diameters only for the joint siphon pair; a tie there
-    # must still reach the tie policy.
+    # JSON runs draw diameters only for the joint siphon pair, and only
+    # under the error policy; a tie there must still raise.  Under the
+    # other policies a tie cannot move the joint pair's mean.
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_tie_under_error_policy_is_three(self, tmp_path, capsys, monkeypatch, fmt):
         tied_draws(monkeypatch)
@@ -426,6 +425,43 @@ class TestVesselChshTies:
         estimates = {entry["pair"]: entry["mean"] for entry in report["estimates"]}
         assert estimates["AB"] == -1.0
         assert report["bell"]["value"] == 4.0
+
+
+class TestVesselChshJsonDraws:
+    # A joint run anti-correlates whatever its diameters, so a JSON run
+    # draws them only where the error policy must see a tie.
+    RUNS = 2 * streams.CHUNK_SIZE + 5
+
+    @pytest.mark.parametrize(
+        "policy, draws",
+        [("error", 3), ("favor_left", 0), ("favor_right", 0), ("split_coin", 0)],
+    )
+    def test_only_the_error_policy_draws_one_batch_per_ab_chunk(
+        self, tmp_path, monkeypatch, policy, draws
+    ):
+        calls = []
+        original = HiddenVariableSampler.draw_arrays
+
+        def draw_arrays(self, n, key=()):
+            calls.append(key)
+            return original(self, n, key)
+
+        monkeypatch.setattr(HiddenVariableSampler, "draw_arrays", draw_arrays)
+        scenario = write_scenario(tmp_path, runs_per_pair=self.RUNS, tie_policy=policy)
+        run_json(tmp_path, "vessel-chsh", scenario)
+        assert len(calls) == draws
+
+    def test_reports_differ_only_in_the_echoed_policy(self, tmp_path):
+        reports = set()
+        for policy in TiePolicy:
+            scenario = write_scenario(tmp_path, runs_per_pair=self.RUNS, tie_policy=policy.value)
+            out = tmp_path / "report.json"
+            assert run_cli(["vessel-chsh", "--scenario", scenario, "--out", str(out)]) == 0
+            text = out.read_text()
+            echoed = f'"tie_policy": "{policy.value}"'
+            assert text.count(echoed) == 1
+            reports.add(text.replace(echoed, '"tie_policy": ""'))
+        assert len(reports) == 1
 
 
 class TestReportSchema:
@@ -1178,88 +1214,6 @@ def reject_constant(token):
     raise ValueError(f"report holds the non-strict JSON constant {token}")
 
 
-EXTREME_NUMBERS = [0.0, -0.0, 5e-324, 1e-300, 1.0, 2.5, 1e300, 1.7e308, -1.0, 2**64, 10**400]
-NUMBERS = st.one_of(
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.sampled_from(EXTREME_NUMBERS + [math.nan, math.inf, -math.inf]),
-)
-WRONG_TYPES = st.sampled_from([None, "1.0", True, [], {}, [1.0]])
-ANY_VALUE = st.one_of(NUMBERS, WRONG_TYPES, st.integers(-(2**70), 2**70))
-POSITIVE = st.floats(min_value=5e-324, allow_infinity=False)
-
-
-# Each scenario field as a valid value (extreme magnitudes included) and as
-# an invalid one.  Run counts between 2000 and 2**53 are valid but slow;
-# past 2**53 the parser must refuse them.
-VALID_FIELDS = {
-    "seed": st.integers(0, 2**64 - 1),
-    "system": st.one_of(
-        st.builds(dict),
-        st.builds(dict, total_volume=POSITIVE),
-        st.builds(dict, transparent=st.booleans()),
-        st.builds(dict, total_volume=POSITIVE, transparent=st.booleans()),
-    ),
-    "sampler": st.one_of(
-        # Every pair low < high of positive finite floats, none drawn twice.
-        st.floats(min_value=5e-324, max_value=sys.float_info.max, exclude_max=True).flatmap(
-            lambda low: st.builds(
-                dict,
-                low=st.just(low),
-                high=st.floats(min_value=low, exclude_min=True, allow_infinity=False),
-            )
-        ),
-        st.just(TIE_PRONE),
-    ),
-    "runs_per_pair": st.integers(1, 2000),
-    "tie_policy": st.sampled_from([policy.value for policy in TiePolicy]),
-    "amplitudes": st.one_of(
-        st.just(UNIFORM_AMPLITUDES),
-        st.integers(0, 10).map(lambda k: [[float(i == k), 0.0] for i in range(11)]),
-    ),
-    "singlet_angles": fixed_length(
-        st.one_of(st.floats(-720, 720), st.floats(allow_nan=False, allow_infinity=False)), 4
-    ),
-}
-INVALID_FIELDS = {
-    "seed": st.one_of(st.integers(-(2**70), -1), st.integers(2**64, 2**70), NUMBERS, WRONG_TYPES),
-    "system": st.one_of(
-        st.builds(dict, total_volume=NUMBERS),
-        st.builds(dict, transparent=WRONG_TYPES),
-        st.builds(dict, depth=ANY_VALUE),
-        WRONG_TYPES,
-    ),
-    "sampler": st.one_of(
-        st.builds(dict, low=st.one_of(NUMBERS, WRONG_TYPES), high=NUMBERS),
-        WRONG_TYPES,
-    ),
-    "runs_per_pair": st.one_of(
-        st.integers(2**53 + 1, 2**200),
-        st.sampled_from([2**53 + 1, 10**30, 0, -3, 1.5, math.nan, "10", None]),
-    ),
-    "tie_policy": st.one_of(st.just("coin"), WRONG_TYPES),
-    "amplitudes": st.one_of(up_to(fixed_length(NUMBERS, 2), 12), WRONG_TYPES),
-    "singlet_angles": st.one_of(up_to(NUMBERS, 5), WRONG_TYPES),
-    "unknown_field": ANY_VALUE,
-}
-
-
-# Every set of at most two field names, drawn as one choice.
-UP_TO_TWO_VALID, UP_TO_TWO_INVALID = (
-    [names for size in range(3) for names in combinations(sorted(fields), size)]
-    for fields in (VALID_FIELDS, INVALID_FIELDS)
-)
-
-
-@st.composite
-def scenario_dicts(draw):
-    """A scenario with up to two fields left out and up to two made invalid."""
-    absent = draw(st.sampled_from(UP_TO_TWO_VALID))
-    broken = draw(st.sampled_from(UP_TO_TWO_INVALID))
-    data = {name: draw(valid) for name, valid in VALID_FIELDS.items() if name not in absent}
-    data.update({name: draw(INVALID_FIELDS[name]) for name in sorted(broken)})
-    return data
-
-
 OPTION_NUMBERS = st.one_of(
     st.sampled_from(["1.0", "2.0", "0.5", "0", "-1", "1e-200", "1e200", "nan", "-inf", "x"]),
     st.floats(min_value=0.01, max_value=10.0).map(repr),
@@ -1340,27 +1294,6 @@ class TestContractFuzz:
             assert out.exists() == (code == 0)
 
 
-@st.composite
-def born_amplitudes(draw):
-    """Normalized amplitudes with drawn Born weights and phases."""
-    weights = draw(fixed_length(st.floats(0.0, 1.0), 11))
-    weights[draw(st.integers(0, 10))] += 1.0
-    phases = draw(fixed_length(st.floats(-math.pi, math.pi), 11))
-    total = sum(weights)
-    return [
-        [math.sqrt(w / total) * math.cos(p), math.sqrt(w / total) * math.sin(p)]
-        for w, p in zip(weights, phases)
-    ]
-
-
-FOLD_FIELDS = {
-    **VALID_FIELDS,
-    "system": st.builds(dict, transparent=st.booleans())
-    | st.builds(dict, transparent=st.booleans(), total_volume=POSITIVE),
-    "sampler": st.one_of(VALID_FIELDS["sampler"], st.just(TIE_PRONE)),
-    "runs_per_pair": st.integers(1, 60),
-    "amplitudes": st.one_of(VALID_FIELDS["amplitudes"], born_amplitudes()),
-}
 SAMPLING_COMMANDS = ["vessel_chsh", "quantum_chsh", "sample_state", "locality_check"]
 
 
