@@ -31,7 +31,7 @@ from .vessels import (
     TiePolicy,
     VesselSystem,
     constant_outcomes,
-    joint_product_sum,
+    left_wins,
     pair_products,
 )
 
@@ -179,10 +179,11 @@ def vessel_model(
     substream, then the outcome rule; the draws are columns too.
 
     Without ``collect``, the three pairs with a spoon test draw nothing and
-    sum their fixed products.  A joint run anti-correlates whatever its
-    diameters, ties included, so the joint pair sums to ``-size`` and draws
-    only under the ``error`` policy, whose tie must raise.  Every chunk
-    has its own substream, so a skipped draw moves no other.
+    sum their fixed products.  A joint run anti-correlates whoever wins,
+    ties included, so the joint pair sums to ``-size``.  It draws only under
+    the ``error`` policy, and puts the draws through ``left_wins`` so that a
+    tie raises.  Every chunk has its own substream, so a skipped draw moves
+    no other.
     """
 
     def model(pair, key, size, collect):
@@ -190,10 +191,9 @@ def vessel_model(
             if pair != PAIR_AB:
                 left, right = constant_outcomes(pair, system)
                 return size * left * right, None
-            if tie_policy is not TiePolicy.ERROR:
-                return -size, None
-            draws = sampler.draw_arrays(size, key)
-            return joint_product_sum(*draws, tie_policy, sampler.seed), None
+            if tie_policy is TiePolicy.ERROR:
+                left_wins(*sampler.draw_arrays(size, key), tie_policy, sampler.seed)
+            return -size, None
         lambda_a, lambda_b = sampler.draw_arrays(size, key)
         outcome_left, outcome_right = pair_products(
             pair, lambda_a, lambda_b, system, tie_policy, tie_seed=sampler.seed

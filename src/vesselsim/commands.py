@@ -47,7 +47,7 @@ from .quantum import (
 from .scenario import Scenario
 from .streams import BORN_STREAM, LOCALITY_STREAM, run_chunks, substream
 from .vessels import (
-    ALL_PAIRS, PAIR_AB, SiphonDiameters, joint_outcome_ab, pair_products, simulate_flow
+    ALL_PAIRS, SiphonDiameters, joint_outcome_ab, left_wins, simulate_flow
 )
 
 
@@ -184,16 +184,16 @@ def locality_check(
     """Factorization search and context witnesses over sampled hidden variables."""
     n = scenario.runs_per_pair
     chunks = scenario.sampler.draw_chunks(n, key=(LOCALITY_STREAM, 0))
-    scan_args = (scenario.system, scenario.tie_policy, scenario.seed)
+    tie_args = (scenario.tie_policy, scenario.seed)
+    scan_args = (scenario.system, *tie_args)
     dump = RunDump(["sample_index", "lambda_a", "lambda_b", *SCAN_COLUMNS])
     if collect_runs:
-        # Every sample has the system's one table, so the witness fixes the
-        # cells after lambda_b: tails[witness_with_b > 0] holds the
+        # Every sample has the system's one table, so the joint run's winner
+        # fixes the cells after lambda_b: tails[left wins] holds the
         # scan_columns row of a tie-free left loss, then of a left win.
         fixed = scan_columns(np.array([1.0, 2.0]), np.array([2.0, 1.0]), *scan_args)
         tails = _csv_lines(zip(*(fixed[name].tolist() for name in SCAN_COLUMNS)))
-        scans = ((a, b, pair_products(PAIR_AB, a, b, *scan_args)[0]) for a, b in chunks)
-        blocks = ([a, b, tails[(witness > 0).astype(np.intp)]] for a, b, witness in scans)
+        blocks = ([a, b, tails[left_wins(a, b, *tie_args).astype(np.intp)]] for a, b in chunks)
         dump.rows = RowBlocks(_row_blocks(blocks, "%s,%s,%s,%s"), n)
         return None, dump
 

@@ -36,8 +36,8 @@ from .vessels import (
     TiePolicy,
     VesselSystem,
     constant_outcomes,
-    joint_left_wins,
     joint_outcome_ab,
+    left_wins,
     outcome_solo_siphon,
     pair_products,
 )
@@ -222,10 +222,11 @@ class SampleAnalysis:
 def _system_table(system: VesselSystem) -> ContextualOutcomeTable:
     """The contextual table of every hidden variable of ``system``.
 
-    The joint siphon run multiplies to -1 for every draw, ties included (the
-    lemma of ``joint_product_sum``): the measurement creates the
-    anti-correlation.  The other three pairs hold at most one siphon, so the
-    state fixes their outcomes (``constant_outcomes``).
+    The joint siphon run multiplies to -1 for every draw, ties included:
+    whichever side ``left_wins`` picks, the other loses, because the
+    measurement creates the anti-correlation.  The other three pairs hold
+    at most one siphon, so the state fixes their outcomes
+    (``constant_outcomes``).
     """
     return ContextualOutcomeTable(
         -1, *(math.prod(constant_outcomes(pair, system)) for pair in ALL_PAIRS[1:])
@@ -277,16 +278,16 @@ def scan_counts(
     Every row has the system's one table, so one exhaustive search decides
     all rows of the run or none.  A row is a witness when its left siphon's
     outcome against B differs from the solo siphon's, which is always +1:
-    when the left side loses the joint run.  ``joint_left_wins`` counts the
-    wins, putting the tied rows through ``tie_policy`` (``error`` raises at
-    the first).
+    when the left side loses the joint run.  The wins are counted from
+    ``left_wins``, which puts the tied rows through ``tie_policy``
+    (``error`` raises at the first).
     """
-    size = left_wins = 0
+    size = wins = 0
     for lambda_a, lambda_b in chunks:
-        left_wins += joint_left_wins(lambda_a, lambda_b, tie_policy, tie_seed)
+        wins += int(np.count_nonzero(left_wins(lambda_a, lambda_b, tie_policy, tie_seed)))
         size += len(lambda_a)
     satisfiable = search_factorization(_system_table(system)).satisfiable
-    return (size if satisfiable else 0), size - left_wins
+    return (size if satisfiable else 0), size - wins
 
 
 def scan_hidden_variables(

@@ -15,9 +15,8 @@ water, so the wider siphon collects more than half and the outcomes are
 perfectly anti-correlated.  A siphon running alone (its partner experiment
 being a spoon test) drains everything and always scores +1.  This module
 is the one place that rule is written: ``joint_outcome_ab`` for one joint
-run, ``pair_products`` for a batch of draws, ``joint_product_sum`` for
-the sum of a batch's joint-run products, and ``joint_left_wins`` for the
-number of joint runs the left side wins.
+run and ``left_wins`` for a batch of joint runs, which ``pair_products``
+turns into the per-run outcomes of a batch of draws.
 
 Everything in this module is a pure function of its inputs; randomness, if
 any, lives in the hidden-variable samplers upstream.
@@ -177,18 +176,6 @@ def _check_batch(lambda_a: np.ndarray, lambda_b: np.ndarray, tie_seed: int) -> N
         )
 
 
-def _broken_ties(
-    lambda_a: np.ndarray, lambda_b: np.ndarray, tie_policy: TiePolicy, tie_seed: int
-) -> list[tuple[int, int]]:
-    """Row index and left outcome of each tied row of a batch, in row order,
-    by ``tie_policy``."""
-    ties = []
-    for index in np.flatnonzero(lambda_a == lambda_b).tolist():
-        tie = SiphonDiameters(lambda_a[index], lambda_b[index])
-        ties.append((index, _break_tie(tie, tie_policy, tie_seed)[0]))
-    return ties
-
-
 def joint_outcome_ab(
     lam: SiphonDiameters,
     tie_policy: TiePolicy = TiePolicy.ERROR,
@@ -206,6 +193,27 @@ def joint_outcome_ab(
     if lam.lambda_a < lam.lambda_b:
         return -1, 1
     return _break_tie(lam, tie_policy, tie_seed)
+
+
+def left_wins(
+    lambda_a: np.ndarray,
+    lambda_b: np.ndarray,
+    tie_policy: TiePolicy = TiePolicy.ERROR,
+    tie_seed: int = 0,
+) -> np.ndarray:
+    """Which joint siphon runs of a batch of draws the left side wins, as a
+    bool mask.
+
+    The winner rule of ``joint_outcome_ab``, row by row: the strictly wider
+    left siphon wins, and each tied row goes to ``tie_policy`` (``error``
+    raises at the first tie).  Whoever wins, the two sides disagree.
+    """
+    _check_batch(lambda_a, lambda_b, tie_seed)
+    wins = lambda_b < lambda_a
+    for index in np.flatnonzero(lambda_a == lambda_b).tolist():
+        tie = SiphonDiameters(lambda_a[index], lambda_b[index])
+        wins[index] = _break_tie(tie, tie_policy, tie_seed)[0] == 1
+    return wins
 
 
 def outcome_solo_siphon() -> int:
@@ -243,56 +251,20 @@ def pair_products(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-run outcomes for a batch of diameter draws, as two int arrays.
 
-    The joint siphon run applies the winner rule of ``joint_outcome_ab`` to
-    every row (tied rows go to its ``tie_policy``); the other pairs repeat
-    their ``constant_outcomes``.
+    The joint siphon run scores +1 on the left exactly where ``left_wins``
+    holds, and the right side the opposite; the other pairs repeat their
+    ``constant_outcomes``.
     """
-    _check_batch(lambda_a, lambda_b, tie_seed)
     if pair == PAIR_AB:
-        outcome_left = (lambda_b < lambda_a).astype(np.int64) * 2 - 1
-        for index, left in _broken_ties(lambda_a, lambda_b, tie_policy, tie_seed):
-            outcome_left[index] = left
+        wins = left_wins(lambda_a, lambda_b, tie_policy, tie_seed)
+        outcome_left = wins.astype(np.int64) * 2 - 1
         return outcome_left, -outcome_left
+    _check_batch(lambda_a, lambda_b, tie_seed)
     left, right = constant_outcomes(pair, system)
     return (
         np.full(len(lambda_a), left, dtype=np.int64),
         np.full(len(lambda_a), right, dtype=np.int64),
     )
-
-
-def joint_product_sum(
-    lambda_a: np.ndarray,
-    lambda_b: np.ndarray,
-    tie_policy: TiePolicy = TiePolicy.ERROR,
-    tie_seed: int = 0,
-) -> int:
-    """Sum of the joint siphon run's outcome products over a batch of draws.
-
-    Every joint run anti-correlates, ties included, so the sum is minus the
-    batch size; only the tied rows are read, so that they meet
-    ``tie_policy`` (and ``error`` raises) just as in ``pair_products``.
-    """
-    _check_batch(lambda_a, lambda_b, tie_seed)
-    _broken_ties(lambda_a, lambda_b, tie_policy, tie_seed)
-    return -len(lambda_a)
-
-
-def joint_left_wins(
-    lambda_a: np.ndarray,
-    lambda_b: np.ndarray,
-    tie_policy: TiePolicy = TiePolicy.ERROR,
-    tie_seed: int = 0,
-) -> int:
-    """Number of joint siphon runs in a batch that the left side wins (+1).
-
-    The count of ``pair_products(PAIR_AB, ...)``'s left outcomes equal to
-    +1, without building them: the strictly wider left siphons plus the tied
-    rows that ``tie_policy`` hands to the left (``error`` raises at the
-    first tie).
-    """
-    _check_batch(lambda_a, lambda_b, tie_seed)
-    ties = _broken_ties(lambda_a, lambda_b, tie_policy, tie_seed)
-    return int(np.count_nonzero(lambda_b < lambda_a)) + sum(left == 1 for _, left in ties)
 
 
 def simulate_flow(

@@ -36,6 +36,9 @@ def up_to(element, max_size):
     return st.one_of([fixed_length(element, size) for size in range(max_size + 1)])
 
 
+# Seeds that break the seed rule (an integer, not a bool, in [0, 2**64)).
+BAD_SEEDS = [-1, 2**64, 1.5, 2.0, math.nan, "7", True, False]
+
 EXTREME_NUMBERS = [0.0, -0.0, 5e-324, 1e-300, 1.0, 2.5, 1e300, 1.7e308, -1.0, 2**64, 10**400]
 NUMBERS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),

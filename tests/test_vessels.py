@@ -1,5 +1,7 @@
 """Single-run vessel dynamics: outcome rules, tie policies, flow integration."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,11 @@ from vesselsim import (
     simulate_flow,
     spoon_outcome,
 )
-from vesselsim.vessels import constant_outcomes, joint_left_wins, joint_product_sum
+from vesselsim import bell, commands, locality, vessels
+from vesselsim.cli import main
+from vesselsim.locality import scan_columns
+from vesselsim.streams import CHUNK_SIZE
+from vesselsim.vessels import constant_outcomes, left_wins
 
 
 class TestTypes:
@@ -224,7 +230,11 @@ class TestRunCoincidence:
         lambda_a, lambda_b = 1.0 + rng.integers(0, 17, size=(2, 2000)) / 16
         assert (lambda_a == lambda_b).sum() > 50
         left, right = pair_products(PAIR_AB, lambda_a, lambda_b, VesselSystem(), policy, 5)
-        assert joint_product_sum(lambda_a, lambda_b, policy, 5) == int(left @ right) == -2000
+        wins = left_wins(lambda_a, lambda_b, policy, 5)
+        assert wins.dtype == bool
+        assert np.array_equal(wins, left == 1)
+        # Whoever wins, the other side loses: the products sum to -n.
+        assert int(left @ right) == -2000
 
     def test_joint_product_sum_raises_at_the_first_tie(self):
         lambda_a = np.array([1.0, 2.0, 1.5, 1.25])
@@ -232,7 +242,7 @@ class TestRunCoincidence:
         with pytest.raises(DegenerateTieError) as expected:
             pair_products(PAIR_AB, lambda_a, lambda_b, VesselSystem())
         with pytest.raises(DegenerateTieError) as error:
-            joint_product_sum(lambda_a, lambda_b)
+            left_wins(lambda_a, lambda_b)
         assert str(error.value) == str(expected.value)
         assert "diameters 2.0 " in str(error.value)
 
@@ -242,17 +252,22 @@ class TestRunCoincidence:
     def test_joint_left_wins_counts_the_left_outcomes(self, policy):
         rng = np.random.default_rng(4)
         lambda_a, lambda_b = 1.0 + rng.integers(0, 17, size=(2, 2000)) / 16
+        assert (lambda_a == lambda_b).sum() > 50
         left, _ = pair_products(PAIR_AB, lambda_a, lambda_b, VesselSystem(), policy, 5)
-        assert joint_left_wins(lambda_a, lambda_b, policy, 5) == int((left == 1).sum())
-        assert joint_left_wins(lambda_a[:0], lambda_b[:0], policy, 5) == 0
+        wins = left_wins(lambda_a, lambda_b, policy, 5)
+        assert np.array_equal(wins, left == 1)
+        # The locality scan counts the runs the left side loses.
+        _, losses = locality.scan_counts([(lambda_a, lambda_b)], VesselSystem(), policy, 5)
+        assert losses == 2000 - int(np.count_nonzero(wins)) == int((left == -1).sum())
+        assert left_wins(lambda_a[:0], lambda_b[:0], policy, 5).shape == (0,)
 
     def test_joint_left_wins_raises_at_the_first_tie(self):
         lambda_a = np.array([1.0, 2.0, 1.5, 1.25])
         lambda_b = np.array([1.5, 2.0, 1.5, 1.0])
         with pytest.raises(DegenerateTieError) as expected:
-            pair_products(PAIR_AB, lambda_a, lambda_b, VesselSystem())
+            left_wins(lambda_a, lambda_b)
         with pytest.raises(DegenerateTieError) as error:
-            joint_left_wins(lambda_a, lambda_b)
+            locality.scan_counts([(lambda_a, lambda_b)], VesselSystem())
         assert str(error.value) == str(expected.value)
 
     def test_opaque_water_flips_spoons_only(self):
@@ -270,3 +285,64 @@ class TestRunCoincidence:
         again = [one_run(pair, lam, system) for pair in ALL_PAIRS]
         assert runs == again
         assert contextual_table(lam, system) == contextual_table(lam, system)
+
+
+# A run of two full chunks and a ragged third one.
+THREE_CHUNKS = 2 * CHUNK_SIZE + 3
+CHUNKS = [CHUNK_SIZE, CHUNK_SIZE, 3]
+# The batches of joint runs one such run puts through left_wins, by
+# subcommand, format and tie policy.
+WINNER_BATCHES = [
+    # Reduce-only chunks draw nothing unless a tie must raise.
+    ("vessel-chsh", "json", "error", CHUNKS),
+    ("vessel-chsh", "json", "favor_left", []),
+    ("vessel-chsh", "json", "favor_right", []),
+    ("vessel-chsh", "json", "split_coin", []),
+    # The collected AB columns, chunk by chunk.
+    ("vessel-chsh", "csv", "error", CHUNKS),
+    ("locality-check", "json", "error", CHUNKS),
+    # The two-row batch that renders the fixed tails, then the chunks.
+    ("locality-check", "csv", "error", [2, *CHUNKS]),
+]
+
+
+class TestOneWinnerRule:
+    """Every batch of joint runs gets its winners from ``left_wins``, so a
+    hook there sees every batch of every consumer."""
+
+    @pytest.fixture
+    def batches(self, monkeypatch):
+        batches, rule = [], vessels.left_wins
+
+        def recorded_rule(lambda_a, *args):
+            batches.append(len(lambda_a))
+            return rule(lambda_a, *args)
+
+        for module in (vessels, bell, locality, commands):
+            monkeypatch.setattr(module, "left_wins", recorded_rule)
+        return batches
+
+    @pytest.mark.parametrize(
+        "subcommand, fmt, policy, expected",
+        WINNER_BATCHES,
+        ids=[f"{subcommand}-{fmt}-{policy}" for subcommand, fmt, policy, _ in WINNER_BATCHES],
+    )
+    def test_every_cli_batch_comes_from_left_wins(
+        self, tmp_path, batches, subcommand, fmt, policy, expected
+    ):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(
+            json.dumps({"seed": 3, "runs_per_pair": THREE_CHUNKS, "tie_policy": policy})
+        )
+        out = tmp_path / f"out.{fmt}"
+        argv = [subcommand, "--scenario", str(scenario), "--format", fmt, "--out", str(out)]
+        assert main(argv) == 0
+        assert batches == expected
+
+    def test_the_library_views_come_from_left_wins(self, batches):
+        rng = np.random.default_rng(6)
+        lambda_a, lambda_b = rng.uniform(0.5, 3.0, size=(2, THREE_CHUNKS))
+        scan_columns(lambda_a, lambda_b, VesselSystem())
+        assert batches == [THREE_CHUNKS]
+        contextual_table(SiphonDiameters(1.0, 2.0), VesselSystem())
+        assert batches == [THREE_CHUNKS, 1]
