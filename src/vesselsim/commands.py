@@ -34,7 +34,7 @@ from .bell import (
     vessel_model,
 )
 from .errors import ConfigError, InvariantError
-from .locality import SCAN_COLUMNS, CorrelationKind, scan_columns, scan_counts
+from .locality import SCAN_COLUMNS, CorrelationKind, scan_counts, scan_rows
 from .quantum import (
     TOTAL_LITERS,
     born_histogram,
@@ -185,19 +185,16 @@ def locality_check(
     n = scenario.runs_per_pair
     chunks = scenario.sampler.draw_chunks(n, key=(LOCALITY_STREAM, 0))
     tie_args = (scenario.tie_policy, scenario.seed)
-    scan_args = (scenario.system, *tie_args)
     dump = RunDump(["sample_index", "lambda_a", "lambda_b", *SCAN_COLUMNS])
     if collect_runs:
-        # Every sample has the system's one table, so the joint run's winner
-        # fixes the cells after lambda_b: tails[left wins] holds the
-        # scan_columns row of a tie-free left loss, then of a left win.
-        fixed = scan_columns(np.array([1.0, 2.0]), np.array([2.0, 1.0]), *scan_args)
-        tails = _csv_lines(zip(*(fixed[name].tolist() for name in SCAN_COLUMNS)))
+        # The joint run's winner fixes the cells after lambda_b: the
+        # scan_rows row of a left loss, then of a left win.
+        tails = _csv_lines(scan_rows(scenario.system))
         blocks = ([a, b, tails[left_wins(a, b, *tie_args).astype(np.intp)]] for a, b in chunks)
         dump.rows = RowBlocks(_row_blocks(blocks, "%s,%s,%s,%s"), n)
         return None, dump
 
-    satisfiable, witnesses = scan_counts(chunks, *scan_args)
+    satisfiable, witnesses = scan_counts(chunks, scenario.system, *tie_args)
     unsatisfiable = n - satisfiable
     kind = (
         CorrelationKind.SECOND_KIND if unsatisfiable else CorrelationKind.FIRST_KIND

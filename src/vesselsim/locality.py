@@ -9,10 +9,10 @@ products.  For the vessel model none does, and the obstruction is visible in
 one experiment's outcome flipping with its partner context.
 
 The table is the same for every hidden variable: the joint siphon run always
-anti-correlates and the other pairs are fixed by the state, so the scans
-search it once.  Only which diameter wins varies, and that decides just the
-witness.  ``contextual_table`` still derives a table pair by pair from the
-outcome rule, as the independent check of that lemma.
+anti-correlates and the other pairs are fixed by the state.  So a scan row is
+one of the two ``scan_rows``, and the ``left_wins`` mask of who wins picks it.
+``contextual_table`` still derives a table pair by pair from the outcome
+rule, as the independent check of that lemma.
 """
 
 from __future__ import annotations
@@ -233,6 +233,17 @@ def _system_table(system: VesselSystem) -> ContextualOutcomeTable:
     )
 
 
+def scan_rows(system: VesselSystem) -> tuple[tuple, tuple]:
+    """The two ``SCAN_COLUMNS`` rows a hidden variable of ``system`` can
+    have, in ``left_wins`` order: a left loss of the joint siphon run, then
+    a left win.  Both hold the system's one table and its one search's
+    verdict; only ``witness_with_b``, the left joint outcome, differs."""
+    table = _system_table(system)
+    head = (*astuple(table), search_factorization(table).satisfiable)
+    with_bprime = outcome_solo_siphon()
+    return tuple((*head, with_b, with_bprime, with_b != with_bprime) for with_b in (-1, 1))
+
+
 def scan_columns(
     lambda_a: np.ndarray,
     lambda_b: np.ndarray,
@@ -244,25 +255,12 @@ def scan_columns(
 
     Row ``i`` describes the hidden variable ``(lambda_a[i], lambda_b[i])``
     exactly as ``contextual_table``, ``search_factorization`` and
-    ``contextuality_witness`` would, in the columns ``SCAN_COLUMNS``.
-
-    Every row has the system's one table, so the product columns and
-    ``satisfiable`` are constants, the latter from one exhaustive search.
-    Only ``witness_with_b``, the left outcome of the joint siphon run, varies
-    by row; it comes from the vectorized outcome rule ``pair_products``.
+    ``contextuality_witness`` would, in the columns ``SCAN_COLUMNS``: the
+    ``scan_rows`` row that the ``left_wins`` mask picks.
     """
-    witness_with_b, _ = pair_products(PAIR_AB, lambda_a, lambda_b, system, tie_policy, tie_seed)
-    size = len(witness_with_b)
-    table = _system_table(system)
-    witness_with_bprime = np.full(size, outcome_solo_siphon(), dtype=np.int64)
-    columns = (
-        *(np.full(size, product, dtype=np.int64) for product in astuple(table)),
-        np.full(size, search_factorization(table).satisfiable),
-        witness_with_b,
-        witness_with_bprime,
-        witness_with_b != witness_with_bprime,
-    )
-    return dict(zip(SCAN_COLUMNS, columns, strict=True))
+    index = left_wins(lambda_a, lambda_b, tie_policy, tie_seed).astype(np.intp)
+    columns = zip(*scan_rows(system))
+    return {name: np.array(column)[index] for name, column in zip(SCAN_COLUMNS, columns)}
 
 
 def scan_counts(
@@ -273,21 +271,19 @@ def scan_counts(
 ) -> tuple[int, int]:
     """``scan_columns``' ``satisfiable.sum()`` and ``witness_differs.sum()``
     over all the ``(lambda_a, lambda_b)`` chunks of a run, without building
-    its columns.
-
-    Every row has the system's one table, so one exhaustive search decides
-    all rows of the run or none.  A row is a witness when its left siphon's
-    outcome against B differs from the solo siphon's, which is always +1:
-    when the left side loses the joint run.  The wins are counted from
-    ``left_wins``, which puts the tied rows through ``tie_policy``
-    (``error`` raises at the first).
+    its columns: the two ``scan_rows`` rows weighted by the run's left
+    losses and left wins.  The wins are counted from ``left_wins``, which
+    puts the tied rows through ``tie_policy`` (``error`` raises at the first).
     """
     size = wins = 0
     for lambda_a, lambda_b in chunks:
         wins += int(np.count_nonzero(left_wins(lambda_a, lambda_b, tie_policy, tie_seed)))
         size += len(lambda_a)
-    satisfiable = search_factorization(_system_table(system)).satisfiable
-    return (size if satisfiable else 0), size - wins
+    loss, win = scan_rows(system)
+    return tuple(
+        (size - wins) * loss[column] + wins * win[column]
+        for column in map(SCAN_COLUMNS.index, ("satisfiable", "witness_differs"))
+    )
 
 
 def scan_hidden_variables(
@@ -303,7 +299,7 @@ def scan_hidden_variables(
     """
     lambda_a = np.array([lam.lambda_a for lam in samples], dtype=np.float64)
     lambda_b = np.array([lam.lambda_b for lam in samples], dtype=np.float64)
-    witness_with_b, _ = pair_products(PAIR_AB, lambda_a, lambda_b, system, tie_policy, tie_seed)
+    witness_with_b = 2 * left_wins(lambda_a, lambda_b, tie_policy, tie_seed) - 1
     table = _system_table(system)
     factorization = search_factorization(table)
     with_bprime = outcome_solo_siphon()

@@ -166,13 +166,18 @@ def _break_tie(lam: SiphonDiameters, tie_policy: TiePolicy, tie_seed: int) -> tu
 
 def _check_batch(lambda_a: np.ndarray, lambda_b: np.ndarray, tie_seed: int) -> None:
     """The checks every batch function makes once per call: the tie coin's
-    seed follows the seed rule, and the diameters are two 1-D arrays of
-    equal length, row ``i`` being the draw ``(lambda_a[i], lambda_b[i])``."""
+    seed follows the seed rule, and the diameters are two 1-D numpy arrays
+    of equal length, row ``i`` being the draw ``(lambda_a[i], lambda_b[i])``.
+    Lists and tuples are refused: a comparison of two lists is one bool."""
     check_seed(tie_seed, "tie_seed")
-    if not (np.ndim(lambda_a) == np.ndim(lambda_b) == 1 and len(lambda_a) == len(lambda_b)):
+    if not (
+        isinstance(lambda_a, np.ndarray) and isinstance(lambda_b, np.ndarray)
+        and lambda_a.ndim == lambda_b.ndim == 1 and len(lambda_a) == len(lambda_b)
+    ):
         raise InvariantError(
-            f"a batch of draws needs two 1-D diameter arrays of equal length, "
-            f"got shapes {np.shape(lambda_a)} and {np.shape(lambda_b)}"
+            f"a batch of draws needs two 1-D numpy diameter arrays of equal length, got "
+            f"{type(lambda_a).__name__} {np.shape(lambda_a)} and {type(lambda_b).__name__} "
+            f"{np.shape(lambda_b)}"
         )
 
 

@@ -367,7 +367,7 @@ class TestLocalityJsonIsReduceOnly:
             raise Reached
 
         for module, name in [
-            (commands, "scan_columns"),
+            (commands, "scan_rows"),
             (locality, "scan_columns"),
             (locality, "pair_products"),
             (vessels, "pair_products"),
@@ -376,7 +376,7 @@ class TestLocalityJsonIsReduceOnly:
         assert run_cli([*argv, str(tmp_path / "guarded.json")]) == 0
         expected = (tmp_path / "expected.json").read_bytes()
         assert (tmp_path / "guarded.json").read_bytes() == expected
-        # The CSV rows still come from the scan's columns.
+        # The CSV tails still come from the scan's two rows.
         with pytest.raises(Reached):
             run_cli([*argv, str(tmp_path / "dump.csv"), "--format", "csv"])
 

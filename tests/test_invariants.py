@@ -264,8 +264,10 @@ class TestInvariantHoles:
             (np.ones(3), np.full(1, 2.0)),
             (np.full((2, 2), 2.0), np.ones((2, 2))),
             (np.float64(2.0), np.float64(1.0)),
+            ([2.0, 1.0], [1.0, 2.0]),
+            ((2.0, 1.0), (1.0, 2.0)),
         ],
-        ids=["shorter-left", "shorter-right", "2-d", "0-d"],
+        ids=["shorter-left", "shorter-right", "2-d", "0-d", "list", "tuple"],
     )
     def test_diameter_batches_are_1d_and_of_equal_length(self, lambda_a, lambda_b):
         batch_calls = [

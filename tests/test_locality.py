@@ -274,6 +274,16 @@ class TestScanColumns:
             columns = scan_columns(lambda_a, lambda_b, VesselSystem(), TiePolicy.ERROR)
             assert not columns["satisfiable"].any()
 
+    def test_empty_batch_keeps_the_column_dtypes(self):
+        # The columns index the scan's two rows; an empty index must still
+        # give int64 products and outcomes and bool verdicts.
+        columns = scan_columns(np.empty(0), np.empty(0), VesselSystem())
+        assert tuple(columns) == SCAN_COLUMNS
+        for name, column in columns.items():
+            assert column.shape == (0,)
+            flag = name in ("satisfiable", "witness_differs")
+            assert column.dtype == (np.dtype(bool) if flag else np.dtype(np.int64))
+
 
 class TestScanCounts:
     """The reduce-only counts of the JSON report against the scan's columns."""

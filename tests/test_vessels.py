@@ -301,8 +301,9 @@ WINNER_BATCHES = [
     # The collected AB columns, chunk by chunk.
     ("vessel-chsh", "csv", "error", CHUNKS),
     ("locality-check", "json", "error", CHUNKS),
-    # The two-row batch that renders the fixed tails, then the chunks.
-    ("locality-check", "csv", "error", [2, *CHUNKS]),
+    # The chunks alone: the fixed tails are the scan's two rows, which need
+    # no diameters.
+    ("locality-check", "csv", "error", CHUNKS),
 ]
 
 
