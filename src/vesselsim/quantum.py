@@ -130,7 +130,8 @@ def born_histogram(
     cdf = _born_cdf(state)
     below = np.zeros(N_AMPLITUDES, dtype=np.int64)
     for uniforms in run_chunks(lambda _, size: rng.random(size), n):
-        below += [np.count_nonzero(uniforms < bound) for bound in cdf]
+        # Every uniform lies below cdf[-1], which is exactly 1.
+        below += [*(np.count_nonzero(uniforms < bound) for bound in cdf[:-1]), len(uniforms)]
     return np.diff(below, prepend=0)
 
 
@@ -143,15 +144,15 @@ def coefficient_matrix(state: VesselSuperpositionState) -> np.ndarray:
 
 
 def schmidt_rank(state: VesselSuperpositionState, tol: float = NORM_TOL) -> int:
-    """Number of singular values of the coefficient matrix above ``tol``.
+    """Number of amplitudes whose modulus exceeds ``tol``.
 
-    For this anti-diagonal matrix the singular values are the amplitude
-    moduli, so the rank also counts the amplitudes above ``tol``.
+    This is the Schmidt rank: ``coefficient_matrix`` holds one amplitude in
+    each row and column, so its singular values are the amplitude moduli,
+    and no decomposition is needed to count those above ``tol``.
     """
     if not tol >= 0.0:
         raise InvariantError(f"tolerance must be non-negative: {tol}", "tol")
-    singular_values = np.linalg.svd(coefficient_matrix(state), compute_uv=False)
-    return int(np.count_nonzero(singular_values > tol))
+    return int(np.count_nonzero(np.abs(state.amplitudes) > tol))
 
 
 def is_entangled(state: VesselSuperpositionState, tol: float = NORM_TOL) -> bool:

@@ -3,7 +3,8 @@
 A scenario pins everything a run depends on.  The seed is mandatory
 (silent nondeterminism is not allowed in a verification tool); all other
 fields default.  Unknown fields are rejected rather than ignored so a typo
-cannot silently fall back to a default.
+cannot silently fall back to a default, and a field given twice in one
+object is rejected rather than resolved to its last value.
 """
 
 from __future__ import annotations
@@ -214,12 +215,23 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ConfigError(f"scenario.{path}: {exc}") from None
 
 
+def _unique_fields(pairs: list[tuple[str, object]]) -> dict:
+    """One JSON object, refused if it names a field twice: the decoder
+    would otherwise keep the last value without a word."""
+    seen: set[str] = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise ConfigError(f"scenario: field {key!r} is given more than once in one object")
+        seen.add(key)
+    return dict(pairs)
+
+
 def parse_scenario(path: str | Path) -> Scenario:
     """Load and validate a scenario file.
 
     JSON text is UTF-8 whatever the locale says; bytes that do not decode,
-    nesting too deep for the decoder and an integer literal too long for
-    it are configuration errors too.
+    nesting too deep for the decoder, an integer literal too long for it
+    and a field named twice in one object are configuration errors too.
     """
     path = Path(path)
     try:
@@ -229,7 +241,7 @@ def parse_scenario(path: str | Path) -> Scenario:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: not UTF-8 text: {exc}") from None
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_fields)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"

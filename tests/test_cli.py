@@ -102,8 +102,13 @@ class TestExitCodes:
             (b"[" * 200_000 + b"]" * 200_000, "nested too deeply"),
             # Past the interpreter's int-string limit (4300 digits by default).
             (b'{"seed": 1' + b"0" * 4400 + b"}", "too many digits"),
+            (b'{"seed": 1, "seed": 2}', "field 'seed' is given more than once"),
+            (
+                b'{"seed": 1, "system": {"total_volume": 20.0, "total_volume": 30.0}}',
+                "field 'total_volume' is given more than once",
+            ),
         ],
-        ids=["not-utf-8", "too-deep", "int-too-long"],
+        ids=["not-utf-8", "too-deep", "int-too-long", "repeated-field", "repeated-nested-field"],
     )
     def test_unreadable_scenario_is_a_config_error(self, tmp_path, capsys, content, message):
         path = tmp_path / "scenario.json"

@@ -17,6 +17,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from vesselsim.cli import main
@@ -109,6 +110,16 @@ def render(case: str, subcommand: str, extra: list, scenario: dict, fmt: str,
 def test_report_bytes_match_golden(case, fmt, tmp_path):
     expected = (GOLDEN / f"{case}.{fmt}").read_bytes()
     assert render(case, *CASES[case], fmt, tmp_path) == expected
+
+
+def test_sample_state_report_needs_no_svd(tmp_path, monkeypatch):
+    # The Schmidt rank is a count of amplitude moduli, so no LAPACK call is made.
+    def refuse(*args, **kwargs):
+        raise AssertionError("sample-state called numpy.linalg.svd")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    expected = (GOLDEN / "sample-state.json").read_bytes()
+    assert render("sample-state", *CASES["sample-state"], "json", tmp_path) == expected
 
 
 def large_dump_hashes(directory: Path) -> str:

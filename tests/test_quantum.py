@@ -1,16 +1,17 @@
 """Superposition state machinery and the singlet reference model."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import linalg as scipy_linalg
 from scipy import stats
 
 from vesselsim.bell import PAIR_STREAM
-from vesselsim.quantum import _pair_expectations
+from vesselsim.quantum import _born_cdf, _pair_expectations
 from vesselsim.streams import substream
 
 from vesselsim import (
@@ -44,10 +45,8 @@ from vesselsim import (
 UNIFORM = make_state(np.ones(11) / math.sqrt(11))
 
 
-def random_state(rng, support=None):
-    amplitudes = np.zeros(11, dtype=complex)
-    support = np.arange(11) if support is None else support
-    amplitudes[support] = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
+def random_state(rng):
+    amplitudes = rng.normal(size=11) + 1j * rng.normal(size=11)
     return make_state(amplitudes, normalize=True)
 
 
@@ -169,6 +168,17 @@ class TestBornCounting:
         state = make_state(amplitudes, normalize=True)
         assert np.array_equal(born_samples(state, n, seed), choice_draws(state, n, seed))
 
+    @given(amplitudes=amplitude_vectors)
+    @example(amplitudes=[1.0, 0.5j, *[0j] * 9])
+    def test_cdf_ends_at_exactly_one(self, amplitudes):
+        # born_histogram counts every uniform below the last bound without a compare.
+        assert _born_cdf(make_state(amplitudes, normalize=True))[-1] == 1.0
+
+
+# Ratios of a modulus to the tolerance, at least 1e-9 relative away from 1.
+RATIO_BELOW = st.floats(0.0, 1.0 - 1e-9)
+RATIO_ABOVE = st.floats(1.0 + 1e-9, 3.0)
+
 
 class TestSchmidtRank:
     def test_single_branch_is_a_product_state(self):
@@ -189,21 +199,41 @@ class TestSchmidtRank:
         assert schmidt_rank(state) == 2
         assert is_entangled(state)
 
-    def test_rank_equals_amplitude_count_and_independent_svd(self):
-        rng = np.random.default_rng(13)
-        for _ in range(100):
-            support_size = int(rng.integers(1, 12))
-            support = rng.choice(11, size=support_size, replace=False)
-            state = random_state(rng, support=support)
-            amplitude_count = int(np.count_nonzero(np.abs(state.amplitudes) > 1e-9))
-            independent = int(
-                np.count_nonzero(scipy_linalg.svdvals(coefficient_matrix(state)) > 1e-9)
-            )
-            assert schmidt_rank(state, tol=1e-9) == amplitude_count == independent
+    @settings(max_examples=150, deadline=None)
+    @given(
+        tol=st.floats(1e-300, 0.03),
+        ratios=st.tuples(RATIO_BELOW, RATIO_ABOVE, *[st.one_of(RATIO_BELOW, RATIO_ABOVE)] * 8),
+        phases=st.tuples(*[st.floats(0.0, 2 * math.pi)] * 10),
+        shift=st.integers(0, 10),
+    )
+    def test_rank_equals_amplitude_count_and_independent_svd(self, tol, ratios, phases, shift):
+        # Ten moduli at ratio * tol, at least one on each side of tol, and the
+        # rest of the norm on an eleventh amplitude far above it.
+        scaled = [ratio * tol * cmath.exp(1j * phase) for ratio, phase in zip(ratios, phases)]
+        rest = math.sqrt(1.0 - sum(abs(amplitude) ** 2 for amplitude in scaled))
+        state = make_state(np.roll([*scaled, rest], shift))
+        moduli = np.abs(state.amplitudes)
+        assert np.all(np.abs(moduli - tol) > 1e-12 * tol)
+
+        amplitude_count = 1 + sum(ratio > 1.0 for ratio in ratios)
+        independent = int(np.count_nonzero(scipy_linalg.svdvals(coefficient_matrix(state)) > tol))
+        assert schmidt_rank(state, tol=tol) == amplitude_count == independent
 
     def test_negative_tolerance_rejected(self):
         with pytest.raises(ValueError):
             schmidt_rank(UNIFORM, tol=-1.0)
+
+    @given(
+        tol=st.one_of(
+            st.floats(max_value=-5e-324), st.just(math.nan), st.integers(max_value=-1)
+        )
+    )
+    @example(tol=-1.0)
+    @example(tol=math.nan)
+    def test_tolerance_that_is_not_non_negative_is_rejected(self, tol):
+        with pytest.raises(InvariantError) as error:
+            schmidt_rank(UNIFORM, tol=tol)
+        assert error.value.field == "tol"
 
 
 class TestDirections:
