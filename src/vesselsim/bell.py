@@ -45,12 +45,14 @@ BOUND_TOL = 1e-12
 
 PAIR_STREAM = {pair: index for index, pair in enumerate(ALL_PAIRS)}
 
-# A model maps (pair, substream key, size, collect) to the chunk's sum of
-# outcome products and, with ``collect=True``, its per-run columns (at least
-# ``outcome_left`` and ``outcome_right``); otherwise the columns are None.
+# A model maps (pair, n, collect) to one result per chunk of the pair's n
+# runs, lazily, in chunk order: the chunk's sum of outcome products and, with
+# ``collect=True``, its per-run columns (at least ``outcome_left`` and
+# ``outcome_right``), else None.  Each random column draws the whole run from
+# its own ``(PAIR_STREAM[pair], column)`` substream, whatever ``CHUNK_SIZE`` is.
 Model = Callable[
-    [CoincidencePair, tuple[int, int], int, bool],
-    tuple[int, dict[str, np.ndarray] | None],
+    [CoincidencePair, int, bool],
+    Iterator[tuple[int, dict[str, np.ndarray] | None]],
 ]
 
 
@@ -82,26 +84,19 @@ class HiddenVariableSampler:
         check_seed(self.seed)
 
     def draw_arrays(self, n: int, key: tuple[int, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
-        """Draw ``n`` diameter pairs as two arrays on the keyed substream:
-        all ``n`` left diameters, then all ``n`` right ones."""
+        """Draw ``n`` diameter pairs as two arrays: the left diameters on the
+        keyed consumer's column 0, the right ones on its column 1."""
         check_count(n)
-        rng = substream(self.seed, *key)
-        lambda_a = rng.uniform(self.low, self.high, size=n)
-        lambda_b = rng.uniform(self.low, self.high, size=n)
-        return lambda_a, lambda_b
+        rng_a, rng_b = substream(self.seed, *key, 0), substream(self.seed, *key, 1)
+        return rng_a.uniform(self.low, self.high, n), rng_b.uniform(self.low, self.high, n)
 
     def draw_chunks(
         self, n: int, key: tuple[int, ...] = ()
     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """The draws of ``draw_arrays(n, key)``, lazily, in ``CHUNK_SIZE`` slices.
-
-        Each uniform takes exactly one 64-bit output of the stream, so the
-        right diameters come from a second generator on the same key moved
-        past the ``n`` left ones.
-        """
+        """The draws of ``draw_arrays(n, key)``, lazily, in ``CHUNK_SIZE``
+        slices: each column's generator runs on across the slices."""
         check_count(n)
-        rng_a, rng_b = substream(self.seed, *key), substream(self.seed, *key)
-        rng_b.bit_generator.advance(n)
+        rng_a, rng_b = substream(self.seed, *key, 0), substream(self.seed, *key, 1)
 
         def one_chunk(_: int, size: int) -> tuple[np.ndarray, np.ndarray]:
             return rng_a.uniform(self.low, self.high, size), rng_b.uniform(self.low, self.high, size)
@@ -175,35 +170,35 @@ def vessel_model(
     system: VesselSystem,
     tie_policy: TiePolicy = TiePolicy.ERROR,
 ) -> Model:
-    """The vessel experiment as a model: diameters drawn on the key's
-    substream, then the outcome rule; the draws are columns too.
+    """The vessel experiment as a model: a pair's diameters are
+    ``sampler.draw_chunks(n, key=(PAIR_STREAM[pair],))``, put through the
+    outcome rule chunk by chunk; the draws are columns too.
 
     Without ``collect``, the three pairs with a spoon test draw nothing and
     sum their fixed products.  A joint run anti-correlates whoever wins,
-    ties included, so the joint pair sums to ``-size``.  It draws only under
-    the ``error`` policy, and puts the draws through ``left_wins`` so that a
-    tie raises.  Every chunk has its own substream, so a skipped draw moves
-    no other.
+    ties included, so the joint pair sums to ``-size`` per chunk.  It draws
+    only under the ``error`` policy, and puts the draws through
+    ``left_wins`` so that a tie raises.  Each pair owns its column streams,
+    so a skipped draw moves no other.
     """
 
-    def model(pair, key, size, collect):
+    def drawn(pair, lambda_a, lambda_b, collect):
         if not collect:
-            if pair != PAIR_AB:
-                left, right = constant_outcomes(pair, system)
-                return size * left * right, None
-            if tie_policy is TiePolicy.ERROR:
-                left_wins(*sampler.draw_arrays(size, key), tie_policy, sampler.seed)
-            return -size, None
-        lambda_a, lambda_b = sampler.draw_arrays(size, key)
-        outcome_left, outcome_right = pair_products(
+            left_wins(lambda_a, lambda_b, tie_policy, sampler.seed)
+            return -len(lambda_a), None
+        columns = {"lambda_a": lambda_a, "lambda_b": lambda_b}
+        columns["outcome_left"], columns["outcome_right"] = pair_products(
             pair, lambda_a, lambda_b, system, tie_policy, tie_seed=sampler.seed
         )
-        return int(outcome_left @ outcome_right), {
-            "lambda_a": lambda_a,
-            "lambda_b": lambda_b,
-            "outcome_left": outcome_left,
-            "outcome_right": outcome_right,
-        }
+        return int(columns["outcome_left"] @ columns["outcome_right"]), columns
+
+    def model(pair, n, collect):
+        if collect or (pair == PAIR_AB and tie_policy is TiePolicy.ERROR):
+            draws = sampler.draw_chunks(n, key=(PAIR_STREAM[pair],))
+            return (drawn(pair, *lambdas, collect) for lambdas in draws)
+        # A joint run's products are -1 whoever wins.
+        left, right = (-1, 1) if pair == PAIR_AB else constant_outcomes(pair, system)
+        return run_chunks(lambda _, size: (size * left * right, None), n)
 
     return model
 
@@ -214,22 +209,13 @@ def pair_chunks(
     n: int,
     collect: bool = False,
 ) -> Iterator[tuple[int, dict[str, np.ndarray] | None]]:
-    """The results of ``n`` runs of ``model`` on one pair, lazily, chunk by chunk.
-
-    Each fixed-size chunk uses its own ``(PAIR_STREAM[pair], chunk)`` key
-    and the results come in chunk order, so they depend only on
-    (model, pair, n).  Each result is the chunk's sum of outcome products
-    and, with ``collect=True``, its per-run columns.
-    """
+    """The results of ``n`` runs of ``model`` on one pair, lazily, chunk by
+    chunk, once ``n`` is checked: each the chunk's sum of outcome products
+    and, with ``collect=True``, its per-run columns."""
     check_count(n)
     if n < 1:
         raise EmptySampleSetError(f"estimation needs n >= 1, got {n}")
-    stream_index = PAIR_STREAM[pair]
-
-    def one_chunk(chunk_index: int, size: int):
-        return model(pair, (stream_index, chunk_index), size, collect)
-
-    return run_chunks(one_chunk, n)
+    return model(pair, n, collect)
 
 
 def estimate_expectation(model: Model, pair: CoincidencePair, n: int) -> ExpectationEstimate:

@@ -183,7 +183,7 @@ def locality_check(
 ) -> tuple[dict | None, RunDump]:
     """Factorization search and context witnesses over sampled hidden variables."""
     n = scenario.runs_per_pair
-    chunks = scenario.sampler.draw_chunks(n, key=(LOCALITY_STREAM, 0))
+    chunks = scenario.sampler.draw_chunks(n, key=(LOCALITY_STREAM,))
     tie_args = (scenario.tie_policy, scenario.seed)
     dump = RunDump(["sample_index", "lambda_a", "lambda_b", *SCAN_COLUMNS])
     if collect_runs:

@@ -218,12 +218,15 @@ def singlet_samples(
     b: MeasurementDirection,
     n: int,
     seed_or_rng: int | np.random.Generator,
+    uniforms_rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw ``n`` joint outcomes; each marginal is a fair +1/-1 coin."""
+    """Draw ``n`` joint outcomes; each marginal is a fair +1/-1 coin.  The
+    agreement uniforms come from ``uniforms_rng``, by default the coins' one."""
     check_count(n)
     rng = _as_rng(seed_or_rng)
     left = rng.integers(0, 2, size=n) * 2 - 1
-    same = rng.random(n) < _agreement_probability(a, b)
+    uniforms = rng if uniforms_rng is None else uniforms_rng
+    same = uniforms.random(n) < _agreement_probability(a, b)
     right = np.where(same, left, -left)
     return left, right
 
@@ -279,13 +282,12 @@ def singlet_analytic_estimates(
 
 def singlet_model(angles_deg: tuple[float, float, float, float], seed: int) -> Model:
     """The singlet as a model: joint spin outcomes at the pair's analyzer
-    directions, drawn on the key's substream under ``seed``.
+    directions, its left coins on column 0 of its stream under ``seed`` and
+    its agreement uniforms on column 1.
 
-    A product is +1 exactly when the sides agree, so without ``collect`` the
-    chunk only counts agreements among the same uniforms ``singlet_samples``
-    reads.  It skips the coins instead of drawing them: ``integers(0, 2)``
-    takes one 32-bit half of a 64-bit output per coin and never rejects, so
-    ``size`` coins spend ``ceil(size / 2)`` outputs.
+    A product is +1 exactly when the sides agree, so without ``collect`` a
+    chunk only counts agreements among the uniforms, and the coin generator
+    is never made.
     """
     check_seed(seed)
     directions = [
@@ -293,16 +295,24 @@ def singlet_model(angles_deg: tuple[float, float, float, float], seed: int) -> M
         for left, right in _pair_planar(angles_deg)
     ]
 
-    def model(pair, key, size, collect):
-        left_direction, right_direction = directions[ALL_PAIRS.index(pair)]
-        rng = substream(seed, *key)
-        if collect:
-            left, right = singlet_samples(left_direction, right_direction, size, rng)
+    def model(pair, n, collect):
+        stream = ALL_PAIRS.index(pair)
+        a, b = directions[stream]
+        uniforms = substream(seed, stream, 1)
+        if not collect:
+            threshold = _agreement_probability(a, b)
+
+            def agreements(_, size):
+                return 2 * np.count_nonzero(uniforms.random(size) < threshold) - size, None
+
+            return run_chunks(agreements, n)
+        coins = substream(seed, stream, 0)
+
+        def one_chunk(_, size):
+            left, right = singlet_samples(a, b, size, coins, uniforms)
             return int(left @ right), {"outcome_left": left, "outcome_right": right}
-        rng.bit_generator.advance(-(-size // 2))
-        threshold = _agreement_probability(left_direction, right_direction)
-        agree = np.count_nonzero(rng.random(size) < threshold)
-        return 2 * agree - size, None
+
+        return run_chunks(one_chunk, n)
 
     return model
 

@@ -1,13 +1,12 @@
 """Deterministic seed-derived substreams and fixed-order chunked execution.
 
-A master seed plus an integer key tuple pins down one generator, so every
-consumer of randomness (one per coincidence pair, the locality scan, the
-state sampler) owns an independent stream.  ``run_chunks`` is the one loop
-that cuts a job into fixed-size chunks: it runs them one after another on
-the calling thread, in chunk order, lazily, so every estimate is a pure
-function of (seed, n) and memory depends on ``CHUNK_SIZE``, not on n.  The
-pair streams take one substream per chunk; the locality scan's two
-generators and the Born sampler's one each run on across the chunks.
+A master seed plus an integer key tuple pins down one generator.  Every
+random column of every consumer draws its whole run, in order, from its own
+``substream(seed, consumer, column)``.  ``run_chunks`` is the one loop that
+cuts a job into fixed-size chunks: it runs them one after another on the
+calling thread, in chunk order, lazily, while each column's generator runs
+on across the chunks.  So every result is a pure function of (seed, n), the
+same for every ``CHUNK_SIZE``, and memory depends on ``CHUNK_SIZE``, not on n.
 """
 
 from __future__ import annotations
@@ -23,8 +22,9 @@ from .errors import InvariantError
 
 CHUNK_SIZE = 1 << 15
 
-# First spawn-key component: streams 0..3 belong to the coincidence pairs in
-# canonical order, the rest to the other seeded consumers.
+# Spawn keys are (consumer, column).  Consumers 0..3 are the coincidence pairs
+# in canonical order; column 0 holds left diameters, singlet coins or Born
+# uniforms, column 1 right diameters or singlet agreement uniforms.
 LOCALITY_STREAM = 4
 BORN_STREAM = 5
 

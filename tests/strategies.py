@@ -11,6 +11,7 @@ built from ``st.builds``, ``st.tuples`` and ``st.one_of``, whose labels
 follow their contents.
 """
 
+import cmath
 import math
 import sys
 from itertools import combinations
@@ -132,6 +133,30 @@ def born_amplitudes(draw):
         [math.sqrt(w / total) * math.cos(p), math.sqrt(w / total) * math.sin(p)]
         for w, p in zip(weights, phases)
     ]
+
+
+def _amplitude(nonzero, x, y):
+    return complex(x, y) if nonzero else 0j
+
+
+def _with_amplitude(amplitudes, index, x, y):
+    amplitudes[index] = cmath.rect(2e-3 + (1.0 - 2e-3) * abs(x), math.pi * y)
+    return amplitudes
+
+
+# Eleven complex amplitudes, many of them exactly zero (trailing ones
+# included), not all negligible: the one at a drawn index has a modulus of
+# at least 2e-3.  Every amplitude takes the same three choices, zero or
+# not, and every float comes from the same range, so no span copy between
+# them can misalign or leave a range.
+UNIT = st.floats(-1.0, 1.0)
+amplitude_vectors = st.builds(
+    _with_amplitude,
+    fixed_length(st.builds(_amplitude, st.booleans(), UNIT, UNIT), 11),
+    st.sampled_from(range(11)),
+    UNIT,
+    UNIT,
+)
 
 
 FOLD_FIELDS = {

@@ -85,7 +85,7 @@ def test_non_factorizability(tmp_path):
 
     # per-sample certificates on the same seeded stream the command used
     sampler = HiddenVariableSampler(seed=42)
-    samples = sampler.draw(1000, key=(LOCALITY_STREAM, 0))
+    samples = sampler.draw(1000, key=(LOCALITY_STREAM,))
     scan = scan_hidden_variables(samples, VesselSystem())
     witness_count = 0
     for entry in scan:

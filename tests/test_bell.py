@@ -173,7 +173,7 @@ class TestEstimateExpectation:
         [(_, columns)] = pair_chunks(
             vessel_model(sampler, VesselSystem()), PAIR_AB, 300, collect=True
         )
-        lambda_a, lambda_b = sampler.draw_arrays(300, key=(PAIR_STREAM[PAIR_AB], 0))
+        lambda_a, lambda_b = sampler.draw_arrays(300, key=(PAIR_STREAM[PAIR_AB],))
         assert np.array_equal(columns["lambda_a"], lambda_a)
         assert np.array_equal(columns["lambda_b"], lambda_b)
 
@@ -182,10 +182,10 @@ class TestEstimateExpectation:
         n = 100_000
         for model in MODELS.values():
             for pair in ALL_PAIRS:
-                total = sum(
-                    model(pair, (PAIR_STREAM[pair], index), size, False)[0]
-                    for index, size in enumerate(chunk_sizes(n))
-                )
+                results = list(model(pair, n, False))
+                assert len(results) == len(list(chunk_sizes(n)))
+                assert all(columns is None for _, columns in results)
+                total = sum(product_sum for product_sum, _ in results)
                 mean, stderr = mean_and_stderr(total, n)
                 expected = ExpectationEstimate(pair=pair, mean=mean, stderr=stderr, n=n)
                 assert estimate_expectation(model, pair, n) == expected
@@ -194,19 +194,20 @@ class TestEstimateExpectation:
     @given(
         model=any_model(),
         pair=st.sampled_from(ALL_PAIRS),
-        key=st.tuples(st.integers(0, 3), st.integers(0, 40)),
         n=chunk_run_counts,
     )
-    def test_reduce_only_chunks_agree_with_the_collected_columns(self, model, pair, key, n):
+    def test_reduce_only_chunks_agree_with_the_collected_columns(self, model, pair, n):
         def reduced():
-            product_sum, columns = model(pair, key, n, False)
-            assert columns is None
-            return product_sum
+            results = list(model(pair, n, False))
+            assert all(columns is None for _, columns in results)
+            return [product_sum for product_sum, _ in results]
 
         def collected():
-            product_sum, columns = model(pair, key, n, True)
-            assert product_sum == int((columns["outcome_left"] * columns["outcome_right"]).sum())
-            return product_sum
+            results = list(model(pair, n, True))
+            for product_sum, columns in results:
+                products = columns["outcome_left"] * columns["outcome_right"]
+                assert product_sum == int(products.sum())
+            return [product_sum for product_sum, _ in results]
 
         assert tie_or(reduced) == tie_or(collected)
         assert tie_or(lambda: estimate_expectation(model, pair, n)) == tie_or(

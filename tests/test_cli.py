@@ -39,7 +39,7 @@ from vesselsim import (
     vessel_model,
     vessels,
 )
-from vesselsim.bell import mean_and_stderr
+from vesselsim.bell import PAIR_STREAM, mean_and_stderr
 from vesselsim.cli import CSV_ROWS_PER_WRITE, commit, main, render_csv, render_json
 from vesselsim.errors import DegenerateTieError, VesselSimError
 
@@ -272,15 +272,9 @@ class TestExitCodes:
 
 
 def tied_draws(monkeypatch):
-    """Make every sampler draw hold an exact tie at row 1, whether drawn at
-    once or in chunks."""
-    original = HiddenVariableSampler.draw_arrays
+    """Make every command's sampler draws, which all come in chunks, hold an
+    exact tie at row 1."""
     original_chunks = HiddenVariableSampler.draw_chunks
-
-    def draw_arrays(self, n, key=()):
-        lambda_a, lambda_b = original(self, n, key)
-        lambda_b[1] = lambda_a[1]
-        return lambda_a, lambda_b
 
     def draw_chunks(self, n, key=()):
         for index, (lambda_a, lambda_b) in enumerate(original_chunks(self, n, key)):
@@ -288,7 +282,6 @@ def tied_draws(monkeypatch):
                 lambda_b[1] = lambda_a[1]
             yield lambda_a, lambda_b
 
-    monkeypatch.setattr(HiddenVariableSampler, "draw_arrays", draw_arrays)
     monkeypatch.setattr(HiddenVariableSampler, "draw_chunks", draw_chunks)
 
 
@@ -445,16 +438,17 @@ class TestVesselChshJsonDraws:
         self, tmp_path, monkeypatch, policy, draws
     ):
         calls = []
-        original = HiddenVariableSampler.draw_arrays
+        original_chunks = HiddenVariableSampler.draw_chunks
 
-        def draw_arrays(self, n, key=()):
-            calls.append(key)
-            return original(self, n, key)
+        def draw_chunks(self, n, key=()):
+            for batch in original_chunks(self, n, key):
+                calls.append(key)
+                yield batch
 
-        monkeypatch.setattr(HiddenVariableSampler, "draw_arrays", draw_arrays)
+        monkeypatch.setattr(HiddenVariableSampler, "draw_chunks", draw_chunks)
         scenario = write_scenario(tmp_path, runs_per_pair=self.RUNS, tie_policy=policy)
         run_json(tmp_path, "vessel-chsh", scenario)
-        assert len(calls) == draws
+        assert calls == [(PAIR_STREAM[vessels.PAIR_AB],)] * draws
 
     def test_reports_differ_only_in_the_echoed_policy(self, tmp_path):
         reports = set()
@@ -813,9 +807,7 @@ LOCALITY_FIELDS = [
 
 def locality_reference(scenario):
     """``scan_columns`` on every chunk of the scenario's locality draws."""
-    chunks = scenario.sampler.draw_chunks(
-        scenario.runs_per_pair, key=(streams.LOCALITY_STREAM, 0)
-    )
+    chunks = scenario.sampler.draw_chunks(scenario.runs_per_pair, key=(streams.LOCALITY_STREAM,))
     rows = []
     for lambda_a, lambda_b in chunks:
         columns = scan_columns(
@@ -943,7 +935,7 @@ class TestCsvTails:
         # Tails are indexed by "outcome > 0": a 0 would read as -1.
         sampler = TIE_PRONE if policy is not TiePolicy.ERROR else NORMAL
         sampler = HiddenVariableSampler(sampler["low"], sampler["high"], seed=31)
-        lambda_a, lambda_b = sampler.draw_arrays(500, key=(streams.LOCALITY_STREAM, 0))
+        lambda_a, lambda_b = sampler.draw_arrays(500, key=(streams.LOCALITY_STREAM,))
         if policy is not TiePolicy.ERROR:
             assert (lambda_a == lambda_b).any()
         models = [singlet_model((0, 90, 45, 135), 31)]
@@ -986,7 +978,6 @@ class TestAtomicCommit:
         out = tmp_path / "report.csv"
         out.write_text(PREVIOUS)
         streamed = []
-        original = HiddenVariableSampler.draw_arrays
         original_chunks = HiddenVariableSampler.draw_chunks
 
         def tie_in_chunk_1(index, lambda_a, lambda_b):
@@ -996,14 +987,10 @@ class TestAtomicCommit:
                 lambda_b[7] = lambda_a[7]
             return lambda_a, lambda_b
 
-        def draw_arrays(self, n, key=()):
-            return tie_in_chunk_1(key[1], *original(self, n, key))
-
         def draw_chunks(self, n, key=()):
             for index, draws in enumerate(original_chunks(self, n, key)):
                 yield tie_in_chunk_1(index, *draws)
 
-        monkeypatch.setattr(HiddenVariableSampler, "draw_arrays", draw_arrays)
         monkeypatch.setattr(HiddenVariableSampler, "draw_chunks", draw_chunks)
         scenario = write_scenario(tmp_path, runs_per_pair=streams.CHUNK_SIZE + 10)
         argv = [subcommand, "--scenario", scenario, "--format", "csv"]

@@ -42,6 +42,8 @@ from vesselsim import (
     singlet_samples,
 )
 
+from strategies import amplitude_vectors
+
 UNIFORM = make_state(np.ones(11) / math.sqrt(11))
 
 
@@ -132,16 +134,6 @@ class TestBornSampling:
         result = stats.chisquare(counts[keep], expected[keep])
         assert result.pvalue > 0.001
 
-
-# Eleven complex amplitudes, many of them exactly zero, not all negligible.
-amplitude_vectors = st.lists(
-    st.one_of(
-        st.just(0j),
-        st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
-    ),
-    min_size=11,
-    max_size=11,
-).filter(lambda amplitudes: max(abs(value) for value in amplitudes) > 1e-3)
 
 sample_counts = st.one_of(st.integers(0, 5000), st.just(200_001))
 
@@ -425,16 +417,17 @@ class TestSingletModel:
             ExperimentKind.BPRIME: right_analyzer_direction(125.0),
         }
         for pair in ALL_PAIRS:
-            key = (PAIR_STREAM[pair], 3)
-            product_sum, columns = model(pair, key, 500, True)
+            # Coins on column 0 of the pair's stream, agreement uniforms on column 1.
+            coins, uniforms = (substream(21, PAIR_STREAM[pair], column) for column in (0, 1))
+            [(product_sum, columns)] = model(pair, 500, True)
             left, right = singlet_samples(
-                direction[pair.left], direction[pair.right], 500, substream(21, *key)
+                direction[pair.left], direction[pair.right], 500, coins, uniforms
             )
             assert list(columns) == ["outcome_left", "outcome_right"]
             assert np.array_equal(columns["outcome_left"], left)
             assert np.array_equal(columns["outcome_right"], right)
             assert product_sum == int((left * right).sum())
-            assert model(pair, key, 500, False) == (product_sum, None)
+            assert list(model(pair, 500, False)) == [(product_sum, None)]
 
 
 class TestSingletExperiment:

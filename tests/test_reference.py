@@ -1,0 +1,112 @@
+"""The golden Monte Carlo reports rebuilt from the README's stream layout
+alone, without vesselsim's sampling code.
+
+Each random column of coincidence pair k (AB, A'B, AB', A'B' are 0..3) is
+the whole run's draws from ``default_rng(SeedSequence(seed, spawn_key=(k,
+column)))``: a vessel pair's left diameters ``uniform(low, high)`` on column
+0 and right ones on column 1, a singlet pair's left coins ``integers(0, 2)``
+on column 0 and agreement uniforms ``random()`` on column 1.  Every column
+is drawn at once here, so no chunking can show.  Outcomes come from
+``per_run_outcomes``, sums are Python integers, and the mean and standard
+error follow the README's formula.
+"""
+
+import csv
+import hashlib
+import io
+import json
+import math
+
+import numpy as np
+import pytest
+
+from conftest import per_run_outcomes
+from test_golden import CASES, GOLDEN, LARGE_HASHES, LARGE_SCENARIO
+
+PAIRS = ("AB", "A'B", "AB'", "A'B'")
+
+
+def column(seed, pair, index):
+    """The generator of one random column of pair number ``pair``."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(pair, index)))
+
+
+def vessel_runs(scenario):
+    """Per pair, the cells (lambda_a, lambda_b, left, right) of every run."""
+    seed, n = scenario["seed"], scenario["runs_per_pair"]
+    sampler = {"low": 0.5, "high": 3.0, **scenario.get("sampler", {})}
+    transparent = scenario.get("system", {}).get("transparent", True)
+    policy = scenario.get("tie_policy", "error")
+    for pair, label in enumerate(PAIRS):
+        lambda_a, lambda_b = (
+            column(seed, pair, index).uniform(sampler["low"], sampler["high"], n).tolist()
+            for index in (0, 1)
+        )
+        yield [
+            (a, b, *per_run_outcomes(label, a, b, transparent, policy, seed))
+            for a, b in zip(lambda_a, lambda_b)
+        ]
+
+
+def singlet_runs(scenario):
+    """Per pair, the cells (left, right) of every run."""
+    seed, n = scenario["seed"], scenario["runs_per_pair"]
+    a, aprime, b, bprime = scenario["singlet_angles"]
+    for pair, (left_angle, right_angle) in enumerate([(a, b), (aprime, b), (a, bprime),
+                                                      (aprime, bprime)]):
+        # The sides agree with probability (1 + E) / 2, E = -cos(left + right).
+        agree = (1.0 - math.cos(math.radians(left_angle + right_angle))) / 2.0
+        coins = column(seed, pair, 0).integers(0, 2, n).tolist()
+        uniforms = column(seed, pair, 1).random(n).tolist()
+        yield [
+            (2 * coin - 1, (2 * coin - 1) * (1 if u < agree else -1))
+            for coin, u in zip(coins, uniforms)
+        ]
+
+
+RUNS = {"vessel-chsh": (vessel_runs, ["lambda_a", "lambda_b"]), "quantum-chsh": (singlet_runs, [])}
+
+
+def csv_text(subcommand, scenario):
+    runs, run_columns = RUNS[subcommand]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["pair", "run_index", *run_columns, "outcome_left", "outcome_right", "product"])
+    for label, rows in zip(PAIRS, runs(scenario)):
+        for index, (*cells, left, right) in enumerate(rows):
+            writer.writerow([label, index, *cells, left, right, left * right])
+    return out.getvalue()
+
+
+def mean_and_stderr(product_sum, n):
+    """The README's formula, in its stated order of operations."""
+    mean = product_sum / n
+    return mean, 0.0 if n == 1 else math.sqrt(n * (1.0 - mean * mean) / (n - 1) / n)
+
+
+@pytest.mark.parametrize("subcommand", sorted(RUNS))
+def test_json_estimates_from_the_column_draws(subcommand):
+    _, _, scenario = CASES[subcommand]
+    report = json.loads((GOLDEN / f"{subcommand}.json").read_text())
+    n = scenario["runs_per_pair"]
+    means = {}
+    for label, rows, estimate in zip(PAIRS, RUNS[subcommand][0](scenario), report["estimates"]):
+        product_sum = sum(left * right for *_, left, right in rows)
+        mean, stderr = mean_and_stderr(product_sum, n)
+        assert estimate == {"pair": label, "mean": mean, "stderr": stderr, "n": n}
+        means[label] = mean
+    assert report["bell"]["value"] == means["A'B'"] + means["A'B"] + means["AB'"] - means["AB"]
+
+
+@pytest.mark.parametrize("subcommand", sorted(RUNS))
+def test_csv_from_the_column_draws(subcommand):
+    _, _, scenario = CASES[subcommand]
+    assert csv_text(subcommand, scenario) == (GOLDEN / f"{subcommand}.csv").read_text()
+
+
+@pytest.mark.parametrize("subcommand", sorted(RUNS))
+def test_large_dump_hash_from_the_column_draws(subcommand):
+    # One chunk and more of runs: the library's chunk edge must not show.
+    text = csv_text(subcommand, LARGE_SCENARIO).encode()
+    line = f"{hashlib.sha256(text).hexdigest()}  {subcommand}.csv\n"
+    assert line in LARGE_HASHES.read_text().splitlines(keepends=True)

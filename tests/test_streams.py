@@ -74,15 +74,34 @@ class TestRunChunks:
             assert calls == list(range(taken))
 
 
+def sampling_run(tmp_path, subcommand, fmt, runs):
+    """The bytes ``subcommand`` writes in ``fmt`` on a scenario of ``runs`` runs."""
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(
+        json.dumps(
+            {
+                "seed": 3,
+                "runs_per_pair": runs,
+                "singlet_angles": [0, 90, 45, 135],
+                "amplitudes": [[1.0 / math.sqrt(11), 0.0]] * 11,
+            }
+        )
+    )
+    out = tmp_path / f"out.{fmt}"
+    assert main([subcommand, "--scenario", str(scenario), "--format", fmt, "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
 # A run of two full chunks and a ragged third one.
 THREE_CHUNKS = 2 * CHUNK_SIZE + 3
 # The chunks each consumer schedules in one such run, by subcommand and format.
 SCHEDULED = [
-    # Four pairs of three chunks each.
-    ("vessel-chsh", "json", {"pair_chunks": 12}),
-    ("vessel-chsh", "csv", {"pair_chunks": 12}),
-    ("quantum-chsh", "json", {"pair_chunks": 12}),
-    ("quantum-chsh", "csv", {"pair_chunks": 12}),
+    # Four pairs of three chunks each.  Vessel pairs that draw go through
+    # draw_chunks: under the default "error" policy JSON draws only for AB.
+    ("vessel-chsh", "json", {"draw_chunks": 3, "model": 9}),
+    ("vessel-chsh", "csv", {"draw_chunks": 12}),
+    ("quantum-chsh", "json", {"model": 12}),
+    ("quantum-chsh", "csv", {"model": 12}),
     ("locality-check", "json", {"draw_chunks": 3}),
     ("locality-check", "csv", {"draw_chunks": 3}),
     ("sample-state", "json", {"born_histogram": 3}),
@@ -115,22 +134,67 @@ class TestOneChunkLoop:
             return iter(sizes)
 
         monkeypatch.setattr(streams, "chunk_sizes", recorded_schedule)
-        scenario = tmp_path / "scenario.json"
-        scenario.write_text(
-            json.dumps(
-                {
-                    "seed": 3,
-                    "runs_per_pair": THREE_CHUNKS,
-                    "singlet_angles": [0, 90, 45, 135],
-                    "amplitudes": [[1.0 / math.sqrt(11), 0.0]] * 11,
-                }
-            )
-        )
-        out = tmp_path / f"out.{fmt}"
-        argv = [subcommand, "--scenario", str(scenario), "--format", fmt, "--out", str(out)]
-        assert main(argv) == 0
+        sampling_run(tmp_path, subcommand, fmt, THREE_CHUNKS)
         assert callers == {streams.run_chunks.__code__}
         assert chunks == scheduled
+
+
+SAMPLING = [
+    (subcommand, fmt)
+    for subcommand in ("vessel-chsh", "quantum-chsh", "locality-check", "sample-state")
+    for fmt in ("json", "csv")
+]
+SAMPLING_IDS = [f"{subcommand}-{fmt}" for subcommand, fmt in SAMPLING]
+PAIR_COLUMNS = [(pair, column) for pair in range(4) for column in (0, 1)]
+# The (consumer, column) substream keys each sampling run makes, whatever
+# its length.
+SUBSTREAM_KEYS = {
+    # Under the default "error" policy JSON draws the diameters of AB only.
+    ("vessel-chsh", "json"): [(0, 0), (0, 1)],
+    ("vessel-chsh", "csv"): PAIR_COLUMNS,
+    # Without columns the singlet makes only its agreement uniforms.
+    ("quantum-chsh", "json"): [(pair, 1) for pair in range(4)],
+    ("quantum-chsh", "csv"): PAIR_COLUMNS,
+    ("locality-check", "json"): [(LOCALITY_STREAM, 0), (LOCALITY_STREAM, 1)],
+    ("locality-check", "csv"): [(LOCALITY_STREAM, 0), (LOCALITY_STREAM, 1)],
+    ("sample-state", "json"): [(BORN_STREAM, 0)],
+    ("sample-state", "csv"): [(BORN_STREAM, 0)],
+}
+
+
+class TestOneStreamLayout:
+    """Each random column draws its whole run from its own substream, so the
+    chunk size is a memory knob that no report can see."""
+
+    @pytest.mark.parametrize("runs", [45, 1001])
+    @pytest.mark.parametrize("subcommand, fmt", SAMPLING, ids=SAMPLING_IDS)
+    def test_bytes_do_not_depend_on_the_chunk_size(
+        self, tmp_path, monkeypatch, subcommand, fmt, runs
+    ):
+        expected = sampling_run(tmp_path, subcommand, fmt, runs)
+        # An odd number of runs in chunks of 7: every other chunk of coins
+        # ends on half a 64-bit output, which the next chunk's first coin reads.
+        monkeypatch.setattr(streams, "CHUNK_SIZE", 7)
+        assert len(list(chunk_sizes(runs))) > 5
+        assert sampling_run(tmp_path, subcommand, fmt, runs) == expected
+
+    @pytest.mark.parametrize("runs", [5, 3 * CHUNK_SIZE + 5])
+    @pytest.mark.parametrize("subcommand, fmt", SAMPLING, ids=SAMPLING_IDS)
+    def test_substreams_per_run_do_not_grow_with_its_length(
+        self, tmp_path, monkeypatch, subcommand, fmt, runs
+    ):
+        keys = []
+
+        def counted(seed, *key):
+            keys.append(key)
+            return substream(seed, *key)
+
+        # Every module that imported the name calls it through its own copy.
+        for name, module in list(sys.modules.items()):
+            if name.startswith("vesselsim") and getattr(module, "substream", None) is substream:
+                monkeypatch.setattr(module, "substream", counted)
+        sampling_run(tmp_path, subcommand, fmt, runs)
+        assert sorted(keys) == sorted(SUBSTREAM_KEYS[subcommand, fmt])
 
 
 # Sizes around the chunk boundaries.
@@ -138,9 +202,11 @@ CHUNK_EDGES = [1, CHUNK_SIZE - 1, CHUNK_SIZE, CHUNK_SIZE + 1, 3 * CHUNK_SIZE + 5
 
 
 class TestStreamPositions:
-    """Chunked draws reproduce one-shot draws because PCG64 spends exactly
-    one 64-bit output on each ``random`` or ``uniform`` double, and half of
-    one on each ``integers(0, 2)`` coin."""
+    """Chunked draws reproduce one-shot draws because each column's
+    generator runs on across the chunks.  These tests pin the PCG64 facts
+    behind that: one 64-bit output per ``random`` or ``uniform`` double,
+    half of one per ``integers(0, 2)`` coin, and a coin's leftover half
+    read by the next call."""
 
     @pytest.mark.parametrize("draws", [1, 7, CHUNK_SIZE + 1])
     def test_one_output_per_double(self, draws):
@@ -153,22 +219,25 @@ class TestStreamPositions:
     @pytest.mark.parametrize("seed", [0, 7, 2**63 + 5])
     @pytest.mark.parametrize("size", [1, 2, 3, 31, CHUNK_SIZE - 1, CHUNK_SIZE, CHUNK_SIZE + 1])
     def test_coins_take_half_an_output_each(self, seed, size):
-        # The singlet's reduce-only chunk skips its coins with this advance,
-        # so a numpy that draws coins differently would change its report.
         drawn, advanced = substream(seed, 0, 0), substream(seed, 0, 0)
-        drawn.integers(0, 2, size=size)
+        coins = drawn.integers(0, 2, size=size)
         advanced.bit_generator.advance(-(-size // 2))
         # An odd count leaves half an output in the 32-bit buffer, which
         # doubles never read; the 128-bit PCG state must agree.
         assert drawn.bit_generator.state["state"] == advanced.bit_generator.state["state"]
         assert np.array_equal(drawn.random(size), advanced.random(size))
+        # The singlet's coin column draws chunk after chunk on one generator:
+        # the next chunk's first coin reads a half left in that buffer.
+        chunked = substream(seed, 0, 0)
+        halves = [chunked.integers(0, 2, size=part) for part in (size // 2, size - size // 2)]
+        assert np.array_equal(np.concatenate(halves), coins)
 
     @pytest.mark.parametrize("n", CHUNK_EDGES)
     def test_chunked_diameters_equal_the_one_shot_draws(self, n):
         sampler = HiddenVariableSampler(low=0.5, high=3.0, seed=11)
-        chunks = list(sampler.draw_chunks(n, key=(LOCALITY_STREAM, 0)))
+        chunks = list(sampler.draw_chunks(n, key=(LOCALITY_STREAM,)))
         assert [len(lambda_a) for lambda_a, _ in chunks] == list(chunk_sizes(n))
-        lambda_a, lambda_b = sampler.draw_arrays(n, key=(LOCALITY_STREAM, 0))
+        lambda_a, lambda_b = sampler.draw_arrays(n, key=(LOCALITY_STREAM,))
         assert np.array_equal(np.concatenate([a for a, _ in chunks]), lambda_a)
         assert np.array_equal(np.concatenate([b for _, b in chunks]), lambda_b)
 
