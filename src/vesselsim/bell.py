@@ -30,9 +30,9 @@ from .vessels import (
     SiphonDiameters,
     TiePolicy,
     VesselSystem,
-    constant_outcomes,
     left_wins,
     pair_products,
+    run_product,
 )
 
 LOCAL_BOUND = 2.0
@@ -174,18 +174,17 @@ def vessel_model(
     ``sampler.draw_chunks(n, key=(PAIR_STREAM[pair],))``, put through the
     outcome rule chunk by chunk; the draws are columns too.
 
-    Without ``collect``, the three pairs with a spoon test draw nothing and
-    sum their fixed products.  A joint run anti-correlates whoever wins,
-    ties included, so the joint pair sums to ``-size`` per chunk.  It draws
-    only under the ``error`` policy, and puts the draws through
-    ``left_wins`` so that a tie raises.  Each pair owns its column streams,
-    so a skipped draw moves no other.
+    Without ``collect``, every run of a pair has the same product,
+    ``run_product``, so a chunk sums to ``size`` times it and draws
+    nothing.  Only the joint pair under the ``error`` policy draws, and puts
+    the draws through ``left_wins`` so that a tie raises.  Each pair owns
+    its column streams, so a skipped draw moves no other.
     """
 
     def drawn(pair, lambda_a, lambda_b, collect):
         if not collect:
             left_wins(lambda_a, lambda_b, tie_policy, sampler.seed)
-            return -len(lambda_a), None
+            return len(lambda_a) * run_product(pair, system), None
         columns = {"lambda_a": lambda_a, "lambda_b": lambda_b}
         columns["outcome_left"], columns["outcome_right"] = pair_products(
             pair, lambda_a, lambda_b, system, tie_policy, tie_seed=sampler.seed
@@ -196,9 +195,7 @@ def vessel_model(
         if collect or (pair == PAIR_AB and tie_policy is TiePolicy.ERROR):
             draws = sampler.draw_chunks(n, key=(PAIR_STREAM[pair],))
             return (drawn(pair, *lambdas, collect) for lambdas in draws)
-        # A joint run's products are -1 whoever wins.
-        left, right = (-1, 1) if pair == PAIR_AB else constant_outcomes(pair, system)
-        return run_chunks(lambda _, size: (size * left * right, None), n)
+        return run_chunks(lambda _, size: (size * run_product(pair, system), None), n)
 
     return model
 

@@ -8,9 +8,10 @@ an exhaustive search settles whether any of them reproduces the four joint
 products.  For the vessel model none does, and the obstruction is visible in
 one experiment's outcome flipping with its partner context.
 
-The table is the same for every hidden variable: the joint siphon run always
-anti-correlates and the other pairs are fixed by the state.  So a scan row is
-one of the two ``scan_rows``, and the ``left_wins`` mask of who wins picks it.
+The table is the same for every hidden variable: every run of a pair has
+the product ``run_product``.  Only the witness depends on who wins the joint
+siphon run, so it is one of the two ``WITNESS_ROWS`` and a scan row one of
+the two ``scan_rows``; the ``left_wins`` mask picks the row for every view.
 ``contextual_table`` still derives a table pair by pair from the outcome
 rule, as the independent check of that lemma.
 """
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import math
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import astuple, dataclass
 
@@ -35,11 +35,11 @@ from .vessels import (
     SiphonDiameters,
     TiePolicy,
     VesselSystem,
-    constant_outcomes,
-    joint_outcome_ab,
+    diameter_batch,
     left_wins,
     outcome_solo_siphon,
     pair_products,
+    run_product,
 )
 
 _SIGNS = (1, -1)
@@ -51,6 +51,12 @@ PRODUCT_COLUMNS = ("product_ab", "product_aprime_b", "product_ab_prime", "produc
 # The columns of a locality scan, in the order ``scan_columns`` returns them.
 SCAN_COLUMNS = (
     *PRODUCT_COLUMNS, "satisfiable", "witness_with_b", "witness_with_bprime", "witness_differs"
+)
+
+# The witness of a left loss, then of a left win of the joint siphon run: the
+# left siphon's outcome against B, against B' (alone), and whether they differ.
+WITNESS_ROWS = tuple(
+    (left, outcome_solo_siphon(), left != outcome_solo_siphon()) for left in (-1, 1)
 )
 
 
@@ -145,8 +151,7 @@ def contextual_table(
     """The four deterministic joint products for this hidden variable:
     one row of ``pair_products`` per pair.  It does not use the scans'
     one-table lemma, so that the tests can check the scans against it."""
-    lambda_a = np.array([lam.lambda_a], dtype=np.float64)
-    lambda_b = np.array([lam.lambda_b], dtype=np.float64)
+    lambda_a, lambda_b = diameter_batch([lam])
     products = []
     for pair in ALL_PAIRS:
         left, right = pair_products(pair, lambda_a, lambda_b, system, tie_policy, tie_seed)
@@ -178,16 +183,11 @@ def contextuality_witness(
     Against the other siphon the winner rule applies (an exact tie resolved
     by ``tie_policy``, as in the contextual table); against a spoon test the
     siphon runs alone and always scores +1.  The two disagree exactly when
-    the left side loses the joint run.
+    the left side loses the joint run: the ``WITNESS_ROWS`` row that
+    ``left_wins`` picks.
     """
-    outcome_with_b, _ = joint_outcome_ab(lam, tie_policy, tie_seed)
-    outcome_with_bprime = outcome_solo_siphon()
-    return Witness(
-        lam=lam,
-        outcome_with_b=outcome_with_b,
-        outcome_with_bprime=outcome_with_bprime,
-        differs=outcome_with_b != outcome_with_bprime,
-    )
+    wins = left_wins(*diameter_batch([lam]), tie_policy, tie_seed)
+    return Witness(lam, *WITNESS_ROWS[int(wins[0])])
 
 
 def classify_correlations(
@@ -220,28 +220,19 @@ class SampleAnalysis:
 
 
 def _system_table(system: VesselSystem) -> ContextualOutcomeTable:
-    """The contextual table of every hidden variable of ``system``.
-
-    The joint siphon run multiplies to -1 for every draw, ties included:
-    whichever side ``left_wins`` picks, the other loses, because the
-    measurement creates the anti-correlation.  The other three pairs hold
-    at most one siphon, so the state fixes their outcomes
-    (``constant_outcomes``).
-    """
-    return ContextualOutcomeTable(
-        -1, *(math.prod(constant_outcomes(pair, system)) for pair in ALL_PAIRS[1:])
-    )
+    """The contextual table of every hidden variable of ``system``: each
+    pair's ``run_product``."""
+    return ContextualOutcomeTable(*(run_product(pair, system) for pair in ALL_PAIRS))
 
 
 def scan_rows(system: VesselSystem) -> tuple[tuple, tuple]:
     """The two ``SCAN_COLUMNS`` rows a hidden variable of ``system`` can
     have, in ``left_wins`` order: a left loss of the joint siphon run, then
     a left win.  Both hold the system's one table and its one search's
-    verdict; only ``witness_with_b``, the left joint outcome, differs."""
+    verdict, followed by the ``WITNESS_ROWS`` row."""
     table = _system_table(system)
     head = (*astuple(table), search_factorization(table).satisfiable)
-    with_bprime = outcome_solo_siphon()
-    return tuple((*head, with_b, with_bprime, with_b != with_bprime) for with_b in (-1, 1))
+    return tuple((*head, *witness) for witness in WITNESS_ROWS)
 
 
 def scan_columns(
@@ -297,15 +288,10 @@ def scan_hidden_variables(
     The row-object view of ``scan_columns`` over the same diameters: every
     row shares the system's one table and the one search's report.
     """
-    lambda_a = np.array([lam.lambda_a for lam in samples], dtype=np.float64)
-    lambda_b = np.array([lam.lambda_b for lam in samples], dtype=np.float64)
-    witness_with_b = 2 * left_wins(lambda_a, lambda_b, tie_policy, tie_seed) - 1
+    wins = left_wins(*diameter_batch(samples), tie_policy, tie_seed)
     table = _system_table(system)
     factorization = search_factorization(table)
-    with_bprime = outcome_solo_siphon()
     return [
-        SampleAnalysis(
-            lam, table, factorization, Witness(lam, with_b, with_bprime, with_b != with_bprime)
-        )
-        for lam, with_b in zip(samples, witness_with_b.tolist())
+        SampleAnalysis(lam, table, factorization, Witness(lam, *WITNESS_ROWS[win]))
+        for lam, win in zip(samples, wins.tolist())
     ]

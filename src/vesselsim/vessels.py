@@ -14,9 +14,10 @@ When both siphons run together they compete for the same connected body of
 water, so the wider siphon collects more than half and the outcomes are
 perfectly anti-correlated.  A siphon running alone (its partner experiment
 being a spoon test) drains everything and always scores +1.  This module
-is the one place that rule is written: ``joint_outcome_ab`` for one joint
-run and ``left_wins`` for a batch of joint runs, which ``pair_products``
-turns into the per-run outcomes of a batch of draws.
+is the one place that rule is written: ``left_wins`` decides a batch of
+joint runs, ``pair_products`` turns it into the per-run outcomes of a batch
+of draws, and ``joint_outcome_ab`` is its one-row view.  ``run_product``
+states what follows for every run of a pair, whoever wins.
 
 Everything in this module is a pure function of its inputs; randomness, if
 any, lives in the hidden-variable samplers upstream.
@@ -28,6 +29,7 @@ import enum
 import hashlib
 import math
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,28 +149,26 @@ class SplitVolume:
             )
 
 
-def _break_tie(lam: SiphonDiameters, tie_policy: TiePolicy, tie_seed: int) -> tuple[int, int]:
-    """Outcomes of a joint run with equal diameters, by ``tie_policy``; the
-    split coin hashes the seed and both diameters, which keeps it stable
-    across platforms and processes."""
+def _break_tie(diameter: float, tie_policy: TiePolicy, tie_seed: int) -> bool:
+    """Whether the left side wins a joint run whose two diameters both equal
+    ``diameter``, by ``tie_policy``; the split coin hashes the seed and both
+    diameters, which keeps it stable across platforms and processes."""
     if tie_policy is TiePolicy.ERROR:
         raise DegenerateTieError(
-            f"equal siphon diameters {lam.lambda_a} leave the joint outcome undefined"
+            f"equal siphon diameters {diameter} leave the joint outcome undefined"
         )
-    if tie_policy is TiePolicy.FAVOR_LEFT:
-        return 1, -1
-    if tie_policy is TiePolicy.FAVOR_RIGHT:
-        return -1, 1
-    payload = struct.pack("<Qdd", tie_seed, lam.lambda_a, lam.lambda_b)
-    digest = hashlib.blake2b(payload, digest_size=8).digest()
-    return (1, -1) if digest[0] & 1 else (-1, 1)
+    if tie_policy is TiePolicy.SPLIT_COIN:
+        payload = struct.pack("<Qdd", tie_seed, diameter, diameter)
+        return bool(hashlib.blake2b(payload, digest_size=8).digest()[0] & 1)
+    return tie_policy is TiePolicy.FAVOR_LEFT
 
 
 def _check_batch(lambda_a: np.ndarray, lambda_b: np.ndarray, tie_seed: int) -> None:
     """The checks every batch function makes once per call: the tie coin's
-    seed follows the seed rule, and the diameters are two 1-D numpy arrays
-    of equal length, row ``i`` being the draw ``(lambda_a[i], lambda_b[i])``.
-    Lists and tuples are refused: a comparison of two lists is one bool."""
+    seed follows the seed rule, the diameters are two 1-D numpy arrays of
+    equal length, row ``i`` being the draw ``(lambda_a[i], lambda_b[i])``,
+    and every row holds valid ``SiphonDiameters``.  Lists and tuples are
+    refused: a comparison of two lists is one bool."""
     check_seed(tie_seed, "tie_seed")
     if not (
         isinstance(lambda_a, np.ndarray) and isinstance(lambda_b, np.ndarray)
@@ -179,25 +179,23 @@ def _check_batch(lambda_a: np.ndarray, lambda_b: np.ndarray, tie_seed: int) -> N
             f"{type(lambda_a).__name__} {np.shape(lambda_a)} and {type(lambda_b).__name__} "
             f"{np.shape(lambda_b)}"
         )
+    valid = (lambda_a > 0.0) & (lambda_b > 0.0)
+    if not valid.all():
+        # The first invalid row raises SiphonDiameters' own error.
+        SiphonDiameters(lambda_a[~valid][0].item(), lambda_b[~valid][0].item())
 
 
-def joint_outcome_ab(
-    lam: SiphonDiameters,
-    tie_policy: TiePolicy = TiePolicy.ERROR,
-    tie_seed: int = 0,
-) -> tuple[int, int]:
-    """Outcomes of the joint siphon run.
-
-    The wider siphon drains faster and ends up with more than half of the
-    water, so it scores +1 and the other side -1.  An exact tie is resolved
-    by ``tie_policy``; ``tie_seed`` follows the seed rule.
-    """
-    check_seed(tie_seed, "tie_seed")
-    if lam.lambda_b < lam.lambda_a:
-        return 1, -1
-    if lam.lambda_a < lam.lambda_b:
-        return -1, 1
-    return _break_tie(lam, tie_policy, tie_seed)
+def diameter_batch(draws: Sequence[SiphonDiameters]) -> tuple[np.ndarray, np.ndarray]:
+    """``draws`` as the two float64 diameter arrays of a batch."""
+    try:
+        return (
+            np.array([lam.lambda_a for lam in draws], dtype=np.float64),
+            np.array([lam.lambda_b for lam in draws], dtype=np.float64),
+        )
+    except OverflowError:
+        raise InvariantError(
+            "a batch of draws needs float64 diameters, got an integer past the float range"
+        ) from None
 
 
 def left_wins(
@@ -209,16 +207,26 @@ def left_wins(
     """Which joint siphon runs of a batch of draws the left side wins, as a
     bool mask.
 
-    The winner rule of ``joint_outcome_ab``, row by row: the strictly wider
-    left siphon wins, and each tied row goes to ``tie_policy`` (``error``
-    raises at the first tie).  Whoever wins, the two sides disagree.
+    The wider siphon drains faster and ends up with more than half of the
+    water, so the strictly wider left siphon wins.  Each tied row goes to
+    ``tie_policy`` (``error`` raises at the first tie); ``tie_seed`` follows
+    the seed rule.  Whoever wins, the two sides disagree.
     """
     _check_batch(lambda_a, lambda_b, tie_seed)
     wins = lambda_b < lambda_a
-    for index in np.flatnonzero(lambda_a == lambda_b).tolist():
-        tie = SiphonDiameters(lambda_a[index], lambda_b[index])
-        wins[index] = _break_tie(tie, tie_policy, tie_seed)[0] == 1
+    ties = np.flatnonzero(lambda_a == lambda_b)
+    for index, diameter in zip(ties.tolist(), lambda_a[ties].tolist()):
+        wins[index] = _break_tie(diameter, tie_policy, tie_seed)
     return wins
+
+
+def joint_outcome_ab(
+    lam: SiphonDiameters,
+    tie_policy: TiePolicy = TiePolicy.ERROR,
+    tie_seed: int = 0,
+) -> tuple[int, int]:
+    """Outcomes of the joint siphon run: the one-row view of ``left_wins``."""
+    return (1, -1) if left_wins(*diameter_batch([lam]), tie_policy, tie_seed)[0] else (-1, 1)
 
 
 def outcome_solo_siphon() -> int:
@@ -244,6 +252,13 @@ def constant_outcomes(pair: CoincidencePair, system: VesselSystem) -> tuple[int,
     left = spoon if pair.left is ExperimentKind.APRIME else solo
     right = spoon if pair.right is ExperimentKind.BPRIME else solo
     return left, right
+
+
+def run_product(pair: CoincidencePair, system: VesselSystem) -> int:
+    """The outcome product of every run of ``pair``: -1 for the joint siphon
+    run, ties included, since whichever side ``left_wins`` picks the other
+    loses; else the product of the ``constant_outcomes``."""
+    return -1 if pair == PAIR_AB else math.prod(constant_outcomes(pair, system))
 
 
 def pair_products(

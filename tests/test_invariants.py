@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vesselsim import (
@@ -30,6 +30,8 @@ from vesselsim import (
     VesselSystem,
     born_histogram,
     born_samples,
+    contextual_table,
+    contextuality_witness,
     estimate_expectation,
     joint_outcome_ab,
     left_analyzer_direction,
@@ -47,11 +49,12 @@ from vesselsim import (
 from vesselsim.locality import scan_counts
 from vesselsim.streams import chunk_sizes
 
-from strategies import BAD_SEEDS
+from strategies import BAD_SEEDS, up_to
 
 NAN, INF = math.nan, math.inf
 UNIFORM = [1.0 / math.sqrt(11)] * 11
 ANGLES = (0.0, 90.0, 45.0, 135.0)
+BAD_DIAMETERS = [0.0, -0.0, -1.0, -2.0, -5e-324, -INF, NAN]
 
 FLOATS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
@@ -73,6 +76,18 @@ COUNTS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from([1.5, -0.5, 2.0, "3", None, True, False]),
 )
+
+
+def batch_calls(lambda_a, lambda_b, policy=TiePolicy.ERROR):
+    """Every batch function of the outcome rule, on one batch of draws."""
+    system = VesselSystem()
+    return [
+        lambda: pair_products(PAIR_AB, lambda_a, lambda_b, system, policy),
+        lambda: pair_products(PAIR_APRIME_B, lambda_a, lambda_b, system, policy),
+        lambda: vessels.left_wins(lambda_a, lambda_b, policy),
+        lambda: scan_columns(lambda_a, lambda_b, system, policy),
+        lambda: scan_counts([(lambda_a, lambda_b)], system, policy),
+    ]
 
 
 def outcome(fn, *args):
@@ -270,17 +285,45 @@ class TestInvariantHoles:
         ids=["shorter-left", "shorter-right", "2-d", "0-d", "list", "tuple"],
     )
     def test_diameter_batches_are_1d_and_of_equal_length(self, lambda_a, lambda_b):
-        batch_calls = [
-            lambda: pair_products(PAIR_AB, lambda_a, lambda_b, VesselSystem()),
-            lambda: pair_products(PAIR_APRIME_B, lambda_a, lambda_b, VesselSystem()),
-            lambda: vessels.left_wins(lambda_a, lambda_b),
-            lambda: scan_columns(lambda_a, lambda_b, VesselSystem()),
-            lambda: scan_counts([(lambda_a, lambda_b)], VesselSystem()),
-        ]
-        for call in batch_calls:
+        for call in batch_calls(lambda_a, lambda_b):
             with pytest.raises(InvariantError, match="equal length") as error:
                 call()
             assert error.value.field is None
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rows=up_to(st.tuples(st.floats(0.5, 3.0), st.floats(0.5, 3.0), st.booleans()), 5),
+        bad=st.sampled_from(BAD_DIAMETERS),
+        side=st.sampled_from(["left", "right", "tied"]),
+        position=st.integers(0, 5),
+        policy=st.sampled_from(TiePolicy),
+    )
+    @example(rows=[], bad=-1.0, side="tied", position=0, policy=TiePolicy.FAVOR_LEFT)
+    @example(rows=[], bad=-2.0, side="left", position=0, policy=TiePolicy.ERROR)
+    @example(rows=[(1.0, 1.0, True)], bad=NAN, side="right", position=1, policy=TiePolicy.ERROR)
+    def test_every_row_of_a_batch_has_valid_diameters(self, rows, bad, side, position, policy):
+        # Valid rows, tied where flagged, around one row whose left, right
+        # or both (tied) diameters are bad: every batch function refuses it
+        # with SiphonDiameters' text, before any tie reaches its policy.
+        valid = [(a, a if tie else b) for a, b, tie in rows]
+        invalid = {"left": (bad, 2.0), "right": (2.0, bad), "tied": (bad, bad)}[side]
+        lambda_a, lambda_b = map(np.array, zip(*valid[:position], invalid, *valid[position:]))
+        for call in batch_calls(lambda_a, lambda_b, policy):
+            with pytest.raises(InvariantError) as error:
+                call()
+            assert str(error.value) == f"siphon diameters must be strictly positive, got {invalid}"
+            assert error.value.field is None
+        if valid and policy is not TiePolicy.ERROR:
+            for call in batch_calls(*map(np.array, zip(*valid)), policy):
+                call()
+
+    def test_a_diameter_past_the_float_range_has_no_batch(self):
+        lam = SiphonDiameters(10**400, 1.0)
+        for view in (joint_outcome_ab, contextuality_witness):
+            with pytest.raises(InvariantError, match="past the float range"):
+                view(lam)
+        with pytest.raises(InvariantError, match="past the float range"):
+            contextual_table(lam, VesselSystem())
 
     @pytest.mark.parametrize("seed", BAD_SEEDS)
     def test_born_seed_follows_the_seed_rule(self, seed):

@@ -28,6 +28,7 @@ from vesselsim import (
 from vesselsim import locality
 from vesselsim.locality import PRODUCT_COLUMNS, SCAN_COLUMNS, scan_counts
 
+from conftest import per_run_outcomes
 from strategies import NORMAL, TIE_PRONE
 
 VESSEL_TABLE = ContextualOutcomeTable(-1, 1, 1, 1)
@@ -259,6 +260,12 @@ class TestScanColumns:
                 witness.outcome_with_bprime,
                 witness.differs,
             )
+            # The witness shares its rows with the scans; the README rule
+            # checks them from outside.
+            left, _ = per_run_outcomes(
+                "AB", lam.lambda_a, lam.lambda_b, transparent, policy.value, tie_seed
+            )
+            assert row["witness_with_b"] == left
             assert entry.table == table
             assert entry.factorization == search_factorization(table)
             assert entry.witness == witness

@@ -29,7 +29,7 @@ from vesselsim import (
 )
 from vesselsim import bell, commands, locality, vessels
 from vesselsim.cli import main
-from vesselsim.locality import scan_columns
+from vesselsim.locality import contextuality_witness, scan_columns, scan_hidden_variables
 from vesselsim.streams import CHUNK_SIZE
 from vesselsim.vessels import constant_outcomes, left_wins
 
@@ -244,6 +244,9 @@ class TestRunCoincidence:
         with pytest.raises(DegenerateTieError) as error:
             left_wins(lambda_a, lambda_b)
         assert str(error.value) == str(expected.value)
+        with pytest.raises(DegenerateTieError) as error:
+            joint_outcome_ab(SiphonDiameters(2.0, 2.0))
+        assert str(error.value) == str(expected.value)
         assert "diameters 2.0 " in str(error.value)
 
     @pytest.mark.parametrize(
@@ -347,3 +350,8 @@ class TestOneWinnerRule:
         assert batches == [THREE_CHUNKS]
         contextual_table(SiphonDiameters(1.0, 2.0), VesselSystem())
         assert batches == [THREE_CHUNKS, 1]
+        joint_outcome_ab(SiphonDiameters(1.0, 2.0))
+        contextuality_witness(SiphonDiameters(2.0, 1.0))
+        samples = [SiphonDiameters(a, b) for a, b in zip(lambda_a[:5], lambda_b[:5])]
+        scan_hidden_variables(samples, VesselSystem())
+        assert batches == [THREE_CHUNKS, 1, 1, 1, 5]
