@@ -16,7 +16,6 @@ import math
 import os
 import sys
 from collections.abc import Callable
-from itertools import chain, islice
 from pathlib import Path
 from typing import TextIO
 
@@ -29,9 +28,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
 
-# Rows formatted per write, so that the text held is one slice, not a block.
-CSV_ROWS_PER_WRITE = 2048
-
 
 def render_json(report: dict) -> str:
     """Strict JSON; a NaN or infinity in the report is a domain error."""
@@ -42,14 +38,12 @@ def render_json(report: dict) -> str:
 
 
 def render_csv(dump: commands.RunDump, out: TextIO) -> None:
-    """Write the dump to ``out`` a slice of lines at a time, computing each
-    block as the slices reach it.  The producers format every line; no dump
-    cell needs quoting, so they are the bytes ``csv.writer(lineterminator="\\n")``
-    would write."""
+    """Write the dump to ``out``: the header, then each of its texts as the
+    producers compute it, one slice of lines per write.  The producers
+    format every line; no dump cell needs quoting, so they are the bytes
+    ``csv.writer(lineterminator="\\n")`` would write."""
     out.write(",".join(dump.fieldnames) + "\n")
-    # chain drops each spent block before it computes the next.
-    lines = chain.from_iterable(dump.rows)
-    while text := "".join(islice(lines, CSV_ROWS_PER_WRITE)):
+    for text in dump.rows:
         out.write(text)
 
 

@@ -7,9 +7,11 @@ optional per-run dump for CSV output.  Reports contain nothing but
 seed-derived values, so identical scenarios yield byte-identical output.
 
 The dump's rows are computed lazily, one chunk of runs at a time, while the
-CSV is written.  With ``collect_runs`` every command returns no report
-(None): CSV output does not use it, and for the sampling commands it would
-take a second pass over the runs.
+CSV is written, and each slice of at most ``CSV_ROWS_PER_WRITE`` rows of a
+chunk becomes one text, built by a single ``str.join``.  With
+``collect_runs`` every command returns no report (None): CSV output does
+not use it, and for the sampling commands it would take a second pass over
+the runs.
 """
 
 from __future__ import annotations
@@ -66,16 +68,21 @@ _BORN_TAILS = _csv_lines((x, x, TOTAL_LITERS - x) for x in range(TOTAL_LITERS + 
 FLOW_COLUMNS = ("lambda_a", "lambda_b", "dt", "x_left", "x_right", "outcome_left", "outcome_right")
 
 
-class RowBlocks:
-    """Row blocks of at most ``CHUNK_SIZE`` rows each, computed lazily as
-    they are iterated (once); ``len()`` is the number of rows they hold."""
+# Rows per dump text, so that the text held is one slice, not a chunk.
+CSV_ROWS_PER_WRITE = 2048
 
-    def __init__(self, blocks: Iterable[Iterable[str]], row_count: int) -> None:
-        self._blocks = blocks
+
+class RowBlocks:
+    """The dump's texts, each one slice of at most ``CSV_ROWS_PER_WRITE``
+    whole CSV lines, computed lazily as they are iterated (once); ``len()``
+    is the number of rows they hold."""
+
+    def __init__(self, texts: Iterable[str], row_count: int) -> None:
+        self._texts = texts
         self._row_count = row_count
 
-    def __iter__(self) -> Iterator[Iterable[str]]:
-        return iter(self._blocks)
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._texts)
 
     def __len__(self) -> int:
         return self._row_count
@@ -83,23 +90,32 @@ class RowBlocks:
 
 @dataclass
 class RunDump:
-    """Per-run rows for CSV output: blocks of rows, each row a CSV line of
-    cells in ``fieldnames`` order."""
+    """Per-run rows for CSV output: texts of whole CSV lines, each line
+    holding cells in ``fieldnames`` order."""
 
     fieldnames: list[str]
-    rows: Iterable[Iterable[str]] = ()
+    rows: Iterable[str] = ()
 
 
-def _row_blocks(chunks: Iterable[list[np.ndarray]], template: str) -> Iterator[Iterable[str]]:
-    """One block of CSV lines per chunk of cell columns: ``template`` filled
-    with a running row index, then a cell of each column."""
+def _row_blocks(chunks: Iterable[list[np.ndarray]], prefix: str = "") -> Iterator[str]:
+    """The CSV lines of each chunk of cell columns, one text per slice of at
+    most ``CSV_ROWS_PER_WRITE`` rows: ``prefix``, a running row index and a
+    cell of each column, the last column holding the pre-rendered line tails."""
     start = 0
-    for columns in chunks:
-        size = len(columns[0])
-        # .tolist() gives Python floats, ints and strs: "%s" writes repr and str.
-        cells = (column.tolist() for column in columns)
-        yield map(template.__mod__, zip(range(start, start + size), *cells))
-        start += size
+    for *cells, tails in chunks:
+        # A row's pieces: the prefix, the index, then a separator and a cell per column.
+        row = [prefix, None] + [",", None] * (len(cells) + 1)
+        width = len(row)
+        for lo in range(0, len(tails), CSV_ROWS_PER_WRITE):
+            hi = min(lo + CSV_ROWS_PER_WRITE, len(tails))
+            pieces = row * (hi - lo)
+            pieces[1::width] = map(str, range(start + lo, start + hi))
+            # .tolist() gives Python floats, ints and strs: str writes repr and str.
+            for offset, column in enumerate(cells, 1):
+                pieces[1 + 2 * offset :: width] = map(str, column[lo:hi].tolist())
+            pieces[width - 1 :: width] = tails[lo:hi].tolist()
+            yield "".join(pieces)
+        start += len(tails)
 
 
 def _base_report(scenario: Scenario) -> dict:
@@ -157,15 +173,13 @@ def _chsh(
     n = scenario.runs_per_pair
     dump = RunDump(["pair", "run_index", *run_columns, "outcome_left", "outcome_right", "product"])
     if collect_runs:
-        # The pair label, then the run index, run columns and outcome tail.
-        template = ",%s" * (len(run_columns) + 2)
-
         def chunk_cells(pair):
             for _, columns in pair_chunks(model, pair, n, collect=True):
                 tail = 2 * (columns["outcome_left"] > 0) + (columns["outcome_right"] > 0)
                 yield [*(columns[name] for name in run_columns), _CHSH_TAILS[tail]]
 
-        blocks = (_row_blocks(chunk_cells(pair), pair.label + template) for pair in ALL_PAIRS)
+        # The pair label, then the run index, run columns and outcome tail.
+        blocks = (_row_blocks(chunk_cells(pair), pair.label + ",") for pair in ALL_PAIRS)
         dump.rows = RowBlocks(chain.from_iterable(blocks), len(ALL_PAIRS) * n)
         return None, dump
     estimates = [estimate_expectation(model, pair, n) for pair in ALL_PAIRS]
@@ -191,7 +205,7 @@ def locality_check(
         # scan_rows row of a left loss, then of a left win.
         tails = _csv_lines(scan_rows(scenario.system))
         blocks = ([a, b, tails[left_wins(a, b, *tie_args).astype(np.intp)]] for a, b in chunks)
-        dump.rows = RowBlocks(_row_blocks(blocks, "%s,%s,%s,%s"), n)
+        dump.rows = RowBlocks(_row_blocks(blocks), n)
         return None, dump
 
     satisfiable, witnesses = scan_counts(chunks, scenario.system, *tie_args)
@@ -223,7 +237,7 @@ def sample_state(
     if collect_runs:
         # Chunk after chunk on one generator: the same draws as born_samples(state, n, rng).
         draws = run_chunks(lambda _, size: born_samples(state, size, rng), n)
-        dump.rows = RowBlocks(_row_blocks(([_BORN_TAILS[x]] for x in draws), "%s,%s"), n)
+        dump.rows = RowBlocks(_row_blocks([_BORN_TAILS[x]] for x in draws), n)
         return None, dump
 
     report = _base_report(scenario)
@@ -252,7 +266,7 @@ def quantum_chsh(
     dump = RunDump(["pair", "expectation"])
     if collect_runs:
         rows = _csv_lines((estimate.pair.label, estimate.mean) for estimate in estimates)
-        dump.rows = RowBlocks([rows], len(rows))
+        dump.rows = RowBlocks(["".join(rows)], len(rows))
         return None, dump
     return _chsh_report(scenario, estimates, **sections), dump
 
@@ -279,7 +293,7 @@ def flow(
     )
     dump = RunDump(list(FLOW_COLUMNS))
     if collect_runs:
-        dump.rows = RowBlocks([_csv_lines([cells])], 1)
+        dump.rows = RowBlocks(["".join(_csv_lines([cells]))], 1)
         return None, dump
     report = _base_report(scenario)
     report["flow"] = dict(zip(FLOW_COLUMNS, cells, strict=True))

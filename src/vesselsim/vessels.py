@@ -166,9 +166,10 @@ def _break_tie(diameter: float, tie_policy: TiePolicy, tie_seed: int) -> bool:
 def _check_batch(lambda_a: np.ndarray, lambda_b: np.ndarray, tie_seed: int) -> None:
     """The checks every batch function makes once per call: the tie coin's
     seed follows the seed rule, the diameters are two 1-D numpy arrays of
-    equal length, row ``i`` being the draw ``(lambda_a[i], lambda_b[i])``,
-    and every row holds valid ``SiphonDiameters``.  Lists and tuples are
-    refused: a comparison of two lists is one bool."""
+    equal length and of a real integer or floating dtype, row ``i`` being
+    the draw ``(lambda_a[i], lambda_b[i])``, and every row holds valid
+    ``SiphonDiameters``.  Lists and tuples are refused: a comparison of two
+    lists is one bool."""
     check_seed(tie_seed, "tie_seed")
     if not (
         isinstance(lambda_a, np.ndarray) and isinstance(lambda_b, np.ndarray)
@@ -178,6 +179,13 @@ def _check_batch(lambda_a: np.ndarray, lambda_b: np.ndarray, tie_seed: int) -> N
             f"a batch of draws needs two 1-D numpy diameter arrays of equal length, got "
             f"{type(lambda_a).__name__} {np.shape(lambda_a)} and {type(lambda_b).__name__} "
             f"{np.shape(lambda_b)}"
+        )
+    # Kinds i, u and f: complex numbers have no order, and bools, strings,
+    # dates and objects are no diameters.
+    if not (lambda_a.dtype.kind in "iuf" and lambda_b.dtype.kind in "iuf"):
+        raise InvariantError(
+            f"diameter arrays need a real integer or floating dtype, got {lambda_a.dtype} "
+            f"and {lambda_b.dtype}"
         )
     valid = (lambda_a > 0.0) & (lambda_b > 0.0)
     if not valid.all():

@@ -14,6 +14,7 @@ import tempfile
 import threading
 from itertools import cycle, islice, zip_longest
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -40,7 +41,8 @@ from vesselsim import (
     vessels,
 )
 from vesselsim.bell import PAIR_STREAM, mean_and_stderr
-from vesselsim.cli import CSV_ROWS_PER_WRITE, commit, main, render_csv, render_json
+from vesselsim.cli import commit, main, render_csv, render_json
+from vesselsim.commands import CSV_ROWS_PER_WRITE
 from vesselsim.errors import DegenerateTieError, VesselSimError
 
 from strategies import FOLD_FIELDS, NORMAL, TIE_PRONE, UNIFORM_AMPLITUDES, scenario_dicts
@@ -744,9 +746,9 @@ def tail_dumps(draw):
         rows += [(*cells[i], *table[tail_index[i]]) for i in range(length)]
     prefix = () if label is None else (label,)
     rows = [(*prefix, index, *row) for index, row in enumerate(rows)]
-    template = ("" if label is None else label + ",") + "%s" + ",%s" * (width + 1)
     fieldnames = [f"field_{index}" for index in range(len(prefix) + 1 + width + len(table[0]))]
-    return fieldnames, commands._row_blocks(chunks, template), rows
+    texts = commands._row_blocks(chunks, "" if label is None else label + ",")
+    return fieldnames, texts, rows
 
 
 # Each sampling command's dump crosses a chunk boundary and many row slices.
@@ -886,6 +888,16 @@ class TestCsvBytes:
         expected = csv_writer_bytes(*reference(parse_scenario(scenario)))
         assert expected.count("\n") == len(dump.rows) + 1
         assert first_difference(out.read_text(), expected) is None
+        # Each write after the header is one slice of 1 to CSV_ROWS_PER_WRITE whole lines.
+        writes = []
+        render_csv(dump, SimpleNamespace(write=writes.append))
+        header, *slices = writes
+        assert header.count("\n") == 1 and header.endswith("\n")
+        for text in slices:
+            lines = text.splitlines(keepends=True)
+            assert 1 <= len(lines) <= CSV_ROWS_PER_WRITE
+            assert all(line.endswith("\n") for line in lines)
+        assert first_difference("".join(writes), expected) is None
 
 
 def csv_line(cells):
@@ -922,9 +934,8 @@ class TestCsvTails:
             data["sampler"] = TIE_PRONE
         scenario = scenario_from_dict(data)
         _, dump = commands.locality_check(scenario, collect_runs=True)
-        lines = [line for block in dump.rows for line in block]
         fieldnames, rows = locality_reference(scenario)
-        assert lines == [csv_line(row) for row in rows]
+        assert "".join(dump.rows) == "".join(csv_line(row) for row in rows)
         witness = fieldnames.index("witness_with_b")
         assert {row[witness] for row in rows} == {-1, 1}
         if policy != "error":

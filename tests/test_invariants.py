@@ -290,6 +290,36 @@ class TestInvariantHoles:
                 call()
             assert error.value.field is None
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.array([1 + 1j, 2.0]),
+            np.array([True, True]),
+            np.array(["2", "1"]),
+            np.array(["2024-01-02", "2024-01-01"], dtype="datetime64[D]"),
+            np.array([2.0, 1.0], dtype=object),
+        ],
+        ids=["complex", "bool", "str", "datetime", "object"],
+    )
+    @pytest.mark.parametrize("side", ["left", "right", "both"])
+    def test_diameter_batches_have_a_real_number_dtype(self, bad, side):
+        # Tied rows too, so that no policy is reached before the dtype check.
+        good = np.array([1 + 1j, 2.0]).real
+        lambda_a = good if side == "right" else bad
+        lambda_b = good if side == "left" else bad
+        for policy in TiePolicy:
+            for call in batch_calls(lambda_a, lambda_b, policy):
+                with pytest.raises(InvariantError) as error:
+                    call()
+                assert str(error.value) == (
+                    "diameter arrays need a real integer or floating dtype, got "
+                    f"{lambda_a.dtype} and {lambda_b.dtype}"
+                )
+                assert error.value.field is None
+        for dtype in (np.int8, np.uint16, np.float16, np.float32, np.int64):
+            for call in batch_calls(good.astype(dtype), np.array([2.0, 1.0]).astype(dtype)):
+                call()
+
     @settings(max_examples=80, deadline=None)
     @given(
         rows=up_to(st.tuples(st.floats(0.5, 3.0), st.floats(0.5, 3.0), st.booleans()), 5),

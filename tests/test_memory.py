@@ -22,14 +22,22 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 UNIFORM_AMPLITUDES = [[1.0 / math.sqrt(11), 0.0]] * 11
 # An O(n) path grows by 20 to 110 MB on these cases; the chunked paths by
-# at most one chunk's rows (about 6 MB for the CSV dump).
+# at most one chunk's columns and one slice's text (about 2 MB for the CSV
+# dumps).
 MAX_GROWTH_KB = 8 * 1024
 
 
 def peak_rss_kb(tmp_path, subcommand, fmt, runs):
     scenario = tmp_path / f"scenario-{runs}.json"
     scenario.write_text(
-        json.dumps({"seed": 7, "runs_per_pair": runs, "amplitudes": UNIFORM_AMPLITUDES})
+        json.dumps(
+            {
+                "seed": 7,
+                "runs_per_pair": runs,
+                "amplitudes": UNIFORM_AMPLITUDES,
+                "singlet_angles": [0, 90, 45, 135],
+            }
+        )
     )
     out = tmp_path / f"out-{runs}.{fmt}"
     argv = [subcommand, "--scenario", str(scenario), "--format", fmt, "--out", str(out)]
@@ -49,6 +57,7 @@ def peak_rss_kb(tmp_path, subcommand, fmt, runs):
     "subcommand, fmt, runs",
     [
         ("vessel-chsh", "csv", 4_000),
+        ("quantum-chsh", "csv", 4_000),
         ("locality-check", "csv", 16_000),
         ("sample-state", "csv", 16_000),
         ("sample-state", "json", 300_000),
