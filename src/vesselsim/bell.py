@@ -49,7 +49,10 @@ PAIR_STREAM = {pair: index for index, pair in enumerate(ALL_PAIRS)}
 # runs, lazily, in chunk order: the chunk's sum of outcome products and, with
 # ``collect=True``, its per-run columns (at least ``outcome_left`` and
 # ``outcome_right``), else None.  Each random column draws the whole run from
-# its own ``(PAIR_STREAM[pair], column)`` substream, whatever ``CHUNK_SIZE`` is.
+# its own ``(PAIR_STREAM[pair], column)`` substream, whatever ``CHUNK_SIZE`` is,
+# so a chunk needs nothing but its size, which is all ``run_chunks`` passes.
+# ``PAIR_STREAM`` is the one pair-to-stream rule; the vessel and singlet models
+# both read it.
 Model = Callable[
     [CoincidencePair, int, bool],
     Iterator[tuple[int, dict[str, np.ndarray] | None]],
@@ -98,7 +101,7 @@ class HiddenVariableSampler:
         check_count(n)
         rng_a, rng_b = substream(self.seed, *key, 0), substream(self.seed, *key, 1)
 
-        def one_chunk(_: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+        def one_chunk(size: int) -> tuple[np.ndarray, np.ndarray]:
             return rng_a.uniform(self.low, self.high, size), rng_b.uniform(self.low, self.high, size)
 
         return run_chunks(one_chunk, n)
@@ -195,7 +198,7 @@ def vessel_model(
         if collect or (pair == PAIR_AB and tie_policy is TiePolicy.ERROR):
             draws = sampler.draw_chunks(n, key=(PAIR_STREAM[pair],))
             return (drawn(pair, *lambdas, collect) for lambdas in draws)
-        return run_chunks(lambda _, size: (size * run_product(pair, system), None), n)
+        return run_chunks(lambda size: (size * run_product(pair, system), None), n)
 
     return model
 

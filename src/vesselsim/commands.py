@@ -236,7 +236,7 @@ def sample_state(
     dump = RunDump(["sample_index", "x", "left_liters", "right_liters"])
     if collect_runs:
         # Chunk after chunk on one generator: the same draws as born_samples(state, n, rng).
-        draws = run_chunks(lambda _, size: born_samples(state, size, rng), n)
+        draws = run_chunks(lambda size: born_samples(state, size, rng), n)
         dump.rows = RowBlocks(_row_blocks([_BORN_TAILS[x]] for x in draws), n)
         return None, dump
 

@@ -11,8 +11,11 @@ Schmidt rank equals the number of non-negligible amplitudes and any two or
 more make it entangled.
 
 The singlet model provides the standard quantum benchmark for the same
-four-pair statistic: expectation -(a . b) for unit measurement directions,
-a sampling realization with unbiased marginals, and planar-angle helpers.
+four-pair statistic: expectation -(a . b) for unit measurement directions
+and a sampling realization with unbiased marginals.  The analytic values
+and the sampled model share one path: planar analyzer angles become
+``MeasurementDirection`` pairs, read by ``singlet_expectation`` and the
+agreement probability (1 - a . b) / 2.
 The two wings of the apparatus face each other, so a right-side analyzer
 angle is counted clockwise in the shared frame (mirrored y axis); with that
 convention the textbook settings (0, 90, 45, 135) degrees attain the
@@ -27,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import (
+    PAIR_STREAM,
     BellStatistic,
     ExpectationEstimate,
     Model,
@@ -112,7 +116,7 @@ def born_samples(
     cdf = _born_cdf(state)
     draws = np.empty(n, dtype=np.intp)
     start = 0
-    for uniforms in run_chunks(lambda _, size: rng.random(size), n):
+    for uniforms in run_chunks(rng.random, n):
         draws[start : start + len(uniforms)] = cdf.searchsorted(uniforms, side="right")
         start += len(uniforms)
     return draws
@@ -129,7 +133,7 @@ def born_histogram(
     rng = _as_rng(seed_or_rng)
     cdf = _born_cdf(state)
     below = np.zeros(N_AMPLITUDES, dtype=np.int64)
-    for uniforms in run_chunks(lambda _, size: rng.random(size), n):
+    for uniforms in run_chunks(rng.random, n):
         # Every uniform lies below cdf[-1], which is exactly 1.
         below += [*(np.count_nonzero(uniforms < bound) for bound in cdf[:-1]), len(uniforms)]
     return np.diff(below, prepend=0)
@@ -177,17 +181,12 @@ class MeasurementDirection:
         return self.x * other.x + self.y * other.y + self.z * other.z
 
 
-def _planar(angle_deg: float) -> tuple[float, float]:
-    """In-plane components (cos, sin) of the left-wing analyzer at ``angle_deg``."""
+def left_analyzer_direction(angle_deg: float) -> MeasurementDirection:
+    """Left-wing analyzer at ``angle_deg``, counterclockwise in the shared frame."""
     if not math.isfinite(angle_deg):
         raise InvariantError(f"analyzer angle must be finite, got {angle_deg!r}", "angle_deg")
     angle = math.radians(angle_deg)
-    return math.cos(angle), math.sin(angle)
-
-
-def left_analyzer_direction(angle_deg: float) -> MeasurementDirection:
-    """Left-wing analyzer at ``angle_deg``, counterclockwise in the shared frame."""
-    return MeasurementDirection(*_planar(angle_deg), 0.0)
+    return MeasurementDirection(math.cos(angle), math.sin(angle), 0.0)
 
 
 def right_analyzer_direction(angle_deg: float) -> MeasurementDirection:
@@ -206,10 +205,7 @@ def singlet_expectation(a: MeasurementDirection, b: MeasurementDirection) -> flo
     Rounding can carry the dot product of two unit vectors one ulp past
     +-1; its magnitude is capped at 1 so the result is always a valid mean.
     """
-    return _expectation(a.dot(b))
-
-
-def _expectation(dot: float) -> float:
+    dot = a.dot(b)
     return -math.copysign(min(abs(dot), 1.0), dot)
 
 
@@ -236,38 +232,20 @@ def _agreement_probability(a: MeasurementDirection, b: MeasurementDirection) -> 
     return (1.0 - a.dot(b)) / 2.0
 
 
-def _pair_planar(
+def _pair_directions(
     angles_deg: tuple[float, float, float, float],
-) -> tuple[tuple[tuple[float, float], tuple[float, float]], ...]:
-    """Each coincidence pair's (left, right) in-plane analyzer components
-    ``(cos, sin)``, in ``ALL_PAIRS`` order.
-
-    ``angles_deg`` lists the analyzer angles for A, A', B, B' in degrees;
-    the left two use the shared frame, the right two their own mirrored
-    frame, as in ``right_analyzer_direction``.
-    """
+) -> tuple[tuple[MeasurementDirection, MeasurementDirection], ...]:
+    """Each coincidence pair's (left, right) analyzer directions, in
+    ``ALL_PAIRS`` order, from the analyzer angles for A, A', B, B' in degrees."""
     angle_a, angle_aprime, angle_b, angle_bprime = angles_deg
-    a, aprime = _planar(angle_a), _planar(angle_aprime)
-    b, bprime = _planar(-angle_b), _planar(-angle_bprime)
+    a, aprime = left_analyzer_direction(angle_a), left_analyzer_direction(angle_aprime)
+    b, bprime = right_analyzer_direction(angle_b), right_analyzer_direction(angle_bprime)
     return (a, b), (aprime, b), (a, bprime), (aprime, bprime)
-
-
-def _pair_expectations(
-    angles_deg: tuple[float, float, float, float],
-) -> tuple[float, float, float, float]:
-    """``singlet_expectation`` of each pair's directions, in ``ALL_PAIRS`` order.
-
-    The arithmetic of ``MeasurementDirection.dot`` on plain floats, z term
-    included, so the values agree bit for bit without building a dataclass.
-    """
-    return tuple(
-        _expectation(lx * rx + ly * ry + 0.0) for (lx, ly), (rx, ry) in _pair_planar(angles_deg)
-    )
 
 
 def singlet_bell_value(angles_deg: tuple[float, float, float, float]) -> float:
     """Analytic Bell statistic of the singlet at four planar analyzer angles."""
-    return statistic_value(*_pair_expectations(angles_deg))
+    return statistic_value(*(singlet_expectation(a, b) for a, b in _pair_directions(angles_deg)))
 
 
 def singlet_analytic_estimates(
@@ -275,8 +253,8 @@ def singlet_analytic_estimates(
 ) -> list[ExpectationEstimate]:
     """Exact per-pair expectations packaged as zero-spread estimates."""
     return [
-        ExpectationEstimate(pair=pair, mean=mean, stderr=0.0, n=1)
-        for pair, mean in zip(ALL_PAIRS, _pair_expectations(angles_deg))
+        ExpectationEstimate(pair=pair, mean=singlet_expectation(a, b), stderr=0.0, n=1)
+        for pair, (a, b) in zip(ALL_PAIRS, _pair_directions(angles_deg))
     ]
 
 
@@ -290,25 +268,22 @@ def singlet_model(angles_deg: tuple[float, float, float, float], seed: int) -> M
     is never made.
     """
     check_seed(seed)
-    directions = [
-        (MeasurementDirection(*left, 0.0), MeasurementDirection(*right, 0.0))
-        for left, right in _pair_planar(angles_deg)
-    ]
+    directions = dict(zip(ALL_PAIRS, _pair_directions(angles_deg)))
 
     def model(pair, n, collect):
-        stream = ALL_PAIRS.index(pair)
-        a, b = directions[stream]
+        stream = PAIR_STREAM[pair]
+        a, b = directions[pair]
         uniforms = substream(seed, stream, 1)
         if not collect:
             threshold = _agreement_probability(a, b)
 
-            def agreements(_, size):
+            def agreements(size):
                 return 2 * np.count_nonzero(uniforms.random(size) < threshold) - size, None
 
             return run_chunks(agreements, n)
         coins = substream(seed, stream, 0)
 
-        def one_chunk(_, size):
+        def one_chunk(size):
             left, right = singlet_samples(a, b, size, coins, uniforms)
             return int(left @ right), {"outcome_left": left, "outcome_right": right}
 

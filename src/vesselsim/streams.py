@@ -3,10 +3,11 @@
 A master seed plus an integer key tuple pins down one generator.  Every
 random column of every consumer draws its whole run, in order, from its own
 ``substream(seed, consumer, column)``.  ``run_chunks`` is the one loop that
-cuts a job into fixed-size chunks: it runs them one after another on the
-calling thread, in chunk order, lazily, while each column's generator runs
-on across the chunks.  So every result is a pure function of (seed, n), the
-same for every ``CHUNK_SIZE``, and memory depends on ``CHUNK_SIZE``, not on n.
+cuts a job into fixed-size chunks: it hands each chunk function only the
+chunk's size and runs the chunks one after another on the calling thread,
+in chunk order, lazily, while each column's generator runs on across them.
+So every result is a pure function of (seed, n), the same for every
+``CHUNK_SIZE``, and memory depends on ``CHUNK_SIZE``, not on n.
 """
 
 from __future__ import annotations
@@ -57,11 +58,12 @@ def chunk_sizes(n: int) -> Iterator[int]:
     return itertools.chain(itertools.repeat(CHUNK_SIZE, full), [rest] if rest else [])
 
 
-def run_chunks(chunk_fn: Callable[[int, int], T], n: int) -> Iterator[T]:
-    """Yield ``chunk_fn(chunk_index, size)`` for every chunk of ``n``, in chunk order.
+def run_chunks(chunk_fn: Callable[[int], T], n: int) -> Iterator[T]:
+    """Yield ``chunk_fn(size)`` for every chunk of ``n``, in chunk order.
 
     Each chunk runs only when the caller asks for its result, so one chunk
     is in flight at a time and any order-respecting reduction over the
-    results is reproducible.
+    results is reproducible.  A chunk knows only its size: where it falls
+    in the run is the position of its column generators.
     """
-    return (chunk_fn(index, size) for index, size in enumerate(chunk_sizes(n)))
+    return map(chunk_fn, chunk_sizes(n))

@@ -28,6 +28,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import math
+import numbers
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -76,12 +77,27 @@ class TiePolicy(enum.Enum):
 
 @dataclass(frozen=True)
 class SiphonDiameters:
-    """Hidden variable of a joint siphon run: the two diameters in cm."""
+    """Hidden variable of a joint siphon run: the two diameters in cm.
+
+    Each diameter is stored as the float every consumer compares, so an
+    integer past 2**53 rounds once, here; a bool, a non-real value or an
+    integer past the float range is refused.
+    """
 
     lambda_a: float
     lambda_b: float
 
     def __post_init__(self) -> None:
+        for field in ("lambda_a", "lambda_b"):
+            value = getattr(self, field)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise InvariantError(
+                    f"a siphon diameter must be a real number, got {value!r}", field
+                )
+            try:
+                object.__setattr__(self, field, float(value))
+            except OverflowError:
+                raise InvariantError(f"{field} is past the float range", field) from None
         if not (self.lambda_a > 0.0 and self.lambda_b > 0.0):
             raise InvariantError(
                 f"siphon diameters must be strictly positive, "
@@ -195,15 +211,10 @@ def _check_batch(lambda_a: np.ndarray, lambda_b: np.ndarray, tie_seed: int) -> N
 
 def diameter_batch(draws: Sequence[SiphonDiameters]) -> tuple[np.ndarray, np.ndarray]:
     """``draws`` as the two float64 diameter arrays of a batch."""
-    try:
-        return (
-            np.array([lam.lambda_a for lam in draws], dtype=np.float64),
-            np.array([lam.lambda_b for lam in draws], dtype=np.float64),
-        )
-    except OverflowError:
-        raise InvariantError(
-            "a batch of draws needs float64 diameters, got an integer past the float range"
-        ) from None
+    return (
+        np.array([lam.lambda_a for lam in draws], dtype=np.float64),
+        np.array([lam.lambda_b for lam in draws], dtype=np.float64),
+    )
 
 
 def left_wins(
@@ -314,8 +325,8 @@ def simulate_flow(
     if not (dt > 0.0) or math.isinf(dt):
         raise InvalidStepError(f"time step must be positive and finite, got {dt}")
     try:
-        step_left = FLOW_COEFF * float(lam.lambda_a) ** 2 * dt
-        step_right = FLOW_COEFF * float(lam.lambda_b) ** 2 * dt
+        step_left = FLOW_COEFF * lam.lambda_a ** 2 * dt
+        step_right = FLOW_COEFF * lam.lambda_b ** 2 * dt
     except OverflowError:
         step_left = step_right = math.inf
     step_total = step_left + step_right

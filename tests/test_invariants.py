@@ -17,6 +17,7 @@ from vesselsim import (
     PAIR_APRIME_B,
     BellClassification,
     BellStatistic,
+    DegenerateTieError,
     ExpectationEstimate,
     FactorizationReport,
     HiddenVariableSampler,
@@ -30,8 +31,6 @@ from vesselsim import (
     VesselSystem,
     born_histogram,
     born_samples,
-    contextual_table,
-    contextuality_witness,
     estimate_expectation,
     joint_outcome_ab,
     left_analyzer_direction,
@@ -347,13 +346,21 @@ class TestInvariantHoles:
             for call in batch_calls(*map(np.array, zip(*valid)), policy):
                 call()
 
-    def test_a_diameter_past_the_float_range_has_no_batch(self):
-        lam = SiphonDiameters(10**400, 1.0)
-        for view in (joint_outcome_ab, contextuality_witness):
-            with pytest.raises(InvariantError, match="past the float range"):
-                view(lam)
-        with pytest.raises(InvariantError, match="past the float range"):
-            contextual_table(lam, VesselSystem())
+    def test_diameters_are_held_as_the_floats_every_consumer_compares(self):
+        # An integer past 2**53 rounds once, when the draw is made, so the
+        # tie every consumer sees is the one the draw holds.
+        lam = SiphonDiameters(2**53 + 1, 2**53)
+        assert (type(lam.lambda_a), lam) == (float, SiphonDiameters(2.0**53, 2.0**53))
+        with pytest.raises(DegenerateTieError):
+            joint_outcome_ab(lam)
+        # No draw exists past the float range, so no consumer meets one.
+        with pytest.raises(InvariantError, match="past the float range") as error:
+            SiphonDiameters(10**400, 1.0)
+        assert error.value.field == "lambda_a"
+        for bad in (True, "2", 1j, None):
+            with pytest.raises(InvariantError, match="must be a real number") as error:
+                SiphonDiameters(1.0, bad)
+            assert error.value.field == "lambda_b"
 
     @pytest.mark.parametrize("seed", BAD_SEEDS)
     def test_born_seed_follows_the_seed_rule(self, seed):

@@ -57,9 +57,9 @@ def peak_rss_kb(tmp_path, subcommand, fmt, runs):
     "subcommand, fmt, runs",
     [
         ("vessel-chsh", "csv", 4_000),
-        ("quantum-chsh", "csv", 4_000),
+        ("quantum-chsh", "csv", 16_000),
         ("locality-check", "csv", 16_000),
-        ("sample-state", "csv", 16_000),
+        ("sample-state", "csv", 64_000),
         ("sample-state", "json", 300_000),
         ("locality-check", "json", 100_000),
     ],

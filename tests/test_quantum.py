@@ -11,7 +11,7 @@ from scipy import linalg as scipy_linalg
 from scipy import stats
 
 from vesselsim.bell import PAIR_STREAM
-from vesselsim.quantum import _born_cdf, _pair_expectations
+from vesselsim.quantum import _born_cdf
 from vesselsim.streams import substream
 
 from vesselsim import (
@@ -278,7 +278,7 @@ class TestSingletExpectation:
 
 
 def dataclass_estimates(angles):
-    """The reference for the float path: each pair's expectation through
+    """The reference for the analytic path: each pair's expectation through
     ``MeasurementDirection`` and ``singlet_expectation``, in ``ALL_PAIRS`` order."""
     angle_a, angle_aprime, angle_b, angle_bprime = angles
     a, aprime = left_analyzer_direction(angle_a), left_analyzer_direction(angle_aprime)
@@ -305,10 +305,9 @@ class TestSingletBellValue:
             st.tuples(*[st.floats(-720.0, 720.0)] * 4), st.tuples(*[finite_angles] * 4)
         )
     )
-    def test_float_path_matches_the_dataclass_path_bit_for_bit(self, angles):
+    def test_analytic_path_matches_the_dataclass_path_bit_for_bit(self, angles):
         reference = dataclass_estimates(angles)
         means = [estimate.mean for estimate in reference]
-        assert bits(_pair_expectations(angles)) == bits(means)
         assert singlet_analytic_estimates(angles) == reference
         assert bits(estimate.mean for estimate in singlet_analytic_estimates(angles)) == bits(means)
         assert bits([singlet_bell_value(angles)]) == bits([bell_statistic(reference).value])
@@ -325,7 +324,7 @@ class TestSingletBellValue:
     def test_non_finite_angles_fail_like_the_dataclass_path(self, angles):
         with pytest.raises(InvariantError) as expected:
             dataclass_estimates(angles)
-        for path in (_pair_expectations, singlet_analytic_estimates, singlet_bell_value):
+        for path in (singlet_analytic_estimates, singlet_bell_value):
             with pytest.raises(InvariantError) as raised:
                 path(angles)
             assert raised.value.field == expected.value.field == "angle_deg"

@@ -1,5 +1,5 @@
-"""The golden Monte Carlo reports rebuilt from the README's stream layout
-alone, without vesselsim's sampling code.
+"""The golden singlet and vessel reports rebuilt from the README's stream
+layout and singlet rule alone, without vesselsim's code.
 
 Each random column of coincidence pair k (AB, A'B, AB', A'B' are 0..3) is
 the whole run's draws from ``default_rng(SeedSequence(seed, spawn_key=(k,
@@ -48,14 +48,28 @@ def vessel_runs(scenario):
         ]
 
 
+def singlet_dots(angles):
+    """Per pair, the dot product of its analyzer directions by the README's
+    singlet rule: the left direction at angle t is (cos r, sin r, 0) with
+    r = radians(t), a right one is the left one at -t, and
+    dot = x*x' + y*y' + z*z', summed in that order."""
+    a, aprime, b, bprime = angles
+
+    def direction(angle):
+        r = math.radians(angle)
+        return math.cos(r), math.sin(r), 0.0
+
+    for left, right in [(a, b), (aprime, b), (a, bprime), (aprime, bprime)]:
+        (x, y, z), (x2, y2, z2) = direction(left), direction(-right)
+        yield x * x2 + y * y2 + z * z2
+
+
 def singlet_runs(scenario):
     """Per pair, the cells (left, right) of every run."""
     seed, n = scenario["seed"], scenario["runs_per_pair"]
-    a, aprime, b, bprime = scenario["singlet_angles"]
-    for pair, (left_angle, right_angle) in enumerate([(a, b), (aprime, b), (a, bprime),
-                                                      (aprime, bprime)]):
-        # The sides agree with probability (1 + E) / 2, E = -cos(left + right).
-        agree = (1.0 - math.cos(math.radians(left_angle + right_angle))) / 2.0
+    for pair, dot in enumerate(singlet_dots(scenario["singlet_angles"])):
+        # The sides agree with probability (1 - dot) / 2.
+        agree = (1.0 - dot) / 2.0
         coins = column(seed, pair, 0).integers(0, 2, n).tolist()
         uniforms = column(seed, pair, 1).random(n).tolist()
         yield [
@@ -110,3 +124,21 @@ def test_large_dump_hash_from_the_column_draws(subcommand):
     text = csv_text(subcommand, LARGE_SCENARIO).encode()
     line = f"{hashlib.sha256(text).hexdigest()}  {subcommand}.csv\n"
     assert line in LARGE_HASHES.read_text().splitlines(keepends=True)
+
+
+def test_analytic_report_from_the_singlet_rule():
+    # E = -copysign(min(|dot|, 1), dot) per pair; the statistic sums the
+    # four in the README's order.  The shortcut E = -cos(radians(l + r))
+    # differs from it in the last bit on these angles.
+    _, _, scenario = CASES["quantum-chsh-analytic"]
+    report = json.loads((GOLDEN / "quantum-chsh-analytic.json").read_text())
+    means = [-math.copysign(min(abs(dot), 1.0), dot) for dot in singlet_dots(report["angles"])]
+    assert report["angles"] == scenario["singlet_angles"]
+    assert report["estimates"] == [
+        {"pair": label, "mean": mean, "stderr": 0.0, "n": 1} for label, mean in zip(PAIRS, means)
+    ]
+    ab, aprime_b, ab_prime, aprime_bprime = means
+    assert report["bell"]["value"] == aprime_bprime + aprime_b + ab_prime - ab
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([("pair", "expectation"), *zip(PAIRS, means)])
+    assert out.getvalue() == (GOLDEN / "quantum-chsh-analytic.csv").read_text()

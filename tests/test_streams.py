@@ -55,23 +55,24 @@ class TestRunChunks:
         monkeypatch.setattr(threading.Thread, "start", recorded_start)
         caller = threading.get_ident()
         n = CHUNK_SIZE * (n_chunks - 1) + 5
-        results = list(run_chunks(lambda index, size: (index, size, threading.get_ident()), n))
-        assert results == [(index, size, caller) for index, size in enumerate(chunk_sizes(n))]
+        results = list(run_chunks(lambda size: (size, threading.get_ident()), n))
+        assert results == [(size, caller) for size in chunk_sizes(n)]
         assert started == [], f"the retired pool started {pool_size} threads here"
 
     def test_results_are_lazy_with_a_bounded_window(self):
         calls = []
 
-        def chunk_fn(index, size):
-            calls.append(index)
-            return index
+        def chunk_fn(size):
+            calls.append(size)
+            return len(calls) - 1
 
         results = run_chunks(chunk_fn, 1000 * CHUNK_SIZE)
         assert calls == []
         for taken in range(1, 4):
+            # Results come in chunk order, the k-th taken from the k-th call.
             assert next(results) == taken - 1
             # One chunk runs per result taken, none ahead of the caller.
-            assert calls == list(range(taken))
+            assert calls == [CHUNK_SIZE] * taken
 
 
 def sampling_run(tmp_path, subcommand, fmt, runs):
