@@ -1,10 +1,11 @@
 """Subcommand implementations: run the experiments, assemble reports.
 
-Every command produces a JSON-ready report dict with the same six top-level
-keys (``scenario``, ``estimates``, ``bell``, ``factorization``, ``version``,
-``seed``; unused sections are null) plus command-specific sections, and an
-optional per-run dump for CSV output.  Reports contain nothing but
-seed-derived values, so identical scenarios yield byte-identical output.
+Every command produces a JSON-ready report dict, assembled by ``_report``:
+six common keys (``scenario``, ``estimates``, ``bell``, ``factorization``,
+``version``, ``seed``; sections a command does not fill are null) updated
+with the command's own sections, and an optional per-run dump for CSV
+output.  Reports contain nothing but seed-derived values, so identical
+scenarios yield byte-identical output.
 
 The dump's rows are computed lazily, one chunk of runs at a time, while the
 CSV is written, and each slice of at most ``CSV_ROWS_PER_WRITE`` rows of a
@@ -27,7 +28,6 @@ from .bell import (
     ALGEBRAIC_BOUND,
     LOCAL_BOUND,
     TSIRELSON_BOUND,
-    BellStatistic,
     ExpectationEstimate,
     Model,
     bell_statistic,
@@ -118,7 +118,8 @@ def _row_blocks(chunks: Iterable[list[np.ndarray]], prefix: str = "") -> Iterato
         start += len(tails)
 
 
-def _base_report(scenario: Scenario) -> dict:
+def _report(scenario: Scenario, **sections) -> dict:
+    """The six common keys, unused sections null, updated with ``sections``."""
     return {
         "scenario": scenario.echo(),
         "estimates": None,
@@ -126,38 +127,35 @@ def _base_report(scenario: Scenario) -> dict:
         "factorization": None,
         "version": __version__,
         "seed": scenario.seed,
-    }
-
-
-def _estimate_record(estimate: ExpectationEstimate) -> dict:
-    return {
-        "pair": estimate.pair.label,
-        "mean": estimate.mean,
-        "stderr": estimate.stderr,
-        "n": estimate.n,
-    }
-
-
-def _bell_record(statistic: BellStatistic) -> dict:
-    return {
-        "value": statistic.value,
-        "classification": statistic.classification.value,
-        # Standard-theory reference bounds, not properties of this model.
-        "bounds": {
-            "local": LOCAL_BOUND,
-            "tsirelson": TSIRELSON_BOUND,
-            "algebraic": ALGEBRAIC_BOUND,
-        },
+        **sections,
     }
 
 
 def _chsh_report(scenario: Scenario, estimates: list[ExpectationEstimate], **sections) -> dict:
     statistic = bell_statistic(estimates)
-    report = _base_report(scenario)
-    report["estimates"] = [_estimate_record(estimate) for estimate in statistic.components]
-    report["bell"] = _bell_record(statistic)
-    report.update(sections)
-    return report
+    return _report(
+        scenario,
+        estimates=[
+            {
+                "pair": estimate.pair.label,
+                "mean": estimate.mean,
+                "stderr": estimate.stderr,
+                "n": estimate.n,
+            }
+            for estimate in statistic.components
+        ],
+        bell={
+            "value": statistic.value,
+            "classification": statistic.classification.value,
+            # Standard-theory reference bounds, not properties of this model.
+            "bounds": {
+                "local": LOCAL_BOUND,
+                "tsirelson": TSIRELSON_BOUND,
+                "algebraic": ALGEBRAIC_BOUND,
+            },
+        },
+        **sections,
+    )
 
 
 def _chsh(
@@ -214,16 +212,14 @@ def locality_check(
         CorrelationKind.SECOND_KIND if unsatisfiable else CorrelationKind.FIRST_KIND
     )
 
-    report = _base_report(scenario)
-    report["factorization"] = {
+    factorization = {
         # True only if every sampled hidden variable admits an assignment.
         "satisfiable": unsatisfiable == 0,
         "witness_count": witnesses,
         "sample_count": n,
         "unsatisfiable_count": unsatisfiable,
     }
-    report["correlation_kind"] = kind.value
-    return report, dump
+    return _report(scenario, factorization=factorization, correlation_kind=kind.value), dump
 
 
 def sample_state(
@@ -240,13 +236,14 @@ def sample_state(
         dump.rows = RowBlocks(_row_blocks([_BORN_TAILS[x]] for x in draws), n)
         return None, dump
 
-    report = _base_report(scenario)
-    report["histogram"] = born_histogram(state, n, rng).tolist()
-    report["n_samples"] = n
-    report["probabilities"] = state.probabilities().tolist()
-    report["schmidt_rank"] = schmidt_rank(state)
-    report["entangled"] = is_entangled(state)
-    return report, dump
+    return _report(
+        scenario,
+        histogram=born_histogram(state, n, rng).tolist(),
+        n_samples=n,
+        probabilities=state.probabilities().tolist(),
+        schmidt_rank=schmidt_rank(state),
+        entangled=is_entangled(state),
+    ), dump
 
 
 def quantum_chsh(
@@ -295,6 +292,4 @@ def flow(
     if collect_runs:
         dump.rows = RowBlocks(["".join(_csv_lines([cells]))], 1)
         return None, dump
-    report = _base_report(scenario)
-    report["flow"] = dict(zip(FLOW_COLUMNS, cells, strict=True))
-    return report, dump
+    return _report(scenario, flow=dict(zip(FLOW_COLUMNS, cells, strict=True))), dump

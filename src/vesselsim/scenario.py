@@ -5,6 +5,10 @@ A scenario pins everything a run depends on.  The seed is mandatory
 fields default.  Unknown fields are rejected rather than ignored so a typo
 cannot silently fall back to a default, and a field given twice in one
 object is rejected rather than resolved to its last value.
+
+Each field is declared once: the nested ``system`` and ``sampler`` fields in
+``_OBJECT_READERS``, every other field but the seed in ``_FIELDS``.  Parsing
+and ``Scenario.echo`` both read those tables.
 """
 
 from __future__ import annotations
@@ -47,18 +51,14 @@ class Scenario:
 
     def echo(self) -> dict:
         """Resolved scenario as a JSON-ready dict; re-parsing it is a no-op."""
-        data: dict = {
-            "seed": self.seed,
-            "runs_per_pair": self.runs_per_pair,
-            "tie_policy": self.tie_policy.value,
-        }
+        data: dict = {"seed": self.seed}
         for name, readers in _OBJECT_READERS.items():
             section = getattr(self, name)
             data[name] = {key: getattr(section, key) for key in readers}
-        if self.amplitudes is not None:
-            data["amplitudes"] = [[re, im] for re, im in self.amplitudes]
-        if self.singlet_angles is not None:
-            data["singlet_angles"] = list(self.singlet_angles)
+        for name, (_, _, write) in _FIELDS.items():
+            value = getattr(self, name)
+            if value is not None:
+                data[name] = write(value)
         return data
 
 
@@ -112,22 +112,6 @@ _OBJECT_READERS = {
 _FIELD_PATHS = {
     key: f"{section}.{key}" for section, readers in _OBJECT_READERS.items() for key in readers
 }
-_TOP_LEVEL_FIELDS = {
-    "seed",
-    *_OBJECT_READERS,
-    "runs_per_pair",
-    "tie_policy",
-    "amplitudes",
-    "singlet_angles",
-}
-
-
-def _parse_seed(data: dict) -> int:
-    if "seed" not in data:
-        raise ConfigError(
-            "scenario.seed: missing; an explicit seed is required for reproducible runs"
-        )
-    return _as_int(data["seed"], "scenario.seed")
 
 
 def _parse_object(data: dict, name: str, cls: type, **given):
@@ -140,50 +124,54 @@ def _parse_object(data: dict, name: str, cls: type, **given):
     return cls(**given, **fields)
 
 
-def _parse_tie_policy(data: dict) -> TiePolicy:
-    raw = data.get("tie_policy", TiePolicy.ERROR.value)
-    if not isinstance(raw, str):
-        raise ConfigError(f"scenario.tie_policy: expected a string, got {raw!r}")
+def _as_run_count(value, where: str) -> int:
+    runs = _as_int(value, where)
+    if not 1 <= runs <= MAX_RUNS_PER_PAIR:
+        raise ConfigError(f"{where}: must be between 1 and 2**53, got {runs}")
+    return runs
+
+
+def _as_tie_policy(value, where: str) -> TiePolicy:
+    if not isinstance(value, str):
+        raise ConfigError(f"{where}: expected a string, got {value!r}")
     try:
-        return TiePolicy(raw)
+        return TiePolicy(value)
     except ValueError:
         valid = [policy.value for policy in TiePolicy]
-        raise ConfigError(
-            f"scenario.tie_policy: {raw!r} is not one of {valid}"
-        ) from None
+        raise ConfigError(f"{where}: {value!r} is not one of {valid}") from None
 
 
-def _parse_amplitudes(data: dict) -> tuple[tuple[float, float], ...] | None:
-    if "amplitudes" not in data:
-        return None
-    raw = data["amplitudes"]
-    if not isinstance(raw, list):
+def _as_amplitudes(value, where: str) -> tuple[tuple[float, float], ...]:
+    if not isinstance(value, list):
         raise ConfigError(
-            f"scenario.amplitudes: expected a list of [re, im] pairs, got {type(raw).__name__}"
+            f"{where}: expected a list of [re, im] pairs, got {type(value).__name__}"
         )
     pairs = []
-    for index, entry in enumerate(raw):
-        where = f"scenario.amplitudes[{index}]"
+    for index, entry in enumerate(value):
+        at = f"{where}[{index}]"
         if not isinstance(entry, list) or len(entry) != 2:
-            raise ConfigError(f"{where}: expected an [re, im] pair, got {entry!r}")
-        pairs.append((_as_number(entry[0], where), _as_number(entry[1], where)))
+            raise ConfigError(f"{at}: expected an [re, im] pair, got {entry!r}")
+        pairs.append((_as_number(entry[0], at), _as_number(entry[1], at)))
     make_state([complex(re, im) for re, im in pairs])
     return tuple(pairs)
 
 
-def _parse_singlet_angles(data: dict) -> tuple[float, float, float, float] | None:
-    if "singlet_angles" not in data:
-        return None
-    raw = data["singlet_angles"]
-    if not isinstance(raw, list) or len(raw) != 4:
-        raise ConfigError(
-            "scenario.singlet_angles: expected four planar angles in degrees "
-            "(A, A', B, B')"
-        )
-    return tuple(
-        _as_number(entry, f"scenario.singlet_angles[{index}]")
-        for index, entry in enumerate(raw)
-    )
+def _as_angles(value, where: str) -> tuple[float, float, float, float]:
+    if not isinstance(value, list) or len(value) != 4:
+        raise ConfigError(f"{where}: expected four planar angles in degrees (A, A', B, B')")
+    return tuple(_as_number(entry, f"{where}[{index}]") for index, entry in enumerate(value))
+
+
+# Every top-level field but the seed and the nested objects: the reader that
+# checks its JSON value, its value when the file leaves it out, and the
+# writer of its echo (a None value is not echoed).  Named as the attributes
+# they fill.
+_FIELDS = {
+    "runs_per_pair": (_as_run_count, DEFAULT_RUNS_PER_PAIR, int),
+    "tie_policy": (_as_tie_policy, TiePolicy.ERROR, lambda policy: policy.value),
+    "amplitudes": (_as_amplitudes, None, lambda pairs: [list(pair) for pair in pairs]),
+    "singlet_angles": (_as_angles, None, list),
+}
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -193,22 +181,20 @@ def scenario_from_dict(data: dict) -> Scenario:
     own ``InvariantError`` becomes a ``ConfigError`` at the field's path.
     """
     data = _require_mapping(data, "scenario")
-    _reject_unknown(data, _TOP_LEVEL_FIELDS, "scenario")
-    runs_per_pair = _as_int(
-        data.get("runs_per_pair", DEFAULT_RUNS_PER_PAIR), "scenario.runs_per_pair"
-    )
-    if not 1 <= runs_per_pair <= MAX_RUNS_PER_PAIR:
+    _reject_unknown(data, {"seed", *_OBJECT_READERS, *_FIELDS}, "scenario")
+    if "seed" not in data:
         raise ConfigError(
-            f"scenario.runs_per_pair: must be between 1 and 2**53, got {runs_per_pair}"
+            "scenario.seed: missing; an explicit seed is required for reproducible runs"
         )
+    seed = _as_int(data["seed"], "scenario.seed")
     try:
         return Scenario(
-            sampler=_parse_object(data, "sampler", HiddenVariableSampler, seed=_parse_seed(data)),
+            sampler=_parse_object(data, "sampler", HiddenVariableSampler, seed=seed),
             system=_parse_object(data, "system", VesselSystem),
-            runs_per_pair=runs_per_pair,
-            tie_policy=_parse_tie_policy(data),
-            amplitudes=_parse_amplitudes(data),
-            singlet_angles=_parse_singlet_angles(data),
+            **{
+                name: read(data[name], f"scenario.{name}") if name in data else absent
+                for name, (read, absent, _) in _FIELDS.items()
+            },
         )
     except InvariantError as exc:
         path = _FIELD_PATHS.get(exc.field, exc.field)

@@ -465,14 +465,46 @@ class TestVesselChshJsonDraws:
         assert len(reports) == 1
 
 
+COMMON_KEYS = {"scenario", "estimates", "bell", "factorization", "version", "seed"}
+README = Path(__file__).parent.parent / "README.md"
+README_REPORTS = README.read_text(encoding="utf-8").split("### Reports")[1].split("\n## ")[0]
+
+
 class TestReportSchema:
-    def test_top_level_keys_always_present(self, tmp_path):
-        scenario = write_scenario(tmp_path, runs_per_pair=10)
-        report = run_json(tmp_path, "vessel-chsh", scenario)
-        for key in ("scenario", "estimates", "bell", "factorization", "version", "seed"):
-            assert key in report
+    @pytest.mark.parametrize(
+        "argv, own_keys, null_sections",
+        [
+            (["vessel-chsh"], set(), {"factorization"}),
+            (["locality-check"], {"correlation_kind"}, {"estimates", "bell"}),
+            (
+                ["sample-state"],
+                {"histogram", "probabilities", "schmidt_rank", "entangled", "n_samples"},
+                {"estimates", "bell", "factorization"},
+            ),
+            (["quantum-chsh"], {"mode", "angles"}, {"factorization"}),
+            (["quantum-chsh", "--analytic"], {"mode", "angles"}, {"factorization"}),
+            (
+                ["flow", "--lambda-a", "1.0", "--lambda-b", "2.0"],
+                {"flow"},
+                {"estimates", "bell", "factorization"},
+            ),
+        ],
+    )
+    def test_report_keys_are_the_common_six_and_the_commands_own(
+        self, tmp_path, argv, own_keys, null_sections
+    ):
+        scenario = write_scenario(
+            tmp_path,
+            runs_per_pair=10,
+            amplitudes=UNIFORM_AMPLITUDES,
+            singlet_angles=[0, 90, 45, 135],
+        )
+        report = run_json(tmp_path, argv[0], scenario, *argv[1:])
+        assert set(report) == COMMON_KEYS | own_keys
+        assert {key for key in COMMON_KEYS if report[key] is None} == null_sections
         assert report["seed"] == 42
-        assert report["factorization"] is None
+        # The README's "Reports" section lists every command-specific key.
+        assert all(f"`{key}`" in README_REPORTS for key in own_keys)
 
     def test_vessel_chsh_reports_the_maximum(self, tmp_path):
         scenario = write_scenario(tmp_path, runs_per_pair=1000)

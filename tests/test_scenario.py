@@ -2,16 +2,38 @@
 
 import json
 import math
+import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vesselsim import ConfigError, TiePolicy, parse_scenario, scenario_from_dict
+
+from strategies import INVALID_FIELDS, UP_TO_TWO_VALID, VALID_FIELDS
 
 
 def write_scenario(tmp_path, data):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(data))
     return path
+
+
+@st.composite
+def one_fault(draw):
+    """A field name of ``INVALID_FIELDS`` and a valid scenario whose field of
+    that name is replaced by an invalid draw (added, for ``unknown_field``)."""
+    name = draw(st.sampled_from(sorted(INVALID_FIELDS)))
+    data = {field: draw(valid) for field, valid in VALID_FIELDS.items()}
+    data[name] = draw(INVALID_FIELDS[name])
+    return name, data
+
+
+@st.composite
+def valid_scenarios(draw):
+    """A valid scenario with up to two of its optional fields left out."""
+    absent = draw(st.sampled_from([names for names in UP_TO_TWO_VALID if "seed" not in names]))
+    return {name: draw(valid) for name, valid in VALID_FIELDS.items() if name not in absent}
 
 
 class TestDefaults:
@@ -135,23 +157,37 @@ class TestValidation:
                 write_scenario(tmp_path, {"seed": 1, "singlet_angles": [0, 90, 45]})
             )
 
+    @settings(max_examples=300, deadline=None)
+    @given(fault=one_fault())
+    def test_a_single_fault_is_reported_at_its_field(self, fault):
+        name, data = fault
+        try:
+            scenario_from_dict(data)
+        except ConfigError as error:
+            # The field's path, ended, so that "scenario.seed" cannot pass for "scenario.seeds".
+            path = "scenario: unknown" if name == "unknown_field" else rf"scenario\.{name}[:.\[]"
+            assert re.match(path, str(error)), str(error)
+
 
 class TestEcho:
-    def test_echo_round_trips_to_the_same_scenario(self, tmp_path):
-        amplitude = 1.0 / math.sqrt(11)
-        scenario = parse_scenario(
-            write_scenario(
-                tmp_path,
-                {
-                    "seed": 9,
-                    "system": {"total_volume": 18.0},
-                    "runs_per_pair": 200,
-                    "amplitudes": [[amplitude, 0.0]] * 11,
-                    "singlet_angles": [0, 90, 45, 135],
-                },
-            )
-        )
-        assert scenario_from_dict(scenario.echo()) == scenario
+    @settings(max_examples=300, deadline=None)
+    @given(data=valid_scenarios())
+    @example(
+        data={
+            "seed": 9,
+            "system": {"total_volume": 18.0},
+            "runs_per_pair": 200,
+            "amplitudes": [[1.0 / math.sqrt(11), 0.0]] * 11,
+            "singlet_angles": [0, 90, 45, 135],
+        }
+    )
+    def test_echo_round_trips_to_the_same_scenario(self, data):
+        scenario = scenario_from_dict(data)
+        echo = scenario.echo()
+        assert json.loads(json.dumps(echo, allow_nan=False)) == echo
+        again = scenario_from_dict(echo)
+        assert again == scenario
+        assert again.echo() == echo
 
     def test_echo_is_json_serializable(self, tmp_path):
         scenario = parse_scenario(write_scenario(tmp_path, {"seed": 3}))

@@ -36,7 +36,7 @@ class TestRunChunks:
             (4, 100_000, 1, None),
         ],
     )
-    def test_pool_is_clamped_to_chunks_and_cpus(
+    def test_no_thread_starts_and_chunks_run_in_order(
         self, monkeypatch, cpus, workers, n_chunks, pool_size
     ):
         # Rows of the retired pool's clamp: pool_size threads is what it

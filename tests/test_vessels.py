@@ -185,7 +185,7 @@ def one_run(pair, lam, system):
     return int(left[0]), int(right[0])
 
 
-class TestRunCoincidence:
+class TestPairProducts:
     def test_joint_siphons_anticorrelate(self):
         lam = SiphonDiameters(2.0, 1.0)
         assert one_run(PAIR_AB, lam, VesselSystem()) == (1, -1)
@@ -224,7 +224,7 @@ class TestRunCoincidence:
     @pytest.mark.parametrize(
         "policy", [TiePolicy.FAVOR_LEFT, TiePolicy.FAVOR_RIGHT, TiePolicy.SPLIT_COIN]
     )
-    def test_joint_product_sum_is_the_sum_of_the_products(self, policy):
+    def test_joint_pair_products_follow_left_wins_and_sum_to_minus_n(self, policy):
         # Diameters on a 17-point grid, so about one row in 17 is tied.
         rng = np.random.default_rng(3)
         lambda_a, lambda_b = 1.0 + rng.integers(0, 17, size=(2, 2000)) / 16
@@ -236,7 +236,7 @@ class TestRunCoincidence:
         # Whoever wins, the other side loses: the products sum to -n.
         assert int(left @ right) == -2000
 
-    def test_joint_product_sum_raises_at_the_first_tie(self):
+    def test_pair_products_and_left_wins_raise_at_the_first_tie(self):
         lambda_a = np.array([1.0, 2.0, 1.5, 1.25])
         lambda_b = np.array([1.5, 2.0, 1.5, 1.0])
         with pytest.raises(DegenerateTieError) as expected:
@@ -252,7 +252,7 @@ class TestRunCoincidence:
     @pytest.mark.parametrize(
         "policy", [TiePolicy.FAVOR_LEFT, TiePolicy.FAVOR_RIGHT, TiePolicy.SPLIT_COIN]
     )
-    def test_joint_left_wins_counts_the_left_outcomes(self, policy):
+    def test_left_wins_and_scan_counts_count_the_left_outcomes(self, policy):
         rng = np.random.default_rng(4)
         lambda_a, lambda_b = 1.0 + rng.integers(0, 17, size=(2, 2000)) / 16
         assert (lambda_a == lambda_b).sum() > 50
@@ -264,7 +264,7 @@ class TestRunCoincidence:
         assert losses == 2000 - int(np.count_nonzero(wins)) == int((left == -1).sum())
         assert left_wins(lambda_a[:0], lambda_b[:0], policy, 5).shape == (0,)
 
-    def test_joint_left_wins_raises_at_the_first_tie(self):
+    def test_scan_counts_raises_at_the_first_tie_like_left_wins(self):
         lambda_a = np.array([1.0, 2.0, 1.5, 1.25])
         lambda_b = np.array([1.5, 2.0, 1.5, 1.0])
         with pytest.raises(DegenerateTieError) as expected:
