@@ -2,19 +2,21 @@
 
 Exit codes: 0 success, 2 configuration error, 3 domain invariant or
 numerical failure, running out of memory included.  Nothing is written
-on an error path: ``--out`` receives a temporary file in its directory that
-replaces it only once the whole report is written, and stdout receives the
-report only once it is complete.
+on an error path: every report is complete in a file before its target
+sees a byte.  A regular ``--out`` is replaced by a temporary file from its
+own directory; stdout and a device or pipe named by ``--out`` get a copy of
+an anonymous spool file.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
+import shutil
 import sys
+import tempfile
 from collections.abc import Callable
 from pathlib import Path
 from typing import TextIO
@@ -48,22 +50,25 @@ def render_csv(dump: commands.RunDump, out: TextIO) -> None:
 
 
 def commit(out: str | None, write: Callable[[TextIO], None]) -> None:
-    """Run ``write`` on a text stream so that the target gets the whole
+    """Run ``write`` on a text file so that the target gets the whole
     report or nothing.
 
     A regular file (or a new one) at ``out`` is replaced by a temporary file
     from its own directory once ``write`` returns, and the temporary file is
     removed if anything fails.  Stdout, and a device or pipe named by
-    ``out``, get the report from memory once it is complete.
+    ``out``, get a copy of an anonymous ``tempfile.TemporaryFile`` once
+    ``write`` returns; the spool has no name and goes when it is closed.
     """
     path = None if out is None else Path(out)
     if path is None or (path.exists() and not path.is_file()):
-        buffer = io.StringIO()
-        write(buffer)
-        if path is None:
-            sys.stdout.write(buffer.getvalue())
-        else:
-            path.write_text(buffer.getvalue())
+        with tempfile.TemporaryFile("w+") as spool:
+            write(spool)
+            spool.seek(0)
+            if path is None:
+                shutil.copyfileobj(spool, sys.stdout)
+            else:
+                with open(path, "w") as handle:
+                    shutil.copyfileobj(spool, handle)
         return
     target = path.resolve()
     fd, temporary = _create_beside(target)

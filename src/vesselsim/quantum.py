@@ -107,8 +107,8 @@ def born_samples(
 ) -> np.ndarray:
     """Draw ``n`` division outcomes; the state itself is never touched.
 
-    The draws equal ``rng.choice(11, n, p=probabilities)``: one uniform per
-    outcome, located in the cdf.  The uniforms are drawn ``CHUNK_SIZE`` at
+    The draws equal ``rng.choice(11, n, p=probabilities / probabilities.sum())``:
+    one uniform per outcome, located in the cdf.  The uniforms are drawn ``CHUNK_SIZE`` at
     a time, which leaves the stream's values unchanged.
     """
     check_count(n)

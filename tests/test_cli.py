@@ -1042,7 +1042,8 @@ class TestAtomicCommit:
         assert len(streamed) == 1 and streamed[0] > 0
         assert out.read_text() == PREVIOUS
         assert leftovers(tmp_path, {"scenario.json", "report.csv"}) == []
-        # Stdout buffers the report, so it gets nothing either.
+        # Stdout gets a copy of the spool only once the report is complete,
+        # so it gets nothing either.
         assert run_cli(argv) == 3
         assert capsys.readouterr().out == ""
 
@@ -1148,6 +1149,40 @@ class TestAtomicCommit:
         scenario = write_scenario(tmp_path, runs_per_pair=10)
         assert run_cli(["vessel-chsh", "--scenario", scenario]) == 3
         assert "cannot write output to stdout: Broken pipe" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out", [None, os.devnull])
+    def test_spool_that_cannot_be_made_writes_nothing(self, tmp_path, capsys, monkeypatch, out):
+        # Stdout and devices get a copy of an anonymous spool file made in
+        # tempfile.gettempdir(); without it, the run fails before any output.
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+        scenario = write_scenario(tmp_path, runs_per_pair=10)
+        argv = ["vessel-chsh", "--scenario", scenario, "--format", "csv"]
+        assert run_cli(argv if out is None else [*argv, "--out", out]) == 3
+        captured = capsys.readouterr()
+        target = "stdout" if out is None else repr(out)
+        assert f"cannot write output to {target}: No such file or directory" in captured.err
+        assert captured.out == ""
+        assert leftovers(tmp_path, {"scenario.json"}) == []
+
+    def test_taken_temporary_name_is_drawn_again(self, tmp_path, monkeypatch):
+        out = tmp_path / "report.json"
+        taken = bytes(6)
+        occupied = tmp_path / f".report.json.{taken.hex()}"
+        occupied.write_text(PREVIOUS)
+        draws = []
+        real_urandom = os.urandom
+
+        def repeat_then_fresh(size):
+            draws.append(size)
+            return taken if len(draws) <= 2 else real_urandom(size)
+
+        monkeypatch.setattr(os, "urandom", repeat_then_fresh)
+        scenario = write_scenario(tmp_path, runs_per_pair=10)
+        assert run_cli(["vessel-chsh", "--scenario", scenario, "--out", str(out)]) == 0
+        assert draws == [6, 6, 6]
+        assert json.loads(out.read_text())["bell"]["value"] == 4.0
+        assert occupied.read_text() == PREVIOUS
+        assert leftovers(tmp_path, {"scenario.json", "report.json", occupied.name}) == []
 
     def test_new_report_gets_the_usual_file_mode(self, tmp_path):
         umask = os.umask(0o022)

@@ -1,11 +1,13 @@
-"""The golden singlet and vessel reports rebuilt from the README's stream
-layout and singlet rule alone, without vesselsim's code.
+"""The golden singlet, vessel and sample-state reports rebuilt from the
+README's stream layout, singlet rule and report fields alone, without
+vesselsim's code.
 
 Each random column of coincidence pair k (AB, A'B, AB', A'B' are 0..3) is
 the whole run's draws from ``default_rng(SeedSequence(seed, spawn_key=(k,
 column)))``: a vessel pair's left diameters ``uniform(low, high)`` on column
 0 and right ones on column 1, a singlet pair's left coins ``integers(0, 2)``
-on column 0 and agreement uniforms ``random()`` on column 1.  Every column
+on column 0 and agreement uniforms ``random()`` on column 1.  The Born
+sampler is consumer 5, its uniforms ``random()`` on column 0.  Every column
 is drawn at once here, so no chunking can show.  Outcomes come from
 ``per_run_outcomes``, sums are Python integers, and the mean and standard
 error follow the README's formula.
@@ -16,6 +18,8 @@ import hashlib
 import io
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,12 @@ from conftest import per_run_outcomes
 from test_golden import CASES, GOLDEN, LARGE_HASHES, LARGE_SCENARIO
 
 PAIRS = ("AB", "A'B", "AB'", "A'B'")
+BORN = 5
+VERSION = re.search(
+    r'^version = "(.+)"$',
+    (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text(),
+    re.MULTILINE,
+)[1]
 
 
 def column(seed, pair, index):
@@ -142,3 +152,81 @@ def test_analytic_report_from_the_singlet_rule():
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerows([("pair", "expectation"), *zip(PAIRS, means)])
     assert out.getvalue() == (GOLDEN / "quantum-chsh-analytic.csv").read_text()
+
+
+def sample_state_echo(scenario):
+    """The README's echo of a scenario that gives ``amplitudes`` and no
+    ``singlet_angles``: every field with its default where the file leaves
+    it out, and numbers other than ``seed`` and ``runs_per_pair`` as
+    floats."""
+    system = {"total_volume": 20.0, "transparent": True, **scenario.get("system", {})}
+    sampler = {"low": 0.5, "high": 3.0, **scenario.get("sampler", {})}
+    return {
+        "seed": scenario["seed"],
+        "runs_per_pair": scenario.get("runs_per_pair", 1000),
+        "tie_policy": scenario.get("tie_policy", "error"),
+        "system": {
+            "total_volume": float(system["total_volume"]),
+            "transparent": system["transparent"],
+        },
+        "sampler": {"low": float(sampler["low"]), "high": float(sampler["high"])},
+        "amplitudes": [[float(re), float(im)] for re, im in scenario["amplitudes"]],
+    }
+
+
+def born_draws(scenario):
+    """The squared moduli of the amplitudes and the Born draw x of every
+    sample: each uniform located with ``searchsorted(side="right")`` in the
+    cdf that ``Generator.choice`` builds for ``p = probabilities /
+    sum(probabilities)``, the running sum of ``p`` divided by its last
+    entry."""
+    amplitudes = np.array([complex(re, im) for re, im in scenario["amplitudes"]])
+    probabilities = np.abs(amplitudes) ** 2
+    p = probabilities / probabilities.sum()
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    seed, n = scenario["seed"], scenario["runs_per_pair"]
+    draws = cdf.searchsorted(column(seed, BORN, 0).random(n), side="right")
+    # The same draws as Generator.choice makes from the same column.
+    assert np.array_equal(draws, column(seed, BORN, 0).choice(11, n, p=p))
+    return probabilities, draws
+
+
+def sample_state_csv(scenario):
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["sample_index", "x", "left_liters", "right_liters"])
+    for index, x in enumerate(born_draws(scenario)[1].tolist()):
+        writer.writerow([index, x, x, 10 - x])
+    return out.getvalue()
+
+
+def test_sample_state_report_from_the_born_draws():
+    _, _, scenario = CASES["sample-state"]
+    probabilities, draws = born_draws(scenario)
+    moduli = np.abs(np.array([complex(re, im) for re, im in scenario["amplitudes"]]))
+    rank = sum(modulus > 1e-9 for modulus in moduli.tolist())
+    assert json.loads((GOLDEN / "sample-state.json").read_text()) == {
+        "scenario": sample_state_echo(scenario),
+        "estimates": None,
+        "bell": None,
+        "factorization": None,
+        "version": VERSION,
+        "seed": scenario["seed"],
+        "histogram": [draws.tolist().count(x) for x in range(11)],
+        "n_samples": scenario["runs_per_pair"],
+        "probabilities": probabilities.tolist(),
+        "schmidt_rank": rank,
+        "entangled": rank >= 2,
+    }
+
+
+def test_sample_state_csv_from_the_born_draws():
+    _, _, scenario = CASES["sample-state"]
+    assert sample_state_csv(scenario) == (GOLDEN / "sample-state.csv").read_text()
+
+
+def test_large_sample_state_hash_from_the_born_draws():
+    text = sample_state_csv(LARGE_SCENARIO).encode()
+    line = f"{hashlib.sha256(text).hexdigest()}  sample-state.csv\n"
+    assert line in LARGE_HASHES.read_text().splitlines(keepends=True)
