@@ -317,8 +317,10 @@ def simulate_flow(
     left share converges to ``total * lambda_a^2 / (lambda_a^2 + lambda_b^2)``.
 
     The constant-rate phase is collapsed algebraically (no clipping can occur
-    while each vessel still holds a full step's outflow), which keeps the
-    result identical to the naive step loop while large step counts stay cheap.
+    while each vessel still holds a full step's outflow), so large step
+    counts stay cheap.  The result agrees with the naive step loop within
+    rounding, not bit for bit: one multiplication replaces many additions,
+    and the two differ in the last bits (the tests allow 1e-9 L).
     Steps whose outflows leave the float range, and more than
     ``MAX_FLOW_STEPS`` of them, raise ``FlowRangeError``.
     """

@@ -18,7 +18,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from vesselsim import (
@@ -27,24 +27,23 @@ from vesselsim import (
     HiddenVariableSampler,
     TiePolicy,
     __version__,
-    born_samples,
     commands,
     locality,
     pair_chunks,
     parse_scenario,
     scan_columns,
     scenario_from_dict,
-    singlet_analytic_estimates,
     singlet_model,
     streams,
     vessel_model,
     vessels,
 )
-from vesselsim.bell import PAIR_STREAM, mean_and_stderr
+from vesselsim.bell import PAIR_STREAM
 from vesselsim.cli import commit, main, render_csv, render_json
 from vesselsim.commands import CSV_ROWS_PER_WRITE
 from vesselsim.errors import DegenerateTieError, VesselSimError
 
+import oracle
 from strategies import FOLD_FIELDS, NORMAL, TIE_PRONE, UNIFORM_AMPLITUDES, scenario_dicts
 
 
@@ -630,19 +629,23 @@ class TestDeterminism:
         assert out_q1.read_bytes() == out_q4.read_bytes()
 
 
+def oracle_run(tmp_path, argv, **fields):
+    """The CSV rows of ``argv`` on a scenario of seed 42 and ``fields``,
+    once its JSON report and CSV dump are checked to be the oracle's.  The
+    oracle folds its report from its own rows, so the rows fold to the JSON."""
+    scenario = write_scenario(tmp_path, **fields)
+    report = run_json(tmp_path, argv[0], scenario, *argv[1:])
+    rows = run_csv(tmp_path, argv[0], scenario, *argv[1:])
+    expected_report, expected_text = oracle.expected(argv, {"seed": 42, **fields})
+    assert (tmp_path / "dump.csv").read_text() == expected_text
+    assert report == expected_report
+    return rows
+
+
 class TestCsvDumps:
     def test_vessel_rows_reproduce_the_estimates(self, tmp_path):
-        scenario = write_scenario(tmp_path, runs_per_pair=200)
-        report = run_json(tmp_path, "vessel-chsh", scenario)
-        rows = run_csv(tmp_path, "vessel-chsh", scenario)
+        rows = oracle_run(tmp_path, ["vessel-chsh"], runs_per_pair=200)
         assert len(rows) == 4 * 200
-        by_pair = {}
-        for row in rows:
-            by_pair.setdefault(row["pair"], []).append(int(row["product"]))
-        for entry in report["estimates"]:
-            products = by_pair[entry["pair"]]
-            assert len(products) == entry["n"]
-            assert sum(products) / len(products) == entry["mean"]
 
     def test_vessel_rows_are_internally_consistent(self, tmp_path):
         scenario = write_scenario(tmp_path, runs_per_pair=50)
@@ -653,24 +656,15 @@ class TestCsvDumps:
                 assert (int(row["outcome_left"]) == 1) == wider_left
 
     def test_sample_state_rows_match_histogram(self, tmp_path):
-        scenario = write_scenario(tmp_path, runs_per_pair=400, amplitudes=UNIFORM_AMPLITUDES)
-        report = run_json(tmp_path, "sample-state", scenario)
-        rows = run_csv(tmp_path, "sample-state", scenario)
+        fields = {"runs_per_pair": 400, "amplitudes": UNIFORM_AMPLITUDES}
+        rows = oracle_run(tmp_path, ["sample-state"], **fields)
         assert len(rows) == 400
-        counts = [0] * 11
-        for row in rows:
-            counts[int(row["x"])] += 1
-            assert int(row["left_liters"]) + int(row["right_liters"]) == 10
-        assert counts == report["histogram"]
+        assert all(int(row["left_liters"]) + int(row["right_liters"]) == 10 for row in rows)
 
     def test_locality_rows_match_summary(self, tmp_path):
-        scenario = write_scenario(tmp_path, runs_per_pair=150)
-        report = run_json(tmp_path, "locality-check", scenario)
-        rows = run_csv(tmp_path, "locality-check", scenario)
+        rows = oracle_run(tmp_path, ["locality-check"], runs_per_pair=150)
         assert len(rows) == 150
         assert all(row["satisfiable"] == "False" for row in rows)
-        witness_count = sum(row["witness_differs"] == "True" for row in rows)
-        assert witness_count == report["factorization"]["witness_count"]
         for row in rows:
             differs = (float(row["lambda_a"]) < float(row["lambda_b"]))
             assert (row["witness_differs"] == "True") == differs
@@ -680,36 +674,16 @@ class TestCsvDumps:
     )
     def test_locality_counts_match_the_rows_across_chunks(self, tmp_path, n):
         # A 17-double sampler range ties about one row in 17.
-        scenario = write_scenario(
-            tmp_path,
-            runs_per_pair=n,
-            sampler={"low": 1.0, "high": 1.0 + 2.0**-48},
-            tie_policy="split_coin",
-        )
-        report = run_json(tmp_path, "locality-check", scenario)
-        rows = run_csv(tmp_path, "locality-check", scenario)
+        sampler = {"low": 1.0, "high": 1.0 + 2.0**-48}
+        fields = {"runs_per_pair": n, "sampler": sampler, "tie_policy": "split_coin"}
+        rows = oracle_run(tmp_path, ["locality-check"], **fields)
         assert len(rows) == n
         assert sum(row["lambda_a"] == row["lambda_b"] for row in rows) > n // 50
-        summary = report["factorization"]
-        witnesses = sum(row["witness_differs"] == "True" for row in rows)
-        unsatisfiable = sum(row["satisfiable"] == "False" for row in rows)
-        assert (summary["witness_count"], summary["unsatisfiable_count"]) == (
-            witnesses,
-            unsatisfiable,
-        )
 
     def test_quantum_rows_reproduce_the_estimates(self, tmp_path):
-        scenario = write_scenario(
-            tmp_path, runs_per_pair=300, singlet_angles=[0, 90, 45, 135]
-        )
-        report = run_json(tmp_path, "quantum-chsh", scenario)
-        rows = run_csv(tmp_path, "quantum-chsh", scenario)
-        by_pair = {}
-        for row in rows:
-            by_pair.setdefault(row["pair"], []).append(int(row["product"]))
-        for entry in report["estimates"]:
-            products = by_pair[entry["pair"]]
-            assert sum(products) / len(products) == entry["mean"]
+        fields = {"runs_per_pair": 300, "singlet_angles": [0, 90, 45, 135]}
+        rows = oracle_run(tmp_path, ["quantum-chsh"], **fields)
+        assert len(rows) == 4 * 300
 
     def test_analytic_quantum_dump_lists_expectations(self, tmp_path):
         scenario = write_scenario(tmp_path, singlet_angles=[0, 90, 45, 135])
@@ -730,14 +704,10 @@ class TestCsvDumps:
 def csv_writer_bytes(fieldnames, rows):
     """The reference: a header and ``rows`` as ``csv.writer(lineterminator="\\n")``
     writes them.  Every row must be a tuple of plain Python str, int, float or bool."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(fieldnames)
     for row in rows:
         assert type(row) is tuple
         assert {type(cell) for cell in row} <= {str, int, float, bool}
-        writer.writerow(row)
-    return buffer.getvalue()
+    return oracle.csv_text(fieldnames, rows)
 
 
 def first_difference(text, expected):
@@ -787,71 +757,6 @@ def tail_dumps(draw):
 BYTES_RUNS = streams.CHUNK_SIZE + 2500
 
 
-def chsh_reference(model, run_columns):
-    """Every run of ``model`` on the four pairs, from its collected columns."""
-    fieldnames = ["pair", "run_index", *run_columns, "outcome_left", "outcome_right", "product"]
-
-    def rows(n):
-        for pair in vessels.ALL_PAIRS:
-            index = 0
-            for _, columns in pair_chunks(model, pair, n, collect=True):
-                cells = zip(*(columns[name].tolist() for name in fieldnames[2:-1]))
-                for *leading, left, right in cells:
-                    yield (pair.label, index, *leading, left, right, left * right)
-                    index += 1
-
-    return fieldnames, rows
-
-
-def vessel_reference(scenario):
-    model = vessel_model(scenario.sampler, scenario.system, scenario.tie_policy)
-    fieldnames, rows = chsh_reference(model, ["lambda_a", "lambda_b"])
-    return fieldnames, rows(scenario.runs_per_pair)
-
-
-def singlet_reference(scenario):
-    fieldnames, rows = chsh_reference(singlet_model(scenario.singlet_angles, scenario.seed), [])
-    return fieldnames, rows(scenario.runs_per_pair)
-
-
-def analytic_reference(scenario):
-    estimates = singlet_analytic_estimates(scenario.singlet_angles)
-    rows = [(estimate.pair.label, estimate.mean) for estimate in estimates]
-    return ["pair", "expectation"], rows
-
-
-def born_reference(scenario):
-    rng = streams.substream(scenario.seed, streams.BORN_STREAM, 0)
-    draws = born_samples(scenario.state(), scenario.runs_per_pair, rng).tolist()
-    fieldnames = ["sample_index", "x", "left_liters", "right_liters"]
-    return fieldnames, [(index, x, x, TOTAL_LITERS - x) for index, x in enumerate(draws)]
-
-
-LOCALITY_FIELDS = [
-    "sample_index",
-    "lambda_a",
-    "lambda_b",
-    *locality.PRODUCT_COLUMNS,
-    "satisfiable",
-    "witness_with_b",
-    "witness_with_bprime",
-    "witness_differs",
-]
-
-
-def locality_reference(scenario):
-    """``scan_columns`` on every chunk of the scenario's locality draws."""
-    chunks = scenario.sampler.draw_chunks(scenario.runs_per_pair, key=(streams.LOCALITY_STREAM,))
-    rows = []
-    for lambda_a, lambda_b in chunks:
-        columns = scan_columns(
-            lambda_a, lambda_b, scenario.system, scenario.tie_policy, scenario.seed
-        )
-        columns.update(lambda_a=lambda_a, lambda_b=lambda_b)
-        rows += zip(*(columns[name].tolist() for name in LOCALITY_FIELDS[1:]))
-    return LOCALITY_FIELDS, [(index, *row) for index, row in enumerate(rows)]
-
-
 def flow_reference(scenario):
     report, _ = commands.flow(scenario, 2.0, 1.0, 1e-4)
     fieldnames = ["lambda_a", "lambda_b", "dt", "x_left", "x_right"]
@@ -860,8 +765,8 @@ def flow_reference(scenario):
 
 
 class TestCsvBytes:
-    """The dumps are the bytes ``csv.writer`` writes for rows rebuilt from
-    the library's columns."""
+    """The dumps are the bytes ``csv.writer`` writes for the oracle's rows
+    (``flow``'s for its report's cells)."""
 
     @settings(max_examples=60, deadline=None)
     @given(dump=tail_dumps())
@@ -872,52 +777,38 @@ class TestCsvBytes:
         assert out.getvalue() == csv_writer_bytes(fieldnames, rows)
 
     @pytest.mark.parametrize(
-        "argv, collect, reference",
+        "argv, collect",
         [
-            (
-                ["vessel-chsh"],
-                lambda s: commands.vessel_chsh(s, collect_runs=True),
-                vessel_reference,
-            ),
-            (
-                ["quantum-chsh"],
-                lambda s: commands.quantum_chsh(s, collect_runs=True),
-                singlet_reference,
-            ),
+            (["vessel-chsh"], lambda s: commands.vessel_chsh(s, collect_runs=True)),
+            (["quantum-chsh"], lambda s: commands.quantum_chsh(s, collect_runs=True)),
             (
                 ["quantum-chsh", "--analytic"],
                 lambda s: commands.quantum_chsh(s, analytic=True, collect_runs=True),
-                analytic_reference,
             ),
-            (
-                ["sample-state"],
-                lambda s: commands.sample_state(s, collect_runs=True),
-                born_reference,
-            ),
-            (
-                ["locality-check"],
-                lambda s: commands.locality_check(s, collect_runs=True),
-                locality_reference,
-            ),
+            (["sample-state"], lambda s: commands.sample_state(s, collect_runs=True)),
+            (["locality-check"], lambda s: commands.locality_check(s, collect_runs=True)),
             (
                 ["flow", "--lambda-a", "2.0", "--lambda-b", "1.0"],
                 lambda s: commands.flow(s, 2.0, 1.0, 1e-4, collect_runs=True),
-                flow_reference,
             ),
         ],
         ids=["vessel-chsh", "quantum-chsh", "analytic", "sample-state", "locality-check", "flow"],
     )
-    def test_every_producer_writes_the_csv_writer_bytes(self, tmp_path, argv, collect, reference):
-        scenario = write_scenario(
-            tmp_path,
-            runs_per_pair=BYTES_RUNS,
-            singlet_angles=[0, 90, 45, 135],
-            amplitudes=UNIFORM_AMPLITUDES,
-        )
+    def test_every_producer_writes_the_csv_writer_bytes(self, tmp_path, argv, collect):
+        data = {
+            "seed": 42,
+            "runs_per_pair": BYTES_RUNS,
+            "singlet_angles": [0, 90, 45, 135],
+            "amplitudes": UNIFORM_AMPLITUDES,
+        }
+        scenario = write_scenario(tmp_path, **data)
         out = tmp_path / "dump.csv"
         assert run_cli([*argv, "--scenario", scenario, "--format", "csv", "--out", str(out)]) == 0
         _, dump = collect(parse_scenario(scenario))
-        expected = csv_writer_bytes(*reference(parse_scenario(scenario)))
+        if argv[0] == "flow":
+            expected = csv_writer_bytes(*flow_reference(parse_scenario(scenario)))
+        else:
+            expected = oracle.expected(argv, data)[1]
         assert expected.count("\n") == len(dump.rows) + 1
         assert first_difference(out.read_text(), expected) is None
         # Each write after the header is one slice of 1 to CSV_ROWS_PER_WRITE whole lines.
@@ -964,12 +855,11 @@ class TestCsvTails:
         }
         if policy != "error":
             data["sampler"] = TIE_PRONE
-        scenario = scenario_from_dict(data)
-        _, dump = commands.locality_check(scenario, collect_runs=True)
-        fieldnames, rows = locality_reference(scenario)
+        _, dump = commands.locality_check(scenario_from_dict(data), collect_runs=True)
+        fieldnames, *rows = csv.reader(io.StringIO(oracle.expected(["locality-check"], data)[1]))
         assert "".join(dump.rows) == "".join(csv_line(row) for row in rows)
         witness = fieldnames.index("witness_with_b")
-        assert {row[witness] for row in rows} == {-1, 1}
+        assert {row[witness] for row in rows} == {"-1", "1"}
         if policy != "error":
             assert any(row[1] == row[2] for row in rows)
 
@@ -1365,6 +1255,7 @@ class TestContractFuzz:
 
 
 SAMPLING_COMMANDS = ["vessel_chsh", "quantum_chsh", "sample_state", "locality_check"]
+TIED_SCENARIO = {"seed": 29, "runs_per_pair": 60, "sampler": TIE_PRONE}
 
 
 def outcome_or_error(produce):
@@ -1377,11 +1268,16 @@ def outcome_or_error(produce):
 
 class TestCsvFoldsToJson:
     """For generated scenarios, with chunks of 7 runs so that small run
-    counts cross many chunk boundaries, every number of a sampling command's
-    JSON report is the fold of its CSV rows."""
+    counts cross many chunk boundaries, a sampling command's JSON report and
+    CSV dump are the oracle's.  The oracle folds each report from the rows
+    of its own dump, so every JSON number is the fold of the CSV rows."""
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.builds(dict, **FOLD_FIELDS), name=st.sampled_from(SAMPLING_COMMANDS))
+    # 60 tie-prone runs: pair AB ties 4 times and the scan 3 times, each
+    # broken by "favor_right".
+    @example(data={**TIED_SCENARIO, "tie_policy": "favor_right"}, name="vessel_chsh")
+    @example(data={**TIED_SCENARIO, "tie_policy": "favor_right"}, name="locality_check")
     def test_json_numbers_are_the_fold_of_the_csv_rows(self, data, name):
         command = getattr(commands, name)
         with pytest.MonkeyPatch.context() as patch:
@@ -1389,39 +1285,16 @@ class TestCsvFoldsToJson:
             scenario = scenario_from_dict(data)
             report = outcome_or_error(lambda: json.loads(render_json(command(scenario)[0])))
             text = outcome_or_error(lambda: csv_text(command(scenario, collect_runs=True)[1]))
+        expected = oracle.expected([name.replace("_", "-")], data)
         if isinstance(report, type) or isinstance(text, type):
-            # Only an exact tie under the "error" policy stops a run, on both paths.
+            # Only an exact tie under the "error" policy stops a run, on both
+            # paths, and it is a tie for the oracle too.
             assert report is text is DegenerateTieError
+            assert expected is None
             return
-        rows = list(csv.DictReader(io.StringIO(text)))
-        n = scenario.runs_per_pair
-        if name in ("vessel_chsh", "quantum_chsh"):
-            products = {entry["pair"]: [] for entry in report["estimates"]}
-            for row in rows:
-                left, right = int(row["outcome_left"]), int(row["outcome_right"])
-                assert int(row["product"]) == left * right
-                products[row["pair"]].append(left * right)
-            for entry in report["estimates"]:
-                assert entry["n"] == len(products[entry["pair"]]) == n
-                mean, stderr = mean_and_stderr(sum(products[entry["pair"]]), n)
-                assert (entry["mean"], entry["stderr"]) == (mean, stderr)
-        elif name == "sample_state":
-            histogram = [0] * (TOTAL_LITERS + 1)
-            for row in rows:
-                histogram[int(row["x"])] += 1
-                assert int(row["left_liters"]) == int(row["x"])
-                assert int(row["right_liters"]) == TOTAL_LITERS - int(row["x"])
-            assert report["histogram"] == histogram
-            assert report["n_samples"] == len(rows) == n
-        else:
-            factorization = report["factorization"]
-            assert factorization["sample_count"] == len(rows) == n
-            assert factorization["witness_count"] == sum(
-                row["witness_differs"] == "True" for row in rows
-            )
-            assert factorization["unsatisfiable_count"] == sum(
-                row["satisfiable"] == "False" for row in rows
-            )
+        assert (report, text) == expected
+        # Floats bit for bit: 0.0 == -0.0 and 1 == 1.0 would pass the dict comparison.
+        assert json.dumps(report, sort_keys=True) == json.dumps(expected[0], sort_keys=True)
 
 
 # Every subcommand as a command line; flow gets its diameters when drawn.

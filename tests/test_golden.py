@@ -2,12 +2,13 @@
 
 A refactor of the command path is accepted when these files still match byte
 for byte.  The sampling reports under ``tests/golden/`` were last written
-when every random column got its own substream (README, "Stream layout"),
-and ``tests/test_reference.py`` rebuilds the Monte Carlo ones from that
-layout alone.  ``large-dumps.sha256`` pins every CSV producer at a size that
-crosses a chunk boundary and many write slices by the sha256 of its bytes.
-Regenerate them only for an intended change of the report format or the
-stream layout, with
+when every random column got its own substream (README, "Stream layout").
+``tests/test_reference.py`` checks every file but ``flow``'s, the
+``locality-check`` ones included, against ``tests/oracle.py``, which
+rebuilds them from the README alone.  ``large-dumps.sha256`` pins every CSV
+producer at a size that crosses a chunk boundary and many write slices by
+the sha256 of its bytes.  Regenerate them only for an intended change of
+the report format or the stream layout, with
 
     PYTHONPATH=src python tests/test_golden.py --regen
 """

@@ -1,6 +1,7 @@
 """Factorization search, contextuality witnesses, correlation classification."""
 
 import itertools
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from vesselsim import (
 from vesselsim import locality
 from vesselsim.locality import PRODUCT_COLUMNS, SCAN_COLUMNS, scan_counts
 
-from conftest import per_run_outcomes
+from oracle import per_run_outcomes, satisfiable
 from strategies import NORMAL, TIE_PRONE
 
 VESSEL_TABLE = ContextualOutcomeTable(-1, 1, 1, 1)
@@ -36,19 +37,8 @@ RESOLVING_POLICIES = [policy for policy in TiePolicy if policy is not TiePolicy.
 
 
 def brute_force_satisfiable(table):
-    """Independent re-check: nested loops, no shared code with the library."""
-    for e_a in (1, -1):
-        for e_aprime in (1, -1):
-            for e_b in (1, -1):
-                for e_bprime in (1, -1):
-                    if (
-                        e_a * e_b == table.product_ab
-                        and e_aprime * e_b == table.product_aprime_b
-                        and e_a * e_bprime == table.product_ab_prime
-                        and e_aprime * e_bprime == table.product_aprime_bprime
-                    ):
-                        return True
-    return False
+    """The oracle's search over the 16 sign assignments, no shared code with the library."""
+    return satisfiable(astuple(table))
 
 
 class TestContextualTable:
