@@ -9,7 +9,11 @@ scenarios yield byte-identical output.
 
 The dump's rows are computed lazily, one chunk of runs at a time, while the
 CSV is written, and each slice of at most ``CSV_ROWS_PER_WRITE`` rows of a
-chunk becomes one text, built by a single ``str.join``.  With
+chunk becomes one text, built by a single ``str.join``.  No row formats an
+integer: its running index is a head shared by up to 1000 rows (the prefix
+and the index's leading digits) and an entry of a table of the texts of
+0..999 or of the endings "000".."999", and every pre-rendered tail carries
+its leading comma.  With
 ``collect_runs`` every command returns no report (None): CSV output does
 not use it, and for the sampling commands it would take a second pass over
 the runs.
@@ -53,16 +57,24 @@ from .vessels import (
 )
 
 
-def _csv_lines(rows: Iterable[Iterable]) -> np.ndarray:
-    """Each row's cells rendered as a CSV line, or a line's tail, in an
-    object array so that a chunk's tails are one take."""
-    return np.array([",".join(map(str, row)) + "\n" for row in rows], dtype=object)
+def _csv_lines(rows: Iterable[Iterable], lead: str = "") -> np.ndarray:
+    """Each row's cells rendered as a CSV line after ``lead`` (a line's tail
+    takes its leading ","), in an object array so that a chunk's tails are
+    one take."""
+    return np.array([lead + ",".join(map(str, row)) + "\n" for row in rows], dtype=object)
 
 
-# outcome_left, outcome_right, product at 2 * (outcome_left > 0) + (outcome_right > 0).
-_CHSH_TAILS = _csv_lines((left, right, left * right) for left in (-1, 1) for right in (-1, 1))
-# x, left_liters, right_liters at the Born draw x.
-_BORN_TAILS = _csv_lines((x, x, TOTAL_LITERS - x) for x in range(TOTAL_LITERS + 1))
+# ,outcome_left,outcome_right,product at 2 * (outcome_left > 0) + (outcome_right > 0).
+_CHSH_TAILS = _csv_lines(
+    ((left, right, left * right) for left in (-1, 1) for right in (-1, 1)), ","
+)
+# ,x,left_liters,right_liters at the Born draw x.
+_BORN_TAILS = _csv_lines(((x, x, TOTAL_LITERS - x) for x in range(TOTAL_LITERS + 1)), ",")
+
+# A running index i's last digits: _DIGITS[i] below 1000, else
+# _ENDINGS[i % 1000] after the head's str(i // 1000).
+_DIGITS = [str(i) for i in range(1000)]
+_ENDINGS = [f"{i:03d}" for i in range(1000)]
 
 # The flow report's section and its one CSV row, in this order.
 FLOW_COLUMNS = ("lambda_a", "lambda_b", "dt", "x_left", "x_right", "outcome_left", "outcome_right")
@@ -97,19 +109,33 @@ class RunDump:
     rows: Iterable[str] = ()
 
 
+def _index_pieces(prefix: str, first: int, stop: int) -> tuple[list[str], list[str]]:
+    """The heads and the table entries that join to ``prefix + str(i)`` for
+    each running index i in [first, stop)."""
+    heads, lows = [], []
+    for thousand in range(first // 1000, (stop - 1) // 1000 + 1):
+        base = 1000 * thousand
+        lo, hi = max(first - base, 0), min(stop - base, 1000)
+        heads += [prefix + str(thousand) if thousand else prefix] * (hi - lo)
+        lows += (_ENDINGS if thousand else _DIGITS)[lo:hi]
+    return heads, lows
+
+
 def _row_blocks(chunks: Iterable[list[np.ndarray]], prefix: str = "") -> Iterator[str]:
     """The CSV lines of each chunk of cell columns, one text per slice of at
     most ``CSV_ROWS_PER_WRITE`` rows: ``prefix``, a running row index and a
-    cell of each column, the last column holding the pre-rendered line tails."""
+    cell of each column, the last column holding the pre-rendered line tails
+    with their leading separator."""
     start = 0
     for *cells, tails in chunks:
-        # A row's pieces: the prefix, the index, then a separator and a cell per column.
-        row = [prefix, None] + [",", None] * (len(cells) + 1)
+        # A row's pieces: the index's head and table entry, a separator and a
+        # cell per column, then the tail.
+        row = [None, None] + [",", None] * len(cells) + [None]
         width = len(row)
         for lo in range(0, len(tails), CSV_ROWS_PER_WRITE):
             hi = min(lo + CSV_ROWS_PER_WRITE, len(tails))
             pieces = row * (hi - lo)
-            pieces[1::width] = map(str, range(start + lo, start + hi))
+            pieces[0::width], pieces[1::width] = _index_pieces(prefix, start + lo, start + hi)
             # .tolist() gives Python floats, ints and strs: str writes repr and str.
             for offset, column in enumerate(cells, 1):
                 pieces[1 + 2 * offset :: width] = map(str, column[lo:hi].tolist())
@@ -201,7 +227,7 @@ def locality_check(
     if collect_runs:
         # The joint run's winner fixes the cells after lambda_b: the
         # scan_rows row of a left loss, then of a left win.
-        tails = _csv_lines(scan_rows(scenario.system))
+        tails = _csv_lines(scan_rows(scenario.system), ",")
         blocks = ([a, b, tails[left_wins(a, b, *tie_args).astype(np.intp)]] for a, b in chunks)
         dump.rows = RowBlocks(_row_blocks(blocks), n)
         return None, dump

@@ -42,6 +42,7 @@ from vesselsim.bell import PAIR_STREAM
 from vesselsim.cli import commit, main, render_csv, render_json
 from vesselsim.commands import CSV_ROWS_PER_WRITE
 from vesselsim.errors import DegenerateTieError, VesselSimError
+from vesselsim.scenario import MAX_RUNS_PER_PAIR
 
 import oracle
 from strategies import FOLD_FIELDS, NORMAL, TIE_PRONE, UNIFORM_AMPLITUDES, scenario_dicts
@@ -731,11 +732,12 @@ CELLS = st.one_of(
 def tail_dumps(draw):
     """Fieldnames, ``_row_blocks`` inputs and the rows they stand for: an
     optional label, a running index, drawn leading cells and a tail from a
-    drawn table, in up to three blocks of up to two slices and a row."""
+    drawn table (rendered with its leading separator), in up to three blocks
+    of up to two slices and a row."""
     label = draw(st.one_of(st.none(), st.sampled_from(PAIR_LABELS)))
     width = draw(st.integers(0, 3))
     table = draw(st.lists(st.tuples(*[CELLS] * draw(st.integers(1, 3))), min_size=1, max_size=4))
-    tails = commands._csv_lines(table)
+    tails = commands._csv_lines(table, ",")
     leading = draw(st.lists(st.tuples(*[CELLS] * width), min_size=1, max_size=5))
     chunks, rows = [], []
     for _ in range(draw(st.integers(0, 3))):
@@ -762,6 +764,33 @@ def flow_reference(scenario):
     fieldnames = ["lambda_a", "lambda_b", "dt", "x_left", "x_right"]
     fieldnames += ["outcome_left", "outcome_right"]
     return fieldnames, [tuple(report["flow"][name] for name in fieldnames)]
+
+
+# The largest running index, and the most rows a test slice spans.
+MAX_INDEX = MAX_RUNS_PER_PAIR - 1
+TWO_SLICES = 2 * CSV_ROWS_PER_WRITE
+
+
+class TestRowIndex:
+    """A row's running index is a head and a table entry, not a formatted int."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        first=st.integers(0, MAX_INDEX),
+        length=st.integers(0, TWO_SLICES),
+        prefix=st.sampled_from(["", *(label + "," for label in PAIR_LABELS)]),
+    )
+    @example(first=999, length=2, prefix="")
+    @example(first=1000, length=1, prefix="AB,")
+    @example(first=9999, length=2, prefix="")
+    @example(first=10000, length=CSV_ROWS_PER_WRITE, prefix="A'B',")
+    @example(first=MAX_INDEX + 1 - TWO_SLICES, length=TWO_SLICES, prefix="")
+    @example(first=MAX_INDEX, length=1, prefix="AB',")
+    def test_index_pieces_join_to_the_index(self, first, length, prefix):
+        stop = min(first + length, MAX_INDEX + 1)
+        heads, lows = commands._index_pieces(prefix, first, stop)
+        joined = [head + low for head, low in zip(heads, lows, strict=True)]
+        assert joined == [prefix + str(index) for index in range(first, stop)]
 
 
 class TestCsvBytes:
@@ -830,19 +859,20 @@ def csv_line(cells):
 
 
 class TestCsvTails:
-    """The pre-rendered line tails stand for exactly the cells they replace."""
+    """The pre-rendered line tails stand for exactly the cells they replace,
+    with the separator before them: a cell and a tail are a whole line."""
 
     def test_chsh_tails_are_the_csv_writer_lines(self):
         assert len(commands._CHSH_TAILS) == 4
         for left in (-1, 1):
             for right in (-1, 1):
                 tail = commands._CHSH_TAILS[2 * (left > 0) + (right > 0)]
-                assert tail == csv_line([left, right, left * right])
+                assert "0" + tail == csv_line([0, left, right, left * right])
 
     def test_born_tails_are_the_csv_writer_lines(self):
         assert len(commands._BORN_TAILS) == TOTAL_LITERS + 1
         for x in range(TOTAL_LITERS + 1):
-            assert commands._BORN_TAILS[x] == csv_line([x, x, TOTAL_LITERS - x])
+            assert "0" + commands._BORN_TAILS[x] == csv_line([0, x, x, TOTAL_LITERS - x])
 
     @pytest.mark.parametrize("transparent", [True, False])
     @pytest.mark.parametrize("policy", [policy.value for policy in TiePolicy])
@@ -1275,9 +1305,13 @@ class TestCsvFoldsToJson:
     @settings(max_examples=100, deadline=None)
     @given(data=st.builds(dict, **FOLD_FIELDS), name=st.sampled_from(SAMPLING_COMMANDS))
     # 60 tie-prone runs: pair AB ties 4 times and the scan 3 times, each
-    # broken by "favor_right".
+    # broken by every policy that resolves ties.
+    @example(data={**TIED_SCENARIO, "tie_policy": "favor_left"}, name="vessel_chsh")
+    @example(data={**TIED_SCENARIO, "tie_policy": "favor_left"}, name="locality_check")
     @example(data={**TIED_SCENARIO, "tie_policy": "favor_right"}, name="vessel_chsh")
     @example(data={**TIED_SCENARIO, "tie_policy": "favor_right"}, name="locality_check")
+    @example(data={**TIED_SCENARIO, "tie_policy": "split_coin"}, name="vessel_chsh")
+    @example(data={**TIED_SCENARIO, "tie_policy": "split_coin"}, name="locality_check")
     def test_json_numbers_are_the_fold_of_the_csv_rows(self, data, name):
         command = getattr(commands, name)
         with pytest.MonkeyPatch.context() as patch:
