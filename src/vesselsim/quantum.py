@@ -109,15 +109,20 @@ def born_samples(
 
     The draws equal ``rng.choice(11, n, p=probabilities / probabilities.sum())``:
     one uniform per outcome, located in the cdf.  The uniforms are drawn ``CHUNK_SIZE`` at
-    a time, which leaves the stream's values unchanged.
+    a time, which leaves the stream's values unchanged.  A uniform's outcome
+    is the count of bounds ``cdf[:-1]`` at or below it, which is
+    ``cdf.searchsorted(uniform, side="right")``, as every uniform lies below
+    ``cdf[-1]``, exactly 1; ``born_histogram`` compares with the same bounds.
     """
     check_count(n)
     rng = _as_rng(seed_or_rng)
     cdf = _born_cdf(state)
-    draws = np.empty(n, dtype=np.intp)
+    draws = np.zeros(n, dtype=np.intp)
     start = 0
     for uniforms in run_chunks(rng.random, n):
-        draws[start : start + len(uniforms)] = cdf.searchsorted(uniforms, side="right")
+        outcomes = draws[start : start + len(uniforms)]
+        for bound in cdf[:-1]:
+            outcomes += uniforms >= bound
         start += len(uniforms)
     return draws
 

@@ -1,24 +1,25 @@
 """Sampler settings and hypothesis strategies shared by the test modules.
 
 Hypothesis's mutator copies one drawn span over another with the same
-label.  Where the two spans come from different strategies, or from a
-variable-length collection (whose last "one more?" span is shorter than
-the others), the copy can run out of choices and the example is discarded
-as invalid, with no event.  Every ``st.lists``, ``st.sets`` and
-``st.fixed_dictionaries`` does this, and every ``.map()`` and
-``st.fixed_dictionaries`` shares one label.  So the strategies here are
-built from ``st.builds``, ``st.tuples`` and ``st.one_of``, whose labels
-follow their contents.
+label.  Where the two take different numbers of choices, the test can run
+out of choices, and the example is discarded as invalid with no event:
+two draws of one ``st.lists``, or of one ``st.one_of`` over lists of
+different lengths, do this.  Every ``.map()`` shares one label.  So the
+strategies here are built from ``st.builds``, ``st.tuples`` and
+``st.one_of``, whose labels follow their contents, and ``up_to`` draws
+every element a list may hold.
 """
 
 import cmath
 import math
 import sys
-from itertools import combinations
+from itertools import combinations, cycle, islice
 
+import numpy as np
 from hypothesis import strategies as st
 
-from vesselsim import TiePolicy
+from vesselsim import TiePolicy, commands, vessels
+from vesselsim.commands import CSV_ROWS_PER_WRITE
 
 # [1, 1 + 2**-48] holds only 17 doubles, so about one diameter pair in 17 is
 # an exact tie; [0.5, 3], the default range, almost never ties.
@@ -32,9 +33,14 @@ def fixed_length(element, size):
     return st.builds(list, st.tuples(*[element] * size))
 
 
-def up_to(element, max_size):
-    """Lists of 0 to ``max_size`` elements, each length equally likely."""
-    return st.one_of([fixed_length(element, size) for size in range(max_size + 1)])
+def _first(count, elements):
+    return list(elements[:count])
+
+
+def up_to(element, max_size, min_size=0):
+    """Lists of ``min_size`` to ``max_size`` elements: the first of
+    ``max_size`` drawn ones."""
+    return st.builds(_first, st.integers(min_size, max_size), st.tuples(*[element] * max_size))
 
 
 # Seeds that break the seed rule (an integer, not a bool, in [0, 2**64)).
@@ -45,9 +51,61 @@ NUMBERS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from(EXTREME_NUMBERS + [math.nan, math.inf, -math.inf]),
 )
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
 WRONG_TYPES = st.sampled_from([None, "1.0", True, [], {}, [1.0]])
 ANY_VALUE = st.one_of(NUMBERS, WRONG_TYPES, st.integers(-(2**70), 2**70))
 POSITIVE = st.floats(min_value=5e-324, allow_infinity=False)
+
+# Values that each reader refuses whatever the rest of the scenario holds.
+# An integer past the float range reads as infinite.
+BAD_NUMBERS = st.one_of(WRONG_TYPES, st.sampled_from([math.nan, math.inf, -math.inf, 10**400]))
+NOT_POSITIVE = st.one_of(st.floats(max_value=0.0), st.integers(max_value=0), BAD_NUMBERS)
+NOT_BOOL = st.one_of(NUMBERS, st.integers(-1, 2), st.sampled_from([None, "true", [], {}, [True]]))
+NOT_AN_OBJECT = st.one_of(NUMBERS, st.sampled_from([None, "{}", True, [], [1.0]]))
+NOT_A_LIST = st.one_of(NUMBERS, st.sampled_from([None, "[]", True, {}]))
+NOT_A_PAIR = st.one_of(
+    NOT_A_LIST,
+    *[fixed_length(FINITE, size) for size in (0, 1, 3)],
+    st.builds(list, st.tuples(BAD_NUMBERS, FINITE)),
+    st.builds(list, st.tuples(FINITE, BAD_NUMBERS)),
+)
+
+
+@st.composite
+def born_amplitudes(draw):
+    """Normalized amplitudes with drawn Born weights and phases."""
+    weights = draw(fixed_length(st.floats(0.0, 1.0), 11))
+    weights[draw(st.integers(0, 10))] += 1.0
+    phases = draw(fixed_length(st.floats(-math.pi, math.pi), 11))
+    total = sum(weights)
+    return [
+        [math.sqrt(w / total) * math.cos(p), math.sqrt(w / total) * math.sin(p)]
+        for w, p in zip(weights, phases)
+    ]
+
+
+def at(where, values):
+    """``values``, each paired with ``where``: the start of its refusal."""
+    return st.tuples(st.just(where), values)
+
+
+def _with_entry(field, entries, index, bad):
+    index %= len(entries)
+    return f"scenario.{field}[{index}]: ", [*entries[:index], bad, *entries[index + 1 :]]
+
+
+def entry_faults(field, entries, bad):
+    """Lists of ``entries`` with one replaced by a ``bad`` draw, each paired
+    with that entry's path; the entries before it are valid."""
+    return st.builds(_with_entry, st.just(field), entries, st.integers(0, 10), bad)
+
+
+def _empty_interval(low, fraction):
+    return {"low": low, "high": low * fraction}
+
+
+def _scaled(amplitudes, factor):
+    return [[factor * re, factor * im] for re, im in amplitudes]
 
 
 # Each scenario field as a valid value (extreme magnitudes included) and as
@@ -78,30 +136,58 @@ VALID_FIELDS = {
         st.just(UNIFORM_AMPLITUDES),
         st.integers(0, 10).map(lambda k: [[float(i == k), 0.0] for i in range(11)]),
     ),
-    "singlet_angles": fixed_length(
-        st.one_of(st.floats(-720, 720), st.floats(allow_nan=False, allow_infinity=False)), 4
-    ),
+    "singlet_angles": fixed_length(st.one_of(st.floats(-720, 720), FINITE), 4),
 }
+# Each invalid value is drawn with the start of the message that must refuse
+# it (``at``): the field's path and a colon, so that "scenario.seed" cannot
+# pass for "scenario.seeds".  The parser refuses every draw whatever the
+# valid fields around it hold, so no draw is filtered.
 INVALID_FIELDS = {
-    "seed": st.one_of(st.integers(-(2**70), -1), st.integers(2**64, 2**70), NUMBERS, WRONG_TYPES),
+    "seed": at(
+        "scenario.seed: ",
+        st.one_of(st.integers(-(2**70), -1), st.integers(2**64, 2**70), NUMBERS, WRONG_TYPES),
+    ),
     "system": st.one_of(
-        st.builds(dict, total_volume=NUMBERS),
-        st.builds(dict, transparent=WRONG_TYPES),
-        st.builds(dict, depth=ANY_VALUE),
-        WRONG_TYPES,
+        at("scenario.system.total_volume: ", st.builds(dict, total_volume=NOT_POSITIVE)),
+        at("scenario.system.transparent: ", st.builds(dict, transparent=NOT_BOOL)),
+        at("scenario.system: unknown field", st.builds(dict, depth=ANY_VALUE)),
+        at("scenario.system: ", NOT_AN_OBJECT),
     ),
     "sampler": st.one_of(
-        st.builds(dict, low=st.one_of(NUMBERS, WRONG_TYPES), high=NUMBERS),
-        WRONG_TYPES,
+        at("scenario.sampler.low: ", st.builds(dict, low=NOT_POSITIVE)),
+        # Not above the default low of 0.5, or not above a drawn low.
+        at("scenario.sampler.high: ", st.builds(dict, high=st.floats(max_value=0.5) | BAD_NUMBERS)),
+        at("scenario.sampler.high: ", st.builds(_empty_interval, POSITIVE, st.floats(0.0, 1.0))),
+        at("scenario.sampler: unknown field", st.builds(dict, width=ANY_VALUE)),
+        at("scenario.sampler: ", NOT_AN_OBJECT),
     ),
-    "runs_per_pair": st.one_of(
-        st.integers(2**53 + 1, 2**200),
-        st.sampled_from([2**53 + 1, 10**30, 0, -3, 1.5, math.nan, "10", None]),
+    "runs_per_pair": at(
+        "scenario.runs_per_pair: ",
+        st.integers(2**53 + 1, 2**200)
+        | st.sampled_from([2**53 + 1, 10**30, 0, -3, 1.5, math.nan, "10", None]),
     ),
-    "tie_policy": st.one_of(st.just("coin"), WRONG_TYPES),
-    "amplitudes": st.one_of(up_to(fixed_length(NUMBERS, 2), 12), WRONG_TYPES),
-    "singlet_angles": st.one_of(up_to(NUMBERS, 5), WRONG_TYPES),
-    "unknown_field": ANY_VALUE,
+    "tie_policy": at("scenario.tie_policy: ", st.just("coin") | WRONG_TYPES),
+    # Not a list, pairs of finite numbers but not 11 of them, 11 pairs not
+    # normalized, or a list with one bad entry.
+    "amplitudes": st.one_of(
+        at(
+            "scenario.amplitudes: ",
+            st.one_of(
+                NOT_A_LIST,
+                *[fixed_length(fixed_length(FINITE, 2), size) for size in range(13) if size != 11],
+                st.builds(_scaled, born_amplitudes(), st.floats(0, 0.99) | st.floats(1.01, 1e300)),
+            ),
+        ),
+        entry_faults("amplitudes", st.just(UNIFORM_AMPLITUDES), NOT_A_PAIR),
+    ),
+    "singlet_angles": st.one_of(
+        at(
+            "scenario.singlet_angles: ",
+            st.one_of(NOT_A_LIST, *[fixed_length(NUMBERS, size) for size in (0, 1, 2, 3, 5)]),
+        ),
+        entry_faults("singlet_angles", fixed_length(FINITE, 4), BAD_NUMBERS),
+    ),
+    "unknown_field": at("scenario: unknown field", ANY_VALUE),
 }
 
 
@@ -118,21 +204,8 @@ def scenario_dicts(draw):
     absent = draw(st.sampled_from(UP_TO_TWO_VALID))
     broken = draw(st.sampled_from(UP_TO_TWO_INVALID))
     data = {name: draw(valid) for name, valid in VALID_FIELDS.items() if name not in absent}
-    data.update({name: draw(INVALID_FIELDS[name]) for name in sorted(broken)})
+    data.update({name: draw(INVALID_FIELDS[name])[1] for name in sorted(broken)})
     return data
-
-
-@st.composite
-def born_amplitudes(draw):
-    """Normalized amplitudes with drawn Born weights and phases."""
-    weights = draw(fixed_length(st.floats(0.0, 1.0), 11))
-    weights[draw(st.integers(0, 10))] += 1.0
-    phases = draw(fixed_length(st.floats(-math.pi, math.pi), 11))
-    total = sum(weights)
-    return [
-        [math.sqrt(w / total) * math.cos(p), math.sqrt(w / total) * math.sin(p)]
-        for w, p in zip(weights, phases)
-    ]
 
 
 def _amplitude(nonzero, x, y):
@@ -167,3 +240,46 @@ FOLD_FIELDS = {
     "runs_per_pair": st.integers(1, 60),
     "amplitudes": st.one_of(VALID_FIELDS["amplitudes"], born_amplitudes()),
 }
+
+
+PAIR_LABELS = [pair.label for pair in vessels.ALL_PAIRS]
+CELLS = st.one_of(
+    st.sampled_from(PAIR_LABELS),
+    st.integers(),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 2.5e-310, 1e16, 1e-05, 1.7976931348623157e308]),
+)
+
+
+def _tail_dump(label, leading, table, blocks):
+    """Fieldnames, ``_row_blocks`` inputs and the rows they stand for.  Each
+    row is the optional ``label``, a running index, the next of the
+    ``leading`` rows and a tail: the table row of the next pick, rendered
+    with its leading separator.  Each block is a row count and its picks,
+    cycled."""
+    width = len(leading[0])
+    tails = commands._csv_lines(table, ",")
+    chunks, rows = [], []
+    for length, picks in blocks:
+        cells = list(islice(cycle(leading), length))
+        picked = list(islice(cycle([pick % len(table) for pick in picks]), length))
+        columns = [np.array([row[k] for row in cells], dtype=object) for k in range(width)]
+        chunks.append([*columns, tails[np.array(picked, dtype=np.intp)]])
+        rows += [(*cell, *table[pick]) for cell, pick in zip(cells, picked)]
+    prefix = () if label is None else (label,)
+    rows = [(*prefix, index, *row) for index, row in enumerate(rows)]
+    fieldnames = [f"field_{index}" for index in range(len(prefix) + 1 + width + len(table[0]))]
+    texts = commands._row_blocks(chunks, "" if label is None else label + ",")
+    return fieldnames, texts, rows
+
+
+# Up to three blocks of up to two row slices and a row, with 1 to 5 picks each;
+# 1 to 5 leading rows of 0 to 3 cells; 1 to 4 table rows of 1 to 3 cells.
+tail_dumps = st.builds(
+    _tail_dump,
+    st.sampled_from([None, *PAIR_LABELS]),
+    st.one_of([up_to(st.tuples(*[CELLS] * width), 5, min_size=1) for width in range(4)]),
+    st.one_of([up_to(st.tuples(*[CELLS] * width), 4, min_size=1) for width in (1, 2, 3)]),
+    up_to(st.tuples(st.integers(0, 2 * CSV_ROWS_PER_WRITE + 1), up_to(st.integers(0, 3), 5, 1)), 3),
+)

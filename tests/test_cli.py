@@ -12,7 +12,7 @@ import subprocess
 import sys
 import tempfile
 import threading
-from itertools import cycle, islice, zip_longest
+from itertools import zip_longest
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -45,7 +45,8 @@ from vesselsim.errors import DegenerateTieError, VesselSimError
 from vesselsim.scenario import MAX_RUNS_PER_PAIR
 
 import oracle
-from strategies import FOLD_FIELDS, NORMAL, TIE_PRONE, UNIFORM_AMPLITUDES, scenario_dicts
+from strategies import FOLD_FIELDS, NORMAL, PAIR_LABELS, TIE_PRONE, UNIFORM_AMPLITUDES
+from strategies import scenario_dicts, tail_dumps
 
 
 def write_scenario(tmp_path, name="scenario.json", **overrides):
@@ -580,55 +581,6 @@ class TestReportSchema:
         assert abs(report["flow"]["x_left"] - 16.0) <= 0.05
         assert report["flow"]["outcome_left"] == 1
 
-    def test_scenario_echo_round_trip_reproduces_report(self, tmp_path):
-        scenario = write_scenario(tmp_path, runs_per_pair=300)
-        first = run_json(tmp_path, "vessel-chsh", scenario)
-        echo_path = tmp_path / "echo.json"
-        echo_path.write_text(json.dumps(first["scenario"]))
-        second = run_json(tmp_path, "vessel-chsh", str(echo_path))
-        assert first == second
-
-
-class TestDeterminism:
-    @pytest.mark.parametrize(
-        "subcommand,extra,overrides",
-        [
-            ("vessel-chsh", (), {"runs_per_pair": 500}),
-            ("locality-check", (), {"runs_per_pair": 100}),
-            ("sample-state", (), {"runs_per_pair": 500, "amplitudes": UNIFORM_AMPLITUDES}),
-            ("quantum-chsh", (), {"runs_per_pair": 500, "singlet_angles": [0, 90, 45, 135]}),
-            (
-                "flow",
-                ("--lambda-a", "1.2", "--lambda-b", "0.8"),
-                {},
-            ),
-        ],
-    )
-    def test_reports_are_byte_identical(self, tmp_path, subcommand, extra, overrides):
-        scenario = write_scenario(tmp_path, **overrides)
-        out_a = tmp_path / "a.json"
-        out_b = tmp_path / "b.json"
-        assert run_cli([subcommand, "--scenario", scenario, "--out", str(out_a), *extra]) == 0
-        assert run_cli([subcommand, "--scenario", scenario, "--out", str(out_b), *extra]) == 0
-        assert out_a.read_bytes() == out_b.read_bytes()
-
-    def test_worker_count_never_changes_the_report(self, tmp_path):
-        scenario = write_scenario(tmp_path, runs_per_pair=100_000)
-        out_serial = tmp_path / "serial.json"
-        out_threaded = tmp_path / "threaded.json"
-        run_cli(["vessel-chsh", "--scenario", scenario, "--out", str(out_serial), "--workers", "1"])
-        run_cli(["vessel-chsh", "--scenario", scenario, "--out", str(out_threaded), "--workers", "4"])
-        assert out_serial.read_bytes() == out_threaded.read_bytes()
-
-        scenario_q = write_scenario(
-            tmp_path, "quantum.json", runs_per_pair=100_000, singlet_angles=[0, 90, 45, 135]
-        )
-        out_q1 = tmp_path / "q1.json"
-        out_q4 = tmp_path / "q4.json"
-        run_cli(["quantum-chsh", "--scenario", scenario_q, "--out", str(out_q1), "--workers", "1"])
-        run_cli(["quantum-chsh", "--scenario", scenario_q, "--out", str(out_q4), "--workers", "4"])
-        assert out_q1.read_bytes() == out_q4.read_bytes()
-
 
 def oracle_run(tmp_path, argv, **fields):
     """The CSV rows of ``argv`` on a scenario of seed 42 and ``fields``,
@@ -718,43 +670,6 @@ def first_difference(text, expected):
     return next(((index, *pair) for index, pair in enumerate(pairs) if pair[0] != pair[1]), None)
 
 
-PAIR_LABELS = [pair.label for pair in vessels.ALL_PAIRS]
-CELLS = st.one_of(
-    st.sampled_from(PAIR_LABELS),
-    st.integers(),
-    st.booleans(),
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.sampled_from([-0.0, 5e-324, 2.5e-310, 1e16, 1e-05, 1.7976931348623157e308]),
-)
-
-
-@st.composite
-def tail_dumps(draw):
-    """Fieldnames, ``_row_blocks`` inputs and the rows they stand for: an
-    optional label, a running index, drawn leading cells and a tail from a
-    drawn table (rendered with its leading separator), in up to three blocks
-    of up to two slices and a row."""
-    label = draw(st.one_of(st.none(), st.sampled_from(PAIR_LABELS)))
-    width = draw(st.integers(0, 3))
-    table = draw(st.lists(st.tuples(*[CELLS] * draw(st.integers(1, 3))), min_size=1, max_size=4))
-    tails = commands._csv_lines(table, ",")
-    leading = draw(st.lists(st.tuples(*[CELLS] * width), min_size=1, max_size=5))
-    chunks, rows = [], []
-    for _ in range(draw(st.integers(0, 3))):
-        length = draw(st.integers(0, 2 * CSV_ROWS_PER_WRITE + 1))
-        picks = draw(st.lists(st.integers(0, len(table) - 1), min_size=1, max_size=5))
-        cells = list(islice(cycle(leading), length))
-        tail_index = np.array(list(islice(cycle(picks), length)), dtype=np.intp)
-        columns = [np.array([row[k] for row in cells], dtype=object) for k in range(width)]
-        chunks.append([*columns, tails[tail_index]])
-        rows += [(*cells[i], *table[tail_index[i]]) for i in range(length)]
-    prefix = () if label is None else (label,)
-    rows = [(*prefix, index, *row) for index, row in enumerate(rows)]
-    fieldnames = [f"field_{index}" for index in range(len(prefix) + 1 + width + len(table[0]))]
-    texts = commands._row_blocks(chunks, "" if label is None else label + ",")
-    return fieldnames, texts, rows
-
-
 # Each sampling command's dump crosses a chunk boundary and many row slices.
 BYTES_RUNS = streams.CHUNK_SIZE + 2500
 
@@ -798,7 +713,7 @@ class TestCsvBytes:
     (``flow``'s for its report's cells)."""
 
     @settings(max_examples=60, deadline=None)
-    @given(dump=tail_dumps())
+    @given(dump=tail_dumps)
     def test_template_rows_are_the_csv_writer_bytes(self, dump):
         fieldnames, blocks, rows = dump
         out = io.StringIO()
@@ -1331,7 +1246,7 @@ class TestCsvFoldsToJson:
         assert json.dumps(report, sort_keys=True) == json.dumps(expected[0], sort_keys=True)
 
 
-# Every subcommand as a command line; flow gets its diameters when drawn.
+# Every subcommand as a command line; flow gets drawn diameters.
 COMMAND_LINES = [
     ["vessel-chsh"],
     ["locality-check"],
@@ -1342,10 +1257,76 @@ COMMAND_LINES = [
 ]
 
 
+def picked_by_hand(command, **fields):
+    """A hand-picked case of ``TestBytesRepeat``: ``command`` (flow's with
+    its diameters) on a scenario of seed 42 and ``fields``.  It must succeed
+    in JSON at the default chunk size, where 100k runs make four chunks."""
+    return {"seed": 42, **fields}, command
+
+
+HAND_PICKED_REPEATS = [
+    picked_by_hand(["vessel-chsh"], runs_per_pair=500),
+    picked_by_hand(["vessel-chsh"], runs_per_pair=300),
+    picked_by_hand(["locality-check"], runs_per_pair=100),
+    picked_by_hand(["sample-state"], runs_per_pair=500, amplitudes=UNIFORM_AMPLITUDES),
+    picked_by_hand(["quantum-chsh"], runs_per_pair=500, singlet_angles=[0, 90, 45, 135]),
+    picked_by_hand(["flow", "--lambda-a", "1.2", "--lambda-b", "0.8"]),
+    picked_by_hand(["vessel-chsh"], runs_per_pair=100_000),
+    picked_by_hand(["quantum-chsh"], runs_per_pair=100_000, singlet_angles=[0, 90, 45, 135]),
+]
+
+
+def assert_same_bytes(data, command, fmt, hand_picked):
+    """``command`` on the scenario ``data`` writes the same bytes to a file
+    and to stdout, at every ``--workers`` count, and from the report's echo
+    of the scenario.  Generated scenarios run in chunks of 7 runs and may
+    stop on a domain error; hand-picked ones run at the default chunk size
+    and must succeed."""
+    if command[0] in ("vessel-chsh", "quantum-chsh"):
+        # --workers is parsed and then unused; hand-picked cases ask for 4 too.
+        workers = [["--workers", count] for count in ("1234" if hand_picked else "123")]
+    else:
+        workers = [[]]
+    with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
+        patch.setattr(streams, "CHUNK_SIZE", streams.CHUNK_SIZE if hand_picked else 7)
+        scenario = Path(tmp) / "scenario.json"
+        scenario.write_text(json.dumps(data))
+
+        def run(scenario_path, options=workers[0], out="report.out", fmt=fmt):
+            """The exit code and the bytes written to ``out`` (stdout when
+            None), or None for the bytes when nothing was written."""
+            argv = [*command, *options, "--format", fmt, "--scenario", str(scenario_path)]
+            if out is None:
+                with contextlib.redirect_stdout(io.StringIO()) as stdout:
+                    code = main(argv)
+                return code, stdout.getvalue().encode() or None
+            target = Path(tmp) / out
+            target.unlink(missing_ok=True)
+            code = main([*argv, "--out", str(target)])
+            return code, target.read_bytes() if target.exists() else None
+
+        first = run(scenario)
+        # A valid scenario fails only on a domain error, such as a tie
+        # under the "error" policy, and then writes nothing.
+        assert first[0] in ((0,) if hand_picked else (0, 3))
+        assert (first[1] is None) == (first[0] == 3)
+        assert run(scenario, out=None) == first
+        for options in workers[1:]:
+            assert run(scenario, options) == first
+        if first[0] == 3:
+            return
+        code, report = first if fmt == "json" else run(scenario, fmt="json")
+        assert code == 0
+        echo = Path(tmp) / "echo.json"
+        echo.write_text(json.dumps(json.loads(report)["scenario"]))
+        assert run(echo) == first
+
+
 class TestBytesRepeat:
-    """For generated scenarios, with chunks of 7 runs, a command's output
-    bytes do not depend on where they go, on ``--workers``, or on whether
-    the scenario is the original file or the report's echo of it.
+    """For generated scenarios, with chunks of 7 runs, and for hand-picked
+    ones, a command's output bytes do not depend on where they go, on
+    ``--workers``, or on whether the scenario is the original file or the
+    report's echo of it.
 
     A failing example is reported without hypothesis's explain phase.  It
     re-runs the shrunk example up to a hundred times per argument that can
@@ -1365,43 +1346,11 @@ class TestBytesRepeat:
             # two diameters for the shrinker to minimize.
             lambda_a, lambda_b = draws.draw(st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)))
             command = ["flow", f"--lambda-a={lambda_a!r}", f"--lambda-b={lambda_b!r}"]
-        if command[0] in ("vessel-chsh", "quantum-chsh"):
-            workers = [["--workers", count] for count in "123"]
-        else:
-            workers = [[]]
-        with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
-            patch.setattr(streams, "CHUNK_SIZE", 7)
-            scenario = Path(tmp) / "scenario.json"
-            scenario.write_text(json.dumps(data))
+        assert_same_bytes(data, command, fmt, hand_picked=False)
 
-            def run(scenario_path, options=workers[0], out="report.out", fmt=fmt):
-                """The exit code and the bytes written to ``out`` (stdout when
-                None), or None for the bytes when nothing was written."""
-                argv = [*command, *options, "--format", fmt, "--scenario", str(scenario_path)]
-                if out is None:
-                    with contextlib.redirect_stdout(io.StringIO()) as stdout:
-                        code = main(argv)
-                    return code, stdout.getvalue().encode() or None
-                target = Path(tmp) / out
-                target.unlink(missing_ok=True)
-                code = main([*argv, "--out", str(target)])
-                return code, target.read_bytes() if target.exists() else None
-
-            first = run(scenario)
-            # A valid scenario fails only on a domain error, such as a tie
-            # under the "error" policy, and then writes nothing.
-            assert first[0] in (0, 3)
-            assert (first[1] is None) == (first[0] == 3)
-            assert run(scenario, out=None) == first
-            for options in workers[1:]:
-                assert run(scenario, options) == first
-            if first[0] == 3:
-                return
-            code, report = run(scenario, fmt="json")
-            assert code == 0
-            echo = Path(tmp) / "echo.json"
-            echo.write_text(json.dumps(json.loads(report)["scenario"]))
-            assert run(echo) == first
+    @pytest.mark.parametrize("data, command", HAND_PICKED_REPEATS)
+    def test_hand_picked_runs_give_the_same_bytes(self, data, command):
+        assert_same_bytes(data, command, "json", hand_picked=True)
 
 
 def csv_text(dump):

@@ -67,7 +67,7 @@ INTS = st.one_of(
     st.sampled_from([-1, 0, 2**64 - 1, 2**64, True, False]),
     st.floats(allow_nan=True, allow_infinity=True),
 )
-AMPLITUDES = st.lists(st.builds(complex, FLOATS, FLOATS), min_size=10, max_size=12)
+AMPLITUDES = up_to(st.builds(complex, FLOATS, FLOATS), 12, min_size=10)
 # Sample counts: valid ones small enough to run, negative and non-integral ones.
 COUNTS = st.one_of(
     st.integers(0, 40),

@@ -116,11 +116,6 @@ class TestBornSampling:
         born_samples(UNIFORM, 1000, np.random.default_rng(0))
         assert np.array_equal(UNIFORM.amplitudes, before)
 
-    def test_deterministic_given_seed(self):
-        draws_a = born_samples(UNIFORM, 100, 7)
-        draws_b = born_samples(UNIFORM, 100, 7)
-        assert np.array_equal(draws_a, draws_b)
-
     @pytest.mark.parametrize("state_seed", [None, 2024, 77])
     def test_frequencies_match_probabilities(self, state_seed):
         if state_seed is None:
@@ -156,6 +151,7 @@ class TestBornCounting:
 
     @settings(max_examples=60, deadline=None)
     @given(amplitudes=amplitude_vectors, n=sample_counts, seed=st.integers(0, 2**32))
+    @example(amplitudes=UNIFORM.amplitudes, n=100, seed=7)
     def test_samples_equal_the_choice_draws(self, amplitudes, n, seed):
         state = make_state(amplitudes, normalize=True)
         assert np.array_equal(born_samples(state, n, seed), choice_draws(state, n, seed))
@@ -210,10 +206,6 @@ class TestSchmidtRank:
         amplitude_count = 1 + sum(ratio > 1.0 for ratio in ratios)
         independent = int(np.count_nonzero(scipy_linalg.svdvals(coefficient_matrix(state)) > tol))
         assert schmidt_rank(state, tol=tol) == amplitude_count == independent
-
-    def test_negative_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            schmidt_rank(UNIFORM, tol=-1.0)
 
     @given(
         tol=st.one_of(
