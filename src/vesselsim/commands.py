@@ -13,7 +13,9 @@ chunk becomes one text, built by a single ``str.join``.  No row formats an
 integer: its running index is a head shared by up to 1000 rows (the prefix
 and the index's leading digits) and an entry of a table of the texts of
 0..999 or of the endings "000".."999", and every pre-rendered tail carries
-its leading comma.  With
+its leading comma.  The float cells (the diameters) come from one
+``floattext.reprs`` call per column of a slice, which writes Python's
+``repr`` of every value without calling it for most of them.  With
 ``collect_runs`` every command returns no report (None): CSV output does
 not use it, and for the sampling commands it would take a second pass over
 the runs.
@@ -40,6 +42,7 @@ from .bell import (
     vessel_model,
 )
 from .errors import ConfigError, InvariantError
+from .floattext import reprs
 from .locality import SCAN_COLUMNS, CorrelationKind, scan_counts, scan_rows
 from .quantum import (
     TOTAL_LITERS,
@@ -122,10 +125,10 @@ def _index_pieces(prefix: str, first: int, stop: int) -> tuple[list[str], list[s
 
 
 def _row_blocks(chunks: Iterable[list[np.ndarray]], prefix: str = "") -> Iterator[str]:
-    """The CSV lines of each chunk of cell columns, one text per slice of at
-    most ``CSV_ROWS_PER_WRITE`` rows: ``prefix``, a running row index and a
-    cell of each column, the last column holding the pre-rendered line tails
-    with their leading separator."""
+    """The CSV lines of each chunk of float64 cell columns, one text per
+    slice of at most ``CSV_ROWS_PER_WRITE`` rows: ``prefix``, a running row
+    index and the ``repr`` of a cell of each column, the last column holding
+    the pre-rendered line tails with their leading separator."""
     start = 0
     for *cells, tails in chunks:
         # A row's pieces: the index's head and table entry, a separator and a
@@ -136,9 +139,8 @@ def _row_blocks(chunks: Iterable[list[np.ndarray]], prefix: str = "") -> Iterato
             hi = min(lo + CSV_ROWS_PER_WRITE, len(tails))
             pieces = row * (hi - lo)
             pieces[0::width], pieces[1::width] = _index_pieces(prefix, start + lo, start + hi)
-            # .tolist() gives Python floats, ints and strs: str writes repr and str.
             for offset, column in enumerate(cells, 1):
-                pieces[1 + 2 * offset :: width] = map(str, column[lo:hi].tolist())
+                pieces[1 + 2 * offset :: width] = reprs(column[lo:hi])
             pieces[width - 1 :: width] = tails[lo:hi].tolist()
             yield "".join(pieces)
         start += len(tails)

@@ -1,0 +1,213 @@
+"""Exact float64 texts for the CSV dumps, rendered a whole array at a time.
+
+``reprs(values)`` returns ``list(map(repr, values.tolist()))`` for a 1-D
+float64 array, with numpy doing the work that ``float.__repr__`` does one
+value at a time.  Python's ``repr`` writes the shortest decimal that reads
+back as the same float, of those the nearest to it, in fixed notation from
+1e-4 to below 1e16.
+
+The fast path decides the values from 1.5e-4 to 9e15, in the way of the
+Ryu and Schubfach shortest-decimal algorithms (Adams, PLDI 2018; Giulietti
+2020), in exact double arithmetic:
+
+1. E = floor(log10(x)), and y = x * 10**(16 - E) as an exact sum
+   ``hi + lo`` (Dekker's TwoProduct; 10**(16 - E) is an exact double).
+   Only rows with 1e16 < hi < 1e17 go on, which drops a log10 that was
+   rounded across a power of ten.
+2. The reals that read back as x lie within half an ulp of it, within a
+   quarter of the ulp below a power of two.  Scaled the same way, they
+   run from ``hi + lo - below`` to ``hi + lo + above``.  On the fast path
+   ``lo`` and the half-widths are multiples of 2**-47 below 32, so both
+   bounds are exact doubles.  They are odd multiples of a power of two
+   below 1, except where x >= 2**52: there y = 10 x and the bounds are
+   y - 5 and y + 5.  So whether the interval is open or closed (reading
+   rounds half to even) never changes the decimal chosen, and the
+   integers in it run from ``hi + ceil(lo - below)`` to
+   ``hi + floor(lo + above)``.
+3. The shortest decimals are the multiples of the largest 10**j that has a
+   multiple in those integer bounds; the text is the one nearest to y.
+4. A row is not decided where y lies exactly half-way between two such
+   multiples, or where the nearest one falls outside the bounds.
+
+The 17 digits of that multiple D come from a table of 4-digit texts, the
+decimal point goes in by E, and a mask per (E, digit count) keeps each
+text's bytes: all texts come from one compaction, one decode and one
+``split``.  Every value the fast path does not decide -- NaN, infinities,
+zeros, negatives, values outside that range and the rows above -- gets
+``repr`` itself, so the function is total.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+# Values the fast path decides, with the range of their decimal exponents.
+FAST_MIN, FAST_MAX = 1.5e-4, 9e15
+_E_MIN, _E_MAX = -4, 15
+# Digits of the scaled integer, 10**16 <= D < 10**17.
+_DIGITS = 17
+
+# Exact doubles 10**(16 - E), E from _E_MAX down, split for TwoProduct.
+_SCALE = np.array([float(10 ** (16 - e)) for e in range(_E_MAX, _E_MIN - 1, -1)])
+_SPLITTER = 134217729.0  # 2**27 + 1: Veltkamp's split into 26-bit halves
+_EXPONENT_BITS = np.uint64(0x7FF << 52)
+_POW10 = np.array([10**k for k in range(_DIGITS + 1)], dtype=np.int64)
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp: a == high + low exactly, each with at most 26 bits."""
+    c = a * _SPLITTER
+    high = c - (c - a)
+    return high, a - high
+
+
+_SCALE_HIGH, _SCALE_LOW = _split(_SCALE)
+
+# A row's 24 bytes: "\n\n\n0" (the separators that end the row before),
+# "000" and D's first digit, and D's four 4-digit groups, as 4-byte words,
+# so that each group is one lookup.
+_LEAD = np.frombuffer(b"\n\n\n0", dtype=np.uint32)[0]
+_ROW = 24
+# A text's columns are the row's bytes from byte 3, and from byte 2 after
+# the decimal point, which goes in at column 5 + E.  Column 22 is the
+# separator, byte 0 of the next row.
+_SEPARATOR = 22
+
+
+def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The texts of 0000..9999 as words; by E, the columns before the point
+    (0xff bytes); by (E, digit count), plus a last key for an undecided
+    row, the columns a text keeps."""
+    quads = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
+    for place in range(4):
+        quads[..., place] = np.arange(ord("0"), ord("9") + 1).reshape((10,) + (1,) * (3 - place))
+    col = np.arange(_ROW)
+    exponent = np.arange(_E_MIN, _E_MAX + 1)[:, None, None]
+    before = (col < exponent[:, 0] + 5) * np.uint8(0xFF)
+    # From "0." for E < 0, else from the first digit (column 4), through
+    # the last digit, or through the "0" after the point.
+    first = 4 + np.minimum(exponent, 0)
+    last = 4 + np.maximum(np.arange(1, _DIGITS + 1)[:, None], exponent + 2)
+    keep = np.zeros((len(first) * _DIGITS + 1, _ROW), dtype=bool)
+    keep[:-1] = ((col >= first) & (col <= last)).reshape(-1, _ROW)
+    keep[:, _SEPARATOR] = True
+    return quads.view(np.uint32).ravel(), before, keep
+
+
+_QUADS, _BEFORE, _KEEP = _tables()
+_UNDECIDED = len(_KEEP) - 1
+
+
+def _interval(x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """For x in [FAST_MIN, FAST_MAX]: E, y = x * 10**(16 - E) as whole +
+    frac (0 <= frac < 1), the integers from lower to upper that read back
+    as x, and False where log10 was rounded across a power of ten."""
+    exponent = np.log10(x)
+    np.floor(exponent, out=exponent)
+    exponent = exponent.astype(np.int64)
+    index = _E_MAX - exponent
+    scale = _SCALE.take(index)
+    # TwoProduct: y == hi + lo.
+    hi = x * scale
+    x_high, x_low = _split(x)
+    scale_high, scale_low = _SCALE_HIGH.take(index), _SCALE_LOW.take(index)
+    lo = x_high * scale_high - hi
+    lo += x_high * scale_low
+    lo += x_low * scale_high
+    lo += x_low * scale_low
+    # Arrays are dropped as soon as they are used up: the most a call holds
+    # at once adds to the dump's peak memory.
+    del x_high, x_low, scale_high, scale_low
+    decided = (hi > 1e16) & (hi < 1e17)
+    base = hi.astype(np.int64)
+    del hi
+    # x's power of two P: the ulp is P * 2**-52, half as much below P.
+    power = (x.view(np.uint64) & _EXPONENT_BITS).view(np.float64)
+    above = power * scale
+    above *= 2.0**-53
+    below = np.where(x == power, 0.5, 1.0)
+    below *= above
+    below -= lo
+    np.floor(below, out=below)
+    lower = base - below.astype(np.int64)
+    above += lo
+    np.floor(above, out=above)
+    upper = base + above.astype(np.int64)
+    del below, above
+    frac = np.floor(lo)
+    whole = base + frac.astype(np.int64)
+    np.subtract(lo, frac, out=frac)
+    return exponent, whole, frac, lower, upper, decided
+
+
+def _shortest(x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """For x in [FAST_MIN, FAST_MAX]: each row's E, its shortest decimal as
+    a 17-digit integer D (the text's digits, then zeros), the text's digit
+    count, and whether the row is decided."""
+    exponent, whole, frac, lower, upper, decided = _interval(x)
+    # The largest 10**j with a multiple in [lower, upper]: rows move on
+    # to the next power while it has one.
+    j = np.zeros(len(x), dtype=np.int64)
+    rows = np.arange(len(x))
+    for power in range(1, _DIGITS + 1):
+        step = _POW10[power]
+        rows = rows[upper.take(rows) // step * step >= lower.take(rows)]
+        if not len(rows):
+            break
+        j[rows] = power
+    # rest + frac is y's distance above the multiple of step below it;
+    # twice that minus step is exact, and its sign picks the nearest.
+    step = _POW10.take(j)
+    rest = whole % step
+    side = (2 * rest - step).astype(np.float64)
+    side += 2 * frac
+    digits = whole - rest + step * (side > 0)
+    decided &= (side != 0) & (lower <= digits) & (digits <= upper) & (digits < _POW10[_DIGITS])
+    return exponent, digits, _DIGITS - j, decided
+
+
+def _words(digits: np.ndarray) -> np.ndarray:
+    """The rows' words for 17-digit D's, and one more row whose first byte
+    ends the last text."""
+    words = np.empty((len(digits) + 1, _ROW // 4), dtype=np.uint32)
+    words[:, 0] = _LEAD
+    high = digits // 10**8
+    low = digits - high * 10**8
+    first = high // 10**8
+    words[:-1, 1] = _QUADS.take(first)
+    for column, groups in ((2, high - first * 10**8), (4, low)):
+        top = groups // 10**4
+        words[:-1, column] = _QUADS.take(top)
+        words[:-1, column + 1] = _QUADS.take(groups - top * 10**4)
+    return words
+
+
+def _texts(values: np.ndarray) -> tuple[str, list[int]]:
+    """The fast path's texts, each ended by "\\n" (empty where undecided),
+    and the undecided rows."""
+    fast = (values >= FAST_MIN) & (values <= FAST_MAX)
+    exponent, digits, count, decided = _shortest(values if fast.all() else np.where(fast, values, 1.0))
+    decided &= fast
+    digits[~decided] = _POW10[_DIGITS - 1]
+    row_bytes = _words(digits).view(np.uint8).ravel()
+    # Each row's bytes from byte 3 before its point and from byte 2 after
+    # it: a select on the flat bytes.
+    size = len(values) * _ROW
+    laid = row_bytes[3 : size + 3] ^ row_bytes[2 : size + 2]
+    laid &= _BEFORE.take(exponent - _E_MIN, axis=0).ravel()
+    laid ^= row_bytes[2 : size + 2]
+    laid[np.arange(0, size, _ROW) + exponent + 5] = ord(".")
+    key = np.where(decided, (exponent - _E_MIN) * _DIGITS + count - 1, _UNDECIDED)
+    return str(laid[_KEEP.take(key, axis=0).ravel()].data, "ascii"), np.flatnonzero(~decided).tolist()
+
+
+def reprs(values: np.ndarray) -> list[str]:
+    """``list(map(repr, values.tolist()))`` for a 1-D float64 array."""
+    if values.dtype != np.float64 or values.ndim != 1:
+        raise TypeError(f"reprs takes a 1-D float64 array, not {values.ndim}-D {values.dtype}")
+    text, undecided = _texts(values)
+    texts = text.split("\n")
+    texts.pop()
+    for index in undecided:
+        texts[index] = repr(values[index].item())
+    return texts

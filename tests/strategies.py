@@ -200,12 +200,18 @@ UP_TO_TWO_VALID, UP_TO_TWO_INVALID = (
 
 @st.composite
 def scenario_dicts(draw):
-    """A scenario with up to two fields left out and up to two made invalid."""
+    """A scenario with up to two fields left out and up to two made invalid,
+    and the starts of the messages that refuse the invalid ones and a
+    left-out seed, which the parser requires (none if the scenario is
+    valid)."""
     absent = draw(st.sampled_from(UP_TO_TWO_VALID))
     broken = draw(st.sampled_from(UP_TO_TWO_INVALID))
     data = {name: draw(valid) for name, valid in VALID_FIELDS.items() if name not in absent}
-    data.update({name: draw(INVALID_FIELDS[name])[1] for name in sorted(broken)})
-    return data
+    refusals = ["scenario.seed: "] if "seed" in absent else []
+    for name in sorted(broken):
+        where, data[name] = draw(INVALID_FIELDS[name])
+        refusals.append(where)
+    return data, refusals
 
 
 def _amplitude(nonzero, x, y):
@@ -243,28 +249,26 @@ FOLD_FIELDS = {
 
 
 PAIR_LABELS = [pair.label for pair in vessels.ALL_PAIRS]
-CELLS = st.one_of(
-    st.sampled_from(PAIR_LABELS),
-    st.integers(),
-    st.booleans(),
+FLOAT_CELLS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([-0.0, 5e-324, 2.5e-310, 1e16, 1e-05, 1.7976931348623157e308]),
 )
+CELLS = st.one_of(st.sampled_from(PAIR_LABELS), st.integers(), st.booleans(), FLOAT_CELLS)
 
 
 def _tail_dump(label, leading, table, blocks):
     """Fieldnames, ``_row_blocks`` inputs and the rows they stand for.  Each
     row is the optional ``label``, a running index, the next of the
-    ``leading`` rows and a tail: the table row of the next pick, rendered
-    with its leading separator.  Each block is a row count and its picks,
-    cycled."""
+    ``leading`` rows (float cells, in float64 columns) and a tail: the table
+    row of the next pick, rendered with its leading separator.  Each block
+    is a row count and its picks, cycled."""
     width = len(leading[0])
     tails = commands._csv_lines(table, ",")
     chunks, rows = [], []
     for length, picks in blocks:
         cells = list(islice(cycle(leading), length))
         picked = list(islice(cycle([pick % len(table) for pick in picks]), length))
-        columns = [np.array([row[k] for row in cells], dtype=object) for k in range(width)]
+        columns = [np.array([row[k] for row in cells], dtype=np.float64) for k in range(width)]
         chunks.append([*columns, tails[np.array(picked, dtype=np.intp)]])
         rows += [(*cell, *table[pick]) for cell, pick in zip(cells, picked)]
     prefix = () if label is None else (label,)
@@ -275,11 +279,11 @@ def _tail_dump(label, leading, table, blocks):
 
 
 # Up to three blocks of up to two row slices and a row, with 1 to 5 picks each;
-# 1 to 5 leading rows of 0 to 3 cells; 1 to 4 table rows of 1 to 3 cells.
+# 1 to 5 leading rows of 0 to 3 float cells; 1 to 4 table rows of 1 to 3 cells.
 tail_dumps = st.builds(
     _tail_dump,
     st.sampled_from([None, *PAIR_LABELS]),
-    st.one_of([up_to(st.tuples(*[CELLS] * width), 5, min_size=1) for width in range(4)]),
+    st.one_of([up_to(st.tuples(*[FLOAT_CELLS] * width), 5, min_size=1) for width in range(4)]),
     st.one_of([up_to(st.tuples(*[CELLS] * width), 4, min_size=1) for width in (1, 2, 3)]),
     up_to(st.tuples(st.integers(0, 2 * CSV_ROWS_PER_WRITE + 1), up_to(st.integers(0, 3), 5, 1)), 3),
 )

@@ -1158,17 +1158,27 @@ class TestContractFuzz:
     @settings(max_examples=150, deadline=None)
     @given(scenario=scenario_dicts(), options=subcommand_options())
     def test_every_input_keeps_the_exit_code_contract(self, scenario, options):
+        scenario, refusals = scenario
         with tempfile.TemporaryDirectory() as tmp:
             scenario_path = Path(tmp) / "scenario.json"
             out = Path(tmp) / "report.out"
             # json.dumps writes NaN and Infinity tokens, which json.loads accepts.
             scenario_path.write_text(json.dumps(scenario))
             argv = [*options, "--scenario", str(scenario_path), "--out", str(out)]
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
+            stderr = io.StringIO()
+            parsed = True
+            with contextlib.redirect_stderr(stderr):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    # argparse refused an option before the scenario was read.
+                    code, parsed = exc.code, False
             assert code in (0, 2, 3)
+            if refusals:
+                assert code == 2
+                if parsed:
+                    starts = tuple(f"vesselsim: configuration error: {where}" for where in refusals)
+                    assert stderr.getvalue().startswith(starts)
             if code != 0:
                 assert not out.exists()
             elif "json" in options:

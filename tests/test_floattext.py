@@ -1,0 +1,100 @@
+"""``floattext.reprs`` is ``repr`` for every float64, fast path or not.
+
+Each property draws a list of floats and requires ``reprs`` of their array
+to equal their ``repr``s: any floats (NaN, infinities, zeros and subnormals
+included), raw bit patterns across the fast path, powers of 2 and of 10
+with their neighbours, and values with short reprs, half-way ties among
+them.  A seeded sweep covers the diameters the dumps write.
+``tests/sweep_floattext.py`` runs the same check over 10M values.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from vesselsim.floattext import FAST_MAX, FAST_MIN, reprs
+
+
+def assert_reprs(xs: list[float]) -> None:
+    assert reprs(np.array(xs, dtype=np.float64)) == list(map(repr, xs))
+
+
+def lists(elements):
+    return st.lists(elements, max_size=40)
+
+
+def from_bits(bits: int) -> float:
+    return float(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+FAST_BITS = st.integers(*np.array([FAST_MIN / 2, FAST_MAX * 2]).view(np.int64).tolist()).map(from_bits)
+
+
+def near(base: float, steps: int) -> float:
+    """The float ``steps`` steps from ``base``, up or down."""
+    for _ in range(abs(steps)):
+        base = math.nextafter(base, math.inf if steps > 0 else 0.0)
+    return base
+
+
+POWERS = st.builds(
+    near,
+    st.one_of(
+        st.integers(-14, 54).map(lambda p: 2.0**p),
+        st.integers(-5, 17).map(lambda e: float(f"1e{e}")),
+    ),
+    st.integers(-3, 3),
+)
+
+# k / 2**m and k / 10**m; y lies half-way between two shortest candidates
+# for odd multiples of 1/4 in [2**50, 2**51) and odd c / 2**17 in [0.5, 1).
+SHORT = st.one_of(
+    st.builds(lambda k, m: k / 2.0**m, st.integers(1, 2**53), st.integers(0, 60)),
+    st.builds(lambda k, m: k / 10**m, st.integers(1, 10**9), st.integers(0, 20)),
+    st.integers(2**52, 2**53 - 1).map(lambda k: (k | 1) / 4.0),
+    st.integers(2**16, 2**17 - 1).map(lambda c: (c | 1) / 2.0**17),
+)
+
+
+@settings(max_examples=150)
+@given(lists(st.floats()))
+@example([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 2.5e-310, 1.7976931348623157e308])
+@example([FAST_MIN, FAST_MAX, 1e-4, 1e16, -1.5])
+def test_any_floats(xs):
+    assert_reprs(xs)
+
+
+@given(lists(FAST_BITS))
+def test_bit_patterns_across_the_fast_path(xs):
+    assert_reprs(xs)
+
+
+@settings(max_examples=150)
+@given(lists(POWERS))
+@example([99.99999999999999, 999.9999999999999, 2.0**-12, 2.0**52, 0.1, 1e15])
+def test_powers_of_two_and_ten_and_their_neighbours(xs):
+    assert_reprs(xs)
+
+
+@settings(max_examples=150)
+@given(lists(SHORT))
+@example([1125899906842624.25, 1125899906842624.75, 65537 / 2**17, 65539 / 2**17])
+def test_short_reprs_and_half_way_ties(xs):
+    assert_reprs(xs)
+
+
+def test_a_sweep_of_sampler_ranges():
+    """200k diameters drawn as the bench draws its samplers' ranges."""
+    rng = np.random.default_rng(20260)
+    for low, span in zip(0.2 + 0.8 * rng.random(100), 0.5 + 3.0 * rng.random(100)):
+        values = rng.uniform(low, low + span, 2000)
+        assert reprs(values) == list(map(repr, values.tolist()))
+
+
+@pytest.mark.parametrize("values", [np.arange(3), np.zeros((2, 2)), np.zeros(3, dtype=np.float32)])
+def test_only_one_dimensional_float64_arrays(values):
+    with pytest.raises(TypeError):
+        reprs(values)
