@@ -6,35 +6,62 @@ value at a time.  Python's ``repr`` writes the shortest decimal that reads
 back as the same float, of those the nearest to it, in fixed notation from
 1e-4 to below 1e16.
 
-The fast path decides the values from 1.5e-4 to 9e15, in the way of the
+The fast path decides the values x from 1.5e-4 to 9e15, in the way of the
 Ryu and Schubfach shortest-decimal algorithms (Adams, PLDI 2018; Giulietti
 2020), in exact double arithmetic:
 
 1. E = floor(log10(x)), and y = x * 10**(16 - E) as an exact sum
    ``hi + lo`` (Dekker's TwoProduct; 10**(16 - E) is an exact double).
-   Only rows with 1e16 < hi < 1e17 go on, which drops a log10 that was
-   rounded across a power of ten.
-2. The reals that read back as x lie within half an ulp of it, within a
-   quarter of the ulp below a power of two.  Scaled the same way, they
-   run from ``hi + lo - below`` to ``hi + lo + above``.  On the fast path
-   ``lo`` and the half-widths are multiples of 2**-47 below 32, so both
-   bounds are exact doubles.  They are odd multiples of a power of two
-   below 1, except where x >= 2**52: there y = 10 x and the bounds are
-   y - 5 and y + 5.  So whether the interval is open or closed (reading
-   rounds half to even) never changes the decimal chosen, and the
-   integers in it run from ``hi + ceil(lo - below)`` to
-   ``hi + floor(lo + above)``.
-3. The shortest decimals are the multiples of the largest 10**j that has a
-   multiple in those integer bounds; the text is the one nearest to y.
-4. A row is not decided where y lies exactly half-way between two such
-   multiples, or where the nearest one falls outside the bounds.
+   Only rows with 1e16 < hi < 1e17 go on.
+2. With u = ``np.spacing(x)``, x's ulp, and h = u/2 * 10**(16 - E), the
+   integers within h of y run from ``hi + ceil(lo - h)`` to
+   ``hi + floor(lo + h)``.
+3. D is the multiple of the largest 10**j with one in those bounds that is
+   nearest to y; rows where y lies half-way between two are not decided.
+   The text is D's 17 digits less its j trailing zeros, with the point
+   placed by E.
 
-The 17 digits of that multiple D come from a table of 4-digit texts, the
-decimal point goes in by E, and a mask per (E, digit count) keeps each
-text's bytes: all texts come from one compaction, one decode and one
-``split``.  Every value the fast path does not decide -- NaN, infinities,
-zeros, negatives, values outside that range and the rows above -- gets
-``repr`` itself, so the function is total.
+Why D is ``repr``'s decimal, for x = m * 2**e with 2**52 <= m < 2**53:
+
+a. Rounding is monotone and 1e16 and 1e17 are doubles, so step 1 keeps
+   only 10**16 < y < 10**17: E is x's decimal exponent, not a log10
+   rounded across a power of ten.
+b. The reals that read back as x lie within u/2 of it, ends included for
+   even m, except that below a power of two they reach only u/4.  Scaled,
+   that is within h of y, and h > 1e16 * 2**-54 > 1/2, so the shortest
+   decimals are the multiples of the largest 10**j among the integers
+   there, and ``repr`` writes the one nearest to y.
+c. h = 5**(16 - E) * 2**(e + 15 - E) is exact (5**20 < 2**53), and y, lo
+   and h are multiples of g = 2**(e + 15 - E) >= 2**-47.  With |lo| <= 8
+   and h < 12, lo - h and lo + h are exact doubles: step 2's bounds are
+   exact.  y - h and y + h are odd multiples of g, no integers unless
+   x >= 2**52, where y = 10 x, h = 5, and step 3 picks a multiple of 10.
+   So whether the ends read back never matters.
+d. At a power of two, x = 2**k with -12 <= k <= 52, the bounds reach h
+   below y, not h/2.  Let 10**t be the largest power of ten that divides
+   the integer y.  Every other multiple of 10**t lies at least 10**t from
+   y, and h = 2**(k - 53) * 10**(16 - E) < 10**t: t = 16 - E for k >= 0,
+   and y = 5**-k * 10**t with 5**-k < 2**53 for k < 0.  So D = y, x's
+   exact digits, which ``repr`` writes.
+e. No bound reaches 10**17, which needs 10**(E + 1) within u/2 above x.
+   For E >= -1 that is a double, so at least u above x.  0.001, 0.01 and
+   0.1 are not, but the doubles nearest to them lie above them, not at x.
+   So j <= 16, and D >= 10**16, which lies between y and any lower
+   multiple of 10**j.
+f. Some multiple of 10**j lies within h of y, so D, the nearest one, does
+   too: it needs no check against the bounds.
+g. With y = w + r + f, w a multiple of 10**j, 0 <= r < 10**j an integer
+   and 0 <= f < 1, D = w + 10**j where s = 2 r - 10**j + 2 f > 0, and y is
+   half-way where s = 0.  2 r - 10**j is exact (even, below 2**54, for
+   j > 0), and adding 2 f, a multiple of 2**-46 below 2, is exact when
+   that integer is 0 or -1 and cannot change its sign otherwise.
+
+D's 17 digits come from a table of 4-digit texts, the decimal point goes
+in by E, and a mask per (E, digit count) keeps each text's bytes: all
+texts come from one compaction, one decode and one ``split``.  Every value
+the fast path does not decide -- NaN, infinities, zeros, negatives, values
+outside that range and the rows above -- gets ``repr`` itself, so the
+function is total.
 """
 
 from __future__ import annotations
@@ -50,8 +77,7 @@ _DIGITS = 17
 # Exact doubles 10**(16 - E), E from _E_MAX down, split for TwoProduct.
 _SCALE = np.array([float(10 ** (16 - e)) for e in range(_E_MAX, _E_MIN - 1, -1)])
 _SPLITTER = 134217729.0  # 2**27 + 1: Veltkamp's split into 26-bit halves
-_EXPONENT_BITS = np.uint64(0x7FF << 52)
-_POW10 = np.array([10**k for k in range(_DIGITS + 1)], dtype=np.int64)
+_POW10 = np.array([10**k for k in range(_DIGITS)], dtype=np.int64)
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -100,70 +126,43 @@ _UNDECIDED = len(_KEEP) - 1
 
 def _interval(x: np.ndarray) -> tuple[np.ndarray, ...]:
     """For x in [FAST_MIN, FAST_MAX]: E, y = x * 10**(16 - E) as whole +
-    frac (0 <= frac < 1), the integers from lower to upper that read back
-    as x, and False where log10 was rounded across a power of ten."""
-    exponent = np.log10(x)
-    np.floor(exponent, out=exponent)
-    exponent = exponent.astype(np.int64)
+    frac (0 <= frac < 1), the bounds of the integers within h of y, and
+    False where 1e16 < hi < 1e17 fails: steps 1 and 2."""
+    exponent = np.floor(np.log10(x)).astype(np.int64)
     index = _E_MAX - exponent
     scale = _SCALE.take(index)
     # TwoProduct: y == hi + lo.
     hi = x * scale
     x_high, x_low = _split(x)
     scale_high, scale_low = _SCALE_HIGH.take(index), _SCALE_LOW.take(index)
-    lo = x_high * scale_high - hi
-    lo += x_high * scale_low
-    lo += x_low * scale_high
-    lo += x_low * scale_low
-    # Arrays are dropped as soon as they are used up: the most a call holds
-    # at once adds to the dump's peak memory.
-    del x_high, x_low, scale_high, scale_low
-    decided = (hi > 1e16) & (hi < 1e17)
+    lo = x_high * scale_high - hi + x_high * scale_low + x_low * scale_high + x_low * scale_low
     base = hi.astype(np.int64)
-    del hi
-    # x's power of two P: the ulp is P * 2**-52, half as much below P.
-    power = (x.view(np.uint64) & _EXPONENT_BITS).view(np.float64)
-    above = power * scale
-    above *= 2.0**-53
-    below = np.where(x == power, 0.5, 1.0)
-    below *= above
-    below -= lo
-    np.floor(below, out=below)
-    lower = base - below.astype(np.int64)
-    above += lo
-    np.floor(above, out=above)
-    upper = base + above.astype(np.int64)
-    del below, above
-    frac = np.floor(lo)
-    whole = base + frac.astype(np.int64)
-    np.subtract(lo, frac, out=frac)
-    return exponent, whole, frac, lower, upper, decided
+    half = np.spacing(x) * scale * 0.5
+    lower = base + np.ceil(lo - half).astype(np.int64)
+    upper = base + np.floor(lo + half).astype(np.int64)
+    floor = np.floor(lo)
+    return exponent, base + floor.astype(np.int64), lo - floor, lower, upper, (hi > 1e16) & (hi < 1e17)
 
 
 def _shortest(x: np.ndarray) -> tuple[np.ndarray, ...]:
     """For x in [FAST_MIN, FAST_MAX]: each row's E, its shortest decimal as
     a 17-digit integer D (the text's digits, then zeros), the text's digit
-    count, and whether the row is decided."""
+    count, and whether the row is decided: step 3."""
     exponent, whole, frac, lower, upper, decided = _interval(x)
     # The largest 10**j with a multiple in [lower, upper]: rows move on
     # to the next power while it has one.
     j = np.zeros(len(x), dtype=np.int64)
     rows = np.arange(len(x))
-    for power in range(1, _DIGITS + 1):
+    for power in range(1, _DIGITS):
         step = _POW10[power]
         rows = rows[upper.take(rows) // step * step >= lower.take(rows)]
         if not len(rows):
             break
         j[rows] = power
-    # rest + frac is y's distance above the multiple of step below it;
-    # twice that minus step is exact, and its sign picks the nearest.
     step = _POW10.take(j)
     rest = whole % step
-    side = (2 * rest - step).astype(np.float64)
-    side += 2 * frac
-    digits = whole - rest + step * (side > 0)
-    decided &= (side != 0) & (lower <= digits) & (digits <= upper) & (digits < _POW10[_DIGITS])
-    return exponent, digits, _DIGITS - j, decided
+    side = (2 * rest - step).astype(np.float64) + 2 * frac
+    return exponent, whole - rest + step * (side > 0), _DIGITS - j, decided & (side != 0)
 
 
 def _words(digits: np.ndarray) -> np.ndarray:
@@ -186,7 +185,7 @@ def _texts(values: np.ndarray) -> tuple[str, list[int]]:
     """The fast path's texts, each ended by "\\n" (empty where undecided),
     and the undecided rows."""
     fast = (values >= FAST_MIN) & (values <= FAST_MAX)
-    exponent, digits, count, decided = _shortest(values if fast.all() else np.where(fast, values, 1.0))
+    exponent, digits, count, decided = _shortest(np.where(fast, values, 1.0))
     decided &= fast
     digits[~decided] = _POW10[_DIGITS - 1]
     row_bytes = _words(digits).view(np.uint8).ravel()

@@ -6,8 +6,8 @@ out of choices, and the example is discarded as invalid with no event:
 two draws of one ``st.lists``, or of one ``st.one_of`` over lists of
 different lengths, do this.  Every ``.map()`` shares one label.  So the
 strategies here are built from ``st.builds``, ``st.tuples`` and
-``st.one_of``, whose labels follow their contents, and ``up_to`` draws
-every element a list may hold.
+``st.one_of``, whose labels follow their contents: ``up_to`` draws every
+element a list may hold, and ``short_lists`` draws a size first.
 """
 
 import cmath
@@ -41,6 +41,14 @@ def up_to(element, max_size, min_size=0):
     """Lists of ``min_size`` to ``max_size`` elements: the first of
     ``max_size`` drawn ones."""
     return st.builds(_first, st.integers(min_size, max_size), st.tuples(*[element] * max_size))
+
+
+def short_lists(element, max_size):
+    """Lists of 0 to ``max_size`` elements: a size, then exactly that many.
+    Size k has weight (5/6)**k, as in ``st.lists``, whose sizes average 5,
+    so a property draws as many elements as it did from ``st.lists``."""
+    sizes = [k for k in range(max_size + 1) for _ in range(round(1.2 ** (max_size - k)))]
+    return st.sampled_from(sizes).flatmap(lambda size: fixed_length(element, size))
 
 
 # Seeds that break the seed rule (an integer, not a bool, in [0, 2**64)).

@@ -7,7 +7,8 @@ calls of ``CSV_ROWS_PER_WRITE`` values, as the CSV dumps do, and compares
 each text with ``repr``.  Prints, per class, the values checked and the
 mismatches, then the totals and the wall time; exits 1 on any mismatch.
 It needs numpy and the standard library only, and is not a pytest module:
-tier-1 runs the smaller property tests of ``tests/test_floattext.py``.
+tier-1 runs the property tests of ``tests/test_floattext.py``, and
+``tight_set`` around the fast path.
 """
 
 from __future__ import annotations
@@ -51,25 +52,33 @@ def short(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.concatenate([binary, decimal])
 
 
-def edges(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Powers of 2 and of 10 with their neighbours up to 8 steps away, half-way
-    ties (odd multiples of 1/4 above 2**50, odd c / 2**17 in [0.5, 1)),
-    zeros, infinities, NaN, subnormals and the largest floats."""
-    powers = np.concatenate([np.ldexp(1.0, np.arange(-1074, 1024)),
-                             np.array([float(f"1e{e}") for e in range(-323, 309)])])
-    near = [powers]
+def tight_set(twos: range = range(-1074, 1024), tens: range = range(-323, 309)) -> np.ndarray:
+    """Where the fast path's proof is tight, both signs: 2**k for k in
+    ``twos``, 10**k for k in ``tens``, FAST_MIN and FAST_MAX, each with its
+    neighbours up to 8 steps away, and zeros, infinities, NaN, subnormals
+    and the largest floats."""
+    centres = np.concatenate([np.ldexp(1.0, np.array(twos)), [float(f"1e{k}") for k in tens],
+                              [FAST_MIN, FAST_MAX]])
+    near = [centres]
     for toward in (0.0, np.inf):
-        step = powers
+        step = centres
         for _ in range(8):
             step = np.nextafter(step, toward)
             near.append(step)
     special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 2.2250738585072014e-308,
-                        1.7976931348623157e308, FAST_MIN, FAST_MAX])
+                        1.7976931348623157e308])
     signed = np.concatenate([*near, special])
-    half = max(n // 2 - len(signed), 0)
+    return np.concatenate([signed, -signed])
+
+
+def edges(rng: np.random.Generator, n: int) -> np.ndarray:
+    """The tight set, and half-way ties for the rest: odd multiples of 1/4
+    above 2**50 and odd c / 2**17 in [0.5, 1)."""
+    tight = tight_set()
+    half = max((n - len(tight)) // 2, 0)
     ties = [2.0**50 + (2 * rng.integers(0, 2**51, half) + 1) / 4.0,
             (2 * rng.integers(2**15, 2**16, half) + 1) / 2.0**17]
-    return np.concatenate([signed, -signed, *ties])
+    return np.concatenate([tight, *ties])
 
 
 CLASSES = {"fast_bits": fast_bits, "any_bits": any_bits, "sampler": sampler,

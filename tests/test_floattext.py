@@ -2,9 +2,11 @@
 
 Each property draws a list of floats and requires ``reprs`` of their array
 to equal their ``repr``s: any floats (NaN, infinities, zeros and subnormals
-included), raw bit patterns across the fast path, powers of 2 and of 10
-with their neighbours, and values with short reprs, half-way ties among
-them.  A seeded sweep covers the diameters the dumps write.
+included), raw bit patterns across the fast path, and values with short
+reprs, half-way ties among them.  Where the proof in ``floattext``'s
+docstring is tight -- every power of 2 and of 10 around the fast path with
+its neighbours, and ``FAST_MIN`` and ``FAST_MAX`` -- every value is
+checked, not sampled.  A seeded sweep covers the diameters the dumps write.
 ``tests/sweep_floattext.py`` runs the same check over 10M values.
 """
 
@@ -17,13 +19,12 @@ from hypothesis import strategies as st
 
 from vesselsim.floattext import FAST_MAX, FAST_MIN, reprs
 
+from strategies import short_lists
+from sweep_floattext import tight_set
+
 
 def assert_reprs(xs: list[float]) -> None:
     assert reprs(np.array(xs, dtype=np.float64)) == list(map(repr, xs))
-
-
-def lists(elements):
-    return st.lists(elements, max_size=40)
 
 
 def from_bits(bits: int) -> float:
@@ -33,57 +34,43 @@ def from_bits(bits: int) -> float:
 FAST_BITS = st.integers(*np.array([FAST_MIN / 2, FAST_MAX * 2]).view(np.int64).tolist()).map(from_bits)
 
 
-def near(base: float, steps: int) -> float:
-    """The float ``steps`` steps from ``base``, up or down."""
-    for _ in range(abs(steps)):
-        base = math.nextafter(base, math.inf if steps > 0 else 0.0)
-    return base
-
-
-POWERS = st.builds(
-    near,
-    st.one_of(
-        st.integers(-14, 54).map(lambda p: 2.0**p),
-        st.integers(-5, 17).map(lambda e: float(f"1e{e}")),
-    ),
-    st.integers(-3, 3),
-)
-
 # k / 2**m and k / 10**m; y lies half-way between two shortest candidates
 # for odd multiples of 1/4 in [2**50, 2**51) and odd c / 2**17 in [0.5, 1).
+# Each branch draws two integers, m a fixed one for the ties: a copied
+# element then takes as many choices as the one it replaces.
 SHORT = st.one_of(
     st.builds(lambda k, m: k / 2.0**m, st.integers(1, 2**53), st.integers(0, 60)),
     st.builds(lambda k, m: k / 10**m, st.integers(1, 10**9), st.integers(0, 20)),
-    st.integers(2**52, 2**53 - 1).map(lambda k: (k | 1) / 4.0),
-    st.integers(2**16, 2**17 - 1).map(lambda c: (c | 1) / 2.0**17),
+    st.builds(lambda k, m: (k | 1) / 2.0**m, st.integers(2**52, 2**53 - 1), st.integers(2, 2)),
+    st.builds(lambda c, m: (c | 1) / 2.0**m, st.integers(2**16, 2**17 - 1), st.integers(17, 17)),
 )
 
 
 @settings(max_examples=150)
-@given(lists(st.floats()))
+@given(short_lists(st.floats(), 40))
 @example([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 2.5e-310, 1.7976931348623157e308])
 @example([FAST_MIN, FAST_MAX, 1e-4, 1e16, -1.5])
 def test_any_floats(xs):
     assert_reprs(xs)
 
 
-@given(lists(FAST_BITS))
+@given(short_lists(FAST_BITS, 40))
 def test_bit_patterns_across_the_fast_path(xs):
     assert_reprs(xs)
 
 
 @settings(max_examples=150)
-@given(lists(POWERS))
-@example([99.99999999999999, 999.9999999999999, 2.0**-12, 2.0**52, 0.1, 1e15])
-def test_powers_of_two_and_ten_and_their_neighbours(xs):
-    assert_reprs(xs)
-
-
-@settings(max_examples=150)
-@given(lists(SHORT))
+@given(short_lists(SHORT, 40))
 @example([1125899906842624.25, 1125899906842624.75, 65537 / 2**17, 65539 / 2**17])
 def test_short_reprs_and_half_way_ties(xs):
     assert_reprs(xs)
+
+
+def test_powers_of_two_and_ten_and_their_neighbours():
+    """The tight set from 2**-14 to 2**54 and 1e-5 to 1e17, both signs, with
+    the hand-picked powers and neighbours first."""
+    picked = [99.99999999999999, 999.9999999999999, 2.0**-12, 2.0**52, 0.1, 1e15]
+    assert_reprs(picked + tight_set(range(-14, 55), range(-5, 18)).tolist())
 
 
 def test_a_sweep_of_sampler_ranges():

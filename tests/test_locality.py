@@ -30,7 +30,7 @@ from vesselsim import locality
 from vesselsim.locality import PRODUCT_COLUMNS, SCAN_COLUMNS, scan_counts
 
 from oracle import per_run_outcomes, satisfiable
-from strategies import NORMAL, TIE_PRONE
+from strategies import NORMAL, TIE_PRONE, short_lists
 
 VESSEL_TABLE = ContextualOutcomeTable(-1, 1, 1, 1)
 RESOLVING_POLICIES = [policy for policy in TiePolicy if policy is not TiePolicy.ERROR]
@@ -200,13 +200,13 @@ class TestScan:
 
 
 # Draws with exact ties injected: a flagged row copies its left diameter.
-draws = st.lists(
+draws = short_lists(
     st.tuples(
         st.floats(min_value=1e-3, max_value=1e3),
         st.floats(min_value=1e-3, max_value=1e3),
         st.booleans(),
     ),
-    max_size=40,
+    40,
 )
 
 
