@@ -13,9 +13,9 @@ chunk becomes one text, built by a single ``str.join``.  No row formats an
 integer: its running index is a head shared by up to 1000 rows (the prefix
 and the index's leading digits) and an entry of a table of the texts of
 0..999 or of the endings "000".."999", and every pre-rendered tail carries
-its leading comma.  The float cells (the diameters) come from one
-``floattext.reprs`` call per column of a slice, which writes Python's
-``repr`` of every value without calling it for most of them.  With
+its leading comma.  The float cells (the diameters) of a slice come from
+one ``floattext.reprs`` call, which writes each row's cells as one text of
+``repr``s joined by "," without calling ``repr`` for most of them.  With
 ``collect_runs`` every command returns no report (None): CSV output does
 not use it, and for the sampling commands it would take a second pass over
 the runs.
@@ -131,16 +131,15 @@ def _row_blocks(chunks: Iterable[list[np.ndarray]], prefix: str = "") -> Iterato
     the pre-rendered line tails with their leading separator."""
     start = 0
     for *cells, tails in chunks:
-        # A row's pieces: the index's head and table entry, a separator and a
-        # cell per column, then the tail.
-        row = [None, None] + [",", None] * len(cells) + [None]
+        # A row's pieces: the index's head and table entry, "," and its cells if any, the tail.
+        row = [None, None] + [",", None] * bool(cells) + [None]
         width = len(row)
         for lo in range(0, len(tails), CSV_ROWS_PER_WRITE):
             hi = min(lo + CSV_ROWS_PER_WRITE, len(tails))
             pieces = row * (hi - lo)
             pieces[0::width], pieces[1::width] = _index_pieces(prefix, start + lo, start + hi)
-            for offset, column in enumerate(cells, 1):
-                pieces[1 + 2 * offset :: width] = reprs(column[lo:hi])
+            if cells:
+                pieces[3::width] = reprs(np.stack([column[lo:hi] for column in cells], axis=1))
             pieces[width - 1 :: width] = tails[lo:hi].tolist()
             yield "".join(pieces)
         start += len(tails)

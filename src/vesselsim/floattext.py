@@ -1,10 +1,10 @@
 """Exact float64 texts for the CSV dumps, rendered a whole array at a time.
 
-``reprs(values)`` returns ``list(map(repr, values.tolist()))`` for a 1-D
-float64 array, with numpy doing the work that ``float.__repr__`` does one
-value at a time.  Python's ``repr`` writes the shortest decimal that reads
-back as the same float, of those the nearest to it, in fixed notation from
-1e-4 to below 1e16.
+``reprs(values)`` returns each row's ``repr``s joined by "," for a (rows,
+columns) float64 array, and ``list(map(repr, values.tolist()))`` for a 1-D
+one.  Python's ``repr`` writes the shortest decimal that reads back as the
+same float, of those the nearest to it, in fixed notation from 1e-4 to
+below 1e16.
 
 The fast path decides the values x from 1.5e-4 to 9e15, in the way of the
 Ryu and Schubfach shortest-decimal algorithms (Adams, PLDI 2018; Giulietti
@@ -57,11 +57,14 @@ g. With y = w + r + f, w a multiple of 10**j, 0 <= r < 10**j an integer
    that integer is 0 or -1 and cannot change its sign otherwise.
 
 D's 17 digits come from a table of 4-digit texts, the decimal point goes
-in by E, and a mask per (E, digit count) keeps each text's bytes: all
-texts come from one compaction, one decode and one ``split``.  Every value
-the fast path does not decide -- NaN, infinities, zeros, negatives, values
-outside that range and the rows above -- gets ``repr`` itself, so the
-function is total.
+in by E, a "," or "\\n" ends each cell, and a mask per (E, digit count)
+keeps each text's bytes: all rows come from one compaction, one decode and
+one ``split``.  A row with a cell the fast path does not decide -- NaN,
+infinities, zeros, negatives, values outside that range and the rows
+above -- is joined from ``repr`` itself, so the function is total.  Such a
+cell's digits are dropped: log10 errs by far less than 1, so 10**15 <= y <
+10**18 (1.0 stands in outside the range), 0 <= D < 10**20 keeps its 4-digit
+lookups inside the table, and its mask keeps only the separator.
 """
 
 from __future__ import annotations
@@ -181,32 +184,39 @@ def _words(digits: np.ndarray) -> np.ndarray:
     return words
 
 
-def _texts(values: np.ndarray) -> tuple[str, list[int]]:
-    """The fast path's texts, each ended by "\\n" (empty where undecided),
-    and the undecided rows."""
+def _texts(rows: np.ndarray) -> tuple[str, list[int]]:
+    """The fast path's texts of a (rows, columns) array's rows, their cells
+    joined by "," and each ended by "\\n", and the row of each undecided
+    cell, whose text is not whole."""
+    values = rows.ravel()
     fast = (values >= FAST_MIN) & (values <= FAST_MAX)
     exponent, digits, count, decided = _shortest(np.where(fast, values, 1.0))
     decided &= fast
-    digits[~decided] = _POW10[_DIGITS - 1]
     row_bytes = _words(digits).view(np.uint8).ravel()
-    # Each row's bytes from byte 3 before its point and from byte 2 after
+    # Each cell's bytes from byte 3 before its point and from byte 2 after
     # it: a select on the flat bytes.
     size = len(values) * _ROW
     laid = row_bytes[3 : size + 3] ^ row_bytes[2 : size + 2]
     laid &= _BEFORE.take(exponent - _E_MIN, axis=0).ravel()
     laid ^= row_bytes[2 : size + 2]
     laid[np.arange(0, size, _ROW) + exponent + 5] = ord(".")
+    # Every cell but a row's last ends with "," instead of "\n".
+    laid.reshape(*rows.shape, _ROW)[:, :-1, _SEPARATOR] = ord(",")
     key = np.where(decided, (exponent - _E_MIN) * _DIGITS + count - 1, _UNDECIDED)
-    return str(laid[_KEEP.take(key, axis=0).ravel()].data, "ascii"), np.flatnonzero(~decided).tolist()
+    undecided = np.flatnonzero(~decided) // rows.shape[1]
+    return str(laid[_KEEP.take(key, axis=0).ravel()].data, "ascii"), undecided.tolist()
 
 
 def reprs(values: np.ndarray) -> list[str]:
-    """``list(map(repr, values.tolist()))`` for a 1-D float64 array."""
-    if values.dtype != np.float64 or values.ndim != 1:
-        raise TypeError(f"reprs takes a 1-D float64 array, not {values.ndim}-D {values.dtype}")
-    text, undecided = _texts(values)
+    """Each row's ``repr``s joined by ","; a 1-D array is one column."""
+    if values.dtype != np.float64 or values.ndim not in (1, 2):
+        raise TypeError(f"reprs takes a 1-D or 2-D float64 array, not {values.ndim}-D {values.dtype}")
+    rows = values[:, None] if values.ndim == 1 else values
+    if not rows.size:
+        return [""] * len(rows)
+    text, undecided = _texts(rows)
     texts = text.split("\n")
     texts.pop()
     for index in undecided:
-        texts[index] = repr(values[index].item())
+        texts[index] = ",".join(map(repr, rows[index].tolist()))
     return texts

@@ -2,10 +2,13 @@
 
     PYTHONPATH=src python tests/sweep_floattext.py [--values N] [--seed S]
 
-Draws about N values (default 10M) from the classes below, renders them in
-calls of ``CSV_ROWS_PER_WRITE`` values, as the CSV dumps do, and compares
-each text with ``repr``.  Prints, per class, the values checked and the
-mismatches, then the totals and the wall time; exits 1 on any mismatch.
+Draws about N values (default 10M) from the classes below and renders them
+twice: in calls of ``CSV_ROWS_PER_WRITE`` values, and in calls of
+``CSV_ROWS_PER_WRITE`` two-column rows, the shape the CSV dumps render.
+Each text is compared with ``repr``, a row's with its cells' ``repr``s
+joined by ",".  Prints, per class and width, the values checked and the
+mismatches, then the totals and the wall time of each width; exits 1 on
+any mismatch.
 It needs numpy and the standard library only, and is not a pytest module:
 tier-1 runs the property tests of ``tests/test_floattext.py``, and
 ``tight_set`` around the fast path.
@@ -85,12 +88,15 @@ CLASSES = {"fast_bits": fast_bits, "any_bits": any_bits, "sampler": sampler,
            "short": short, "edges": edges}
 
 
-def check(values: np.ndarray) -> int:
-    """Mismatches of reprs against repr, in calls of CSV_ROWS_PER_WRITE values."""
+def check(values: np.ndarray, width: int) -> int:
+    """Mismatched texts of reprs against repr, in calls of CSV_ROWS_PER_WRITE
+    rows of ``width`` values (1-D arrays for width 1)."""
+    rows = values.reshape(-1, width) if width > 1 else values
     bad = 0
-    for lo in range(0, len(values), CSV_ROWS_PER_WRITE):
-        part = values[lo : lo + CSV_ROWS_PER_WRITE]
-        got, want = reprs(part), list(map(repr, part.tolist()))
+    for lo in range(0, len(rows), CSV_ROWS_PER_WRITE):
+        part = rows[lo : lo + CSV_ROWS_PER_WRITE]
+        got = reprs(part)
+        want = [",".join(map(repr, row)) for row in part.reshape(len(part), -1).tolist()]
         if got != want:
             wrong = [(w, g) for g, w in zip(got, want) if g != w]
             bad += len(wrong)
@@ -103,17 +109,21 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--values", type=int, default=10_000_000)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
-    rng = np.random.default_rng(args.seed)
-    start = time.perf_counter()
-    total = mismatches = 0
     per_class = args.values // len(CLASSES)
-    for name, draw in CLASSES.items():
-        values = draw(rng, per_class)
-        bad = check(values)
-        print(f"{name:10s} {len(values):>10,d} values {bad:>6d} mismatches")
-        total, mismatches = total + len(values), mismatches + bad
-    print(f"total      {total:>10,d} values {mismatches:>6d} mismatches "
-          f"in {time.perf_counter() - start:.1f} s")
+    mismatches = 0
+    for width in (1, 2):
+        rng = np.random.default_rng(args.seed)
+        start = time.perf_counter()
+        total = bad_texts = 0
+        for name, draw in CLASSES.items():
+            values = draw(rng, per_class)
+            values = values[: len(values) // width * width]
+            bad = check(values, width)
+            print(f"{name:10s} width {width} {len(values):>10,d} values {bad:>6d} mismatches")
+            total, bad_texts = total + len(values), bad_texts + bad
+        print(f"total      width {width} {total:>10,d} values {bad_texts:>6d} mismatches "
+              f"in {time.perf_counter() - start:.1f} s")
+        mismatches += bad_texts
     return 1 if mismatches else 0
 
 

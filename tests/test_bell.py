@@ -190,7 +190,7 @@ class TestEstimateExpectation:
                 expected = ExpectationEstimate(pair=pair, mean=mean, stderr=stderr, n=n)
                 assert estimate_expectation(model, pair, n) == expected
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(
         model=any_model(),
         pair=st.sampled_from(ALL_PAIRS),

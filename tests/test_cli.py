@@ -689,7 +689,7 @@ TWO_SLICES = 2 * CSV_ROWS_PER_WRITE
 class TestRowIndex:
     """A row's running index is a head and a table entry, not a formatted int."""
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(
         first=st.integers(0, MAX_INDEX),
         length=st.integers(0, TWO_SLICES),
@@ -712,7 +712,7 @@ class TestCsvBytes:
     """The dumps are the bytes ``csv.writer`` writes for the oracle's rows
     (``flow``'s for its report's cells)."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(dump=tail_dumps)
     def test_template_rows_are_the_csv_writer_bytes(self, dump):
         fieldnames, blocks, rows = dump
@@ -1155,8 +1155,14 @@ def subcommand_options(draw):
 
 
 class TestContractFuzz:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(scenario=scenario_dicts(), options=subcommand_options())
+    # A short angle list and a nested unknown field: refusals that the
+    # tier1 profile's fixed draws do not reach.
+    @example(({"seed": 1, "singlet_angles": [0.0, 90.0, 45.0]}, ["scenario.singlet_angles: "]),
+             ["vessel-chsh", "--format", "json"])
+    @example(({"seed": 1, "system": {"depth": 1}}, ["scenario.system: unknown field"]),
+             ["vessel-chsh", "--format", "json"])
     def test_every_input_keeps_the_exit_code_contract(self, scenario, options):
         scenario, refusals = scenario
         with tempfile.TemporaryDirectory() as tmp:
@@ -1188,7 +1194,7 @@ class TestContractFuzz:
                 assert rows
                 assert not {"nan", "inf", "-inf"} & {cell for row in rows for cell in row}
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(
         content=st.one_of(
             st.binary(max_size=200),
@@ -1227,7 +1233,7 @@ class TestCsvFoldsToJson:
     CSV dump are the oracle's.  The oracle folds each report from the rows
     of its own dump, so every JSON number is the fold of the CSV rows."""
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(data=st.builds(dict, **FOLD_FIELDS), name=st.sampled_from(SAMPLING_COMMANDS))
     # 60 tie-prone runs: pair AB ties 4 times and the scan 3 times, each
     # broken by every policy that resolves ties.
@@ -1343,7 +1349,7 @@ class TestBytesRepeat:
     vary, each run up to seven CLI calls, and took 59-68 s of a 71-83 s
     report."""
 
-    @settings(max_examples=100, deadline=None, phases=set(Phase) - {Phase.explain})
+    @settings(max_examples=100, phases=set(settings.default.phases) - {Phase.explain})
     @given(
         data=st.builds(dict, **FOLD_FIELDS),
         command=st.sampled_from(COMMAND_LINES),

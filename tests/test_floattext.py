@@ -3,11 +3,14 @@
 Each property draws a list of floats and requires ``reprs`` of their array
 to equal their ``repr``s: any floats (NaN, infinities, zeros and subnormals
 included), raw bit patterns across the fast path, and values with short
-reprs, half-way ties among them.  Where the proof in ``floattext``'s
+reprs, half-way ties among them.  Its twin draws rows of 1 to 3 such
+floats and requires each row's ``repr``s joined by ",", the text a CSV dump
+writes for a row's diameters.  Where the proof in ``floattext``'s
 docstring is tight -- every power of 2 and of 10 around the fast path with
 its neighbours, and ``FAST_MIN`` and ``FAST_MAX`` -- every value is
-checked, not sampled.  A seeded sweep covers the diameters the dumps write.
-``tests/sweep_floattext.py`` runs the same check over 10M values.
+checked, not sampled, alone and as two-column rows.  A seeded sweep covers
+the diameters the dumps write.  ``tests/sweep_floattext.py`` runs the same
+check over 10M values.
 """
 
 import math
@@ -19,12 +22,28 @@ from hypothesis import strategies as st
 
 from vesselsim.floattext import FAST_MAX, FAST_MIN, reprs
 
-from strategies import short_lists
+from strategies import fixed_length, short_lists
 from sweep_floattext import tight_set
 
 
 def assert_reprs(xs: list[float]) -> None:
     assert reprs(np.array(xs, dtype=np.float64)) == list(map(repr, xs))
+
+
+def as_rows(rows: list[list[float]], width: int) -> np.ndarray:
+    """The first ``width`` cells of each row, as a (rows, width) array."""
+    return np.array([row[:width] for row in rows], dtype=np.float64).reshape(len(rows), width)
+
+
+def rows_of(element):
+    """(rows, columns) arrays of 0 to 40 rows of 1 to 3 ``element``s.  Every
+    row draws 3, as ``up_to`` does, so that no drawn span changes its
+    number of choices with the width."""
+    return st.builds(as_rows, short_lists(fixed_length(element, 3), 40), st.integers(1, 3))
+
+
+def assert_rows(rows: np.ndarray) -> None:
+    assert reprs(rows) == [",".join(map(repr, row)) for row in rows.tolist()]
 
 
 def from_bits(bits: int) -> float:
@@ -46,6 +65,14 @@ SHORT = st.one_of(
 )
 
 
+# Cells the fast path does not decide, the last two half-way ties, each in
+# the first, middle and last of three columns of fast cells.
+UNDECIDED = [math.nan, 0.0, 1e16, 1125899906842624.25, 65537 / 2**17]
+UNDECIDED_ROWS = as_rows(
+    [[x if i == k else 1.5 + i for i in range(3)] for x in UNDECIDED for k in range(3)], 3
+)
+
+
 @settings(max_examples=150)
 @given(short_lists(st.floats(), 40))
 @example([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 2.5e-310, 1.7976931348623157e308])
@@ -54,9 +81,23 @@ def test_any_floats(xs):
     assert_reprs(xs)
 
 
+@settings(max_examples=150)
+@given(rows_of(st.floats()))
+@example(UNDECIDED_ROWS)
+@example(as_rows([[math.nan, 0.5], [0.5, 0.0], [1e16, 1e16], [0.5, 0.25]], 2))
+@example(as_rows([[]] * 3, 0))
+def test_any_float_rows(rows):
+    assert_rows(rows)
+
+
 @given(short_lists(FAST_BITS, 40))
 def test_bit_patterns_across_the_fast_path(xs):
     assert_reprs(xs)
+
+
+@given(rows_of(FAST_BITS))
+def test_bit_pattern_rows_across_the_fast_path(rows):
+    assert_rows(rows)
 
 
 @settings(max_examples=150)
@@ -66,11 +107,20 @@ def test_short_reprs_and_half_way_ties(xs):
     assert_reprs(xs)
 
 
+@settings(max_examples=150)
+@given(rows_of(SHORT))
+@example(as_rows([[2**50 + 0.25, 0.5, 65537 / 2**17], [0.5, 65539 / 2**17, 2**50 + 0.75]], 3))
+def test_short_repr_and_half_way_tie_rows(rows):
+    assert_rows(rows)
+
+
 def test_powers_of_two_and_ten_and_their_neighbours():
     """The tight set from 2**-14 to 2**54 and 1e-5 to 1e17, both signs, with
     the hand-picked powers and neighbours first."""
     picked = [99.99999999999999, 999.9999999999999, 2.0**-12, 2.0**52, 0.1, 1e15]
-    assert_reprs(picked + tight_set(range(-14, 55), range(-5, 18)).tolist())
+    values = picked + tight_set(range(-14, 55), range(-5, 18)).tolist()
+    assert_reprs(values)
+    assert_rows(np.array(values).reshape(-1, 2))
 
 
 def test_a_sweep_of_sampler_ranges():
@@ -79,9 +129,14 @@ def test_a_sweep_of_sampler_ranges():
     for low, span in zip(0.2 + 0.8 * rng.random(100), 0.5 + 3.0 * rng.random(100)):
         values = rng.uniform(low, low + span, 2000)
         assert reprs(values) == list(map(repr, values.tolist()))
+        assert_rows(values.reshape(-1, 2))
 
 
-@pytest.mark.parametrize("values", [np.arange(3), np.zeros((2, 2)), np.zeros(3, dtype=np.float32)])
-def test_only_one_dimensional_float64_arrays(values):
+@pytest.mark.parametrize(
+    "values",
+    [np.arange(3), np.array(1.0), np.zeros((2, 2, 2)), np.zeros(3, dtype=np.float32),
+     np.zeros((2, 2), dtype=np.float32)],
+)
+def test_only_one_or_two_dimensional_float64_arrays(values):
     with pytest.raises(TypeError):
         reprs(values)

@@ -103,19 +103,19 @@ def all_finite(*values) -> bool:
 
 
 class TestLibraryContract:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(total_volume=FLOATS, transparent=st.booleans())
     def test_vessel_system(self, total_volume, transparent):
         system = outcome(VesselSystem, total_volume, transparent)
         assert system is None or system.total_volume > 0.0
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(lambda_a=FLOATS, lambda_b=FLOATS)
     def test_siphon_diameters(self, lambda_a, lambda_b):
         lam = outcome(SiphonDiameters, lambda_a, lambda_b)
         assert lam is None or (lam.lambda_a > 0.0 and lam.lambda_b > 0.0)
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(low=FLOATS, high=FLOATS, seed=INTS)
     def test_sampler_draws(self, low, high, seed):
         sampler = outcome(HiddenVariableSampler, low, high, seed)
@@ -124,7 +124,7 @@ class TestLibraryContract:
                 assert all_finite(*draws)
                 assert ((low <= draws) & (draws <= high)).all()
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(amplitudes=AMPLITUDES, normalize=st.booleans())
     def test_make_state(self, amplitudes, normalize):
         state = outcome(make_state, amplitudes, normalize)
@@ -132,26 +132,26 @@ class TestLibraryContract:
             assert all_finite(*state.amplitudes)
             assert state.probabilities().sum() == pytest.approx(1.0, abs=1e-9)
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(x=FLOATS, y=FLOATS, z=FLOATS)
     def test_measurement_direction(self, x, y, z):
         direction = outcome(MeasurementDirection, x, y, z)
         assert direction is None or all_finite(direction.x, direction.y, direction.z)
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(angle=FLOATS)
     def test_analyzer_directions(self, angle):
         for make_direction in (left_analyzer_direction, right_analyzer_direction):
             direction = outcome(make_direction, angle)
             assert direction is None or all_finite(direction.x, direction.y, direction.z)
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(angles=st.tuples(FLOATS, FLOATS, FLOATS, FLOATS))
     def test_singlet_bell_value(self, angles):
         value = outcome(singlet_bell_value, angles)
         assert value is None or abs(value) <= 4.0
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(lambda_a=FLOATS, lambda_b=FLOATS, total_volume=FLOATS, dt=FLOATS)
     def test_simulate_flow(self, lambda_a, lambda_b, total_volume, dt):
         lam = outcome(SiphonDiameters, lambda_a, lambda_b)
@@ -160,7 +160,7 @@ class TestLibraryContract:
             split = outcome(simulate_flow, lam, system, dt)
             assert split is None or all_finite(split.x_left, split.x_right)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(
         seed=INTS,
         n=st.integers(-2, 40),
@@ -171,7 +171,7 @@ class TestLibraryContract:
         assert statistic is None or abs(statistic.value) <= 4.0
 
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(n=COUNTS)
     def test_sample_counts(self, n):
         sizes = outcome(chunk_sizes, n)
@@ -319,7 +319,7 @@ class TestInvariantHoles:
             for call in batch_calls(good.astype(dtype), np.array([2.0, 1.0]).astype(dtype)):
                 call()
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(
         rows=up_to(st.tuples(st.floats(0.5, 3.0), st.floats(0.5, 3.0), st.booleans()), 5),
         bad=st.sampled_from(BAD_DIAMETERS),

@@ -217,7 +217,7 @@ def as_columns(rows):
 
 
 class TestScanColumns:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(
         rows=draws,
         transparent=st.booleans(),
@@ -260,7 +260,7 @@ class TestScanColumns:
             assert entry.factorization == search_factorization(table)
             assert entry.witness == witness
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(rows=draws)
     def test_error_policy_raises_on_any_tie(self, rows):
         lambda_a, lambda_b = as_columns(rows)
@@ -285,7 +285,7 @@ class TestScanColumns:
 class TestScanCounts:
     """The reduce-only counts of the JSON report against the scan's columns."""
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(
         bounds=st.sampled_from([TIE_PRONE, NORMAL]),
         n=st.integers(min_value=0, max_value=400),

@@ -142,14 +142,14 @@ def choice_draws(state, n, seed):
 
 
 class TestBornCounting:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(amplitudes=amplitude_vectors, n=sample_counts, seed=st.integers(0, 2**32))
     def test_counted_histogram_equals_the_binned_choice_draws(self, amplitudes, n, seed):
         state = make_state(amplitudes, normalize=True)
         expected = np.bincount(choice_draws(state, n, seed), minlength=11)
         assert born_histogram(state, n, seed).tolist() == expected.tolist()
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(amplitudes=amplitude_vectors, n=sample_counts, seed=st.integers(0, 2**32))
     @example(amplitudes=UNIFORM.amplitudes, n=100, seed=7)
     def test_samples_equal_the_choice_draws(self, amplitudes, n, seed):
@@ -187,7 +187,7 @@ class TestSchmidtRank:
         assert schmidt_rank(state) == 2
         assert is_entangled(state)
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(
         tol=st.floats(1e-300, 0.03),
         ratios=st.tuples(RATIO_BELOW, RATIO_ABOVE, *[st.one_of(RATIO_BELOW, RATIO_ABOVE)] * 8),
@@ -291,7 +291,7 @@ finite_angles = st.floats(allow_nan=False, allow_infinity=False)
 
 
 class TestSingletBellValue:
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=400)
     @given(
         angles=st.one_of(
             st.tuples(*[st.floats(-720.0, 720.0)] * 4), st.tuples(*[finite_angles] * 4)

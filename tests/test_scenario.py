@@ -127,7 +127,7 @@ class TestValidation:
         assert set(VALID_FIELDS) == fields
         assert set(INVALID_FIELDS) == fields | {"unknown_field"}
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(fault=one_fault())
     def test_a_single_fault_is_reported_at_its_field(self, fault):
         assert_refused_at(*fault)
@@ -138,7 +138,7 @@ class TestValidation:
 
 
 class TestEcho:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(data=valid_scenarios())
     @example(data={"seed": 3})
     @example(
