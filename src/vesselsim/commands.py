@@ -10,10 +10,11 @@ scenarios yield byte-identical output.
 The dump's rows are computed lazily, one chunk of runs at a time, while the
 CSV is written, and each slice of at most ``CSV_ROWS_PER_WRITE`` rows of a
 chunk becomes one text, built by a single ``str.join``.  No row formats an
-integer: its running index is a head shared by up to 1000 rows (the prefix
-and the index's leading digits) and an entry of a table of the texts of
-0..999 or of the endings "000".."999", and every pre-rendered tail carries
-its leading comma.  The float cells (the diameters) of a slice come from
+integer: its running index is a head (the prefix and the index's leading
+digits) and an entry, with its comma, of a table of the texts of 0..999 or
+of "000".."999".  A row's pre-rendered tail and the next row's head are
+one piece, glued once per tail and head, so a row is 2 pieces, or 3 with
+float cells.  The float cells (the diameters) of a slice come from
 one ``floattext.reprs`` call, which writes each row's cells as one text of
 ``repr``s joined by "," without calling ``repr`` for most of them.  With
 ``collect_runs`` every command returns no report (None): CSV output does
@@ -60,24 +61,20 @@ from .vessels import (
 )
 
 
-def _csv_lines(rows: Iterable[Iterable], lead: str = "") -> np.ndarray:
-    """Each row's cells rendered as a CSV line after ``lead`` (a line's tail
-    takes its leading ","), in an object array so that a chunk's tails are
-    one take."""
-    return np.array([lead + ",".join(map(str, row)) + "\n" for row in rows], dtype=object)
+def _csv_lines(rows: Iterable[Iterable]) -> list[str]:
+    """Each row's cells rendered as a CSV line."""
+    return [",".join(map(str, row)) + "\n" for row in rows]
 
 
-# ,outcome_left,outcome_right,product at 2 * (outcome_left > 0) + (outcome_right > 0).
-_CHSH_TAILS = _csv_lines(
-    ((left, right, left * right) for left in (-1, 1) for right in (-1, 1)), ","
-)
-# ,x,left_liters,right_liters at the Born draw x.
-_BORN_TAILS = _csv_lines(((x, x, TOTAL_LITERS - x) for x in range(TOTAL_LITERS + 1)), ",")
+# outcome_left,outcome_right,product at 2 * (outcome_left > 0) + (outcome_right > 0).
+_CHSH_TAILS = _csv_lines((left, right, left * right) for left in (-1, 1) for right in (-1, 1))
+# x,left_liters,right_liters at the Born draw x.
+_BORN_TAILS = _csv_lines((x, x, TOTAL_LITERS - x) for x in range(TOTAL_LITERS + 1))
 
-# A running index i's last digits: _DIGITS[i] below 1000, else
-# _ENDINGS[i % 1000] after the head's str(i // 1000).
-_DIGITS = [str(i) for i in range(1000)]
-_ENDINGS = [f"{i:03d}" for i in range(1000)]
+# A running index i's last digits and the comma after them: _DIGITS[i]
+# below 1000, else _ENDINGS[i % 1000] after the head's str(i // 1000).
+_DIGITS = [f"{i}," for i in range(1000)]
+_ENDINGS = [f"{i:03d}," for i in range(1000)]
 
 # The flow report's section and its one CSV row, in this order.
 FLOW_COLUMNS = ("lambda_a", "lambda_b", "dt", "x_left", "x_right", "outcome_left", "outcome_right")
@@ -112,37 +109,41 @@ class RunDump:
     rows: Iterable[str] = ()
 
 
-def _index_pieces(prefix: str, first: int, stop: int) -> tuple[list[str], list[str]]:
-    """The heads and the table entries that join to ``prefix + str(i)`` for
-    each running index i in [first, stop)."""
-    heads, lows = [], []
-    for thousand in range(first // 1000, (stop - 1) // 1000 + 1):
+def _slice_text(prefix: str, first: int, codes: np.ndarray, tails: list, texts: list | None) -> str:
+    """The CSV lines of indices ``first``, ``first + 1``, ...: ``prefix``
+    and the index, the row's ``texts`` entry (float cells) if any, and
+    ``tails[code]``.  A row's tail is one piece with the next row's head,
+    the last row's is bare, and the first row's head starts the text."""
+    stop, sep, width = first + len(codes), "," * (texts is not None), 2 + (texts is not None)
+    heads = [prefix + str(t) if t else prefix for t in range(first // 1000, (stop - 1) // 1000 + 1)]
+    lows, glues = [], []
+    for thousand, head in enumerate(heads, first // 1000):
         base = 1000 * thousand
-        lo, hi = max(first - base, 0), min(stop - base, 1000)
-        heads += [prefix + str(thousand) if thousand else prefix] * (hi - lo)
-        lows += (_ENDINGS if thousand else _DIGITS)[lo:hi]
-    return heads, lows
+        lo, hi = max(first, base), min(stop, base + 1000)
+        lows += (_ENDINGS if thousand else _DIGITS)[lo - base : hi - base]
+        # The row before the block's first and all but its last end with its head.
+        glue = np.array([sep + tail + head for tail in tails], dtype=object)
+        glues += glue[codes[max(lo - 1 - first, 0) : hi - 1 - first]].tolist()
+    glues.append(sep + tails[codes[-1]])
+    pieces = [heads[0]] * (1 + width * len(codes))  # pieces[0] is the first row's head.
+    pieces[1::width] = lows
+    if texts is not None:
+        pieces[2::width] = texts
+    pieces[width::width] = glues
+    return "".join(pieces)
 
 
-def _row_blocks(chunks: Iterable[list[np.ndarray]], prefix: str = "") -> Iterator[str]:
-    """The CSV lines of each chunk of float64 cell columns, one text per
-    slice of at most ``CSV_ROWS_PER_WRITE`` rows: ``prefix``, a running row
-    index and the ``repr`` of a cell of each column, the last column holding
-    the pre-rendered line tails with their leading separator."""
+def _row_blocks(chunks: Iterable[list], tails: list[str], prefix: str = "") -> Iterator[str]:
+    """The CSV lines of each chunk (its float64 cell columns, then a column
+    of codes into ``tails``), one ``_slice_text`` per slice of at most
+    ``CSV_ROWS_PER_WRITE`` rows."""
     start = 0
-    for *cells, tails in chunks:
-        # A row's pieces: the index's head and table entry, "," and its cells if any, the tail.
-        row = [None, None] + [",", None] * bool(cells) + [None]
-        width = len(row)
-        for lo in range(0, len(tails), CSV_ROWS_PER_WRITE):
-            hi = min(lo + CSV_ROWS_PER_WRITE, len(tails))
-            pieces = row * (hi - lo)
-            pieces[0::width], pieces[1::width] = _index_pieces(prefix, start + lo, start + hi)
-            if cells:
-                pieces[3::width] = reprs(np.stack([column[lo:hi] for column in cells], axis=1))
-            pieces[width - 1 :: width] = tails[lo:hi].tolist()
-            yield "".join(pieces)
-        start += len(tails)
+    for *cells, codes in chunks:
+        for lo in range(0, len(codes), CSV_ROWS_PER_WRITE):
+            rows = slice(lo, lo + CSV_ROWS_PER_WRITE)
+            texts = reprs(np.stack([column[rows] for column in cells], axis=1)) if cells else None
+            yield _slice_text(prefix, start + lo, codes[rows], tails, texts)
+        start += len(codes)
 
 
 def _report(scenario: Scenario, **sections) -> dict:
@@ -200,11 +201,11 @@ def _chsh(
     if collect_runs:
         def chunk_cells(pair):
             for _, columns in pair_chunks(model, pair, n, collect=True):
-                tail = 2 * (columns["outcome_left"] > 0) + (columns["outcome_right"] > 0)
-                yield [*(columns[name] for name in run_columns), _CHSH_TAILS[tail]]
+                code = 2 * (columns["outcome_left"] > 0) + (columns["outcome_right"] > 0)
+                yield [*(columns[name] for name in run_columns), code]
 
         # The pair label, then the run index, run columns and outcome tail.
-        blocks = (_row_blocks(chunk_cells(pair), pair.label + ",") for pair in ALL_PAIRS)
+        blocks = (_row_blocks(chunk_cells(p), _CHSH_TAILS, p.label + ",") for p in ALL_PAIRS)
         dump.rows = RowBlocks(chain.from_iterable(blocks), len(ALL_PAIRS) * n)
         return None, dump
     estimates = [estimate_expectation(model, pair, n) for pair in ALL_PAIRS]
@@ -228,9 +229,8 @@ def locality_check(
     if collect_runs:
         # The joint run's winner fixes the cells after lambda_b: the
         # scan_rows row of a left loss, then of a left win.
-        tails = _csv_lines(scan_rows(scenario.system), ",")
-        blocks = ([a, b, tails[left_wins(a, b, *tie_args).astype(np.intp)]] for a, b in chunks)
-        dump.rows = RowBlocks(_row_blocks(blocks), n)
+        blocks = ([a, b, left_wins(a, b, *tie_args).astype(np.intp)] for a, b in chunks)
+        dump.rows = RowBlocks(_row_blocks(blocks, _csv_lines(scan_rows(scenario.system))), n)
         return None, dump
 
     satisfiable, witnesses = scan_counts(chunks, scenario.system, *tie_args)
@@ -260,7 +260,7 @@ def sample_state(
     if collect_runs:
         # Chunk after chunk on one generator: the same draws as born_samples(state, n, rng).
         draws = run_chunks(lambda size: born_samples(state, size, rng), n)
-        dump.rows = RowBlocks(_row_blocks([_BORN_TAILS[x]] for x in draws), n)
+        dump.rows = RowBlocks(_row_blocks(([x] for x in draws), _BORN_TAILS), n)
         return None, dump
 
     return _report(

@@ -267,22 +267,22 @@ CELLS = st.one_of(st.sampled_from(PAIR_LABELS), st.integers(), st.booleans(), FL
 def _tail_dump(label, leading, table, blocks):
     """Fieldnames, ``_row_blocks`` inputs and the rows they stand for.  Each
     row is the optional ``label``, a running index, the next of the
-    ``leading`` rows (float cells, in float64 columns) and a tail: the table
-    row of the next pick, rendered with its leading separator.  Each block
-    is a row count and its picks, cycled."""
+    ``leading`` rows (float cells, in float64 columns) and the ``table`` row
+    at its code, the next of its block's picks.  Each block is a chunk: a
+    row count and its picks, cycled."""
     width = len(leading[0])
-    tails = commands._csv_lines(table, ",")
     chunks, rows = [], []
     for length, picks in blocks:
         cells = list(islice(cycle(leading), length))
-        picked = list(islice(cycle([pick % len(table) for pick in picks]), length))
+        codes = list(islice(cycle([pick % len(table) for pick in picks]), length))
         columns = [np.array([row[k] for row in cells], dtype=np.float64) for k in range(width)]
-        chunks.append([*columns, tails[np.array(picked, dtype=np.intp)]])
-        rows += [(*cell, *table[pick]) for cell, pick in zip(cells, picked)]
+        chunks.append([*columns, np.array(codes, dtype=np.intp)])
+        rows += [(*cell, *table[code]) for cell, code in zip(cells, codes)]
     prefix = () if label is None else (label,)
     rows = [(*prefix, index, *row) for index, row in enumerate(rows)]
     fieldnames = [f"field_{index}" for index in range(len(prefix) + 1 + width + len(table[0]))]
-    texts = commands._row_blocks(chunks, "" if label is None else label + ",")
+    tails = commands._csv_lines(table)
+    texts = commands._row_blocks(chunks, tails, "" if label is None else label + ",")
     return fieldnames, texts, rows
 
 

@@ -46,7 +46,7 @@ from vesselsim.scenario import MAX_RUNS_PER_PAIR
 
 import oracle
 from strategies import FOLD_FIELDS, NORMAL, PAIR_LABELS, TIE_PRONE, UNIFORM_AMPLITUDES
-from strategies import scenario_dicts, tail_dumps
+from strategies import _tail_dump, scenario_dicts, tail_dumps
 
 
 def write_scenario(tmp_path, name="scenario.json", **overrides):
@@ -590,7 +590,7 @@ def oracle_run(tmp_path, argv, **fields):
     report = run_json(tmp_path, argv[0], scenario, *argv[1:])
     rows = run_csv(tmp_path, argv[0], scenario, *argv[1:])
     expected_report, expected_text = oracle.expected(argv, {"seed": 42, **fields})
-    assert (tmp_path / "dump.csv").read_text() == expected_text
+    assert first_difference((tmp_path / "dump.csv").read_text(), expected_text) is None
     assert report == expected_report
     return rows
 
@@ -681,18 +681,22 @@ def flow_reference(scenario):
     return fieldnames, [tuple(report["flow"][name] for name in fieldnames)]
 
 
+# The CHSH tails' cells, at the codes 0..3.
+CHSH_ROWS = [(left, right, left * right) for left in (-1, 1) for right in (-1, 1)]
+
 # The largest running index, and the most rows a test slice spans.
 MAX_INDEX = MAX_RUNS_PER_PAIR - 1
 TWO_SLICES = 2 * CSV_ROWS_PER_WRITE
 
 
 class TestRowIndex:
-    """A row's running index is a head and a table entry, not a formatted int."""
+    """A row's running index is a head and a table entry, not a formatted
+    int, and its tail, glued to the next row's head, is the one at its code."""
 
     @settings(max_examples=200)
     @given(
         first=st.integers(0, MAX_INDEX),
-        length=st.integers(0, TWO_SLICES),
+        length=st.integers(1, TWO_SLICES),
         prefix=st.sampled_from(["", *(label + "," for label in PAIR_LABELS)]),
     )
     @example(first=999, length=2, prefix="")
@@ -701,11 +705,17 @@ class TestRowIndex:
     @example(first=10000, length=CSV_ROWS_PER_WRITE, prefix="A'B',")
     @example(first=MAX_INDEX + 1 - TWO_SLICES, length=TWO_SLICES, prefix="")
     @example(first=MAX_INDEX, length=1, prefix="AB',")
-    def test_index_pieces_join_to_the_index(self, first, length, prefix):
-        stop = min(first + length, MAX_INDEX + 1)
-        heads, lows = commands._index_pieces(prefix, first, stop)
-        joined = [head + low for head, low in zip(heads, lows, strict=True)]
-        assert joined == [prefix + str(index) for index in range(first, stop)]
+    def test_slice_rows_carry_their_index(self, first, length, prefix):
+        indices = range(first, min(first + length, MAX_INDEX + 1))
+        tails = ["a\n", "b\n", "c\n"]
+        codes = np.array([index % 3 for index in indices])
+        text = commands._slice_text(prefix, first, codes, tails, None)
+        lines = "".join(f"{prefix}{index},{tails[index % 3]}" for index in indices)
+        assert first_difference(text, lines) is None
+        floats = [f"{index}.5" for index in indices]
+        text = commands._slice_text(prefix, first, codes, tails, floats)
+        lines = "".join(f"{prefix}{index},{index}.5,{tails[index % 3]}" for index in indices)
+        assert first_difference(text, lines) is None
 
 
 class TestCsvBytes:
@@ -714,11 +724,20 @@ class TestCsvBytes:
 
     @settings(max_examples=60)
     @given(dump=tail_dumps)
+    # A slice that crosses 1000 mid-slice.
+    @example(dump=_tail_dump("AB", [(0.1, 2.5), (1e-05, -0.0)], CHSH_ROWS, [(1500, [3, 0, 2])]))
+    # Slices that end exactly at 1000 and at 4000, after crossing 2000 and 3000.
+    @example(dump=_tail_dump(None, [()], CHSH_ROWS, [(1000, [1, 2]), (3000, [0, 3, 3, 1])]))
+    # One-row chunks at 999 and 1000, after and before longer ones.
+    @example(dump=_tail_dump("AB", [(7.5,)], CHSH_ROWS, [(999, [2]), (1, [1]), (1, [3]), (4, [0])]))
+    # A one-entry tail table, with and without float cells.
+    @example(dump=_tail_dump(None, [(5e-324, 1e16, 3.0)], [(True,)], [(2049, [0]), (1, [0])]))
+    @example(dump=_tail_dump("AB'", [()], [("AB", 0)], [(2048, [0]), (1000, [0])]))
     def test_template_rows_are_the_csv_writer_bytes(self, dump):
         fieldnames, blocks, rows = dump
         out = io.StringIO()
         render_csv(commands.RunDump(fieldnames, blocks), out)
-        assert out.getvalue() == csv_writer_bytes(fieldnames, rows)
+        assert first_difference(out.getvalue(), csv_writer_bytes(fieldnames, rows)) is None
 
     @pytest.mark.parametrize(
         "argv, collect",
@@ -774,20 +793,20 @@ def csv_line(cells):
 
 
 class TestCsvTails:
-    """The pre-rendered line tails stand for exactly the cells they replace,
-    with the separator before them: a cell and a tail are a whole line."""
+    """The pre-rendered line tails stand for exactly the cells they replace:
+    a cell with its separator and a tail are a whole line."""
 
     def test_chsh_tails_are_the_csv_writer_lines(self):
         assert len(commands._CHSH_TAILS) == 4
         for left in (-1, 1):
             for right in (-1, 1):
                 tail = commands._CHSH_TAILS[2 * (left > 0) + (right > 0)]
-                assert "0" + tail == csv_line([0, left, right, left * right])
+                assert "0," + tail == csv_line([0, left, right, left * right])
 
     def test_born_tails_are_the_csv_writer_lines(self):
         assert len(commands._BORN_TAILS) == TOTAL_LITERS + 1
         for x in range(TOTAL_LITERS + 1):
-            assert "0" + commands._BORN_TAILS[x] == csv_line([0, x, x, TOTAL_LITERS - x])
+            assert "0," + commands._BORN_TAILS[x] == csv_line([0, x, x, TOTAL_LITERS - x])
 
     @pytest.mark.parametrize("transparent", [True, False])
     @pytest.mark.parametrize("policy", [policy.value for policy in TiePolicy])
@@ -802,7 +821,8 @@ class TestCsvTails:
             data["sampler"] = TIE_PRONE
         _, dump = commands.locality_check(scenario_from_dict(data), collect_runs=True)
         fieldnames, *rows = csv.reader(io.StringIO(oracle.expected(["locality-check"], data)[1]))
-        assert "".join(dump.rows) == "".join(csv_line(row) for row in rows)
+        expected = "".join(csv_line(row) for row in rows)
+        assert first_difference("".join(dump.rows), expected) is None
         witness = fieldnames.index("witness_with_b")
         assert {row[witness] for row in rows} == {"-1", "1"}
         if policy != "error":
