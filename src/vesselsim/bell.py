@@ -18,6 +18,7 @@ import enum
 import math
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,18 +46,18 @@ BOUND_TOL = 1e-12
 
 PAIR_STREAM = {pair: index for index, pair in enumerate(ALL_PAIRS)}
 
-# A model maps (pair, n, collect) to one result per chunk of the pair's n
-# runs, lazily, in chunk order: the chunk's sum of outcome products and, with
-# ``collect=True``, its per-run columns (at least ``outcome_left`` and
-# ``outcome_right``), else None.  Each random column draws the whole run from
-# its own ``(PAIR_STREAM[pair], column)`` substream, whatever ``CHUNK_SIZE`` is,
-# so a chunk needs nothing but its size, which is all ``run_chunks`` passes.
-# ``PAIR_STREAM`` is the one pair-to-stream rule; the vessel and singlet models
-# both read it.
-Model = Callable[
-    [CoincidencePair, int, bool],
-    Iterator[tuple[int, dict[str, np.ndarray] | None]],
-]
+class Model(NamedTuple):
+    """A model's two views of a pair's n runs, each lazy, one result per
+    chunk, in chunk order: ``sums(pair, n)`` yields each chunk's sum of
+    outcome products, ``runs(pair, n)`` each chunk's per-run columns (at
+    least ``outcome_left`` and ``outcome_right``).  Each random column draws
+    the whole run from its own ``(PAIR_STREAM[pair], column)`` substream,
+    whatever ``CHUNK_SIZE`` is, so a chunk needs nothing but its size, which
+    is all ``run_chunks`` passes.  ``PAIR_STREAM`` is the one pair-to-stream
+    rule; the vessel and singlet models both read it."""
+
+    sums: Callable[[CoincidencePair, int], Iterator[int]]
+    runs: Callable[[CoincidencePair, int], Iterator[dict[str, np.ndarray]]]
 
 
 class BellClassification(enum.Enum):
@@ -173,56 +174,45 @@ def vessel_model(
     system: VesselSystem,
     tie_policy: TiePolicy = TiePolicy.ERROR,
 ) -> Model:
-    """The vessel experiment as a model: a pair's diameters are
-    ``sampler.draw_chunks(n, key=(PAIR_STREAM[pair],))``, put through the
-    outcome rule chunk by chunk; the draws are columns too.
+    """The vessel experiment as a model: a pair's runs are the diameters
+    ``sampler.draw_chunks(n, key=(PAIR_STREAM[pair],))`` put through the
+    outcome rule chunk by chunk, with the draws as columns too.
 
-    Without ``collect``, every run of a pair has the same product,
-    ``run_product``, so a chunk sums to ``size`` times it and draws
-    nothing.  Only the joint pair under the ``error`` policy draws, and puts
-    the draws through ``left_wins`` so that a tie raises.  Each pair owns
-    its column streams, so a skipped draw moves no other.
+    Every run of a pair has the same product, ``run_product``, so ``sums``
+    yields ``size`` times it for a chunk and draws nothing.  Only the joint
+    pair under the ``error`` policy draws there, and puts the draws through
+    ``left_wins`` so that a tie raises.  Each pair owns its column streams,
+    so a skipped draw moves no other.
     """
 
-    def drawn(pair, lambda_a, lambda_b, collect):
-        if not collect:
-            left_wins(lambda_a, lambda_b, tie_policy, sampler.seed)
-            return len(lambda_a) * run_product(pair, system), None
-        columns = {"lambda_a": lambda_a, "lambda_b": lambda_b}
-        columns["outcome_left"], columns["outcome_right"] = pair_products(
-            pair, lambda_a, lambda_b, system, tie_policy, tie_seed=sampler.seed
-        )
-        return int(columns["outcome_left"] @ columns["outcome_right"]), columns
+    def sums(pair, n):
+        product = run_product(pair, system)
+        if pair == PAIR_AB and tie_policy is TiePolicy.ERROR:
+            def checked(lambdas):
+                left_wins(*lambdas, tie_policy, sampler.seed)
+                return len(lambdas[0]) * product
 
-    def model(pair, n, collect):
-        if collect or (pair == PAIR_AB and tie_policy is TiePolicy.ERROR):
-            draws = sampler.draw_chunks(n, key=(PAIR_STREAM[pair],))
-            return (drawn(pair, *lambdas, collect) for lambdas in draws)
-        return run_chunks(lambda size: (size * run_product(pair, system), None), n)
+            return map(checked, sampler.draw_chunks(n, key=(PAIR_STREAM[pair],)))
+        return run_chunks(lambda size: size * product, n)
 
-    return model
+    def runs(pair, n):
+        for lambda_a, lambda_b in sampler.draw_chunks(n, key=(PAIR_STREAM[pair],)):
+            columns = {"lambda_a": lambda_a, "lambda_b": lambda_b}
+            columns["outcome_left"], columns["outcome_right"] = pair_products(
+                pair, lambda_a, lambda_b, system, tie_policy, tie_seed=sampler.seed
+            )
+            yield columns
 
-
-def pair_chunks(
-    model: Model,
-    pair: CoincidencePair,
-    n: int,
-    collect: bool = False,
-) -> Iterator[tuple[int, dict[str, np.ndarray] | None]]:
-    """The results of ``n`` runs of ``model`` on one pair, lazily, chunk by
-    chunk, once ``n`` is checked: each the chunk's sum of outcome products
-    and, with ``collect=True``, its per-run columns."""
-    check_count(n)
-    if n < 1:
-        raise EmptySampleSetError(f"estimation needs n >= 1, got {n}")
-    return model(pair, n, collect)
+    return Model(sums, runs)
 
 
 def estimate_expectation(model: Model, pair: CoincidencePair, n: int) -> ExpectationEstimate:
-    """Estimate one pair's expectation from ``n`` runs of ``model``, folding
-    the chunks' product sums as they arrive."""
-    total = sum(product_sum for product_sum, _ in pair_chunks(model, pair, n))
-    mean, stderr = mean_and_stderr(total, n)
+    """Estimate one pair's expectation from ``n`` runs of ``model``, once
+    ``n`` is checked, folding the chunks' product sums as they arrive."""
+    check_count(n)
+    if n < 1:
+        raise EmptySampleSetError(f"estimation needs n >= 1, got {n}")
+    mean, stderr = mean_and_stderr(sum(model.sums(pair, n)), n)
     return ExpectationEstimate(pair=pair, mean=mean, stderr=stderr, n=n)
 
 

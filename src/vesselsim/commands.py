@@ -16,10 +16,11 @@ of "000".."999".  A row's pre-rendered tail and the next row's head are
 one piece, glued once per tail and head, so a row is 2 pieces, or 3 with
 float cells.  The float cells (the diameters) of a slice come from
 one ``floattext.reprs`` call, which writes each row's cells as one text of
-``repr``s joined by "," without calling ``repr`` for most of them.  With
-``collect_runs`` every command returns no report (None): CSV output does
-not use it, and for the sampling commands it would take a second pass over
-the runs.
+``repr``s joined by "," without calling ``repr`` for most of them.  The
+CHSH commands read a model through one of its two views: the report folds
+``model.sums``, the dump writes ``model.runs``.  With ``collect_runs``
+every command returns no report (None): CSV output does not use it, and
+for the sampling commands it would take a second pass over the runs.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .bell import (
     Model,
     bell_statistic,
     estimate_expectation,
-    pair_chunks,
     vessel_model,
 )
 from .errors import ConfigError, InvariantError
@@ -200,7 +200,7 @@ def _chsh(
     dump = RunDump(["pair", "run_index", *run_columns, "outcome_left", "outcome_right", "product"])
     if collect_runs:
         def chunk_cells(pair):
-            for _, columns in pair_chunks(model, pair, n, collect=True):
+            for columns in model.runs(pair, n):
                 code = 2 * (columns["outcome_left"] > 0) + (columns["outcome_right"] > 0)
                 yield [*(columns[name] for name in run_columns), code]
 

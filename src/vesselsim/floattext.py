@@ -186,7 +186,7 @@ def _words(digits: np.ndarray) -> np.ndarray:
 
 def _texts(rows: np.ndarray) -> tuple[str, list[int]]:
     """The fast path's texts of a (rows, columns) array's rows, their cells
-    joined by "," and each ended by "\\n", and the row of each undecided
+    joined by "," and each ended by "\\n", and each row with an undecided
     cell, whose text is not whole."""
     values = rows.ravel()
     fast = (values >= FAST_MIN) & (values <= FAST_MAX)
@@ -203,7 +203,7 @@ def _texts(rows: np.ndarray) -> tuple[str, list[int]]:
     # Every cell but a row's last ends with "," instead of "\n".
     laid.reshape(*rows.shape, _ROW)[:, :-1, _SEPARATOR] = ord(",")
     key = np.where(decided, (exponent - _E_MIN) * _DIGITS + count - 1, _UNDECIDED)
-    undecided = np.flatnonzero(~decided) // rows.shape[1]
+    undecided = np.flatnonzero(~decided.reshape(rows.shape).all(axis=1))
     return str(laid[_KEEP.take(key, axis=0).ravel()].data, "ascii"), undecided.tolist()
 
 

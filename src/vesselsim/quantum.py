@@ -268,33 +268,32 @@ def singlet_model(angles_deg: tuple[float, float, float, float], seed: int) -> M
     directions, its left coins on column 0 of its stream under ``seed`` and
     its agreement uniforms on column 1.
 
-    A product is +1 exactly when the sides agree, so without ``collect`` a
-    chunk only counts agreements among the uniforms, and the coin generator
-    is never made.
+    A product is +1 exactly when the sides agree, so ``sums`` only counts
+    agreements among the uniforms and never makes the coin generator.
     """
     check_seed(seed)
     directions = dict(zip(ALL_PAIRS, _pair_directions(angles_deg)))
 
-    def model(pair, n, collect):
-        stream = PAIR_STREAM[pair]
+    def sums(pair, n):
+        threshold = _agreement_probability(*directions[pair])
+        uniforms = substream(seed, PAIR_STREAM[pair], 1)
+
+        def agreements(size):
+            return 2 * np.count_nonzero(uniforms.random(size) < threshold) - size
+
+        return run_chunks(agreements, n)
+
+    def runs(pair, n):
         a, b = directions[pair]
-        uniforms = substream(seed, stream, 1)
-        if not collect:
-            threshold = _agreement_probability(a, b)
-
-            def agreements(size):
-                return 2 * np.count_nonzero(uniforms.random(size) < threshold) - size, None
-
-            return run_chunks(agreements, n)
-        coins = substream(seed, stream, 0)
+        coins, uniforms = (substream(seed, PAIR_STREAM[pair], column) for column in (0, 1))
 
         def one_chunk(size):
             left, right = singlet_samples(a, b, size, coins, uniforms)
-            return int(left @ right), {"outcome_left": left, "outcome_right": right}
+            return {"outcome_left": left, "outcome_right": right}
 
         return run_chunks(one_chunk, n)
 
-    return model
+    return Model(sums, runs)
 
 
 def singlet_experiment(

@@ -62,7 +62,6 @@ PUBLIC_NAMES = [
     "left_analyzer_direction",
     "make_state",
     "outcome_solo_siphon",
-    "pair_chunks",
     "pair_products",
     "parse_scenario",
     "right_analyzer_direction",

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vesselsim import (
@@ -31,7 +31,7 @@ from vesselsim import (
     singlet_model,
     vessel_model,
 )
-from vesselsim.bell import PAIR_STREAM, mean_and_stderr, pair_chunks
+from vesselsim.bell import PAIR_STREAM, mean_and_stderr
 from vesselsim.streams import CHUNK_SIZE, chunk_sizes
 
 from strategies import TIE_PRONE
@@ -79,11 +79,10 @@ def tie_or(call):
 
 def collected_estimate(model, pair, n):
     """The estimate from the per-run columns of every chunk, and the columns."""
-    chunks = list(pair_chunks(model, pair, n, collect=True))
-    columns = {
-        name: np.concatenate([payload[name] for _, payload in chunks]) for name in chunks[0][1]
-    }
-    mean, stderr = mean_and_stderr(sum(product_sum for product_sum, _ in chunks), n)
+    chunks = list(model.runs(pair, n))
+    columns = {name: np.concatenate([chunk[name] for chunk in chunks]) for name in chunks[0]}
+    product_sum = int(columns["outcome_left"] @ columns["outcome_right"])
+    mean, stderr = mean_and_stderr(product_sum, n)
     return ExpectationEstimate(pair=pair, mean=mean, stderr=stderr, n=n), columns
 
 
@@ -157,7 +156,7 @@ class TestEstimateExpectation:
                 expected = per_run_oracle("AB", lambda_a[i], lambda_b[i], False, policy.value, 77)
                 assert left[i] == expected[0]
 
-    def test_collect_returns_the_runs_behind_the_estimate(self):
+    def test_runs_are_the_runs_behind_the_estimate(self):
         # 40k runs span two chunks, so the columns are concatenated in order.
         for model in MODELS.values():
             for pair in ALL_PAIRS:
@@ -170,9 +169,7 @@ class TestEstimateExpectation:
 
     def test_vessel_columns_are_the_keyed_draws(self):
         sampler = HiddenVariableSampler(seed=8)
-        [(_, columns)] = pair_chunks(
-            vessel_model(sampler, VesselSystem()), PAIR_AB, 300, collect=True
-        )
+        [columns] = vessel_model(sampler, VesselSystem()).runs(PAIR_AB, 300)
         lambda_a, lambda_b = sampler.draw_arrays(300, key=(PAIR_STREAM[PAIR_AB],))
         assert np.array_equal(columns["lambda_a"], lambda_a)
         assert np.array_equal(columns["lambda_b"], lambda_b)
@@ -182,11 +179,10 @@ class TestEstimateExpectation:
         n = 100_000
         for model in MODELS.values():
             for pair in ALL_PAIRS:
-                results = list(model(pair, n, False))
+                results = list(model.sums(pair, n))
                 assert len(results) == len(list(chunk_sizes(n)))
-                assert all(columns is None for _, columns in results)
-                total = sum(product_sum for product_sum, _ in results)
-                mean, stderr = mean_and_stderr(total, n)
+                assert all(isinstance(product_sum, (int, np.integer)) for product_sum in results)
+                mean, stderr = mean_and_stderr(sum(results), n)
                 expected = ExpectationEstimate(pair=pair, mean=mean, stderr=stderr, n=n)
                 assert estimate_expectation(model, pair, n) == expected
 
@@ -196,18 +192,24 @@ class TestEstimateExpectation:
         pair=st.sampled_from(ALL_PAIRS),
         n=chunk_run_counts,
     )
-    def test_reduce_only_chunks_agree_with_the_collected_columns(self, model, pair, n):
+    # The derandomized draws never reach a tie of AB under "error", where
+    # only the draws that sums makes can raise it.
+    @example(
+        model=vessel_model(HiddenVariableSampler(seed=3, **TIE_PRONE), VesselSystem()),
+        pair=PAIR_AB,
+        n=1001,
+    )
+    def test_sums_agree_with_the_runs_chunk_by_chunk(self, model, pair, n):
         def reduced():
-            results = list(model(pair, n, False))
-            assert all(columns is None for _, columns in results)
-            return [product_sum for product_sum, _ in results]
+            results = list(model.sums(pair, n))
+            assert all(isinstance(product_sum, (int, np.integer)) for product_sum in results)
+            return results
 
         def collected():
-            results = list(model(pair, n, True))
-            for product_sum, columns in results:
-                products = columns["outcome_left"] * columns["outcome_right"]
-                assert product_sum == int(products.sum())
-            return [product_sum for product_sum, _ in results]
+            return [
+                int(columns["outcome_left"] @ columns["outcome_right"])
+                for columns in model.runs(pair, n)
+            ]
 
         assert tie_or(reduced) == tie_or(collected)
         assert tie_or(lambda: estimate_expectation(model, pair, n)) == tie_or(

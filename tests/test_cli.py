@@ -29,7 +29,6 @@ from vesselsim import (
     __version__,
     commands,
     locality,
-    pair_chunks,
     parse_scenario,
     scan_columns,
     scenario_from_dict,
@@ -843,7 +842,7 @@ class TestCsvTails:
             assert set(np.unique(witness).tolist()) == {-1, 1}
         for model in models:
             for pair in vessels.ALL_PAIRS:
-                for _, columns in pair_chunks(model, pair, 500, collect=True):
+                for columns in model.runs(pair, 500):
                     for name in ("outcome_left", "outcome_right"):
                         assert set(np.unique(columns[name]).tolist()) <= {-1, 1}
 

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from vesselsim import floattext
 from vesselsim.floattext import FAST_MAX, FAST_MIN, reprs
 
 from strategies import fixed_length, short_lists
@@ -130,6 +131,37 @@ def test_a_sweep_of_sampler_ranges():
         values = rng.uniform(low, low + span, 2000)
         assert reprs(values) == list(map(repr, values.tolist()))
         assert_rows(values.reshape(-1, 2))
+
+
+# Column ranges of a 2048-row slice: both columns outside the fast path,
+# so every cell is undecided, or one column inside it and one outside.
+UNDECIDED_COLUMNS = {
+    "both-above": [(1e16, 3e16), (1e16, 3e16)],
+    "both-below": [(1e-6, 3e-6), (1e-6, 3e-6)],
+    "one-of-two": [(0.5, 3.0), (1e16, 3e16)],
+}
+
+
+@pytest.mark.parametrize("columns", UNDECIDED_COLUMNS.values(), ids=UNDECIDED_COLUMNS)
+def test_a_row_is_rebuilt_once_whatever_its_undecided_cells(monkeypatch, columns):
+    """``reprs`` calls ``repr`` at most once a cell: a row with undecided
+    cells is rebuilt once, not once for each of them."""
+    rng = np.random.default_rng(36)
+    values = np.stack([rng.uniform(low, high, 2048) for low, high in columns], axis=1)
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return repr(x)
+
+    monkeypatch.setattr(floattext, "repr", counted, raising=False)
+    texts = reprs(values)
+    monkeypatch.undo()
+    assert len(calls) <= values.size
+    expected = [",".join(map(repr, row)) for row in values.tolist()]
+    assert len(texts) == len(expected)
+    # The rows that differ, not a diff of 2048 texts.
+    assert [i for i, (got, want) in enumerate(zip(texts, expected)) if got != want] == []
 
 
 @pytest.mark.parametrize(

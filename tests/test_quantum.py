@@ -410,15 +410,14 @@ class TestSingletModel:
         for pair in ALL_PAIRS:
             # Coins on column 0 of the pair's stream, agreement uniforms on column 1.
             coins, uniforms = (substream(21, PAIR_STREAM[pair], column) for column in (0, 1))
-            [(product_sum, columns)] = model(pair, 500, True)
+            [columns] = model.runs(pair, 500)
             left, right = singlet_samples(
                 direction[pair.left], direction[pair.right], 500, coins, uniforms
             )
             assert list(columns) == ["outcome_left", "outcome_right"]
             assert np.array_equal(columns["outcome_left"], left)
             assert np.array_equal(columns["outcome_right"], right)
-            assert product_sum == int((left * right).sum())
-            assert list(model(pair, 500, False)) == [(product_sum, None)]
+            assert list(model.sums(pair, 500)) == [int((left * right).sum())]
 
 
 class TestSingletExperiment:

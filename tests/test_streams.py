@@ -99,10 +99,10 @@ THREE_CHUNKS = 2 * CHUNK_SIZE + 3
 SCHEDULED = [
     # Four pairs of three chunks each.  Vessel pairs that draw go through
     # draw_chunks: under the default "error" policy JSON draws only for AB.
-    ("vessel-chsh", "json", {"draw_chunks": 3, "model": 9}),
+    ("vessel-chsh", "json", {"draw_chunks": 3, "sums": 9}),
     ("vessel-chsh", "csv", {"draw_chunks": 12}),
-    ("quantum-chsh", "json", {"model": 12}),
-    ("quantum-chsh", "csv", {"model": 12}),
+    ("quantum-chsh", "json", {"sums": 12}),
+    ("quantum-chsh", "csv", {"runs": 12}),
     ("locality-check", "json", {"draw_chunks": 3}),
     ("locality-check", "csv", {"draw_chunks": 3}),
     ("sample-state", "json", {"born_histogram": 3}),
