@@ -1,16 +1,19 @@
 """Plant known faults in a copy of the package and require a test to catch each.
 
-    python tests/mutants.py [NAME ...]
+    python tests/mutants.py
 
 Each entry of ``MUTANTS`` is one fault: the file under ``src/vesselsim``,
 the text it replaces there, the text that replaces it, and the tests that
-must catch it.  For each mutant (every one, or those named) the script
-copies ``src/`` into a temporary directory, plants the fault in the copy,
-and runs the tests against it with ``-x -q -p no:cacheprovider
---hypothesis-profile mutants``.  The mutant is killed when that run reports
-a failing test; any other outcome, a pass or a run that could not collect
-its tests, is a survivor.  It prints one line per mutant with its verdict
-and wall time, then the totals, and exits 1 if any mutant survives.
+must catch it.  The script first runs every killing test once on an
+unmutated copy of ``src/`` and stops with an error unless they all pass:
+a killer that fails without a fault would count every mutant it names as
+killed.  Then, for each mutant, it copies ``src/`` into a temporary
+directory, plants the fault in the copy, and runs the mutant's tests
+against it with ``-x -q -p no:cacheprovider --hypothesis-profile
+mutants``.  The mutant is killed when that run reports a failing test; any
+other outcome, a pass or a run that could not collect its tests, is a
+survivor.  It prints one line per mutant with its verdict and wall time,
+then the totals, and exits 1 if any mutant survives.
 
 It needs the standard library and pytest only, and is not a pytest module:
 tier-1's ``tests/test_mutants.py`` requires that every ``old`` text occurs
@@ -24,14 +27,13 @@ may it run the package in a new process (``test_demos.py``,
 
 from __future__ import annotations
 
-import os
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "vesselsim"
@@ -201,43 +203,39 @@ MUTANTS = [
 ]
 
 
-def killed(mutant: Mutant) -> bool:
-    """Whether ``mutant.tests`` fail on a copy of ``src/`` with the fault planted."""
+def pytest_status(tests: Iterable[str], mutant: Mutant | None = None) -> int:
+    """pytest's exit status for ``tests`` on a copy of ``src/``, with ``mutant`` planted."""
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
-        path = src / "vesselsim" / mutant.file
-        text = path.read_text()
-        if text.count(mutant.old) != 1:
-            sys.exit(f"{mutant.name}: its old text does not occur exactly once in {mutant.file}")
-        path.write_text(text.replace(mutant.old, mutant.new))
+        if mutant is not None:
+            path = src / "vesselsim" / mutant.file
+            path.write_text(path.read_text().replace(mutant.old, mutant.new))
         command = [
             sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-            "--hypothesis-profile", "mutants", "-o", f"pythonpath={src}", *mutant.tests,
+            "--hypothesis-profile", "mutants", "-o", f"pythonpath={src}", *tests,
         ]
-        # pytest exits 1 only when a collected test failed.
-        env = dict(os.environ, PYTHONPATH=str(src))
-        result = subprocess.run(command, cwd=ROOT, env=env, capture_output=True)
-        return result.returncode == 1
+        return subprocess.run(command, cwd=ROOT, capture_output=True).returncode
 
 
-def main(names: list[str]) -> int:
-    unknown = set(names) - {mutant.name for mutant in MUTANTS}
-    if unknown:
-        sys.exit(f"unknown mutant(s): {sorted(unknown)}")
-    chosen = [mutant for mutant in MUTANTS if not names or mutant.name in names]
-    survivors = []
+def main() -> int:
     start = time.perf_counter()
-    for mutant in chosen:
+    killers = sorted({test for mutant in MUTANTS for test in mutant.tests})
+    if pytest_status(killers) != 0:
+        sys.exit("the killing tests fail on an unmutated copy of src/, so no kill would count")
+    print(f"{'clean':8}  {time.perf_counter() - start:6.1f} s  {len(killers)} killers pass", flush=True)
+    survivors = []
+    for mutant in MUTANTS:
         begin = time.perf_counter()
-        verdict = "killed" if killed(mutant) else "SURVIVED"
+        # pytest exits 1 only when a collected test failed.
+        verdict = "killed" if pytest_status(mutant.tests, mutant) == 1 else "SURVIVED"
         if verdict != "killed":
             survivors.append(mutant.name)
         print(f"{verdict:8}  {time.perf_counter() - begin:6.1f} s  {mutant.name}", flush=True)
     total = time.perf_counter() - start
-    print(f"{len(chosen) - len(survivors)} of {len(chosen)} killed in {total:.1f} s")
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} killed in {total:.1f} s")
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
