@@ -1,11 +1,12 @@
 """Command-line entry point: scenario file in, machine-readable report out.
 
 Exit codes: 0 success, 2 configuration error, 3 domain invariant or
-numerical failure, running out of memory included.  Nothing is written
-on an error path: every report is complete in a file before its target
-sees a byte.  A regular ``--out`` is replaced by a temporary file from its
-own directory; stdout and a device or pipe named by ``--out`` get a copy of
-an anonymous spool file.
+numerical failure, running out of memory included, and 130 or 143 for a
+run stopped by SIGINT or SIGTERM.  Nothing is written on an error path or
+when a run is stopped: every report is complete in a file before its
+target sees a byte.  A regular ``--out`` is replaced by a temporary file
+from its own directory; stdout and a device or pipe named by ``--out`` get
+a copy of an anonymous spool file.
 """
 
 from __future__ import annotations
@@ -29,6 +30,14 @@ from .scenario import parse_scenario
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
+# A run stopped by a signal exits 128 + its number, as a shell reports it
+# (130 for SIGINT, 143 for SIGTERM), after one of these stderr lines.
+_STOPPED = {"SIGINT": "interrupted", "SIGTERM": "terminated"}
+
+
+class _Stopped(BaseException):
+    """Raised where the run is by SIGINT or SIGTERM, so that ``commit``
+    removes its temporary file on the way out."""
 
 
 def render_json(report: dict) -> str:
@@ -200,15 +209,62 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command line and return its exit code.  While it runs,
+    SIGTERM, and SIGINT unless it is ignored, stop it: the report is not
+    published and the exit code is 128 + the signal's number.  The previous
+    handlers are back in place on return."""
+    # Imported here, so that importing the CLI, which every start pays
+    # for, does not load it.
+    import signal
+
+    stopped: list[int] = []
+
+    def stop(signum, frame):
+        stopped.append(signum)
+        raise _Stopped
+
+    previous = {}
+    try:
+        previous[signal.SIGTERM] = signal.signal(signal.SIGTERM, stop)
+        # An ignored SIGINT, as a background job inherits it, stays ignored.
+        if signal.getsignal(signal.SIGINT) is signal.default_int_handler:
+            previous[signal.SIGINT] = signal.signal(signal.SIGINT, stop)
+    except ValueError:
+        # Off the main thread no handler can be set: signals keep their action.
+        pass
+    try:
+        return _run(argv, stopped)
+    except BaseException:
+        # Whatever exception a stopped run ends with, it ends stopped.
+        if not stopped:
+            raise
+        print(f"vesselsim: {_STOPPED[signal.Signals(stopped[0]).name]}", file=sys.stderr)
+        return 128 + stopped[0]
+    finally:
+        for signum, handler in previous.items():
+            # None: a handler not set from Python, which cannot be put back.
+            signal.signal(signum, signal.SIG_DFL if handler is None else handler)
+
+
+def _run(argv: list[str] | None, stopped: list[int]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         report, dump = args.run(args, parse_scenario(args.scenario), args.format == "csv")
-        if args.format == "json":
-            text = render_json(report)
-            commit(args.out, lambda handle: handle.write(text))
-        else:
-            commit(args.out, lambda handle: render_csv(dump, handle))
+        text = render_json(report) if args.format == "json" else None
+
+        def write(handle: TextIO) -> None:
+            if text is None:
+                render_csv(dump, handle)
+            else:
+                handle.write(text)
+            if stopped:
+                # C code can lose the exception a signal raised, as numpy's
+                # first import of numpy.random does: the report is still
+                # not published.
+                raise _Stopped
+
+        commit(args.out, write)
     except ConfigError as exc:
         print(f"vesselsim: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -10,25 +10,28 @@ The fast path decides the values x from 1.5e-4 to 9e15, in the way of the
 Ryu and Schubfach shortest-decimal algorithms (Adams, PLDI 2018; Giulietti
 2020), in exact double arithmetic:
 
-1. E = floor(log10(x)), and y = x * 10**(16 - E) as an exact sum
+1. With 2**(b - 1) <= x < 2**b (``np.frexp``), E is the largest d with
+   10**d <= 2**(b - 1), from a table by b, plus 1 where x is at or above
+   the double nearest 10**(d + 1).  y = x * 10**(16 - E) as an exact sum
    ``hi + lo`` (Dekker's TwoProduct; 10**(16 - E) is an exact double).
-   Only rows with 1e16 < hi < 1e17 go on.
 2. With u = ``np.spacing(x)``, x's ulp, and h = u/2 * 10**(16 - E), the
    integers within h of y run from ``hi + ceil(lo - h)`` to
    ``hi + floor(lo + h)``.
 3. D is the multiple of the largest 10**j with one in those bounds that is
-   nearest to y; rows where y lies half-way between two are not decided.
-   The text is D's 17 digits less its j trailing zeros, with the point
-   placed by E.
+   nearest to y, the even one where y lies half-way between two.  The
+   text is D's 17 digits less its j trailing zeros, with the point placed
+   by E.
 
 Why D is ``repr``'s decimal, for x = m * 2**e with 2**52 <= m < 2**53:
 
-a. Rounding is monotone and 1e16 and 1e17 are doubles, so step 1 keeps
-   only 10**16 < y < 10**17: E is x's decimal exponent, not a log10
-   rounded across a power of ten.
+a. E is x's decimal exponent.  10**d <= x < 2 * 2**(b - 1) < 10**(d + 2),
+   so E = d + 1 exactly where x >= 10**(d + 1).  The double nearest
+   10**(d + 1) is the least one at or above it (e), so the comparison is
+   exact.  Thus 10**16 <= y < 10**17, and as rounding is monotone and both
+   ends are doubles, 10**16 <= hi <= 10**17.
 b. The reals that read back as x lie within u/2 of it, ends included for
    even m, except that below a power of two they reach only u/4.  Scaled,
-   that is within h of y, and h > 1e16 * 2**-54 > 1/2, so the shortest
+   that is within h of y, and h > 10**16 * 2**-54 > 1/2, so the shortest
    decimals are the multiples of the largest 10**j among the integers
    there, and ``repr`` writes the one nearest to y.
 c. h = 5**(16 - E) * 2**(e + 15 - E) is exact (5**20 < 2**53), and y, lo
@@ -49,25 +52,32 @@ e. No bound reaches 10**17, which needs 10**(E + 1) within u/2 above x.
    So j <= 16, and D >= 10**16, which lies between y and any lower
    multiple of 10**j.
 f. Some multiple of 10**j lies within h of y, so D, the nearest one, does
-   too: it needs no check against the bounds.
+   too: it needs no check against the bounds.  D is then no multiple of
+   10**(j + 1), so its text has 17 - j digits.
 g. With y = w + r + f, w a multiple of 10**j, 0 <= r < 10**j an integer
    and 0 <= f < 1, D = w + 10**j where s = 2 r - 10**j + 2 f > 0, and y is
    half-way where s = 0.  2 r - 10**j is exact (even, below 2**54, for
    j > 0), and adding 2 f, a multiple of 2**-46 below 2, is exact when
-   that integer is 0 or -1 and cannot change its sign otherwise.
+   that integer is 0 or -1 and cannot change its sign otherwise.  At
+   s = 0, x is no power of two (d: there y is a multiple of 10**j), so
+   the bounds lie h either side of y, and both multiples of 10**j half-way
+   around it are in them.  ``repr``, which follows Gay's ``dtoa``, then
+   writes the even multiple of 10**j: D = w + 10**j where w / 10**j is
+   odd.
 
 D's 17 digits come from a table of 4-digit texts, the decimal point goes
 in by E, a "," or "\\n" ends each cell, and a mask per (E, digit count)
 keeps each text's bytes: all rows come from one compaction, one decode and
-one ``split``.  A row with a cell the fast path does not decide -- NaN,
-infinities, zeros, negatives, values outside that range and the rows
-above -- is joined from ``repr`` itself, so the function is total.  Such a
-cell's digits are dropped: log10 errs by far less than 1, so 10**15 <= y <
-10**18 (1.0 stands in outside the range), 0 <= D < 10**20 keeps its 4-digit
-lookups inside the table, and its mask keeps only the separator.
+one ``split``.  A row with a cell outside the fast path -- NaN,
+infinities, zeros, negatives and values outside that range -- is joined
+from ``repr`` itself, so the function is total, and a slice with no cell
+inside it is joined from ``repr`` alone.  In the fast path 1.0 stands in
+for such a cell, and its mask keeps only the separator.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -81,6 +91,15 @@ _DIGITS = 17
 _SCALE = np.array([float(10 ** (16 - e)) for e in range(_E_MAX, _E_MIN - 1, -1)])
 _SPLITTER = 134217729.0  # 2**27 + 1: Veltkamp's split into 26-bit halves
 _POW10 = np.array([10**k for k in range(_DIGITS)], dtype=np.int64)
+
+# By binary exponent b from _B_MIN up, for 2**(b - 1) <= x < 2**b:
+# the largest d with 10**d <= 2**(b - 1), counted in the digits of
+# 2**|b - 1|, and the double nearest 10**(d + 1), which is the least one at
+# or above it.
+_B_MIN = math.frexp(FAST_MIN)[1]
+_DECADE = np.array([len(str(2**k)) - 1 if k >= 0 else -len(str(2**-k))
+                    for k in range(_B_MIN - 1, math.frexp(FAST_MAX)[1])])
+_UP = np.array([float(f"1e{d + 1}") for d in _DECADE])
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -105,8 +124,8 @@ _SEPARATOR = 22
 
 def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The texts of 0000..9999 as words; by E, the columns before the point
-    (0xff bytes); by (E, digit count), plus a last key for an undecided
-    row, the columns a text keeps."""
+    (0xff bytes); by (E, digit count), plus a last key for a cell outside
+    the fast path, the columns a text keeps."""
     quads = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
     for place in range(4):
         quads[..., place] = np.arange(ord("0"), ord("9") + 1).reshape((10,) + (1,) * (3 - place))
@@ -124,14 +143,15 @@ def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 _QUADS, _BEFORE, _KEEP = _tables()
-_UNDECIDED = len(_KEEP) - 1
+_OUTSIDE = len(_KEEP) - 1
 
 
 def _interval(x: np.ndarray) -> tuple[np.ndarray, ...]:
     """For x in [FAST_MIN, FAST_MAX]: E, y = x * 10**(16 - E) as whole +
-    frac (0 <= frac < 1), the bounds of the integers within h of y, and
-    False where 1e16 < hi < 1e17 fails: steps 1 and 2."""
-    exponent = np.floor(np.log10(x)).astype(np.int64)
+    frac (0 <= frac < 1), and the bounds of the integers within h of y:
+    steps 1 and 2."""
+    b = np.frexp(x)[1] - _B_MIN
+    exponent = _DECADE.take(b) + (x >= _UP.take(b))
     index = _E_MAX - exponent
     scale = _SCALE.take(index)
     # TwoProduct: y == hi + lo.
@@ -144,14 +164,14 @@ def _interval(x: np.ndarray) -> tuple[np.ndarray, ...]:
     lower = base + np.ceil(lo - half).astype(np.int64)
     upper = base + np.floor(lo + half).astype(np.int64)
     floor = np.floor(lo)
-    return exponent, base + floor.astype(np.int64), lo - floor, lower, upper, (hi > 1e16) & (hi < 1e17)
+    return exponent, base + floor.astype(np.int64), lo - floor, lower, upper
 
 
 def _shortest(x: np.ndarray) -> tuple[np.ndarray, ...]:
     """For x in [FAST_MIN, FAST_MAX]: each row's E, its shortest decimal as
-    a 17-digit integer D (the text's digits, then zeros), the text's digit
-    count, and whether the row is decided: step 3."""
-    exponent, whole, frac, lower, upper, decided = _interval(x)
+    a 17-digit integer D (the text's digits, then zeros) and the text's
+    digit count: step 3."""
+    exponent, whole, frac, lower, upper = _interval(x)
     # The largest 10**j with a multiple in [lower, upper]: rows move on
     # to the next power while it has one.
     j = np.zeros(len(x), dtype=np.int64)
@@ -165,7 +185,11 @@ def _shortest(x: np.ndarray) -> tuple[np.ndarray, ...]:
     step = _POW10.take(j)
     rest = whole % step
     side = (2 * rest - step).astype(np.float64) + 2 * frac
-    return exponent, whole - rest + step * (side > 0), _DIGITS - j, decided & (side != 0)
+    digits = whole - rest + step * (side > 0)
+    # Half-way: the even multiple of 10**j.
+    ties = np.flatnonzero(side == 0)
+    digits[ties] += step.take(ties) * (digits.take(ties) // step.take(ties) % 2)
+    return exponent, digits, _DIGITS - j
 
 
 def _words(digits: np.ndarray) -> np.ndarray:
@@ -184,14 +208,13 @@ def _words(digits: np.ndarray) -> np.ndarray:
     return words
 
 
-def _texts(rows: np.ndarray) -> tuple[str, list[int]]:
+def _texts(rows: np.ndarray, fast: np.ndarray) -> str:
     """The fast path's texts of a (rows, columns) array's rows, their cells
-    joined by "," and each ended by "\\n", and each row with an undecided
-    cell, whose text is not whole."""
+    joined by "," and each ended by "\\n", where ``fast`` marks the cells in
+    the fast path; a row with a cell outside it is not whole."""
     values = rows.ravel()
-    fast = (values >= FAST_MIN) & (values <= FAST_MAX)
-    exponent, digits, count, decided = _shortest(np.where(fast, values, 1.0))
-    decided &= fast
+    fast = fast.ravel()
+    exponent, digits, count = _shortest(np.where(fast, values, 1.0))
     row_bytes = _words(digits).view(np.uint8).ravel()
     # Each cell's bytes from byte 3 before its point and from byte 2 after
     # it: a select on the flat bytes.
@@ -202,9 +225,13 @@ def _texts(rows: np.ndarray) -> tuple[str, list[int]]:
     laid[np.arange(0, size, _ROW) + exponent + 5] = ord(".")
     # Every cell but a row's last ends with "," instead of "\n".
     laid.reshape(*rows.shape, _ROW)[:, :-1, _SEPARATOR] = ord(",")
-    key = np.where(decided, (exponent - _E_MIN) * _DIGITS + count - 1, _UNDECIDED)
-    undecided = np.flatnonzero(~decided.reshape(rows.shape).all(axis=1))
-    return str(laid[_KEEP.take(key, axis=0).ravel()].data, "ascii"), undecided.tolist()
+    key = np.where(fast, (exponent - _E_MIN) * _DIGITS + count - 1, _OUTSIDE)
+    return str(laid[_KEEP.take(key, axis=0).ravel()].data, "ascii")
+
+
+def _joined(rows: np.ndarray) -> list[str]:
+    """Each row's ``repr``s joined by ",", from ``repr`` itself."""
+    return list(map(",".join, zip(*[map(repr, column) for column in rows.T.tolist()])))
 
 
 def reprs(values: np.ndarray) -> list[str]:
@@ -214,9 +241,13 @@ def reprs(values: np.ndarray) -> list[str]:
     rows = values[:, None] if values.ndim == 1 else values
     if not rows.size:
         return [""] * len(rows)
-    text, undecided = _texts(rows)
-    texts = text.split("\n")
+    fast = (rows >= FAST_MIN) & (rows <= FAST_MAX)
+    if not fast.any():
+        return _joined(rows)
+    texts = _texts(rows, fast).split("\n")
     texts.pop()
-    for index in undecided:
-        texts[index] = ",".join(map(repr, rows[index].tolist()))
+    if not fast.all():
+        undecided = np.flatnonzero(~fast.all(axis=1))
+        for index, text in zip(undecided.tolist(), _joined(rows[undecided])):
+            texts[index] = text
     return texts

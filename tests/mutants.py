@@ -83,6 +83,7 @@ MUTANTS = [
         (
             "tests/test_bell.py::TestEstimateExpectation"
             "::test_vectorized_products_match_per_run_dispatch",
+            "tests/test_vessels.py::TestJointOutcome::test_split_coin_values_are_pinned",
         ),
     ),
     Mutant(
@@ -173,17 +174,24 @@ MUTANTS = [
         ("tests/test_floattext.py",),
     ),
     Mutant(
-        "floattext-ties-not-sent-to-repr",
+        "floattext-decade-off-by-one",
         "floattext.py",
-        "decided & (side != 0)",
-        "decided",
+        "len(str(2**k)) - 1 if",
+        "len(str(2**k)) if",
         ("tests/test_floattext.py",),
     ),
     Mutant(
-        "floattext-lower-bound-1e16-removed",
+        "floattext-power-of-ten-keeps-the-lower-exponent",
         "floattext.py",
-        "(hi > 1e16) & (hi < 1e17)",
-        "(hi < 1e17)",
+        "(x >= _UP.take(b))",
+        "(x > _UP.take(b))",
+        ("tests/test_floattext.py",),
+    ),
+    Mutant(
+        "floattext-ties-rounded-to-odd",
+        "floattext.py",
+        "* (digits.take(ties) // step.take(ties) % 2)",
+        "* (1 - digits.take(ties) // step.take(ties) % 2)",
         ("tests/test_floattext.py",),
     ),
     Mutant(

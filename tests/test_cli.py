@@ -7,11 +7,13 @@ import io
 import json
 import math
 import os
+import signal
 import stat
 import subprocess
 import sys
 import tempfile
 import threading
+import time
 from itertools import zip_longest
 from pathlib import Path
 from types import SimpleNamespace
@@ -1094,17 +1096,22 @@ class TestAtomicCommit:
             assert witnesses == report["factorization"]["witness_count"]
 
 
+def checkout_env():
+    """The environment with this checkout's ``src/`` first on ``PYTHONPATH``."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return env
+
+
 class TestModuleEntryPoint:
     """``python -m vesselsim`` runs the same command line in a new process,
     and importing the CLI loads only what a run needs."""
 
     def run_python(self, *args):
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
         return subprocess.run(
             [sys.executable, *args],
-            env=env,
+            env=checkout_env(),
             capture_output=True,
             text=True,
             timeout=120,
@@ -1132,6 +1139,103 @@ class TestModuleEntryPoint:
         assert "unrecognized arguments: --no-such-flag" in result.stderr
         assert "Traceback" not in result.stderr
         assert result.stdout == ""
+
+
+# ``main`` as the ``vesselsim`` script runs it, with SIGINT at Python's
+# default handler even where the test runner's shell ignores SIGINT in its
+# children, as a non-interactive shell does for a background job.
+SCRIPT = (
+    "import signal, sys; signal.signal(signal.SIGINT, signal.default_int_handler); "
+    "from vesselsim.cli import main; sys.exit(main())"
+)
+
+
+class TestStoppedRuns:
+    """A run stopped by SIGTERM or SIGINT exits 143 or 130 with one stderr
+    line, and leaves no temporary file beside ``--out``."""
+
+    @pytest.mark.parametrize(
+        "signum, code, line",
+        [(signal.SIGTERM, 143, "vesselsim: terminated"),
+         (signal.SIGINT, 130, "vesselsim: interrupted")],
+        ids=["SIGTERM", "SIGINT"],
+    )
+    def test_a_signalled_dump_leaves_no_file(self, tmp_path, signum, code, line):
+        # 2M rows: about a second of writing after the temporary file appears.
+        scenario = write_scenario(tmp_path, runs_per_pair=500_000)
+        reports = tmp_path / "reports"
+        reports.mkdir()
+        argv = ["vessel-chsh", "--scenario", scenario, "--format", "csv",
+                "--out", str(reports / "dump.csv")]
+        process = subprocess.Popen(
+            [sys.executable, "-c", SCRIPT, *argv],
+            env=checkout_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while not any(reports.glob(".dump.csv.*")) and time.monotonic() < deadline:
+                assert process.poll() is None, "the run ended before its temporary file appeared"
+                time.sleep(0.005)
+            process.send_signal(signum)
+            out, err = process.communicate(timeout=60)
+        finally:
+            process.kill()
+            process.wait()
+        # A run that ended before the signal exits 0 and fails here.
+        assert (process.returncode, err.splitlines(), out) == (code, [line], "")
+        assert list(reports.iterdir()) == []
+
+    def test_a_stop_whose_exception_is_lost_still_stops_the_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """C code can lose the exception a signal handler raises (numpy's
+        first import of ``numpy.random`` did, for about a third of the
+        signals sent as the temporary file appeared); the run still ends
+        stopped, with nothing published."""
+
+        def render_after_a_lost_sigterm(dump, out):
+            try:
+                signal.getsignal(signal.SIGTERM)(signal.SIGTERM, None)
+            except BaseException:
+                pass
+            render_csv(dump, out)
+
+        monkeypatch.setattr("vesselsim.cli.render_csv", render_after_a_lost_sigterm)
+        scenario = write_scenario(tmp_path, runs_per_pair=100)
+        reports = tmp_path / "reports"
+        reports.mkdir()
+        argv = ["vessel-chsh", "--scenario", scenario, "--format", "csv",
+                "--out", str(reports / "dump.csv")]
+        assert run_cli(argv) == 143
+        assert capsys.readouterr().err == "vesselsim: terminated\n"
+        assert list(reports.iterdir()) == []
+
+    def test_the_previous_handlers_are_put_back(self, tmp_path):
+        scenario = write_scenario(tmp_path, runs_per_pair=5)
+
+        def handler(signum, frame):
+            pass
+
+        argv = ["vessel-chsh", "--scenario", scenario, "--out", str(tmp_path / "r")]
+        sigint = signal.getsignal(signal.SIGINT)
+        previous = signal.signal(signal.SIGTERM, handler)
+        try:
+            assert run_cli(argv) == 0
+            assert signal.getsignal(signal.SIGTERM) is handler
+            assert signal.getsignal(signal.SIGINT) is sigint
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+
+    def test_a_run_off_the_main_thread_sets_no_handler(self, tmp_path):
+        scenario = write_scenario(tmp_path, runs_per_pair=5)
+        before = signal.getsignal(signal.SIGTERM)
+        codes = []
+        argv = ["vessel-chsh", "--scenario", scenario, "--out", str(tmp_path / "r")]
+        thread = threading.Thread(target=lambda: codes.append(run_cli(argv)))
+        thread.start()
+        thread.join()
+        assert codes == [0]
+        assert signal.getsignal(signal.SIGTERM) is before
 
 
 def reject_constant(token):

@@ -10,10 +10,12 @@ docstring is tight -- every power of 2 and of 10 around the fast path with
 its neighbours, and ``FAST_MIN`` and ``FAST_MAX`` -- every value is
 checked, not sampled, alone and as two-column rows.  A seeded sweep covers
 the diameters the dumps write.  ``tests/sweep_floattext.py`` runs the same
-check over 10M values.
+check over 10M values.  The exponent tables are checked exactly, and a
+counting ``repr`` shows that only cells outside the fast path reach it.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -66,11 +68,14 @@ SHORT = st.one_of(
 )
 
 
-# Cells the fast path does not decide, the last two half-way ties, each in
-# the first, middle and last of three columns of fast cells.
-UNDECIDED = [math.nan, 0.0, 1e16, 1125899906842624.25, 65537 / 2**17]
-UNDECIDED_ROWS = as_rows(
-    [[x if i == k else 1.5 + i for i in range(3)] for x in UNDECIDED for k in range(3)], 3
+# Half-way ties, which the fast path rounds to the even multiple.
+TIES = [1125899906842624.25, 1125899906842624.75, 65537 / 2**17, 65539 / 2**17]
+
+# Cells outside the fast path and two half-way ties, each in the first,
+# middle and last of three columns of fast cells.
+EDGE_CELLS = [math.nan, 0.0, 1e16, 1125899906842624.25, 65537 / 2**17]
+EDGE_ROWS = as_rows(
+    [[x if i == k else 1.5 + i for i in range(3)] for x in EDGE_CELLS for k in range(3)], 3
 )
 
 
@@ -84,7 +89,7 @@ def test_any_floats(xs):
 
 @settings(max_examples=150)
 @given(rows_of(st.floats()))
-@example(UNDECIDED_ROWS)
+@example(EDGE_ROWS)
 @example(as_rows([[math.nan, 0.5], [0.5, 0.0], [1e16, 1e16], [0.5, 0.25]], 2))
 @example(as_rows([[]] * 3, 0))
 def test_any_float_rows(rows):
@@ -103,7 +108,7 @@ def test_bit_pattern_rows_across_the_fast_path(rows):
 
 @settings(max_examples=150)
 @given(short_lists(SHORT, 40))
-@example([1125899906842624.25, 1125899906842624.75, 65537 / 2**17, 65539 / 2**17])
+@example(TIES)
 def test_short_reprs_and_half_way_ties(xs):
     assert_reprs(xs)
 
@@ -134,20 +139,17 @@ def test_a_sweep_of_sampler_ranges():
 
 
 # Column ranges of a 2048-row slice: both columns outside the fast path,
-# so every cell is undecided, or one column inside it and one outside.
-UNDECIDED_COLUMNS = {
+# or one column inside it and one outside.
+OUTSIDE_COLUMNS = {
     "both-above": [(1e16, 3e16), (1e16, 3e16)],
     "both-below": [(1e-6, 3e-6), (1e-6, 3e-6)],
     "one-of-two": [(0.5, 3.0), (1e16, 3e16)],
 }
 
 
-@pytest.mark.parametrize("columns", UNDECIDED_COLUMNS.values(), ids=UNDECIDED_COLUMNS)
-def test_a_row_is_rebuilt_once_whatever_its_undecided_cells(monkeypatch, columns):
-    """``reprs`` calls ``repr`` at most once a cell: a row with undecided
-    cells is rebuilt once, not once for each of them."""
-    rng = np.random.default_rng(36)
-    values = np.stack([rng.uniform(low, high, 2048) for low, high in columns], axis=1)
+def counting_repr(monkeypatch) -> list[float]:
+    """The values ``floattext`` passes to ``repr`` from now on, through a
+    module global that shadows the builtin."""
     calls = []
 
     def counted(x):
@@ -155,6 +157,16 @@ def test_a_row_is_rebuilt_once_whatever_its_undecided_cells(monkeypatch, columns
         return repr(x)
 
     monkeypatch.setattr(floattext, "repr", counted, raising=False)
+    return calls
+
+
+@pytest.mark.parametrize("columns", OUTSIDE_COLUMNS.values(), ids=OUTSIDE_COLUMNS)
+def test_a_row_is_rebuilt_once_whatever_its_undecided_cells(monkeypatch, columns):
+    """``reprs`` calls ``repr`` at most once a cell: a row with cells outside
+    the fast path is rebuilt once, not once for each of them."""
+    rng = np.random.default_rng(36)
+    values = np.stack([rng.uniform(low, high, 2048) for low, high in columns], axis=1)
+    calls = counting_repr(monkeypatch)
     texts = reprs(values)
     monkeypatch.undo()
     assert len(calls) <= values.size
@@ -162,6 +174,51 @@ def test_a_row_is_rebuilt_once_whatever_its_undecided_cells(monkeypatch, columns
     assert len(texts) == len(expected)
     # The rows that differ, not a diff of 2048 texts.
     assert [i for i, (got, want) in enumerate(zip(texts, expected)) if got != want] == []
+
+
+def test_every_value_in_the_fast_path_is_written_without_repr(monkeypatch):
+    """The tight set's values in [FAST_MIN, FAST_MAX] -- powers of 2 and of
+    10 and their neighbours, where a rounded log10 would cross a power of
+    ten -- and half-way ties never reach ``repr``, alone or as rows."""
+    tight = tight_set(range(-14, 55), range(-5, 18))
+    values = np.concatenate([TIES, tight[(tight >= FAST_MIN) & (tight <= FAST_MAX)]])
+    values = values[: len(values) // 2 * 2]
+    calls = counting_repr(monkeypatch)
+    texts, rows = reprs(values), reprs(values.reshape(-1, 2))
+    monkeypatch.undo()
+    assert calls == []
+    assert texts == list(map(repr, values.tolist()))
+    assert rows == [",".join(map(repr, row)) for row in values.reshape(-1, 2).tolist()]
+
+
+WHOLLY_OUTSIDE = {name: OUTSIDE_COLUMNS[name] for name in ("both-above", "both-below")}
+
+
+@pytest.mark.parametrize("columns", WHOLLY_OUTSIDE.values(), ids=WHOLLY_OUTSIDE)
+def test_a_slice_wholly_outside_the_fast_path_skips_it(monkeypatch, columns):
+    """A slice with no value in [FAST_MIN, FAST_MAX] is joined from ``repr``
+    alone: the fast path never runs on it."""
+    rng = np.random.default_rng(19)
+    values = np.stack([rng.uniform(low, high, 2048) for low, high in columns], axis=1)
+    calls = []
+    monkeypatch.setattr(floattext, "_shortest", calls.append)
+    texts = reprs(values)
+    monkeypatch.undo()
+    assert calls == []
+    expected = [",".join(map(repr, row)) for row in values.tolist()]
+    assert len(texts) == len(expected)
+    assert [i for i, (got, want) in enumerate(zip(texts, expected)) if got != want] == []
+
+
+def test_exponent_tables_are_exact():
+    """For each binary exponent b of the fast path, 10**d <= 2**(b - 1) <
+    10**(d + 1) with d from ``_DECADE``, and ``_UP`` holds the least double
+    at or above 10**(d + 1)."""
+    first, decades, ups = floattext._B_MIN, floattext._DECADE.tolist(), floattext._UP.tolist()
+    assert (first, first + len(decades) - 1) == (math.frexp(FAST_MIN)[1], math.frexp(FAST_MAX)[1])
+    for b, d, up in zip(range(first, first + len(decades)), decades, ups):
+        assert Fraction(10) ** d <= Fraction(2) ** (b - 1) < Fraction(10) ** (d + 1)
+        assert Fraction(math.nextafter(up, 0.0)) < Fraction(10) ** (d + 1) <= Fraction(up)
 
 
 @pytest.mark.parametrize(

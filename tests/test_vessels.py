@@ -93,6 +93,16 @@ class TestJointOutcome:
         # across many tie values the coin lands on both sides
         assert outcomes == {(1, -1), (-1, 1)}
 
+    @pytest.mark.parametrize(
+        "diameter, tie_seed, left_side_wins",
+        [(1.5, 7, True), (1.5, 8, False), (2.0, 7, True), (0.75, 0, False),
+         (4.5, 1, True), (1.0, 2**63, False)],
+    )
+    def test_split_coin_values_are_pinned(self, diameter, tie_seed, left_side_wins):
+        """Known coin values: a change to the hash, its payload or the bit
+        it reads would change the tie outcomes of every report."""
+        assert vessels._break_tie(diameter, TiePolicy.SPLIT_COIN, tie_seed) is left_side_wins
+
     def test_outcomes_anticorrelate_for_any_resolved_tiepolicy(self):
         tie = SiphonDiameters(2.5, 2.5)
         for policy in (TiePolicy.FAVOR_LEFT, TiePolicy.FAVOR_RIGHT, TiePolicy.SPLIT_COIN):
