@@ -7,11 +7,20 @@ when a run is stopped: every report is complete in a file before its
 target sees a byte.  A regular ``--out`` is replaced by a temporary file
 from its own directory; stdout and a device or pipe named by ``--out`` get
 a copy of an anonymous spool file.
+
+A command line reaches its command directly: ``vesselsim flow --dt 0.01``
+calls ``commands.flow``, the subcommand with ``-`` read as ``_``, looked up
+when the line runs.  The command gets the parsed scenario, ``collect_runs``
+for ``--format csv``, and each of the subcommand's own options as the
+keyword argument of the option's dest (``--lambda-a`` is ``lambda_a``).
+The options every subcommand shares, and ``--workers``, which is checked
+and then unused, are never passed on.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -33,6 +42,9 @@ EXIT_DOMAIN = 3
 # A run stopped by a signal exits 128 + its number, as a shell reports it
 # (130 for SIGINT, 143 for SIGTERM), after one of these stderr lines.
 _STOPPED = {"SIGINT": "interrupted", "SIGTERM": "terminated"}
+# The parsed values ``_run`` reads itself, and --workers, which nothing
+# reads: every other one goes to the command as a keyword argument.
+_SHARED = ("subcommand", "scenario", "out", "format", "workers")
 
 
 class _Stopped(BaseException):
@@ -74,6 +86,9 @@ def commit(out: str | None, write: Callable[[TextIO], None]) -> None:
             write(spool)
             spool.seek(0)
             if path is None:
+                if sys.stdout is None:
+                    # Python starts with no sys.stdout when fd 1 is closed.
+                    raise OSError(errno.EBADF, os.strerror(errno.EBADF))
                 shutil.copyfileobj(spool, sys.stdout)
             else:
                 with open(path, "w") as handle:
@@ -137,13 +152,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"vesselsim {__version__}")
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_command(name: str, help: str, run: Callable, workers: bool = False):
-        """A subcommand with the options every one takes.  ``main`` calls
-        ``run(args, scenario, collect)``, which looks its command up on
-        ``commands`` only then and passes ``collect_runs=collect``."""
-        sub = subparsers.add_parser(name, help=help)
-        sub.set_defaults(run=run)
+    subcommands = {}
+    for name, help in (
+        ("vessel-chsh", "estimate the four coincidence pairs and the Bell statistic"),
+        (
+            "locality-check",
+            "factorization search and context witnesses over sampled hidden variables",
+        ),
+        ("sample-state", "Born-sample the superposition state and report its rank"),
+        ("quantum-chsh", "singlet statistic at the scenario's analyzer angles"),
+        ("flow", "integrate one joint drainage"),
+    ):
+        sub = subcommands[name] = subparsers.add_parser(name, help=help)
         sub.add_argument("--scenario", required=True, help="path to a scenario JSON file")
         sub.add_argument("--out", default=None, help="output path (default: stdout)")
         sub.add_argument(
@@ -152,58 +172,22 @@ def build_parser() -> argparse.ArgumentParser:
             default="json",
             help="json report or csv per-run dump",
         )
-        if workers:
+        if name in ("vessel-chsh", "quantum-chsh"):
             sub.add_argument(
                 "--workers",
                 type=_worker_count,
                 default=1,
                 help="no longer changes how runs execute",
             )
-        return sub
-
-    add_command(
-        "vessel-chsh",
-        "estimate the four coincidence pairs and the Bell statistic",
-        lambda args, scenario, collect: commands.vessel_chsh(scenario, collect_runs=collect),
-        workers=True,
-    )
-    add_command(
-        "locality-check",
-        "factorization search and context witnesses over sampled hidden variables",
-        lambda args, scenario, collect: commands.locality_check(scenario, collect_runs=collect),
-    )
-    add_command(
-        "sample-state",
-        "Born-sample the superposition state and report its rank",
-        lambda args, scenario, collect: commands.sample_state(scenario, collect_runs=collect),
-    )
-    sub = add_command(
-        "quantum-chsh",
-        "singlet statistic at the scenario's analyzer angles",
-        lambda args, scenario, collect: commands.quantum_chsh(
-            scenario, analytic=args.analytic, collect_runs=collect
-        ),
-        workers=True,
-    )
-    sub.add_argument(
+    subcommands["quantum-chsh"].add_argument(
         "--analytic",
         action="store_true",
         help="exact expectations instead of Monte Carlo sampling",
     )
-    sub = add_command(
-        "flow",
-        "integrate one joint drainage",
-        lambda args, scenario, collect: commands.flow(
-            scenario, args.lambda_a, args.lambda_b, args.dt, collect_runs=collect
-        ),
-    )
-    sub.add_argument(
-        "--lambda-a", type=_finite_float, required=True, help="left diameter (cm)"
-    )
-    sub.add_argument(
-        "--lambda-b", type=_finite_float, required=True, help="right diameter (cm)"
-    )
-    sub.add_argument("--dt", type=_finite_float, default=1e-4, help="integration step (s)")
+    flow = subcommands["flow"]
+    flow.add_argument("--lambda-a", type=_finite_float, required=True, help="left diameter (cm)")
+    flow.add_argument("--lambda-b", type=_finite_float, required=True, help="right diameter (cm)")
+    flow.add_argument("--dt", type=_finite_float, default=1e-4, help="integration step (s)")
 
     return parser
 
@@ -247,11 +231,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(argv: list[str] | None, stopped: list[int]) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    options = vars(build_parser().parse_args(argv))
+    out = options["out"]
+    collect = options["format"] == "csv"
+    command = getattr(commands, options["subcommand"].replace("-", "_"))
+    own = {dest: value for dest, value in options.items() if dest not in _SHARED}
     try:
-        report, dump = args.run(args, parse_scenario(args.scenario), args.format == "csv")
-        text = render_json(report) if args.format == "json" else None
+        report, dump = command(parse_scenario(options["scenario"]), collect_runs=collect, **own)
+        text = None if collect else render_json(report)
 
         def write(handle: TextIO) -> None:
             if text is None:
@@ -264,7 +251,7 @@ def _run(argv: list[str] | None, stopped: list[int]) -> int:
                 # not published.
                 raise _Stopped
 
-        commit(args.out, write)
+        commit(out, write)
     except ConfigError as exc:
         print(f"vesselsim: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -276,12 +263,8 @@ def _run(argv: list[str] | None, stopped: list[int]) -> int:
         return EXIT_DOMAIN
     except OSError as exc:
         # Name the target the user gave, not the temporary file beside it.
-        target = "stdout" if args.out is None else repr(args.out)
+        target = "stdout" if out is None else repr(out)
         reason = exc.strerror or exc
         print(f"vesselsim: cannot write output to {target}: {reason}", file=sys.stderr)
         return EXIT_DOMAIN
     return EXIT_OK
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -17,10 +17,11 @@ then the totals, and exits 1 if any mutant survives.
 
 It needs the standard library and pytest only, and is not a pytest module:
 tier-1's ``tests/test_mutants.py`` requires that every ``old`` text occurs
-exactly once in ``src/vesselsim``, so the table cannot rot silently when
-the code moves.  A killing test must not compare long texts with a bare
-``==``: pytest then diffs them line by line, which can take minutes.  Nor
-may it run the package in a new process (``test_demos.py``,
+exactly once in ``src/vesselsim``, and that every killer's node id names a
+``class`` or ``def`` in its file, so the table cannot rot silently when the
+code or the tests move.  A killing test must not compare long texts with a
+bare ``==``: pytest then diffs them line by line, which can take minutes.
+Nor may it run the package in a new process (``test_demos.py``,
 ``test_cli.py``'s ``TestModuleEntryPoint``): those put the checkout's
 ``src/`` on ``PYTHONPATH`` and never see the planted fault.
 """
@@ -164,6 +165,59 @@ MUTANTS = [
         '    return "".join(pieces)\n',
         '    return "".join(pieces[1:])\n',
         ("tests/test_golden.py",),
+    ),
+    # Command line.
+    Mutant(
+        "workers-reaches-the-command",
+        "cli.py",
+        '_SHARED = ("subcommand", "scenario", "out", "format", "workers")',
+        '_SHARED = ("subcommand", "scenario", "out", "format")',
+        ("tests/test_cli.py::TestStdout::test_report_goes_to_stdout_by_default",),
+    ),
+    Mutant(
+        "zero-workers-accepted",
+        "cli.py",
+        "if workers < 1:",
+        "if workers < 0:",
+        ("tests/test_cli.py::TestExitCodes::test_no_output_written_on_error",),
+    ),
+    Mutant(
+        "config-error-exits-three",
+        "cli.py",
+        "        return EXIT_CONFIG\n",
+        "        return EXIT_DOMAIN\n",
+        ("tests/test_cli.py::TestExitCodes::test_config_error_is_two",),
+    ),
+    Mutant(
+        "reports-allow-nan",
+        "cli.py",
+        "allow_nan=False",
+        "allow_nan=True",
+        ("tests/test_cli.py::TestExitCodes::test_report_that_is_not_strict_json_is_three",),
+    ),
+    Mutant(
+        "commit-keeps-its-temporary-file",
+        "cli.py",
+        "        os.unlink(temporary)\n",
+        "",
+        ("tests/test_cli.py::TestAtomicCommit::test_write_error_mid_stream_leaves_no_file",),
+    ),
+    Mutant(
+        "closed-stdout-unchecked",
+        "cli.py",
+        "if sys.stdout is None:",
+        "if False:",
+        ("tests/test_cli.py::TestAtomicCommit::test_closed_stdout_is_three",),
+    ),
+    Mutant(
+        "stopped-run-publishes",
+        "cli.py",
+        "            if stopped:\n",
+        "            if False:\n",
+        (
+            "tests/test_cli.py::TestStoppedRuns"
+            "::test_a_stop_whose_exception_is_lost_still_stops_the_run",
+        ),
     ),
     # floattext.
     Mutant(

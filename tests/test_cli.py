@@ -1,8 +1,10 @@
 """End-to-end CLI behavior: exit codes, report schema, determinism, CSV dumps."""
 
+import argparse
 import contextlib
 import csv
 import errno
+import inspect
 import io
 import json
 import math
@@ -40,7 +42,7 @@ from vesselsim import (
     vessels,
 )
 from vesselsim.bell import PAIR_STREAM
-from vesselsim.cli import commit, main, render_csv, render_json
+from vesselsim.cli import build_parser, commit, main, render_csv, render_json
 from vesselsim.commands import CSV_ROWS_PER_WRITE
 from vesselsim.errors import DegenerateTieError, VesselSimError
 from vesselsim.scenario import MAX_RUNS_PER_PAIR
@@ -849,6 +851,73 @@ class TestCsvTails:
                         assert set(np.unique(columns[name]).tolist()) <= {-1, 1}
 
 
+# Each subcommand's options as (flags, dest, default, required, choices).
+SHARED_OPTIONS = [
+    (("--scenario",), "scenario", None, True, None),
+    (("--out",), "out", None, False, None),
+    (("--format",), "format", "json", False, ("json", "csv")),
+]
+WORKERS_OPTIONS = [(("--workers",), "workers", 1, False, None)]
+SURFACE = {
+    "vessel-chsh": [*SHARED_OPTIONS, *WORKERS_OPTIONS],
+    "locality-check": SHARED_OPTIONS,
+    "sample-state": SHARED_OPTIONS,
+    "quantum-chsh": [
+        *SHARED_OPTIONS,
+        *WORKERS_OPTIONS,
+        (("--analytic",), "analytic", False, False, None),
+    ],
+    "flow": [
+        *SHARED_OPTIONS,
+        (("--lambda-a",), "lambda_a", None, True, None),
+        (("--lambda-b",), "lambda_b", None, True, None),
+        (("--dt",), "dt", 1e-4, False, None),
+    ],
+}
+
+
+def subcommand_parsers():
+    """Each subcommand's parser, by name."""
+    (subparsers,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return subparsers.choices
+
+
+def subcommand_actions(name):
+    """The options of subcommand ``name``, ``--help`` left out."""
+    return [
+        action for action in subcommand_parsers()[name]._actions
+        if not isinstance(action, argparse._HelpAction)
+    ]
+
+
+class TestSurface:
+    """The command line a user sees, and the rule that joins it to the
+    commands: a subcommand's own options are its command's keywords."""
+
+    def test_subcommands_are_pinned(self):
+        assert list(subcommand_parsers()) == list(SURFACE)
+
+    @pytest.mark.parametrize("name", SURFACE)
+    def test_options_are_pinned(self, name):
+        options = [
+            (tuple(action.option_strings), action.dest, action.default, action.required,
+             action.choices)
+            for action in subcommand_actions(name)
+        ]
+        assert options == SURFACE[name]
+
+    @pytest.mark.parametrize("name", SURFACE)
+    def test_own_options_are_the_command_keywords(self, name):
+        shared = {"scenario", "out", "format", "workers"}
+        own = {action.dest for action in subcommand_actions(name)} - shared
+        command = getattr(commands, name.replace("-", "_"))
+        keywords = set(inspect.signature(command).parameters) - {"scenario", "collect_runs"}
+        assert own == keywords
+
+
 class TestStdout:
     def test_report_goes_to_stdout_by_default(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path, runs_per_pair=5)
@@ -1006,6 +1075,14 @@ class TestAtomicCommit:
         assert run_cli(["vessel-chsh", "--scenario", scenario]) == 3
         assert "cannot write output to stdout: Broken pipe" in capsys.readouterr().err
 
+    def test_closed_stdout_is_three(self, tmp_path, capsys, monkeypatch):
+        # Python starts with sys.stdout None when fd 1 is closed.
+        monkeypatch.setattr(sys, "stdout", None)
+        scenario = write_scenario(tmp_path, runs_per_pair=10)
+        assert run_cli(["vessel-chsh", "--scenario", scenario]) == 3
+        err = capsys.readouterr().err
+        assert err == "vesselsim: cannot write output to stdout: Bad file descriptor\n"
+
     @pytest.mark.parametrize("out", [None, os.devnull])
     def test_spool_that_cannot_be_made_writes_nothing(self, tmp_path, capsys, monkeypatch, out):
         # Stdout and devices get a copy of an anonymous spool file made in
@@ -1139,6 +1216,17 @@ class TestModuleEntryPoint:
         assert "unrecognized arguments: --no-such-flag" in result.stderr
         assert "Traceback" not in result.stderr
         assert result.stdout == ""
+
+    def test_closed_stdout_is_three(self, tmp_path):
+        scenario = write_scenario(tmp_path, runs_per_pair=10)
+        result = subprocess.run(
+            ["sh", "-c", '"$@" >&-', "sh", sys.executable, "-m", "vesselsim",
+             "vessel-chsh", "--scenario", scenario],
+            env=checkout_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert (result.returncode, result.stderr) == (
+            3, "vesselsim: cannot write output to stdout: Bad file descriptor\n"
+        )
 
 
 # ``main`` as the ``vesselsim`` script runs it, with SIGINT at Python's

@@ -1,7 +1,10 @@
 """The mutation table of ``tests/mutants.py`` still fits the code: each
 mutant's ``old`` text occurs exactly once in ``src/vesselsim``, in the file
-it names, and each names tests that exist.  The mutants themselves run
-outside tier-1, as ``python tests/mutants.py``."""
+it names, and each names tests that exist: every ``::`` part of a killer's
+node id after its file is a ``class`` or ``def`` of that name there.  The
+mutants themselves run outside tier-1, as ``python tests/mutants.py``."""
+
+import re
 
 import pytest
 
@@ -22,4 +25,7 @@ def test_old_text_occurs_once_in_the_package(mutant):
     assert {name: count for name, count in counts.items() if count} == {mutant.file: 1}
     assert mutant.new != mutant.old
     for test in mutant.tests:
-        assert (ROOT / test.split("::")[0]).is_file(), test
+        path, *names = test.split("::")
+        text = (ROOT / path).read_text()
+        for name in names:
+            assert re.search(rf"^\s*(class|def) {name}\b", text, re.MULTILINE), test
