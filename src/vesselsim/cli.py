@@ -2,11 +2,12 @@
 
 Exit codes: 0 success, 2 configuration error, 3 domain invariant or
 numerical failure, running out of memory included, and 130 or 143 for a
-run stopped by SIGINT or SIGTERM.  Nothing is written on an error path or
-when a run is stopped: every report is complete in a file before its
-target sees a byte.  A regular ``--out`` is replaced by a temporary file
-from its own directory; stdout and a device or pipe named by ``--out`` get
-a copy of an anonymous spool file.
+run stopped by SIGINT or SIGTERM.  Error lines go to stderr alone, and a
+closed or broken stderr loses them, not the exit code.  Nothing is
+written on an error path or when a run is stopped: every report is
+complete in a file before its target sees a byte.  A regular ``--out`` is
+replaced by a temporary file from its own directory; stdout and a device
+or pipe named by ``--out`` get a copy of an anonymous spool file.
 
 A command line reaches its command directly: ``vesselsim flow --dt 0.01``
 calls ``commands.flow``, the subcommand with ``-`` read as ``_``, looked up
@@ -20,6 +21,7 @@ and then unused, are never passed on.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import json
 import math
@@ -50,6 +52,16 @@ _SHARED = ("subcommand", "scenario", "out", "format", "workers")
 class _Stopped(BaseException):
     """Raised where the run is by SIGINT or SIGTERM, so that ``commit``
     removes its temporary file on the way out."""
+
+
+def _error(code: int, line: str) -> int:
+    """Write one error line to stderr and return the exit code ``code``.
+    With no stderr, or a closed or broken one, the line is lost, not the
+    code, and stdout never gets it."""
+    if sys.stderr is not None:
+        with contextlib.suppress(OSError):
+            print(line, file=sys.stderr, flush=True)
+    return code
 
 
 def render_json(report: dict) -> str:
@@ -222,8 +234,7 @@ def main(argv: list[str] | None = None) -> int:
         # Whatever exception a stopped run ends with, it ends stopped.
         if not stopped:
             raise
-        print(f"vesselsim: {_STOPPED[signal.Signals(stopped[0]).name]}", file=sys.stderr)
-        return 128 + stopped[0]
+        return _error(128 + stopped[0], f"vesselsim: {_STOPPED[signal.Signals(stopped[0]).name]}")
     finally:
         for signum, handler in previous.items():
             # None: a handler not set from Python, which cannot be put back.
@@ -253,18 +264,14 @@ def _run(argv: list[str] | None, stopped: list[int]) -> int:
 
         commit(out, write)
     except ConfigError as exc:
-        print(f"vesselsim: configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _error(EXIT_CONFIG, f"vesselsim: configuration error: {exc}")
     except VesselSimError as exc:
-        print(f"vesselsim: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return _error(EXIT_DOMAIN, f"vesselsim: {exc}")
     except MemoryError as exc:
-        print(f"vesselsim: out of memory: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return _error(EXIT_DOMAIN, f"vesselsim: out of memory: {exc}")
     except OSError as exc:
         # Name the target the user gave, not the temporary file beside it.
         target = "stdout" if out is None else repr(out)
         reason = exc.strerror or exc
-        print(f"vesselsim: cannot write output to {target}: {reason}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return _error(EXIT_DOMAIN, f"vesselsim: cannot write output to {target}: {reason}")
     return EXIT_OK

@@ -1,10 +1,9 @@
 """Exact float64 texts for the CSV dumps, rendered a whole array at a time.
 
 ``reprs(values)`` returns each row's ``repr``s joined by "," for a (rows,
-columns) float64 array, and ``list(map(repr, values.tolist()))`` for a 1-D
-one.  Python's ``repr`` writes the shortest decimal that reads back as the
-same float, of those the nearest to it, in fixed notation from 1e-4 to
-below 1e16.
+columns) float64 array, and takes no other shape.  Python's ``repr``
+writes the shortest decimal that reads back as the same float, of those
+the nearest to it, in fixed notation from 1e-4 to below 1e16.
 
 The fast path decides the values x from 1.5e-4 to 9e15, in the way of the
 Ryu and Schubfach shortest-decimal algorithms (Adams, PLDI 2018; Giulietti
@@ -65,14 +64,14 @@ g. With y = w + r + f, w a multiple of 10**j, 0 <= r < 10**j an integer
    writes the even multiple of 10**j: D = w + 10**j where w / 10**j is
    odd.
 
-D's 17 digits come from a table of 4-digit texts, the decimal point goes
-in by E, a "," or "\\n" ends each cell, and a mask per (E, digit count)
-keeps each text's bytes: all rows come from one compaction, one decode and
-one ``split``.  A row with a cell outside the fast path -- NaN,
-infinities, zeros, negatives and values outside that range -- is joined
-from ``repr`` itself, so the function is total, and a slice with no cell
-inside it is joined from ``repr`` alone.  In the fast path 1.0 stands in
-for such a cell, and its mask keeps only the separator.
+Which path writes a row is decided once per row.  A row whose cells all
+lie in the fast path is whole: D's 17 digits come from a table of 4-digit
+texts, the decimal point goes in by E, a "," or "\\n" ends each cell, and
+a mask per (E, digit count) keeps each text's bytes, so all whole rows come
+from one compaction, one decode and one ``split``.  Any other row, one with
+a NaN, an infinity, a zero, a negative or a value outside that range, is
+joined from ``repr`` itself, so the function is total.  A slice with no
+whole row never runs the fast path.
 """
 
 from __future__ import annotations
@@ -124,8 +123,7 @@ _SEPARATOR = 22
 
 def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The texts of 0000..9999 as words; by E, the columns before the point
-    (0xff bytes); by (E, digit count), plus a last key for a cell outside
-    the fast path, the columns a text keeps."""
+    (0xff bytes); by (E, digit count), the columns a text keeps."""
     quads = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
     for place in range(4):
         quads[..., place] = np.arange(ord("0"), ord("9") + 1).reshape((10,) + (1,) * (3 - place))
@@ -136,14 +134,11 @@ def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # the last digit, or through the "0" after the point.
     first = 4 + np.minimum(exponent, 0)
     last = 4 + np.maximum(np.arange(1, _DIGITS + 1)[:, None], exponent + 2)
-    keep = np.zeros((len(first) * _DIGITS + 1, _ROW), dtype=bool)
-    keep[:-1] = ((col >= first) & (col <= last)).reshape(-1, _ROW)
-    keep[:, _SEPARATOR] = True
-    return quads.view(np.uint32).ravel(), before, keep
+    keep = ((col >= first) & (col <= last)) | (col == _SEPARATOR)
+    return quads.view(np.uint32).ravel(), before, keep.reshape(-1, _ROW)
 
 
 _QUADS, _BEFORE, _KEEP = _tables()
-_OUTSIDE = len(_KEEP) - 1
 
 
 def _interval(x: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -208,25 +203,24 @@ def _words(digits: np.ndarray) -> np.ndarray:
     return words
 
 
-def _texts(rows: np.ndarray, fast: np.ndarray) -> str:
-    """The fast path's texts of a (rows, columns) array's rows, their cells
-    joined by "," and each ended by "\\n", where ``fast`` marks the cells in
-    the fast path; a row with a cell outside it is not whole."""
-    values = rows.ravel()
-    fast = fast.ravel()
-    exponent, digits, count = _shortest(np.where(fast, values, 1.0))
+def _texts(rows: np.ndarray) -> list[str]:
+    """The fast path's texts of a (rows, columns) array's rows, whose cells
+    all lie in it: each row's cells joined by ","."""
+    exponent, digits, count = _shortest(rows.ravel())
     row_bytes = _words(digits).view(np.uint8).ravel()
     # Each cell's bytes from byte 3 before its point and from byte 2 after
     # it: a select on the flat bytes.
-    size = len(values) * _ROW
+    size = rows.size * _ROW
     laid = row_bytes[3 : size + 3] ^ row_bytes[2 : size + 2]
     laid &= _BEFORE.take(exponent - _E_MIN, axis=0).ravel()
     laid ^= row_bytes[2 : size + 2]
     laid[np.arange(0, size, _ROW) + exponent + 5] = ord(".")
     # Every cell but a row's last ends with "," instead of "\n".
     laid.reshape(*rows.shape, _ROW)[:, :-1, _SEPARATOR] = ord(",")
-    key = np.where(fast, (exponent - _E_MIN) * _DIGITS + count - 1, _OUTSIDE)
-    return str(laid[_KEEP.take(key, axis=0).ravel()].data, "ascii")
+    keep = _KEEP.take((exponent - _E_MIN) * _DIGITS + count - 1, axis=0).ravel()
+    texts = str(laid[keep].data, "ascii").split("\n")
+    texts.pop()
+    return texts
 
 
 def _joined(rows: np.ndarray) -> list[str]:
@@ -235,19 +229,17 @@ def _joined(rows: np.ndarray) -> list[str]:
 
 
 def reprs(values: np.ndarray) -> list[str]:
-    """Each row's ``repr``s joined by ","; a 1-D array is one column."""
-    if values.dtype != np.float64 or values.ndim not in (1, 2):
-        raise TypeError(f"reprs takes a 1-D or 2-D float64 array, not {values.ndim}-D {values.dtype}")
-    rows = values[:, None] if values.ndim == 1 else values
-    if not rows.size:
-        return [""] * len(rows)
-    fast = (rows >= FAST_MIN) & (rows <= FAST_MAX)
-    if not fast.any():
-        return _joined(rows)
-    texts = _texts(rows, fast).split("\n")
-    texts.pop()
-    if not fast.all():
-        undecided = np.flatnonzero(~fast.all(axis=1))
-        for index, text in zip(undecided.tolist(), _joined(rows[undecided])):
-            texts[index] = text
-    return texts
+    """Each row's ``repr``s joined by ",", for a (rows, columns) float64 array."""
+    if values.dtype != np.float64 or values.ndim != 2:
+        raise TypeError(f"reprs takes a 2-D float64 array, not {values.ndim}-D {values.dtype}")
+    if not values.size:
+        return [""] * len(values)
+    whole = ((values >= FAST_MIN) & (values <= FAST_MAX)).all(axis=1)
+    if whole.all():
+        return _texts(values)
+    if not whole.any():
+        return _joined(values)
+    texts = np.empty(len(values), dtype=object)
+    texts[whole] = _texts(values[whole])
+    texts[~whole] = _joined(values[~whole])
+    return texts.tolist()

@@ -3,24 +3,29 @@
     python tests/mutants.py
 
 Each entry of ``MUTANTS`` is one fault: the file under ``src/vesselsim``,
-the text it replaces there, the text that replaces it, and the tests that
-must catch it.  The script first runs every killing test once on an
-unmutated copy of ``src/`` and stops with an error unless they all pass:
-a killer that fails without a fault would count every mutant it names as
-killed.  Then, for each mutant, it copies ``src/`` into a temporary
-directory, plants the fault in the copy, and runs the mutant's tests
-against it with ``-x -q -p no:cacheprovider --hypothesis-profile
-mutants``.  The mutant is killed when that run reports a failing test; any
-other outcome, a pass or a run that could not collect its tests, is a
-survivor.  It prints one line per mutant with its verdict and wall time,
-then the totals, and exits 1 if any mutant survives.
+the text it replaces there, the text that replaces it, and the killers
+that must catch it.  A killer is a pytest node id, or a script under
+``tests/`` with its arguments (``tests/sweep_floattext.py --values N``).
+The script first runs every killer once on an unmutated copy of ``src/``
+and stops with an error unless they all pass: a killer that fails without
+a fault would count every mutant it names as killed.  Then, for each
+mutant, it copies ``src/`` into a temporary directory, plants the fault in
+the copy, and runs the mutant's killers against it: its tests in one
+pytest run with ``-x -q -p no:cacheprovider --hypothesis-profile
+mutants``, and each script with the copy's ``src/`` as ``PYTHONPATH``.
+The mutant is killed when one of them exits 1, a failing test or a
+script's mismatch; any other outcome, a pass or a run that could not
+collect its tests, is a survivor.  It prints one line per mutant with its
+verdict and wall time, then the totals, and exits 1 if any mutant
+survives.
 
 It needs the standard library and pytest only, and is not a pytest module:
 tier-1's ``tests/test_mutants.py`` requires that every ``old`` text occurs
-exactly once in ``src/vesselsim``, and that every killer's node id names a
-``class`` or ``def`` in its file, so the table cannot rot silently when the
-code or the tests move.  A killing test must not compare long texts with a
-bare ``==``: pytest then diffs them line by line, which can take minutes.
+exactly once in ``src/vesselsim``, that every killer's node id names a
+``class`` or ``def`` in its file, and that every killing script exists, so
+the table cannot rot silently when the code or the tests move.  A killing
+test must not compare long texts with a bare ``==``: pytest then diffs
+them line by line, which can take minutes.
 Nor may it run the package in a new process (``test_demos.py``,
 ``test_cli.py``'s ``TestModuleEntryPoint``): those put the checkout's
 ``src/`` on ``PYTHONPATH`` and never see the planted fault.
@@ -28,6 +33,8 @@ Nor may it run the package in a new process (``test_demos.py``,
 
 from __future__ import annotations
 
+import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -184,8 +191,8 @@ MUTANTS = [
     Mutant(
         "config-error-exits-three",
         "cli.py",
-        "        return EXIT_CONFIG\n",
-        "        return EXIT_DOMAIN\n",
+        "return _error(EXIT_CONFIG,",
+        "return _error(EXIT_DOMAIN,",
         ("tests/test_cli.py::TestExitCodes::test_config_error_is_two",),
     ),
     Mutant(
@@ -221,11 +228,20 @@ MUTANTS = [
     ),
     # floattext.
     Mutant(
-        "floattext-rows-rebuilt-only-when-all-undecided",
+        "floattext-row-whole-when-any-cell-is-fast",
         "floattext.py",
         ".all(axis=1)",
         ".any(axis=1)",
         ("tests/test_floattext.py",),
+    ),
+    Mutant(
+        "floattext-mixed-slice-merged-whole-rows-first",
+        "floattext.py",
+        "    texts[whole] = _texts(values[whole])\n"
+        "    texts[~whole] = _joined(values[~whole])\n"
+        "    return texts.tolist()\n",
+        "    return _texts(values[whole]) + _joined(values[~whole])\n",
+        ("tests/sweep_floattext.py --values 200000",),
     ),
     Mutant(
         "floattext-decade-off-by-one",
@@ -265,32 +281,49 @@ MUTANTS = [
 ]
 
 
-def pytest_status(tests: Iterable[str], mutant: Mutant | None = None) -> int:
-    """pytest's exit status for ``tests`` on a copy of ``src/``, with ``mutant`` planted."""
+def is_script(killer: str) -> bool:
+    """Whether ``killer`` is a script with its arguments, not a node id."""
+    return " " in killer
+
+
+def statuses(killers: Iterable[str], mutant: Mutant | None = None) -> list[int]:
+    """The exit statuses of ``killers`` on a copy of ``src/``, with
+    ``mutant`` planted: pytest's for the node ids, run together, then each
+    script's."""
+    killers = list(killers)
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
         if mutant is not None:
             path = src / "vesselsim" / mutant.file
             path.write_text(path.read_text().replace(mutant.old, mutant.new))
-        command = [
-            sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-            "--hypothesis-profile", "mutants", "-o", f"pythonpath={src}", *tests,
+        tests = [killer for killer in killers if not is_script(killer)]
+        commands = [shlex.split(killer) for killer in killers if is_script(killer)]
+        if tests:
+            commands.insert(0, [
+                "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                "--hypothesis-profile", "mutants", "-o", f"pythonpath={src}", *tests,
+            ])
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        runs = [
+            subprocess.run([sys.executable, *command], cwd=ROOT, env=env, capture_output=True)
+            for command in commands
         ]
-        return subprocess.run(command, cwd=ROOT, capture_output=True).returncode
+        return [run.returncode for run in runs]
 
 
 def main() -> int:
     start = time.perf_counter()
     killers = sorted({test for mutant in MUTANTS for test in mutant.tests})
-    if pytest_status(killers) != 0:
+    if any(statuses(killers)):
         sys.exit("the killing tests fail on an unmutated copy of src/, so no kill would count")
     print(f"{'clean':8}  {time.perf_counter() - start:6.1f} s  {len(killers)} killers pass", flush=True)
     survivors = []
     for mutant in MUTANTS:
         begin = time.perf_counter()
-        # pytest exits 1 only when a collected test failed.
-        verdict = "killed" if pytest_status(mutant.tests, mutant) == 1 else "SURVIVED"
+        # pytest exits 1 only when a collected test failed, a script on a
+        # mismatch.
+        verdict = "killed" if 1 in statuses(mutant.tests, mutant) else "SURVIVED"
         if verdict != "killed":
             survivors.append(mutant.name)
         print(f"{verdict:8}  {time.perf_counter() - begin:6.1f} s  {mutant.name}", flush=True)

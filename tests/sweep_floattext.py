@@ -3,8 +3,8 @@
     PYTHONPATH=src python tests/sweep_floattext.py [--values N] [--seed S]
 
 Draws about N values (default 10M) from the classes below and renders them
-twice: in calls of ``CSV_ROWS_PER_WRITE`` values, and in calls of
-``CSV_ROWS_PER_WRITE`` two-column rows, the shape the CSV dumps render.
+twice, in calls of ``CSV_ROWS_PER_WRITE`` rows: as one-column rows, and as
+two-column rows, the shape the CSV dumps render.
 Each text is compared with ``repr``, a row's with its cells' ``repr``s
 joined by ",".  Prints, per class and width, the values checked and the
 mismatches, then the totals and the wall time of each width; exits 1 on
@@ -90,13 +90,13 @@ CLASSES = {"fast_bits": fast_bits, "any_bits": any_bits, "sampler": sampler,
 
 def check(values: np.ndarray, width: int) -> int:
     """Mismatched texts of reprs against repr, in calls of CSV_ROWS_PER_WRITE
-    rows of ``width`` values (1-D arrays for width 1)."""
-    rows = values.reshape(-1, width) if width > 1 else values
+    rows of ``width`` values."""
+    rows = values.reshape(-1, width)
     bad = 0
     for lo in range(0, len(rows), CSV_ROWS_PER_WRITE):
         part = rows[lo : lo + CSV_ROWS_PER_WRITE]
         got = reprs(part)
-        want = [",".join(map(repr, row)) for row in part.reshape(len(part), -1).tolist()]
+        want = [",".join(map(repr, row)) for row in part.tolist()]
         if got != want:
             wrong = [(w, g) for g, w in zip(got, want) if g != w]
             bad += len(wrong)

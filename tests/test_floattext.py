@@ -1,17 +1,19 @@
 """``floattext.reprs`` is ``repr`` for every float64, fast path or not.
 
-Each property draws a list of floats and requires ``reprs`` of their array
-to equal their ``repr``s: any floats (NaN, infinities, zeros and subnormals
-included), raw bit patterns across the fast path, and values with short
-reprs, half-way ties among them.  Its twin draws rows of 1 to 3 such
+Each property draws a list of floats and requires ``reprs`` of their
+one-column array to equal their ``repr``s: any floats (NaN, infinities,
+zeros and subnormals included), raw bit patterns across the fast path,
+and values with short reprs, half-way ties among them.  Its twin draws rows of 1 to 3 such
 floats and requires each row's ``repr``s joined by ",", the text a CSV dump
 writes for a row's diameters.  Where the proof in ``floattext``'s
 docstring is tight -- every power of 2 and of 10 around the fast path with
 its neighbours, and ``FAST_MIN`` and ``FAST_MAX`` -- every value is
 checked, not sampled, alone and as two-column rows.  A seeded sweep covers
 the diameters the dumps write.  ``tests/sweep_floattext.py`` runs the same
-check over 10M values.  The exponent tables are checked exactly, and a
-counting ``repr`` shows that only cells outside the fast path reach it.
+check over 10M values.  The exponent tables are checked exactly, a
+counting ``repr`` shows that only rows with a cell outside the fast path
+reach it, and a counting ``_shortest`` that the fast path sees only the
+other rows.
 """
 
 import math
@@ -30,7 +32,7 @@ from sweep_floattext import tight_set
 
 
 def assert_reprs(xs: list[float]) -> None:
-    assert reprs(np.array(xs, dtype=np.float64)) == list(map(repr, xs))
+    assert reprs(np.array(xs, dtype=np.float64)[:, None]) == list(map(repr, xs))
 
 
 def as_rows(rows: list[list[float]], width: int) -> np.ndarray:
@@ -134,7 +136,7 @@ def test_a_sweep_of_sampler_ranges():
     rng = np.random.default_rng(20260)
     for low, span in zip(0.2 + 0.8 * rng.random(100), 0.5 + 3.0 * rng.random(100)):
         values = rng.uniform(low, low + span, 2000)
-        assert reprs(values) == list(map(repr, values.tolist()))
+        assert reprs(values[:, None]) == list(map(repr, values.tolist()))
         assert_rows(values.reshape(-1, 2))
 
 
@@ -184,27 +186,46 @@ def test_every_value_in_the_fast_path_is_written_without_repr(monkeypatch):
     values = np.concatenate([TIES, tight[(tight >= FAST_MIN) & (tight <= FAST_MAX)]])
     values = values[: len(values) // 2 * 2]
     calls = counting_repr(monkeypatch)
-    texts, rows = reprs(values), reprs(values.reshape(-1, 2))
+    texts, rows = reprs(values[:, None]), reprs(values.reshape(-1, 2))
     monkeypatch.undo()
     assert calls == []
     assert texts == list(map(repr, values.tolist()))
     assert rows == [",".join(map(repr, row)) for row in values.reshape(-1, 2).tolist()]
 
 
-WHOLLY_OUTSIDE = {name: OUTSIDE_COLUMNS[name] for name in ("both-above", "both-below")}
-
-
-@pytest.mark.parametrize("columns", WHOLLY_OUTSIDE.values(), ids=WHOLLY_OUTSIDE)
-def test_a_slice_wholly_outside_the_fast_path_skips_it(monkeypatch, columns):
-    """A slice with no value in [FAST_MIN, FAST_MAX] is joined from ``repr``
-    alone: the fast path never runs on it."""
+def slice_of(columns) -> np.ndarray:
+    """A 2048-row slice, each column drawn uniformly from its range."""
     rng = np.random.default_rng(19)
-    values = np.stack([rng.uniform(low, high, 2048) for low, high in columns], axis=1)
-    calls = []
-    monkeypatch.setattr(floattext, "_shortest", calls.append)
+    return np.stack([rng.uniform(low, high, 2048) for low, high in columns], axis=1)
+
+
+# Slices, each with the number of its cells in whole rows.  The
+# alternating slice's even rows are whole, and each odd row holds a cell
+# above the fast path.
+ALTERNATING = slice_of(OUTSIDE_COLUMNS["one-of-two"])
+ALTERNATING[::2, 1] = ALTERNATING[::2, 0]
+SLICES = {
+    **{name: (slice_of(columns), 0) for name, columns in OUTSIDE_COLUMNS.items()},
+    "alternating": (ALTERNATING, 2048),
+}
+
+
+@pytest.mark.parametrize("values, cells", SLICES.values(), ids=SLICES)
+def test_the_fast_path_sees_only_whole_rows(monkeypatch, values, cells):
+    """The fast path runs on the rows whose every value lies in [FAST_MIN,
+    FAST_MAX], and on no other cell: a slice with no such row never runs
+    it, and a row with one cell outside it is joined from ``repr`` alone."""
+    seen = []
+    shortest = floattext._shortest
+
+    def counted(x):
+        seen.append(len(x))
+        return shortest(x)
+
+    monkeypatch.setattr(floattext, "_shortest", counted)
     texts = reprs(values)
     monkeypatch.undo()
-    assert calls == []
+    assert sum(seen) == cells
     expected = [",".join(map(repr, row)) for row in values.tolist()]
     assert len(texts) == len(expected)
     assert [i for i, (got, want) in enumerate(zip(texts, expected)) if got != want] == []
@@ -223,9 +244,9 @@ def test_exponent_tables_are_exact():
 
 @pytest.mark.parametrize(
     "values",
-    [np.arange(3), np.array(1.0), np.zeros((2, 2, 2)), np.zeros(3, dtype=np.float32),
+    [np.arange(3), np.array(1.0), np.zeros(3), np.zeros((2, 2, 2)), np.zeros(3, dtype=np.float32),
      np.zeros((2, 2), dtype=np.float32)],
 )
-def test_only_one_or_two_dimensional_float64_arrays(values):
+def test_only_two_dimensional_float64_arrays(values):
     with pytest.raises(TypeError):
         reprs(values)

@@ -1,14 +1,16 @@
 """The mutation table of ``tests/mutants.py`` still fits the code: each
 mutant's ``old`` text occurs exactly once in ``src/vesselsim``, in the file
-it names, and each names tests that exist: every ``::`` part of a killer's
-node id after its file is a ``class`` or ``def`` of that name there.  The
-mutants themselves run outside tier-1, as ``python tests/mutants.py``."""
+it names, and each names killers that exist: every ``::`` part of a
+killer's node id after its file is a ``class`` or ``def`` of that name
+there, and a killing script is a file under ``tests/``.  The mutants
+themselves run outside tier-1, as ``python tests/mutants.py``."""
 
 import re
+import shlex
 
 import pytest
 
-from mutants import MUTANTS, PACKAGE, ROOT
+from mutants import MUTANTS, PACKAGE, ROOT, is_script
 
 
 def test_names_are_unique():
@@ -25,6 +27,10 @@ def test_old_text_occurs_once_in_the_package(mutant):
     assert {name: count for name, count in counts.items() if count} == {mutant.file: 1}
     assert mutant.new != mutant.old
     for test in mutant.tests:
+        if is_script(test):
+            script = ROOT / shlex.split(test)[0]
+            assert script.parent == ROOT / "tests" and script.is_file(), test
+            continue
         path, *names = test.split("::")
         text = (ROOT / path).read_text()
         for name in names:
