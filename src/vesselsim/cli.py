@@ -15,7 +15,9 @@ when the line runs.  The command gets the parsed scenario, ``collect_runs``
 for ``--format csv``, and each of the subcommand's own options as the
 keyword argument of the option's dest (``--lambda-a`` is ``lambda_a``).
 The options every subcommand shares, and ``--workers``, which is checked
-and then unused, are never passed on.
+and then unused, are never passed on.  A subcommand's parser adds its
+options when it parses, so a command line builds only the options of its
+own subcommand, and a parser build reads the terminal width once.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
+import functools
 import json
 import math
 import os
@@ -119,10 +122,16 @@ def commit(out: str | None, write: Callable[[TextIO], None]) -> None:
 
 def _create_beside(target: Path) -> tuple[int, Path]:
     """A new empty file with a fresh ``.<name>.`` name in ``target``'s
-    directory, open for writing.  The kernel gives it the mode of any new
-    file, 0o666 less the umask, so the process-wide umask is never touched."""
+    directory, open for writing.  ``<name>`` is ``target``'s name, cut at a
+    character so that the temporary name fits in 255 bytes, the usual
+    limit for a file name.  The kernel gives it the mode of any new file,
+    0o666 less the umask, so the process-wide umask is never touched."""
+    name = target.name
+    # 14 bytes: the two dots and the 12 hex digits.
+    while len(os.fsencode(name)) > 255 - 14:
+        name = name[:-1]
     while True:
-        temporary = target.with_name(f".{target.name}.{os.urandom(6).hex()}")
+        temporary = target.with_name(f".{name}.{os.urandom(6).hex()}")
         try:
             return os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), temporary
         except FileExistsError:
@@ -153,7 +162,48 @@ def _finite_float(text: str) -> float:
     return value
 
 
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser.  ``add_options`` adds its options, and parsing
+    calls it first, so a command line adds only the options of the
+    subcommand it runs."""
+
+    def __init__(self, *, command: str, **kwargs):
+        super().__init__(**kwargs)
+        self.command = command
+        self.options_added = False
+
+    def add_options(self) -> None:
+        """Add the subcommand's options, unless they are already there."""
+        if self.options_added:
+            return
+        self.options_added = True
+        add = self.add_argument
+        add("--scenario", required=True, help="path to a scenario JSON file")
+        add("--out", default=None, help="output path (default: stdout)")
+        add("--format", choices=("json", "csv"), default="json",
+            help="json report or csv per-run dump")
+        if self.command in ("vessel-chsh", "quantum-chsh"):
+            add("--workers", type=_worker_count, default=1,
+                help="no longer changes how runs execute")
+        if self.command == "quantum-chsh":
+            add("--analytic", action="store_true",
+                help="exact expectations instead of Monte Carlo sampling")
+        if self.command == "flow":
+            add("--lambda-a", type=_finite_float, required=True, help="left diameter (cm)")
+            add("--lambda-b", type=_finite_float, required=True, help="right diameter (cm)")
+            add("--dt", type=_finite_float, default=1e-4, help="integration step (s)")
+
+    def parse_known_args(self, args=None, namespace=None):
+        self.add_options()
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    # HelpFormatter's own default width, probed once here rather than by
+    # each formatter that argparse makes, one for every option added.
+    formatter = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
+    )
     parser = argparse.ArgumentParser(
         prog="vesselsim",
         description=(
@@ -161,10 +211,10 @@ def build_parser() -> argparse.ArgumentParser:
             "Bell statistics, locality analysis, state sampling, and a "
             "quantum singlet reference."
         ),
+        formatter_class=formatter,
     )
     parser.add_argument("--version", action="version", version=f"vesselsim {__version__}")
-    subparsers = parser.add_subparsers(dest="subcommand", required=True)
-    subcommands = {}
+    subparsers = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Subcommand)
     for name, help in (
         ("vessel-chsh", "estimate the four coincidence pairs and the Bell statistic"),
         (
@@ -175,32 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("quantum-chsh", "singlet statistic at the scenario's analyzer angles"),
         ("flow", "integrate one joint drainage"),
     ):
-        sub = subcommands[name] = subparsers.add_parser(name, help=help)
-        sub.add_argument("--scenario", required=True, help="path to a scenario JSON file")
-        sub.add_argument("--out", default=None, help="output path (default: stdout)")
-        sub.add_argument(
-            "--format",
-            choices=("json", "csv"),
-            default="json",
-            help="json report or csv per-run dump",
-        )
-        if name in ("vessel-chsh", "quantum-chsh"):
-            sub.add_argument(
-                "--workers",
-                type=_worker_count,
-                default=1,
-                help="no longer changes how runs execute",
-            )
-    subcommands["quantum-chsh"].add_argument(
-        "--analytic",
-        action="store_true",
-        help="exact expectations instead of Monte Carlo sampling",
-    )
-    flow = subcommands["flow"]
-    flow.add_argument("--lambda-a", type=_finite_float, required=True, help="left diameter (cm)")
-    flow.add_argument("--lambda-b", type=_finite_float, required=True, help="right diameter (cm)")
-    flow.add_argument("--dt", type=_finite_float, default=1e-4, help="integration step (s)")
-
+        subparsers.add_parser(name, help=help, formatter_class=formatter, command=name)
     return parser
 
 

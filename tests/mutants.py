@@ -175,6 +175,33 @@ MUTANTS = [
     ),
     # Command line.
     Mutant(
+        "subcommand-options-never-added",
+        "cli.py",
+        "        self.add_options()\n",
+        "",
+        (
+            "tests/test_cli.py::TestParserBuild",
+            "tests/test_cli.py::TestStdout::test_report_goes_to_stdout_by_default",
+        ),
+    ),
+    Mutant(
+        "analytic-on-every-subcommand",
+        "cli.py",
+        'if self.command == "quantum-chsh":',
+        "if True:",
+        (
+            "tests/test_cli.py::TestSurface::test_options_are_pinned",
+            "tests/test_cli.py::TestParserBuild",
+        ),
+    ),
+    Mutant(
+        "help-width-off-by-one",
+        "cli.py",
+        ".columns - 2",
+        ".columns - 1",
+        ("tests/test_cli.py::TestHelpBytes",),
+    ),
+    Mutant(
         "workers-reaches-the-command",
         "cli.py",
         '_SHARED = ("subcommand", "scenario", "out", "format", "workers")',

@@ -9,6 +9,7 @@ import io
 import json
 import math
 import os
+import shutil
 import signal
 import stat
 import subprocess
@@ -898,12 +899,16 @@ SURFACE = {
 }
 
 
-def subcommand_parsers():
-    """Each subcommand's parser, by name."""
+def subcommand_parsers(parser=None, add_options=True):
+    """Each subcommand's parser of ``parser`` (a new one by default), by
+    name, with its options added by the hook that parsing calls first."""
     (subparsers,) = [
-        action for action in build_parser()._actions
+        action for action in (parser or build_parser())._actions
         if isinstance(action, argparse._SubParsersAction)
     ]
+    if add_options:
+        for sub in subparsers.choices.values():
+            sub.add_options()
     return subparsers.choices
 
 
@@ -938,6 +943,87 @@ class TestSurface:
         command = getattr(commands, name.replace("-", "_"))
         keywords = set(inspect.signature(command).parameters) - {"scenario", "collect_runs"}
         assert own == keywords
+
+
+class TestParserBuild:
+    """A command line adds only the options of the subcommand it parses,
+    and a build probes the terminal width once."""
+
+    @pytest.mark.parametrize("name", SURFACE)
+    def test_only_the_parsed_subcommand_gets_its_options(self, name, monkeypatch):
+        probes = []
+        real_size = shutil.get_terminal_size
+
+        def probe(*args, **kwargs):
+            probes.append(args)
+            return real_size(*args, **kwargs)
+
+        monkeypatch.setattr(shutil, "get_terminal_size", probe)
+        parser = build_parser()
+        argv = [name, "--scenario", "s.json"]
+        if name == "flow":
+            argv += ["--lambda-a", "1", "--lambda-b", "2"]
+        assert vars(parser.parse_args(argv))["subcommand"] == name
+        options = {
+            other: [action.option_strings for action in sub._actions]
+            for other, sub in subcommand_parsers(parser, add_options=False).items()
+        }
+        assert options.pop(name) == [["-h", "--help"], *(
+            list(option_strings) for option_strings, *_ in SURFACE[name]
+        )]
+        assert options == {other: [["-h", "--help"]] for other in SURFACE if other != name}
+        assert len(probes) == 1
+
+
+# Help, version and usage-error command lines: case name -> argv.  Their
+# bytes, at each width of HELP_COLUMNS, are pinned in HELP_PINS; regenerate
+# them with ``PYTHONPATH=src python tests/test_golden.py --regen``.
+HELP_CASES = {
+    "help": ["--help"],
+    **{f"{name}-help": [name, "--help"] for name in SURFACE},
+    "version": ["--version"],
+    "no-subcommand": [],
+    "unknown-subcommand": ["no-such-command"],
+    **{f"{name}-no-scenario": [name] for name in SURFACE},
+    "vessel-chsh-zero-workers": ["vessel-chsh", "--scenario", "s.json", "--workers", "0"],
+    "quantum-chsh-zero-workers": ["quantum-chsh", "--scenario", "s.json", "--workers", "0"],
+    "flow-nan-lambda-a": ["flow", "--scenario", "s.json", "--lambda-a", "nan", "--lambda-b", "1"],
+    "flow-no-lambda-b": ["flow", "--scenario", "s.json", "--lambda-a", "1"],
+    "unknown-option": ["sample-state", "--scenario", "s.json", "--no-such-flag"],
+}
+HELP_COLUMNS = (80, 40)
+HELP_PINS = Path(__file__).parent / "golden" / "help.json"
+
+
+def help_output(argv):
+    """What ``main(argv)`` writes to stdout and stderr, and its exit code,
+    at the terminal width that ``COLUMNS`` sets."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return {"stdout": stdout.getvalue(), "stderr": stderr.getvalue(), "code": code}
+
+
+@pytest.mark.skipif(
+    sys.version_info >= (3, 13),
+    reason="HELP_PINS holds the bytes of argparse in Python 3.10-3.12; 3.13 wraps usage anew",
+)
+class TestHelpBytes:
+    """``--help``, ``--version`` and the usage errors keep their bytes and
+    exit codes at a wide and a narrow terminal."""
+
+    @pytest.mark.parametrize("columns", HELP_COLUMNS)
+    @pytest.mark.parametrize("case", HELP_CASES)
+    def test_bytes_are_pinned(self, case, columns, monkeypatch):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        expected = json.loads(HELP_PINS.read_text())[f"{case}@{columns}"]
+        output = help_output(HELP_CASES[case])
+        assert output["code"] == expected["code"]
+        assert first_difference(output["stdout"], expected["stdout"]) is None
+        assert first_difference(output["stderr"], expected["stderr"]) is None
 
 
 class TestStdout:
@@ -1138,6 +1224,31 @@ class TestAtomicCommit:
         assert json.loads(out.read_text())["bell"]["value"] == 4.0
         assert occupied.read_text() == PREVIOUS
         assert leftovers(tmp_path, {"scenario.json", "report.json", occupied.name}) == []
+
+    @pytest.mark.parametrize("name, stem", [
+        # 255 bytes, the usual limit: the stem is cut to 241 bytes.
+        ("r" * 250 + ".json", "r" * 241),
+        # 255 bytes of which 254 are 2-byte characters: a cut at 241 bytes
+        # would split one, so the stem keeps 120 whole ones.
+        ("é" * 127 + "x", "é" * 120),
+    ], ids=["ascii", "two-byte-characters"])
+    def test_longest_names_are_written(self, tmp_path, monkeypatch, name, stem):
+        assert len(os.fsencode(name)) == 255
+        out = tmp_path / name
+        renamed = []
+        real_replace = os.replace
+
+        def replace(source, target):
+            renamed.append(Path(source).name)
+            real_replace(source, target)
+
+        monkeypatch.setattr(os, "replace", replace)
+        scenario = write_scenario(tmp_path, runs_per_pair=10)
+        assert run_cli(["vessel-chsh", "--scenario", scenario, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["bell"]["value"] == 4.0
+        assert leftovers(tmp_path, {"scenario.json", name}) == []
+        (temporary,) = renamed
+        assert temporary[:-12] == f".{stem}." and len(temporary) == len(stem) + 14
 
     def test_new_report_gets_the_usual_file_mode(self, tmp_path):
         umask = os.umask(0o022)

@@ -7,8 +7,10 @@ when every random column got its own substream (README, "Stream layout").
 ``locality-check`` ones included, against ``tests/oracle.py``, which
 rebuilds them from the README alone.  ``large-dumps.sha256`` pins every CSV
 producer at a size that crosses a chunk boundary and many write slices by
-the sha256 of its bytes.  Regenerate them only for an intended change of
-the report format or the stream layout, with
+the sha256 of its bytes.  ``help.json`` pins the bytes and exit codes of
+``--help``, ``--version`` and the usage errors (``test_cli.py``'s
+``TestHelpBytes``).  Regenerate them only for an intended change of
+the report format, the stream layout or the command line, with
 
     PYTHONPATH=src python tests/test_golden.py --regen
 """
@@ -16,6 +18,7 @@ the report format or the stream layout, with
 import hashlib
 import json
 import math
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -146,6 +149,14 @@ def _regenerate() -> None:
                 text = render(case, *CASES[case], fmt, Path(scratch))
                 (GOLDEN / f"{case}.{fmt}").write_bytes(text)
         LARGE_HASHES.write_text(large_dump_hashes(Path(scratch)))
+    from test_cli import HELP_CASES, HELP_COLUMNS, HELP_PINS, help_output
+
+    pins = {}
+    for case, argv in HELP_CASES.items():
+        for columns in HELP_COLUMNS:
+            os.environ["COLUMNS"] = str(columns)
+            pins[f"{case}@{columns}"] = help_output(argv)
+    HELP_PINS.write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":
