@@ -15,9 +15,9 @@ when the line runs.  The command gets the parsed scenario, ``collect_runs``
 for ``--format csv``, and each of the subcommand's own options as the
 keyword argument of the option's dest (``--lambda-a`` is ``lambda_a``).
 The options every subcommand shares, and ``--workers``, which is checked
-and then unused, are never passed on.  A subcommand's parser adds its
-options when it parses, so a command line builds only the options of its
-own subcommand, and a parser build reads the terminal width once.
+and then unused, are never passed on.  A command line builds only the
+parser of the subcommand it names, when argparse parses it, and a parser
+build reads the terminal width once.
 """
 
 from __future__ import annotations
@@ -162,22 +162,20 @@ def _finite_float(text: str) -> float:
     return value
 
 
-class _Subcommand(argparse.ArgumentParser):
-    """A subcommand's parser.  ``add_options`` adds its options, and parsing
-    calls it first, so a command line adds only the options of the
-    subcommand it runs."""
+class _Subcommand:
+    """A subcommand as ``add_subparsers`` holds it: the ``add_parser``
+    arguments of its parser, which ``build`` makes.  argparse calls
+    ``parse_known_args`` on the named subcommand alone, so a command line
+    builds the parser of that subcommand and of no other."""
 
     def __init__(self, *, command: str, **kwargs):
-        super().__init__(**kwargs)
         self.command = command
-        self.options_added = False
+        self.kwargs = kwargs
 
-    def add_options(self) -> None:
-        """Add the subcommand's options, unless they are already there."""
-        if self.options_added:
-            return
-        self.options_added = True
-        add = self.add_argument
+    def build(self) -> argparse.ArgumentParser:
+        """The subcommand's parser, with its options."""
+        parser = argparse.ArgumentParser(**self.kwargs)
+        add = parser.add_argument
         add("--scenario", required=True, help="path to a scenario JSON file")
         add("--out", default=None, help="output path (default: stdout)")
         add("--format", choices=("json", "csv"), default="json",
@@ -192,10 +190,10 @@ class _Subcommand(argparse.ArgumentParser):
             add("--lambda-a", type=_finite_float, required=True, help="left diameter (cm)")
             add("--lambda-b", type=_finite_float, required=True, help="right diameter (cm)")
             add("--dt", type=_finite_float, default=1e-4, help="integration step (s)")
+        return parser
 
     def parse_known_args(self, args=None, namespace=None):
-        self.add_options()
-        return super().parse_known_args(args, namespace)
+        return self.build().parse_known_args(args, namespace)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -177,12 +177,19 @@ MUTANTS = [
     Mutant(
         "subcommand-options-never-added",
         "cli.py",
-        "        self.add_options()\n",
-        "",
+        "return self.build().parse_known_args(",
+        "return argparse.ArgumentParser(**self.kwargs).parse_known_args(",
         (
             "tests/test_cli.py::TestParserBuild",
             "tests/test_cli.py::TestStdout::test_report_goes_to_stdout_by_default",
         ),
+    ),
+    Mutant(
+        "every-subcommand-built-eagerly",
+        "cli.py",
+        "        self.kwargs = kwargs\n",
+        "        self.kwargs = kwargs\n        self.build()\n",
+        ("tests/test_cli.py::TestParserBuild",),
     ),
     Mutant(
         "analytic-on-every-subcommand",

@@ -899,17 +899,14 @@ SURFACE = {
 }
 
 
-def subcommand_parsers(parser=None, add_options=True):
-    """Each subcommand's parser of ``parser`` (a new one by default), by
-    name, with its options added by the hook that parsing calls first."""
+def subcommand_parsers():
+    """Each subcommand's parser of a new ``build_parser()``, by name, as
+    its stand-in builds it for parsing."""
     (subparsers,) = [
-        action for action in (parser or build_parser())._actions
+        action for action in build_parser()._actions
         if isinstance(action, argparse._SubParsersAction)
     ]
-    if add_options:
-        for sub in subparsers.choices.values():
-            sub.add_options()
-    return subparsers.choices
+    return {name: sub.build() for name, sub in subparsers.choices.items()}
 
 
 def subcommand_actions(name):
@@ -945,33 +942,54 @@ class TestSurface:
         assert own == keywords
 
 
+# Command lines -> the progs of the parsers that building and parsing each
+# make: the top-level one, then the named subcommand's and no other.
+PARSER_BUILDS = {
+    **{
+        name: (
+            [name, "--scenario", "s.json",
+             *(["--lambda-a", "1", "--lambda-b", "2"] if name == "flow" else [])],
+            ["vesselsim", f"vesselsim {name}"],
+        )
+        for name in SURFACE
+    },
+    "version": (["--version"], ["vesselsim"]),
+    "help": (["--help"], ["vesselsim"]),
+    "no-subcommand": ([], ["vesselsim"]),
+    "unknown-subcommand": (["no-such-command"], ["vesselsim"]),
+}
+
+
 class TestParserBuild:
-    """A command line adds only the options of the subcommand it parses,
+    """A command line builds only the parser of the subcommand it names,
     and a build probes the terminal width once."""
 
-    @pytest.mark.parametrize("name", SURFACE)
-    def test_only_the_parsed_subcommand_gets_its_options(self, name, monkeypatch):
-        probes = []
+    @pytest.mark.parametrize("case", PARSER_BUILDS)
+    def test_a_line_builds_only_the_parser_it_names(self, case, monkeypatch, capsys):
+        probes, progs = [], []
         real_size = shutil.get_terminal_size
+        real_init = argparse.ArgumentParser.__init__
 
         def probe(*args, **kwargs):
             probes.append(args)
             return real_size(*args, **kwargs)
 
+        def init(self, *args, **kwargs):
+            progs.append(kwargs.get("prog"))
+            real_init(self, *args, **kwargs)
+
         monkeypatch.setattr(shutil, "get_terminal_size", probe)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", init)
+        argv, built = PARSER_BUILDS[case]
         parser = build_parser()
-        argv = [name, "--scenario", "s.json"]
-        if name == "flow":
-            argv += ["--lambda-a", "1", "--lambda-b", "2"]
-        assert vars(parser.parse_args(argv))["subcommand"] == name
-        options = {
-            other: [action.option_strings for action in sub._actions]
-            for other, sub in subcommand_parsers(parser, add_options=False).items()
-        }
-        assert options.pop(name) == [["-h", "--help"], *(
-            list(option_strings) for option_strings, *_ in SURFACE[name]
-        )]
-        assert options == {other: [["-h", "--help"]] for other in SURFACE if other != name}
+        if case in SURFACE:
+            parsed = vars(parser.parse_args(argv))
+            assert parsed.pop("subcommand") == case
+            assert sorted(parsed) == sorted(dest for _, dest, *_ in SURFACE[case])
+        else:
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
+        assert progs == built
         assert len(probes) == 1
 
 
