@@ -15,8 +15,11 @@ when the line runs.  The command gets the parsed scenario, ``collect_runs``
 for ``--format csv``, and each of the subcommand's own options as the
 keyword argument of the option's dest (``--lambda-a`` is ``lambda_a``).
 The options every subcommand shares, and ``--workers``, which is checked
-and then unused, are never passed on.  A command line builds only the
-parser of the subcommand it names, when argparse parses it, and a parser
+and then unused, are never passed on.  A line that starts with a
+subcommand name builds that subcommand's parser alone; the top-level
+parser is built only for the lines it answers itself (help, version, a
+missing or unknown subcommand, and arguments the subcommand leaves over),
+and then builds only the parser of the subcommand it names.  A parser
 build reads the terminal width once.
 """
 
@@ -30,10 +33,10 @@ import json
 import math
 import os
 import shutil
+import stat
 import sys
 import tempfile
 from collections.abc import Callable
-from pathlib import Path
 from typing import TextIO
 
 from . import commands
@@ -50,6 +53,16 @@ _STOPPED = {"SIGINT": "interrupted", "SIGTERM": "terminated"}
 # The parsed values ``_run`` reads itself, and --workers, which nothing
 # reads: every other one goes to the command as a keyword argument.
 _SHARED = ("subcommand", "scenario", "out", "format", "workers")
+# Each subcommand's name and its line in the top-level help.
+_SUBCOMMANDS = {
+    "vessel-chsh": "estimate the four coincidence pairs and the Bell statistic",
+    "locality-check": (
+        "factorization search and context witnesses over sampled hidden variables"
+    ),
+    "sample-state": "Born-sample the superposition state and report its rank",
+    "quantum-chsh": "singlet statistic at the scenario's analyzer angles",
+    "flow": "integrate one joint drainage",
+}
 
 
 class _Stopped(BaseException):
@@ -91,47 +104,69 @@ def commit(out: str | None, write: Callable[[TextIO], None]) -> None:
 
     A regular file (or a new one) at ``out`` is replaced by a temporary file
     from its own directory once ``write`` returns, and the temporary file is
-    removed if anything fails.  Stdout, and a device or pipe named by
+    removed if anything fails; a symbolic link is followed, so its target is
+    replaced and the link kept.  Stdout, and a device or pipe named by
     ``out``, get a copy of an anonymous ``tempfile.TemporaryFile`` once
     ``write`` returns; the spool has no name and goes when it is closed.
     """
-    path = None if out is None else Path(out)
-    if path is None or (path.exists() and not path.is_file()):
+    if out is not None:
+        try:
+            renamed = stat.S_ISREG(os.stat(out).st_mode)
+        except FileNotFoundError:
+            # Nothing there yet.  Any other error, a symlink loop say, is
+            # the run's.
+            renamed = True
+    if out is None or not renamed:
         with tempfile.TemporaryFile("w+") as spool:
             write(spool)
             spool.seek(0)
-            if path is None:
+            if out is None:
                 if sys.stdout is None:
                     # Python starts with no sys.stdout when fd 1 is closed.
                     raise OSError(errno.EBADF, os.strerror(errno.EBADF))
                 shutil.copyfileobj(spool, sys.stdout)
             else:
-                with open(path, "w") as handle:
+                with open(out, "w") as handle:
                     shutil.copyfileobj(spool, handle)
         return
-    target = path.resolve()
+    target = os.path.realpath(out)
     fd, temporary = _create_beside(target)
     try:
-        with open(fd, "w") as handle:
-            write(handle)
+        try:
+            write(_Descriptor(fd))
+        finally:
+            os.close(fd)
         os.replace(temporary, target)
     except BaseException:
         os.unlink(temporary)
         raise
 
 
-def _create_beside(target: Path) -> tuple[int, Path]:
+class _Descriptor:
+    """The ``write`` of a text file on an open file descriptor: each text
+    goes out as UTF-8, with as many ``os.write`` calls as it takes."""
+
+    def __init__(self, fd: int):
+        self.fd = fd
+
+    def write(self, text: str) -> None:
+        data = memoryview(text.encode())
+        while data:
+            data = data[os.write(self.fd, data):]
+
+
+def _create_beside(target: str) -> tuple[int, str]:
     """A new empty file with a fresh ``.<name>.`` name in ``target``'s
     directory, open for writing.  ``<name>`` is ``target``'s name, cut at a
     character so that the temporary name fits in 255 bytes, the usual
     limit for a file name.  The kernel gives it the mode of any new file,
     0o666 less the umask, so the process-wide umask is never touched."""
-    name = target.name
+    directory, name = os.path.split(target)
     # 14 bytes: the two dots and the 12 hex digits.
     while len(os.fsencode(name)) > 255 - 14:
         name = name[:-1]
     while True:
-        temporary = target.with_name(f".{name}.{os.urandom(6).hex()}")
+        temporary = os.path.join(directory, f".{name}.{os.urandom(6).hex()}")
         try:
             return os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), temporary
         except FileExistsError:
@@ -196,12 +231,17 @@ class _Subcommand:
         return self.build().parse_known_args(args, namespace)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # HelpFormatter's own default width, probed once here rather than by
-    # each formatter that argparse makes, one for every option added.
-    formatter = functools.partial(
+def _formatter() -> Callable[..., argparse.HelpFormatter]:
+    """The formatter class of a parser build: HelpFormatter's own default
+    width, probed once here rather than by each formatter that argparse
+    makes, one for every option added."""
+    return functools.partial(
         argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
     )
+
+
+def build_parser() -> argparse.ArgumentParser:
+    formatter = _formatter()
     parser = argparse.ArgumentParser(
         prog="vesselsim",
         description=(
@@ -213,18 +253,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"vesselsim {__version__}")
     subparsers = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Subcommand)
-    for name, help in (
-        ("vessel-chsh", "estimate the four coincidence pairs and the Bell statistic"),
-        (
-            "locality-check",
-            "factorization search and context witnesses over sampled hidden variables",
-        ),
-        ("sample-state", "Born-sample the superposition state and report its rank"),
-        ("quantum-chsh", "singlet statistic at the scenario's analyzer angles"),
-        ("flow", "integrate one joint drainage"),
-    ):
+    for name, help in _SUBCOMMANDS.items():
         subparsers.add_parser(name, help=help, formatter_class=formatter, command=name)
     return parser
+
+
+def parse_line(argv: list[str] | None) -> dict:
+    """The options of a command line, ``vars(build_parser().parse_args(argv))``,
+    with the same output and exit code for help, version and usage errors.
+    That parser hands all that follows a leading subcommand name to the
+    subcommand's parser, so a line that starts with one builds that parser
+    alone.  The top-level parser is built for every other line, and for
+    arguments the subcommand leaves over, whose error it reports."""
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv and argv[0] in _SUBCOMMANDS:
+        name = argv[0]
+        subcommand = _Subcommand(
+            prog=f"vesselsim {name}", formatter_class=_formatter(), command=name
+        )
+        options, rest = subcommand.build().parse_known_args(argv[1:])
+        if not rest:
+            return {"subcommand": name, **vars(options)}
+    return vars(build_parser().parse_args(argv))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -265,7 +316,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(argv: list[str] | None, stopped: list[int]) -> int:
-    options = vars(build_parser().parse_args(argv))
+    options = parse_line(argv)
     out = options["out"]
     collect = options["format"] == "csv"
     command = getattr(commands, options["subcommand"].replace("-", "_"))

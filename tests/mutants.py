@@ -181,7 +181,7 @@ MUTANTS = [
         "return argparse.ArgumentParser(**self.kwargs).parse_known_args(",
         (
             "tests/test_cli.py::TestParserBuild",
-            "tests/test_cli.py::TestStdout::test_report_goes_to_stdout_by_default",
+            "tests/test_cli.py::TestParseLine",
         ),
     ),
     Mutant(
@@ -190,6 +190,23 @@ MUTANTS = [
         "        self.kwargs = kwargs\n",
         "        self.kwargs = kwargs\n        self.build()\n",
         ("tests/test_cli.py::TestParserBuild",),
+    ),
+    Mutant(
+        "top-parser-for-every-line",
+        "cli.py",
+        "if argv and argv[0] in _SUBCOMMANDS:",
+        "if False:",
+        ("tests/test_cli.py::TestParserBuild",),
+    ),
+    Mutant(
+        "leftover-arguments-ignored",
+        "cli.py",
+        "        if not rest:\n",
+        "        if True:\n",
+        (
+            "tests/test_cli.py::TestParserBuild",
+            "tests/test_cli.py::TestParseLine",
+        ),
     ),
     Mutant(
         "analytic-on-every-subcommand",
@@ -242,6 +259,20 @@ MUTANTS = [
         "        os.unlink(temporary)\n",
         "",
         ("tests/test_cli.py::TestAtomicCommit::test_write_error_mid_stream_leaves_no_file",),
+    ),
+    Mutant(
+        "short-write-dropped",
+        "cli.py",
+        "        while data:\n            data = data[os.write(self.fd, data):]\n",
+        "        os.write(self.fd, data)\n",
+        ("tests/test_golden.py::test_short_writes_give_the_golden_bytes",),
+    ),
+    Mutant(
+        "stat-errors-ignored",
+        "cli.py",
+        "        except FileNotFoundError:\n",
+        "        except OSError:\n",
+        ("tests/test_cli.py::TestAtomicCommit::test_symlink_loop_is_three",),
     ),
     Mutant(
         "closed-stdout-unchecked",

@@ -43,14 +43,14 @@ from vesselsim import (
     vessels,
 )
 from vesselsim.bell import PAIR_STREAM
-from vesselsim.cli import build_parser, commit, main, render_csv, render_json
+from vesselsim.cli import build_parser, commit, main, parse_line, render_csv, render_json
 from vesselsim.commands import CSV_ROWS_PER_WRITE
 from vesselsim.errors import DegenerateTieError, VesselSimError
 from vesselsim.scenario import MAX_RUNS_PER_PAIR
 
 import oracle
 from strategies import FOLD_FIELDS, NORMAL, PAIR_LABELS, TIE_PRONE, UNIFORM_AMPLITUDES
-from strategies import _tail_dump, scenario_dicts, tail_dumps
+from strategies import _tail_dump, scenario_dicts, short_lists, tail_dumps
 
 
 def write_scenario(tmp_path, name="scenario.json", **overrides):
@@ -942,14 +942,16 @@ class TestSurface:
         assert own == keywords
 
 
-# Command lines -> the progs of the parsers that building and parsing each
-# make: the top-level one, then the named subcommand's and no other.
+# Command lines -> the progs of the parsers that parsing each builds.  A
+# line that starts with a subcommand builds that subcommand's parser alone;
+# the top-level parser answers every other line, and reports an argument
+# the subcommand leaves over, building the subcommand's parser again.
 PARSER_BUILDS = {
     **{
         name: (
             [name, "--scenario", "s.json",
              *(["--lambda-a", "1", "--lambda-b", "2"] if name == "flow" else [])],
-            ["vesselsim", f"vesselsim {name}"],
+            [f"vesselsim {name}"],
         )
         for name in SURFACE
     },
@@ -957,12 +959,16 @@ PARSER_BUILDS = {
     "help": (["--help"], ["vesselsim"]),
     "no-subcommand": ([], ["vesselsim"]),
     "unknown-subcommand": (["no-such-command"], ["vesselsim"]),
+    "leftover": (
+        ["locality-check", "--scenario", "s.json", "extra"],
+        ["vesselsim locality-check", "vesselsim", "vesselsim locality-check"],
+    ),
 }
 
 
 class TestParserBuild:
-    """A command line builds only the parser of the subcommand it names,
-    and a build probes the terminal width once."""
+    """A command line builds only the parsers it needs, and each build
+    probes the terminal width once."""
 
     @pytest.mark.parametrize("case", PARSER_BUILDS)
     def test_a_line_builds_only_the_parser_it_names(self, case, monkeypatch, capsys):
@@ -981,16 +987,62 @@ class TestParserBuild:
         monkeypatch.setattr(shutil, "get_terminal_size", probe)
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", init)
         argv, built = PARSER_BUILDS[case]
-        parser = build_parser()
         if case in SURFACE:
-            parsed = vars(parser.parse_args(argv))
+            parsed = parse_line(argv)
             assert parsed.pop("subcommand") == case
             assert sorted(parsed) == sorted(dest for _, dest, *_ in SURFACE[case])
         else:
             with pytest.raises(SystemExit):
-                parser.parse_args(argv)
+                parse_line(argv)
         assert progs == built
-        assert len(probes) == 1
+        # One probe a build: the leftover line is parsed twice.
+        assert len(probes) == (2 if case == "leftover" else 1)
+        if case == "leftover":
+            assert capsys.readouterr().err.endswith(": error: unrecognized arguments: extra\n")
+
+
+# Pieces of the command lines that ``parse_line`` and argparse's own
+# top-level parse must answer alike: every subcommand, an unknown one, every
+# option spelled in full, cut short and with ``=``, good and bad values,
+# help, version, ``--`` and junk.
+LINE_PIECES = st.sampled_from([
+    *((name,) for name in SURFACE), ("no-such-command",),
+    ("--scenario", "s.json"), ("--scen", "s.json"), ("--scenario=s.json",), ("-s", "s.json"),
+    ("--out", "r.json"), ("--o", "r.json"), ("--out=r.json",), ("--out",),
+    ("--format", "csv"), ("--form", "xml"), ("--format=json",),
+    ("--workers", "2"), ("--work", "0"), ("--workers=-1",), ("--analytic",), ("--an",),
+    ("--lambda-a", "1"), ("--lambda", "1"), ("--lambda-b=2",), ("--lambda-b", "nan"),
+    ("--dt", "1e-3"), ("--dt=inf",),
+    ("-h",), ("--help",), ("--version",), ("--ver",), ("--",), ("-",), ("",), ("junk",),
+    ("--junk",), ("-x",),
+])
+
+
+@st.composite
+def command_lines(draw):
+    """A command line of at most 8 tokens, most of them led by a subcommand,
+    many by one with its required options."""
+    head = draw(st.sampled_from([
+        [], ["no-such-command"],
+        *([name] for name in SURFACE),
+        *([name, "--scenario", "s.json"] for name in SURFACE),
+        ["flow", "--scenario", "s.json", "--lambda-a", "1", "--lambda-b", "2"],
+    ]))
+    pieces = draw(short_lists(LINE_PIECES, 4))
+    return [*head, *(token for piece in pieces for token in piece)][:8]
+
+
+class TestParseLine:
+    @given(argv=command_lines())
+    @example(argv=["flow", "--scenario", "s.json", "--lambda-a", "1", "--lambda-b", "2"])
+    @example(argv=["vessel-chsh", "--scen", "s.json", "--work=2", "--", "x"])
+    @example(argv=["sample-state", "--scenario", "s.json", "junk", "-h"])
+    @example(argv=["quantum-chsh", "--scenario", "s.json", "--version"])
+    def test_agrees_with_the_top_level_parser(self, argv):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("COLUMNS", "80")
+            expected = help_output(argv, lambda line: vars(build_parser().parse_args(line)))
+            assert help_output(argv, parse_line) == expected
 
 
 # Help, version and usage-error command lines: case name -> argv.  Their
@@ -1013,13 +1065,13 @@ HELP_COLUMNS = (80, 40)
 HELP_PINS = Path(__file__).parent / "golden" / "help.json"
 
 
-def help_output(argv):
-    """What ``main(argv)`` writes to stdout and stderr, and its exit code,
-    at the terminal width that ``COLUMNS`` sets."""
+def help_output(argv, run=main):
+    """What ``run(argv)`` writes to stdout and stderr, and what it returns
+    or its exit code, at the terminal width that ``COLUMNS`` sets."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         try:
-            code = main(argv)
+            code = run(argv)
         except SystemExit as exc:
             code = exc.code
     return {"stdout": stdout.getvalue(), "stderr": stderr.getvalue(), "code": code}
@@ -1115,30 +1167,16 @@ class TestAtomicCommit:
         out = tmp_path / "report.csv"
         out.write_text(PREVIOUS)
         written = []
+        real_write = os.write
 
-        class FullDisk:
-            """The temporary file's handle; the disk fills after two writes."""
+        def full_disk(fd, data):
+            """The temporary file's writes; the disk fills after two."""
+            if len(written) == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            written.append(bytes(data).decode())
+            return real_write(fd, data)
 
-            def __init__(self, handle):
-                self.handle = handle
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return self.handle.__exit__(*exc_info)
-
-            def write(self, text):
-                if len(written) == 2:
-                    raise OSError(errno.ENOSPC, "No space left on device")
-                written.append(text)
-                return self.handle.write(text)
-
-        def full_disk_open(*args, **kwargs):
-            return FullDisk(open(*args, **kwargs))
-
-        # Shadows the builtin for the module that opens the temporary file.
-        monkeypatch.setattr("vesselsim.cli.open", full_disk_open, raising=False)
+        monkeypatch.setattr(os, "write", full_disk)
         scenario = write_scenario(tmp_path, runs_per_pair=CSV_ROWS_PER_WRITE)
         argv = ["vessel-chsh", "--scenario", scenario, "--format", "csv", "--out", str(out)]
         assert run_cli(argv) == 3
@@ -1149,6 +1187,69 @@ class TestAtomicCommit:
         assert "cannot write output" in capsys.readouterr().err
         assert out.read_text() == PREVIOUS
         assert leftovers(tmp_path, {"scenario.json", "report.csv"}) == []
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open fds in /proc")
+    def test_commit_closes_the_temporary_file(self, tmp_path, monkeypatch):
+        def open_fds():
+            return len(os.listdir("/proc/self/fd"))
+
+        def write(handle):
+            handle.write("report,\n")
+            handle.write("row\n")
+
+        before = open_fds()
+        commit(str(tmp_path / "report.csv"), write)
+        assert open_fds() == before
+        real_write = os.write
+        writes = []
+
+        def full_disk(fd, data):
+            writes.append(fd)
+            if len(writes) == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_write(fd, data)
+
+        monkeypatch.setattr(os, "write", full_disk)
+        with pytest.raises(OSError):
+            commit(str(tmp_path / "report.csv"), write)
+        assert open_fds() == before
+        assert (tmp_path / "report.csv").read_text() == "report,\nrow\n"
+        assert leftovers(tmp_path, {"report.csv"}) == []
+
+    def test_symlink_loop_is_three(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        os.symlink("b", "a")
+        os.symlink("a", "b")
+        scenario = write_scenario(tmp_path, runs_per_pair=10)
+        assert run_cli(["locality-check", "--scenario", scenario, "--out", "a"]) == 3
+        reason = os.strerror(errno.ELOOP)
+        assert capsys.readouterr().err == f"vesselsim: cannot write output to 'a': {reason}\n"
+        assert (os.readlink("a"), os.readlink("b")) == ("b", "a")
+        assert leftovers(tmp_path, {"scenario.json", "a", "b"}) == []
+
+    @pytest.mark.parametrize("previous", [None, PREVIOUS], ids=["new", "existing"])
+    def test_symlink_keeps_the_link_and_writes_its_target(self, tmp_path, previous):
+        target = tmp_path / "report.json"
+        if previous is not None:
+            target.write_text(previous)
+        link = tmp_path / "link.json"
+        link.symlink_to("report.json")
+        scenario = write_scenario(tmp_path, runs_per_pair=10)
+        assert run_cli(["vessel-chsh", "--scenario", scenario, "--out", str(link)]) == 0
+        assert os.readlink(link) == "report.json"
+        assert json.loads(target.read_text())["bell"]["value"] == 4.0
+        assert leftovers(tmp_path, {"scenario.json", "report.json", "link.json"}) == []
+
+    def test_symlink_into_a_missing_directory_is_three(self, tmp_path, capsys):
+        link = tmp_path / "link.json"
+        link.symlink_to(tmp_path / "missing" / "report.json")
+        scenario = write_scenario(tmp_path, runs_per_pair=10)
+        assert run_cli(["vessel-chsh", "--scenario", scenario, "--out", str(link)]) == 3
+        reason = os.strerror(errno.ENOENT)
+        err = capsys.readouterr().err
+        assert err == f"vesselsim: cannot write output to {str(link)!r}: {reason}\n"
+        assert link.is_symlink()
+        assert leftovers(tmp_path, {"scenario.json", "link.json"}) == []
 
     def test_unwritable_directory_leaves_the_report(self, tmp_path, capsys, monkeypatch):
         directory = tmp_path / "reports"
