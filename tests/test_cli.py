@@ -1060,6 +1060,13 @@ HELP_CASES = {
     "flow-nan-lambda-a": ["flow", "--scenario", "s.json", "--lambda-a", "nan", "--lambda-b", "1"],
     "flow-no-lambda-b": ["flow", "--scenario", "s.json", "--lambda-a", "1"],
     "unknown-option": ["sample-state", "--scenario", "s.json", "--no-such-flag"],
+    # Junk before the subcommand: the top-level parser and its subparsers
+    # answer these lines.
+    "junk-first-flow-help": ["--junk", "flow", "--help"],
+    "junk-first-flow-no-lambdas": ["--junk", "flow", "--scenario", "s.json"],
+    "junk-first-quantum-chsh-zero-workers": [
+        "-x", "quantum-chsh", "--scenario", "s.json", "--workers", "0",
+    ],
 }
 HELP_COLUMNS = (80, 40)
 HELP_PINS = Path(__file__).parent / "golden" / "help.json"
