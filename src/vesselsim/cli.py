@@ -16,10 +16,10 @@ for ``--format csv``, and each of the subcommand's own options as the
 keyword argument of the option's dest (``--lambda-a`` is ``lambda_a``).
 The options every subcommand shares, and ``--workers``, which is checked
 and then unused, are never passed on.  A line that starts with a
-subcommand name builds that subcommand's parser alone; the top-level
-parser is built only for the lines it answers itself (help, version, a
-missing or unknown subcommand, and arguments the subcommand leaves over),
-and then builds only the parser of the subcommand it names.  A parser
+subcommand name builds that subcommand's parser alone.  Every other line,
+and one whose subcommand leaves arguments over, builds the top-level
+parser with all five subcommand parsers, which answers it: help, version,
+a missing or unknown subcommand, and the leftovers' usage error.  A parser
 build reads the terminal width once.
 """
 
@@ -105,17 +105,18 @@ def commit(out: str | None, write: Callable[[TextIO], None]) -> None:
     A regular file (or a new one) at ``out`` is replaced by a temporary file
     from its own directory once ``write`` returns, and the temporary file is
     removed if anything fails; a symbolic link is followed, so its target is
-    replaced and the link kept.  Stdout, and a device or pipe named by
-    ``out``, get a copy of an anonymous ``tempfile.TemporaryFile`` once
-    ``write`` returns; the spool has no name and goes when it is closed.
+    replaced and the link kept.  Stdout, a device or pipe named by ``out``,
+    and a new name that cannot be a file's, get a copy of an anonymous
+    ``tempfile.TemporaryFile`` once ``write`` returns (or ``open`` refuses
+    the name); the spool has no name and goes when it is closed.
     """
     if out is not None:
         try:
             renamed = stat.S_ISREG(os.stat(out).st_mode)
         except FileNotFoundError:
-            # Nothing there yet.  Any other error, a symlink loop say, is
-            # the run's.
-            renamed = True
+            # Nothing there yet.  A last part "", "." or ".." is no file's
+            # name.  Any other error, a symlink loop say, is the run's.
+            renamed = os.path.basename(out) not in ("", ".", "..")
     if out is None or not renamed:
         with tempfile.TemporaryFile("w+") as spool:
             write(spool)
@@ -197,38 +198,23 @@ def _finite_float(text: str) -> float:
     return value
 
 
-class _Subcommand:
-    """A subcommand as ``add_subparsers`` holds it: the ``add_parser``
-    arguments of its parser, which ``build`` makes.  argparse calls
-    ``parse_known_args`` on the named subcommand alone, so a command line
-    builds the parser of that subcommand and of no other."""
-
-    def __init__(self, *, command: str, **kwargs):
-        self.command = command
-        self.kwargs = kwargs
-
-    def build(self) -> argparse.ArgumentParser:
-        """The subcommand's parser, with its options."""
-        parser = argparse.ArgumentParser(**self.kwargs)
-        add = parser.add_argument
-        add("--scenario", required=True, help="path to a scenario JSON file")
-        add("--out", default=None, help="output path (default: stdout)")
-        add("--format", choices=("json", "csv"), default="json",
-            help="json report or csv per-run dump")
-        if self.command in ("vessel-chsh", "quantum-chsh"):
-            add("--workers", type=_worker_count, default=1,
-                help="no longer changes how runs execute")
-        if self.command == "quantum-chsh":
-            add("--analytic", action="store_true",
-                help="exact expectations instead of Monte Carlo sampling")
-        if self.command == "flow":
-            add("--lambda-a", type=_finite_float, required=True, help="left diameter (cm)")
-            add("--lambda-b", type=_finite_float, required=True, help="right diameter (cm)")
-            add("--dt", type=_finite_float, default=1e-4, help="integration step (s)")
-        return parser
-
-    def parse_known_args(self, args=None, namespace=None):
-        return self.build().parse_known_args(args, namespace)
+def _add_options(parser: argparse.ArgumentParser, name: str) -> None:
+    """Add subcommand ``name``'s options to ``parser``."""
+    add = parser.add_argument
+    add("--scenario", required=True, help="path to a scenario JSON file")
+    add("--out", default=None, help="output path (default: stdout)")
+    add("--format", choices=("json", "csv"), default="json",
+        help="json report or csv per-run dump")
+    if name in ("vessel-chsh", "quantum-chsh"):
+        add("--workers", type=_worker_count, default=1,
+            help="no longer changes how runs execute")
+    if name == "quantum-chsh":
+        add("--analytic", action="store_true",
+            help="exact expectations instead of Monte Carlo sampling")
+    if name == "flow":
+        add("--lambda-a", type=_finite_float, required=True, help="left diameter (cm)")
+        add("--lambda-b", type=_finite_float, required=True, help="right diameter (cm)")
+        add("--dt", type=_finite_float, default=1e-4, help="integration step (s)")
 
 
 def _formatter() -> Callable[..., argparse.HelpFormatter]:
@@ -252,9 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=formatter,
     )
     parser.add_argument("--version", action="version", version=f"vesselsim {__version__}")
-    subparsers = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Subcommand)
+    subparsers = parser.add_subparsers(dest="subcommand", required=True)
     for name, help in _SUBCOMMANDS.items():
-        subparsers.add_parser(name, help=help, formatter_class=formatter, command=name)
+        _add_options(subparsers.add_parser(name, help=help, formatter_class=formatter), name)
     return parser
 
 
@@ -269,10 +255,9 @@ def parse_line(argv: list[str] | None) -> dict:
         argv = sys.argv[1:]
     if argv and argv[0] in _SUBCOMMANDS:
         name = argv[0]
-        subcommand = _Subcommand(
-            prog=f"vesselsim {name}", formatter_class=_formatter(), command=name
-        )
-        options, rest = subcommand.build().parse_known_args(argv[1:])
+        parser = argparse.ArgumentParser(prog=f"vesselsim {name}", formatter_class=_formatter())
+        _add_options(parser, name)
+        options, rest = parser.parse_known_args(argv[1:])
         if not rest:
             return {"subcommand": name, **vars(options)}
     return vars(build_parser().parse_args(argv))

@@ -177,19 +177,12 @@ MUTANTS = [
     Mutant(
         "subcommand-options-never-added",
         "cli.py",
-        "return self.build().parse_known_args(",
-        "return argparse.ArgumentParser(**self.kwargs).parse_known_args(",
+        "_add_options(subparsers.add_parser(name, help=help, formatter_class=formatter), name)",
+        "subparsers.add_parser(name, help=help, formatter_class=formatter)",
         (
-            "tests/test_cli.py::TestParserBuild",
-            "tests/test_cli.py::TestParseLine",
+            "tests/test_cli.py::TestSurface",
+            "tests/test_cli.py::TestHelpBytes",
         ),
-    ),
-    Mutant(
-        "every-subcommand-built-eagerly",
-        "cli.py",
-        "        self.kwargs = kwargs\n",
-        "        self.kwargs = kwargs\n        self.build()\n",
-        ("tests/test_cli.py::TestParserBuild",),
     ),
     Mutant(
         "top-parser-for-every-line",
@@ -211,7 +204,7 @@ MUTANTS = [
     Mutant(
         "analytic-on-every-subcommand",
         "cli.py",
-        'if self.command == "quantum-chsh":',
+        'if name == "quantum-chsh":',
         "if True:",
         (
             "tests/test_cli.py::TestSurface::test_options_are_pinned",
@@ -273,6 +266,13 @@ MUTANTS = [
         "        except FileNotFoundError:\n",
         "        except OSError:\n",
         ("tests/test_cli.py::TestAtomicCommit::test_symlink_loop_is_three",),
+    ),
+    Mutant(
+        "name-that-cannot-be-a-file-created",
+        "cli.py",
+        'renamed = os.path.basename(out) not in ("", ".", "..")',
+        "renamed = True",
+        ("tests/test_cli.py::TestAtomicCommit::test_name_that_cannot_be_a_file_is_three",),
     ),
     Mutant(
         "closed-stdout-unchecked",

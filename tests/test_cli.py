@@ -900,13 +900,12 @@ SURFACE = {
 
 
 def subcommand_parsers():
-    """Each subcommand's parser of a new ``build_parser()``, by name, as
-    its stand-in builds it for parsing."""
+    """Each subcommand's parser of a new ``build_parser()``, by name."""
     (subparsers,) = [
         action for action in build_parser()._actions
         if isinstance(action, argparse._SubParsersAction)
     ]
-    return {name: sub.build() for name, sub in subparsers.choices.items()}
+    return subparsers.choices
 
 
 def subcommand_actions(name):
@@ -944,8 +943,9 @@ class TestSurface:
 
 # Command lines -> the progs of the parsers that parsing each builds.  A
 # line that starts with a subcommand builds that subcommand's parser alone;
-# the top-level parser answers every other line, and reports an argument
-# the subcommand leaves over, building the subcommand's parser again.
+# the top-level parser, with every subcommand's parser, answers every other
+# line, and reports an argument the subcommand leaves over.
+TOP_LEVEL_BUILD = ["vesselsim", *(f"vesselsim {name}" for name in SURFACE)]
 PARSER_BUILDS = {
     **{
         name: (
@@ -955,23 +955,24 @@ PARSER_BUILDS = {
         )
         for name in SURFACE
     },
-    "version": (["--version"], ["vesselsim"]),
-    "help": (["--help"], ["vesselsim"]),
-    "no-subcommand": ([], ["vesselsim"]),
-    "unknown-subcommand": (["no-such-command"], ["vesselsim"]),
+    "version": (["--version"], TOP_LEVEL_BUILD),
+    "help": (["--help"], TOP_LEVEL_BUILD),
+    "no-subcommand": ([], TOP_LEVEL_BUILD),
+    "unknown-subcommand": (["no-such-command"], TOP_LEVEL_BUILD),
     "leftover": (
         ["locality-check", "--scenario", "s.json", "extra"],
-        ["vesselsim locality-check", "vesselsim", "vesselsim locality-check"],
+        ["vesselsim locality-check", *TOP_LEVEL_BUILD],
     ),
 }
 
 
 class TestParserBuild:
-    """A command line builds only the parsers it needs, and each build
-    probes the terminal width once."""
+    """A valid line led by a subcommand builds that subcommand's parser
+    alone; any other line builds the top-level parser and all five
+    subcommand parsers; each build probes the terminal width once."""
 
     @pytest.mark.parametrize("case", PARSER_BUILDS)
-    def test_a_line_builds_only_the_parser_it_names(self, case, monkeypatch, capsys):
+    def test_a_line_builds_its_subcommand_or_the_whole_tree(self, case, monkeypatch, capsys):
         probes, progs = [], []
         real_size = shutil.get_terminal_size
         real_init = argparse.ArgumentParser.__init__
@@ -1298,6 +1299,25 @@ class TestAtomicCommit:
         assert f"cannot write output to {str(out)!r}: Not a directory" in err
         assert ".report.csv." not in err
         assert leftovers(tmp_path, {"scenario.json", "plain"}) == []
+
+    @pytest.mark.parametrize("out, code", [
+        ("", errno.ENOENT), ("new/", errno.EISDIR), ("new/.", errno.ENOENT),
+        ("new/..", errno.ENOENT),
+    ], ids=["empty", "slash", "dot", "dot-dot"])
+    def test_name_that_cannot_be_a_file_is_three(self, tmp_path, capsys, monkeypatch, out, code):
+        # os.path.realpath would drop the last part and name another path.
+        (tmp_path / "cwd").mkdir()
+        monkeypatch.chdir(tmp_path / "cwd")
+        scenario = write_scenario(tmp_path, runs_per_pair=10)
+
+        def tree():
+            return sorted((str(path), path.is_dir()) for path in tmp_path.rglob("*"))
+
+        before = tree()
+        assert run_cli(["locality-check", "--scenario", scenario, "--out", out]) == 3
+        reason = os.strerror(code)
+        assert capsys.readouterr().err == f"vesselsim: cannot write output to {out!r}: {reason}\n"
+        assert tree() == before
 
     def test_stdout_write_error_names_stdout(self, tmp_path, capsys, monkeypatch):
         class ClosedPipe:
