@@ -7,7 +7,10 @@ closed or broken stderr loses them, not the exit code.  Nothing is
 written on an error path or when a run is stopped: every report is
 complete in a file before its target sees a byte.  A regular ``--out`` is
 replaced by a temporary file from its own directory; stdout and a device
-or pipe named by ``--out`` get a copy of an anonymous spool file.
+or pipe named by ``--out`` get a copy of an anonymous spool file.  The
+temporary file is created, and any other target opened, before the
+command runs, so errors come in this order: usage (exit 2), the scenario
+file (2), ``--out`` (3), then the command's own refusals.
 
 A command line reaches its command directly: ``vesselsim flow --dt 0.01``
 calls ``commands.flow``, the subcommand with ``-`` read as ``_``, looked up
@@ -36,7 +39,7 @@ import shutil
 import stat
 import sys
 import tempfile
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from typing import TextIO
 
 from . import commands
@@ -66,7 +69,7 @@ _SUBCOMMANDS = {
 
 
 class _Stopped(BaseException):
-    """Raised where the run is by SIGINT or SIGTERM, so that ``commit``
+    """Raised where the run is by SIGINT or SIGTERM, so that ``output``
     removes its temporary file on the way out."""
 
 
@@ -98,62 +101,50 @@ def render_csv(dump: commands.RunDump, out: TextIO) -> None:
         out.write(text)
 
 
-def commit(out: str | None, write: Callable[[TextIO], None]) -> None:
-    """Run ``write`` on a text file so that the target gets the whole
-    report or nothing.
+@contextlib.contextmanager
+def output(out: str | None) -> Iterator[TextIO]:
+    """The text file a report is written into, published only when the
+    ``with`` block ends without an exception, so the target gets the whole
+    report or nothing.  Every file is opened before the block runs.
 
     A regular file (or a new one) at ``out`` is replaced by a temporary file
-    from its own directory once ``write`` returns, and the temporary file is
-    removed if anything fails; a symbolic link is followed, so its target is
-    replaced and the link kept.  Stdout, a device or pipe named by ``out``,
-    and a new name that cannot be a file's, get a copy of an anonymous
-    ``tempfile.TemporaryFile`` once ``write`` returns (or ``open`` refuses
-    the name); the spool has no name and goes when it is closed.
+    from its own directory, which is removed if anything fails; a symbolic
+    link is followed, so its target is replaced and the link kept.  Stdout,
+    a device or pipe named by ``out`` (a pipe waits here for its reader),
+    and a new name that cannot be a file's, even through a link (``open``
+    refuses it), are opened first and get a copy of an anonymous
+    ``tempfile.TemporaryFile``; the spool has no name and goes when closed.
     """
     if out is not None:
         try:
             renamed = stat.S_ISREG(os.stat(out).st_mode)
+            target = os.path.realpath(out)
         except FileNotFoundError:
-            # Nothing there yet.  A last part "", "." or ".." is no file's
-            # name.  Any other error, a symlink loop say, is the run's.
-            renamed = os.path.basename(out) not in ("", ".", "..")
+            # Nothing there yet: the name to create is the one the links lead
+            # to.  A last part "", "." or ".." is no file's name.  Any other
+            # error, a symlink loop say, is the run's.
+            target = out
+            while os.path.islink(target):
+                target = os.path.join(os.path.dirname(target), os.readlink(target))
+            renamed = os.path.basename(target) not in ("", ".", "..")
     if out is None or not renamed:
-        with tempfile.TemporaryFile("w+") as spool:
-            write(spool)
+        if out is None and sys.stdout is None:
+            # Python starts with no sys.stdout when fd 1 is closed.
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        final = contextlib.nullcontext(sys.stdout) if out is None else open(out, "w")
+        with final as handle, tempfile.TemporaryFile("w+") as spool:
+            yield spool
             spool.seek(0)
-            if out is None:
-                if sys.stdout is None:
-                    # Python starts with no sys.stdout when fd 1 is closed.
-                    raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-                shutil.copyfileobj(spool, sys.stdout)
-            else:
-                with open(out, "w") as handle:
-                    shutil.copyfileobj(spool, handle)
+            shutil.copyfileobj(spool, handle)
         return
-    target = os.path.realpath(out)
     fd, temporary = _create_beside(target)
     try:
-        try:
-            write(_Descriptor(fd))
-        finally:
-            os.close(fd)
+        with open(fd, "w", encoding="utf-8") as handle:
+            yield handle
         os.replace(temporary, target)
     except BaseException:
         os.unlink(temporary)
         raise
-
-
-class _Descriptor:
-    """The ``write`` of a text file on an open file descriptor: each text
-    goes out as UTF-8, with as many ``os.write`` calls as it takes."""
-
-    def __init__(self, fd: int):
-        self.fd = fd
-
-    def write(self, text: str) -> None:
-        data = memoryview(text.encode())
-        while data:
-            data = data[os.write(self.fd, data):]
 
 
 def _create_beside(target: str) -> tuple[int, str]:
@@ -307,21 +298,18 @@ def _run(argv: list[str] | None, stopped: list[int]) -> int:
     command = getattr(commands, options["subcommand"].replace("-", "_"))
     own = {dest: value for dest, value in options.items() if dest not in _SHARED}
     try:
-        report, dump = command(parse_scenario(options["scenario"]), collect_runs=collect, **own)
-        text = None if collect else render_json(report)
-
-        def write(handle: TextIO) -> None:
-            if text is None:
+        scenario = parse_scenario(options["scenario"])
+        with output(out) as handle:
+            report, dump = command(scenario, collect_runs=collect, **own)
+            if collect:
                 render_csv(dump, handle)
             else:
-                handle.write(text)
+                handle.write(render_json(report))
             if stopped:
                 # C code can lose the exception a signal raised, as numpy's
                 # first import of numpy.random does: the report is still
                 # not published.
                 raise _Stopped
-
-        commit(out, write)
     except ConfigError as exc:
         return _error(EXIT_CONFIG, f"vesselsim: configuration error: {exc}")
     except VesselSimError as exc:

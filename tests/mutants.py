@@ -254,13 +254,6 @@ MUTANTS = [
         ("tests/test_cli.py::TestAtomicCommit::test_write_error_mid_stream_leaves_no_file",),
     ),
     Mutant(
-        "short-write-dropped",
-        "cli.py",
-        "        while data:\n            data = data[os.write(self.fd, data):]\n",
-        "        os.write(self.fd, data)\n",
-        ("tests/test_golden.py::test_short_writes_give_the_golden_bytes",),
-    ),
-    Mutant(
         "stat-errors-ignored",
         "cli.py",
         "        except FileNotFoundError:\n",
@@ -270,16 +263,36 @@ MUTANTS = [
     Mutant(
         "name-that-cannot-be-a-file-created",
         "cli.py",
-        'renamed = os.path.basename(out) not in ("", ".", "..")',
+        'renamed = os.path.basename(target) not in ("", ".", "..")',
         "renamed = True",
         ("tests/test_cli.py::TestAtomicCommit::test_name_that_cannot_be_a_file_is_three",),
     ),
     Mutant(
         "closed-stdout-unchecked",
         "cli.py",
-        "if sys.stdout is None:",
+        "if out is None and sys.stdout is None:",
         "if False:",
         ("tests/test_cli.py::TestAtomicCommit::test_closed_stdout_is_three",),
+    ),
+    Mutant(
+        "dangling-link-text-ignored",
+        "cli.py",
+        "            while os.path.islink(target):\n"
+        "                target = os.path.join(os.path.dirname(target), os.readlink(target))\n",
+        "",
+        ("tests/test_cli.py::TestAtomicCommit::test_name_that_cannot_be_a_file_is_three",),
+    ),
+    Mutant(
+        "output-opened-after-the-command",
+        "cli.py",
+        "        with output(out) as handle:\n"
+        "            report, dump = command(scenario, collect_runs=collect, **own)\n",
+        "        report, dump = command(scenario, collect_runs=collect, **own)\n"
+        "        with output(out) as handle:\n",
+        (
+            "tests/test_cli.py::TestErrorOrder"
+            "::test_out_that_cannot_be_opened_stops_before_the_command",
+        ),
     ),
     Mutant(
         "stopped-run-publishes",

@@ -43,7 +43,7 @@ from vesselsim import (
     vessels,
 )
 from vesselsim.bell import PAIR_STREAM
-from vesselsim.cli import build_parser, commit, main, parse_line, render_csv, render_json
+from vesselsim.cli import build_parser, main, output, parse_line, render_csv, render_json
 from vesselsim.commands import CSV_ROWS_PER_WRITE
 from vesselsim.errors import DegenerateTieError, VesselSimError
 from vesselsim.scenario import MAX_RUNS_PER_PAIR
@@ -1120,6 +1120,34 @@ def leftovers(directory, keep):
     return sorted(path.name for path in directory.iterdir() if path.name not in keep)
 
 
+def full_disk(monkeypatch, after):
+    """Make the files ``vesselsim.cli`` opens fail their write number
+    ``after`` + 1 with ENOSPC; return the list of the texts written before."""
+    written = []
+
+    class FullDisk:
+        def __init__(self, handle):
+            self.handle = handle
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.handle.__exit__(*exc)
+
+        def write(self, text):
+            if len(written) == after:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            written.append(text)
+            return self.handle.write(text)
+
+    monkeypatch.setattr(
+        "vesselsim.cli.open", lambda *args, **kwargs: FullDisk(open(*args, **kwargs)),
+        raising=False,
+    )
+    return written
+
+
 class TestAtomicCommit:
     """``--out`` gets the whole report or keeps what it held: rows stream
     into a temporary file in the same directory, renamed over ``--out`` only
@@ -1174,17 +1202,7 @@ class TestAtomicCommit:
     def test_write_error_mid_stream_leaves_no_file(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "report.csv"
         out.write_text(PREVIOUS)
-        written = []
-        real_write = os.write
-
-        def full_disk(fd, data):
-            """The temporary file's writes; the disk fills after two."""
-            if len(written) == 2:
-                raise OSError(errno.ENOSPC, "No space left on device")
-            written.append(bytes(data).decode())
-            return real_write(fd, data)
-
-        monkeypatch.setattr(os, "write", full_disk)
+        written = full_disk(monkeypatch, after=2)
         scenario = write_scenario(tmp_path, runs_per_pair=CSV_ROWS_PER_WRITE)
         argv = ["vessel-chsh", "--scenario", scenario, "--format", "csv", "--out", str(out)]
         assert run_cli(argv) == 3
@@ -1201,25 +1219,17 @@ class TestAtomicCommit:
         def open_fds():
             return len(os.listdir("/proc/self/fd"))
 
-        def write(handle):
-            handle.write("report,\n")
-            handle.write("row\n")
+        def write(out):
+            with output(out) as handle:
+                handle.write("report,\n")
+                handle.write("row\n")
 
         before = open_fds()
-        commit(str(tmp_path / "report.csv"), write)
+        write(str(tmp_path / "report.csv"))
         assert open_fds() == before
-        real_write = os.write
-        writes = []
-
-        def full_disk(fd, data):
-            writes.append(fd)
-            if len(writes) == 2:
-                raise OSError(errno.ENOSPC, "No space left on device")
-            return real_write(fd, data)
-
-        monkeypatch.setattr(os, "write", full_disk)
+        full_disk(monkeypatch, after=1)
         with pytest.raises(OSError):
-            commit(str(tmp_path / "report.csv"), write)
+            write(str(tmp_path / "report.csv"))
         assert open_fds() == before
         assert (tmp_path / "report.csv").read_text() == "report,\nrow\n"
         assert leftovers(tmp_path, {"report.csv"}) == []
@@ -1228,11 +1238,18 @@ class TestAtomicCommit:
         monkeypatch.chdir(tmp_path)
         os.symlink("b", "a")
         os.symlink("a", "b")
+        real_readlink = os.readlink
+
+        def readlink(path):
+            # A walk of the link texts would never end on a loop.
+            raise AssertionError(f"a link text of the loop was read: {path!r}")
+
+        monkeypatch.setattr(os, "readlink", readlink)
         scenario = write_scenario(tmp_path, runs_per_pair=10)
         assert run_cli(["locality-check", "--scenario", scenario, "--out", "a"]) == 3
         reason = os.strerror(errno.ELOOP)
         assert capsys.readouterr().err == f"vesselsim: cannot write output to 'a': {reason}\n"
-        assert (os.readlink("a"), os.readlink("b")) == ("b", "a")
+        assert (real_readlink("a"), real_readlink("b")) == ("b", "a")
         assert leftovers(tmp_path, {"scenario.json", "a", "b"}) == []
 
     @pytest.mark.parametrize("previous", [None, PREVIOUS], ids=["new", "existing"])
@@ -1300,14 +1317,21 @@ class TestAtomicCommit:
         assert ".report.csv." not in err
         assert leftovers(tmp_path, {"scenario.json", "plain"}) == []
 
-    @pytest.mark.parametrize("out, code", [
-        ("", errno.ENOENT), ("new/", errno.EISDIR), ("new/.", errno.ENOENT),
-        ("new/..", errno.ENOENT),
-    ], ids=["empty", "slash", "dot", "dot-dot"])
-    def test_name_that_cannot_be_a_file_is_three(self, tmp_path, capsys, monkeypatch, out, code):
-        # os.path.realpath would drop the last part and name another path.
+    @pytest.mark.parametrize("out, links, code", [
+        ("", {}, errno.ENOENT), ("new/", {}, errno.EISDIR), ("new/.", {}, errno.ENOENT),
+        ("new/..", {}, errno.ENOENT), ("link", {"link": "new/"}, errno.EISDIR),
+        ("link", {"link": "new/."}, errno.ENOENT),
+        ("link2", {"link": "new/", "link2": "link"}, errno.EISDIR),
+    ], ids=["empty", "slash", "dot", "dot-dot", "link-slash", "link-dot", "link-chain"])
+    def test_name_that_cannot_be_a_file_is_three(
+        self, tmp_path, capsys, monkeypatch, out, links, code
+    ):
+        # os.path.realpath would drop the last part and name another path,
+        # also when a dangling link's text ends in it.
         (tmp_path / "cwd").mkdir()
         monkeypatch.chdir(tmp_path / "cwd")
+        for name, text in links.items():
+            os.symlink(text, name)
         scenario = write_scenario(tmp_path, runs_per_pair=10)
 
         def tree():
@@ -1417,7 +1441,8 @@ class TestAtomicCommit:
         monkeypatch.setattr(os, "umask", no_umask)
         out = tmp_path / "report.txt"
         try:
-            commit(str(out), lambda handle: handle.write("report\n"))
+            with output(str(out)) as handle:
+                handle.write("report\n")
         finally:
             set_umask(previous)
         assert out.read_text() == "report\n"
@@ -1450,6 +1475,59 @@ class TestAtomicCommit:
         else:
             witnesses = sum(row["witness_differs"] == "True" for row in rows)
             assert witnesses == report["factorization"]["witness_count"]
+
+
+class TestErrorOrder:
+    """Usage errors (exit 2) come first, then the scenario file (2), then an
+    ``--out`` that cannot be opened (3), and only then the command runs and
+    makes its own refusals."""
+
+    @pytest.mark.parametrize("out, code", [
+        ("a", errno.ELOOP), ("missing/report.json", errno.ENOENT),
+        ("plain/report.json", errno.ENOTDIR), ("new/", errno.EISDIR),
+        ("reports", errno.EISDIR), (None, errno.EBADF),
+    ], ids=["symlink-loop", "missing-directory", "under-a-file", "slash", "directory",
+            "closed-stdout"])
+    def test_out_that_cannot_be_opened_stops_before_the_command(
+        self, tmp_path, capsys, monkeypatch, out, code
+    ):
+        def never(scenario, **options):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setattr(commands, "locality_check", never)
+        monkeypatch.chdir(tmp_path)
+        os.symlink("b", "a")
+        os.symlink("a", "b")
+        (tmp_path / "plain").write_text("")
+        (tmp_path / "reports").mkdir()
+        scenario = write_scenario(tmp_path, runs_per_pair=10)
+        argv = ["locality-check", "--scenario", scenario]
+        if out is None:
+            monkeypatch.setattr(sys, "stdout", None)
+        else:
+            argv += ["--out", out]
+        assert run_cli(argv) == 3
+        target = "stdout" if out is None else repr(out)
+        reason = os.strerror(code)
+        assert capsys.readouterr().err == f"vesselsim: cannot write output to {target}: {reason}\n"
+        assert leftovers(tmp_path, {"scenario.json", "a", "b", "plain", "reports"}) == []
+
+    def test_unreadable_scenario_comes_before_out(self, tmp_path, capsys):
+        argv = ["locality-check", "--scenario", str(tmp_path / "missing.json"),
+                "--out", str(tmp_path / "missing" / "r.json")]
+        assert run_cli(argv) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert leftovers(tmp_path, set()) == []
+
+    def test_out_comes_before_the_commands_refusal(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        scenario = write_scenario(tmp_path, runs_per_pair=10)
+        assert "singlet_angles" not in Path(scenario).read_text()
+        argv = ["quantum-chsh", "--scenario", scenario, "--out", "missing/r.json"]
+        assert run_cli(argv) == 3
+        reason = os.strerror(errno.ENOENT)
+        err = capsys.readouterr().err
+        assert err == f"vesselsim: cannot write output to 'missing/r.json': {reason}\n"
 
 
 def checkout_env():

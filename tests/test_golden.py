@@ -118,25 +118,6 @@ def test_report_bytes_match_golden(case, fmt, tmp_path):
     assert render(case, *CASES[case], fmt, tmp_path) == expected
 
 
-@pytest.mark.parametrize("fmt", FORMATS)
-def test_short_writes_give_the_golden_bytes(fmt, tmp_path, monkeypatch):
-    # os.write may write less than it is given; every report is still whole.
-    real_write = os.write
-    cut = []
-
-    def capped(fd, data):
-        cut.append(len(data) > 1000)
-        return real_write(fd, data[:1000])
-
-    monkeypatch.setattr(os, "write", capped)
-    mismatched = [
-        case for case in sorted(CASES)
-        if render(case, *CASES[case], fmt, tmp_path) != (GOLDEN / f"{case}.{fmt}").read_bytes()
-    ]
-    assert mismatched == []
-    assert any(cut)
-
-
 def test_sample_state_report_needs_no_svd(tmp_path, monkeypatch):
     # The Schmidt rank is a count of amplitude moduli, so no LAPACK call is made.
     def refuse(*args, **kwargs):
